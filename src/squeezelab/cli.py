@@ -561,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samples per trial (scan phases or pair count)")
     p.add_argument("--policy", choices=_POLICIES, default=None,
                    help="variance over all trials or physical-only trials")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, at most one per trial and per CPU")
     p.add_argument("--json", default=None, help="also write a JSON mirror here")
     _add_common_opts(p)
     p.set_defaults(func=cmd_benchmark)

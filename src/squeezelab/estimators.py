@@ -98,16 +98,31 @@ class EstimateResult:
         return tuple(math.sqrt(v) if v >= 0 else float("nan") for v in d)
 
 
-def fourier_components(scan) -> FourierComponents:
-    """c0 = mean(q^2), c2 = mean(q^2 exp(-2i psi))."""
+def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, samples) as float arrays; at least 3 samples required."""
     q = np.asarray(scan.samples, dtype=float)
-    psi = np.asarray(scan.phases, dtype=float)
     if q.size < 3:
         raise ValueError(f"need at least 3 samples, got {q.size}")
-    x = q * q
-    c0 = float(np.mean(x))
-    c2 = complex(np.mean(x * np.exp(-2.0j * psi)))
-    return FourierComponents(c0=c0, c2=c2)
+    return np.asarray(scan.phases, dtype=float), q
+
+
+def _grid_harmonics(phases: np.ndarray) -> np.ndarray:
+    """Rows (1, cos 2psi, sin 2psi) of the phase grid, shape (3, N)."""
+    two_psi = 2.0 * phases
+    return np.stack((np.ones_like(phases), np.cos(two_psi), np.sin(two_psi)))
+
+
+def fourier_components(scan) -> FourierComponents:
+    """c0 = mean(q^2), c2 = mean(q^2 exp(-2i psi)), from the grid harmonics.
+
+    Row means are pairwise sums (as np.mean), not a BLAS product, so c0 is
+    exactly mean(q^2).  Whether a vacuum scan's second harmonic comes out
+    exactly 0 (so the fit flags it degenerate) depends on the summation
+    order and the grid; on the default grid it does.
+    """
+    phases, q = _scan_samples(scan)
+    m0, mc, ms = (_grid_harmonics(phases) * (q * q)).mean(axis=1)
+    return FourierComponents(c0=float(m0), c2=complex(mc, -ms))
 
 
 def fit_estimate(scan) -> EstimateResult:
@@ -132,7 +147,7 @@ def fit_estimate(scan) -> EstimateResult:
         flags.add(FLAG_DEGENERATE)
         phi = 0.0
     else:
-        phi = canonical_angle(-0.5 * cmath_phase_neg(comp.c2))
+        phi = canonical_angle(-0.5 * math.atan2(-comp.c2.imag, -comp.c2.real))
 
     s_hat = signed_sqrt(m / big) if big != 0.0 else float("nan")
     k_hat = signed_sqrt(m * big)
@@ -157,11 +172,6 @@ def fit_estimate(scan) -> EstimateResult:
     )
 
 
-def cmath_phase_neg(z: complex) -> float:
-    """Arg(-z) without constructing -z twice; keeps the branch explicit."""
-    return math.atan2(-z.imag, -z.real)
-
-
 def mom_weights(prior: StateParams, psi):
     """Optimal moment weights c_a(psi) = (1 / 2 V^2) dV/da at the prior."""
     v = eval_variance(prior, psi)
@@ -170,10 +180,43 @@ def mom_weights(prior: StateParams, psi):
     return w * g_s, w * g_k, w * g_p
 
 
-def _mom_update(x2: np.ndarray, phases: np.ndarray, prior: StateParams):
+def _mom_moments(x2: np.ndarray, harmonics: np.ndarray, s0: float, k0: float,
+                 p0: float) -> tuple[float, float, float]:
+    """y_a = mean(c_a q^2) for the weights c_a of ``mom_weights`` at (s0, k0, p0).
+
+    No trig on the grid: with u = psi - p0, V = a + b cos 2u where
+    a = k0 (s0 + 1/s0) / 2 and b = k0 (s0 - 1/s0) / 2, and each c_a is
+    h = 1/(2 V^2) times an affine function of (1, cos 2u, sin 2u).  So the
+    y_a follow from the three moments H = mean(h q^2 (1, cos 2u, sin 2u)),
+    which are the moments of h q^2 against ``harmonics``
+    (1, cos 2psi, sin 2psi) rotated by 2 p0:
+
+        y1 = k0 ((s0^2 - 1) H0 + (s0^2 + 1) Hc) / (2 s0^2)
+        y2 = (a H0 + b Hc) / k0
+        y3 = 2 b Hs
+    """
+    c2p = math.cos(2.0 * p0)
+    s2p = math.sin(2.0 * p0)
+    a = 0.5 * k0 * (s0 + 1.0 / s0)
+    b = 0.5 * k0 * (s0 - 1.0 / s0)
+    v = np.dot((a, b * c2p, b * s2p), harmonics)
+    m0, mc, ms = (harmonics @ (x2 / (v * v))).tolist()
+    scale = 0.5 / x2.size
+    h0 = m0 * scale
+    hc = (mc * c2p + ms * s2p) * scale
+    hs = (ms * c2p - mc * s2p) * scale
+    ss = s0 * s0
+    return (
+        k0 * ((ss - 1.0) * h0 + (ss + 1.0) * hc) / (2.0 * ss),
+        (a * h0 + b * hc) / k0,
+        2.0 * b * hs,
+    )
+
+
+def _mom_update(x2: np.ndarray, harmonics: np.ndarray, s0: float, k0: float, p0: float):
     """One closed-form moment update. Returns (s, kappa, phi, flags).
 
-    The linear combinations y_a = mean(c_a q^2) feed
+    The linear combinations y_a = mean(c_a q^2) (see ``_mom_moments``) feed
 
         num = y1 s0 (1+s0) + y2 k0
         den = y1 (1+s0) - y2 k0
@@ -184,11 +227,7 @@ def _mom_update(x2: np.ndarray, phases: np.ndarray, prior: StateParams):
     evaluated as printed, with the absolute values recorded: the physical
     branch has num > 0 and den < 0, anything else flags non-physical.
     """
-    s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
-    c_s, c_k, c_p = mom_weights(prior, phases)
-    y1 = float(np.mean(c_s * x2))
-    y2 = float(np.mean(c_k * x2))
-    y3 = float(np.mean(c_p * x2))
+    y1, y2, y3 = _mom_moments(x2, harmonics, s0, k0, p0)
 
     flags = set()
     num = y1 * s0 * (1.0 + s0) + y2 * k0
@@ -212,11 +251,33 @@ def _mom_update(x2: np.ndarray, phases: np.ndarray, prior: StateParams):
     return s_hat, k_hat, p_hat, flags
 
 
-def _predicted_cov_at(est: StateParams, phases) -> tuple[SymMatrix3 | None, set]:
-    try:
-        return fisher_homodyne_discrete(est, phases).inverse(), set()
-    except SingularMatrixError:
-        return None, {FLAG_SINGULAR_INFORMATION}
+def _mom_result(s: float, k: float, p: float, flags: set, phases, compute_cov: bool,
+                iterations: int, prior_used: StateParams) -> EstimateResult:
+    """Physical test, flags and (for physical estimates) covariance of a MoM estimate."""
+    est = StateParams(s=s, kappa=k, phi_s=p)
+    physical = (
+        FLAG_NONPHYSICAL not in flags
+        and math.isfinite(s)
+        and 0.0 < s <= 1.0
+        and k >= 1.0
+    )
+    if not physical:
+        flags.add(FLAG_NONPHYSICAL)
+    cov = None
+    if physical and compute_cov:
+        try:
+            cov = fisher_homodyne_discrete(est, phases).inverse()
+        except SingularMatrixError:
+            flags.add(FLAG_SINGULAR_INFORMATION)
+    return EstimateResult(
+        params=est,
+        predicted_cov=cov,
+        method=METHOD_MOM,
+        physical=physical,
+        iterations=iterations,
+        prior_used=prior_used,
+        flags=frozenset(flags),
+    )
 
 
 def mom_step(scan, prior: StateParams) -> EstimateResult:
@@ -226,33 +287,11 @@ def mom_step(scan, prior: StateParams) -> EstimateResult:
     prior exactly.  The raw update is reported without canonicalization;
     the iterative wrapper handles the mirror image.
     """
-    phases = np.asarray(scan.phases, dtype=float)
-    q = np.asarray(scan.samples, dtype=float)
-    if q.size < 3:
-        raise ValueError(f"need at least 3 samples, got {q.size}")
-    s_hat, k_hat, p_hat, flags = _mom_update(q * q, phases, prior)
-    est = StateParams(s=s_hat, kappa=k_hat, phi_s=p_hat)
-    physical = (
-        FLAG_NONPHYSICAL not in flags
-        and math.isfinite(s_hat)
-        and 0.0 < s_hat <= 1.0
-        and k_hat >= 1.0
+    phases, q = _scan_samples(scan)
+    s_hat, k_hat, p_hat, flags = _mom_update(
+        q * q, _grid_harmonics(phases), prior.s, prior.kappa, prior.phi_s
     )
-    if not physical:
-        flags.add(FLAG_NONPHYSICAL)
-    cov = None
-    if physical:
-        cov, extra = _predicted_cov_at(est, phases)
-        flags |= extra
-    return EstimateResult(
-        params=est,
-        predicted_cov=cov,
-        method=METHOD_MOM,
-        physical=physical,
-        iterations=1,
-        prior_used=prior,
-        flags=frozenset(flags),
-    )
+    return _mom_result(s_hat, k_hat, p_hat, flags, phases, True, 1, prior)
 
 
 def _mirror(s: float, kappa: float, phi: float) -> tuple[float, float, float]:
@@ -263,9 +302,8 @@ def _mirror(s: float, kappa: float, phi: float) -> tuple[float, float, float]:
     return s, kappa, phi
 
 
-def _seed_prior(scan) -> tuple[StateParams, set]:
+def _seed_prior(fit: EstimateResult) -> tuple[StateParams, set]:
     """Fit-based starting point, clamped into the iteration domain."""
-    fit = fit_estimate(scan)
     s, k = fit.params.s, fit.params.kappa
     if not (math.isfinite(s) and math.isfinite(k)) or s <= 0.0 or k <= 0.0:
         return FALLBACK_PRIOR, {FLAG_SEED_FALLBACK}
@@ -282,6 +320,7 @@ def mom_estimate(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
     compute_cov: bool = True,
+    fit: EstimateResult | None = None,
 ) -> EstimateResult:
     """Iterated moment-based estimator.
 
@@ -292,16 +331,19 @@ def mom_estimate(
     point and never meet the tolerance.  No mid-iteration clamping:
     forcing s back inside (0, 1] deadlocks at the s = 1 boundary where
     the angle weight vanishes.
+
+    Without a prior the iteration is seeded from ``fit``, the
+    ``fit_estimate`` of this scan when the caller already has it, or
+    else from a fresh fit.  The grid harmonics are computed once per
+    call, so each iteration costs three reductions over the grid.
     """
-    phases = np.asarray(scan.phases, dtype=float)
-    q = np.asarray(scan.samples, dtype=float)
-    if q.size < 3:
-        raise ValueError(f"need at least 3 samples, got {q.size}")
+    phases, q = _scan_samples(scan)
     x2 = q * q
+    harmonics = _grid_harmonics(phases)
 
     run_flags = set()
     if prior is None:
-        prior, run_flags = _seed_prior(scan)
+        prior, run_flags = _seed_prior(fit_estimate(scan) if fit is None else fit)
     prior_used = prior
 
     s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
@@ -317,7 +359,7 @@ def mom_estimate(
             s0 = 1.0 - 1e-9
         if not math.isfinite(k0) or k0 <= 0.0:
             k0 = 1.0
-        s1, k1, p1, step_flags = _mom_update(x2, phases, StateParams(s0, k0, p0))
+        s1, k1, p1, step_flags = _mom_update(x2, harmonics, s0, k0, p0)
         iterations += 1
         s1, k1, p1 = _mirror(s1, k1, p1)
         if math.isfinite(s1) and math.isfinite(k1) and s1 > 0.0 and k1 > 0.0:
@@ -334,29 +376,8 @@ def mom_estimate(
     if not converged:
         run_flags.add(FLAG_NO_CONVERGENCE)
 
-    est = StateParams(s=s0, kappa=k0, phi_s=p0)
-    flags = run_flags | step_flags
-    physical = (
-        FLAG_NONPHYSICAL not in flags
-        and math.isfinite(s0)
-        and 0.0 < s0 <= 1.0
-        and k0 >= 1.0
-    )
-    if not physical:
-        flags.add(FLAG_NONPHYSICAL)
-    cov = None
-    if physical and compute_cov:
-        cov, extra = _predicted_cov_at(est, phases)
-        flags |= extra
-    return EstimateResult(
-        params=est,
-        predicted_cov=cov,
-        method=METHOD_MOM,
-        physical=physical,
-        iterations=iterations,
-        prior_used=prior_used,
-        flags=frozenset(flags),
-    )
+    return _mom_result(s0, k0, p0, run_flags | step_flags, phases, compute_cov,
+                       iterations, prior_used)
 
 
 # eigenvalue-gap threshold below which the DHD angle is meaningless

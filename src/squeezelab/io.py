@@ -99,12 +99,15 @@ def _read_pair_csv(path, header):
                     f"{path}:{lineno}: expected 2 fields, got {len(parts)}"
                 )
             try:
-                col_a.append(float(parts[0]))
-                col_b.append(float(parts[1]))
+                a, b = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: non-numeric value in {line!r}"
                 ) from None
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+            col_a.append(a)
+            col_b.append(b)
         if not header_seen:
             raise ValueError(f"{path}: empty file, expected header {header!r}")
     return np.array(col_a), np.array(col_b)

@@ -13,6 +13,7 @@ resultant, residuals wrapped to (-pi/2, pi/2].
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -47,6 +48,7 @@ __all__ = [
     "TrackResult",
     "POLICY_INCLUDE",
     "POLICY_EXCLUDE",
+    "worker_count",
     "collect_estimates",
     "aggregate_estimates",
     "run_trials",
@@ -97,43 +99,63 @@ class TrialReport:
     estimates: np.ndarray | None = None
 
 
-def _estimate_one(method: str, truth: StateParams, scan_cfg: ScanConfig,
-                  mu: int, seed: int, trial: int, mom_prior, tol: float,
-                  max_iter: int):
-    if method == METHOD_DHD:
+_METHODS = (METHOD_FIT, METHOD_MOM, METHOD_DHD)
+
+
+def worker_count(workers: int, trials: int) -> int:
+    """Worker processes worth starting: min(workers, trials, cpu count)."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, trials, os.cpu_count() or 1)
+
+
+def _estimate_trial(methods, truth: StateParams, scan_cfg: ScanConfig,
+                    mu: int, seed: int, trial: int, mom_prior, tol: float,
+                    max_iter: int):
+    """One trial's estimate for each of ``methods``, in order.
+
+    Methods of one data kind share the trial's draw, and MoM's automatic
+    seed reuses the trial's fit when fit is among the methods.
+    """
+    out = {}
+    if METHOD_DHD in methods:
         batch = sample_dhd(truth, mu, seed=seed, trial=trial)
-        return dhd_estimate(batch, compute_cov=False)
-    scan = sample_homodyne_scan(truth, scan_cfg, seed=seed, trial=trial)
-    if method == METHOD_FIT:
-        return fit_estimate(scan)
-    if method == METHOD_MOM:
-        prior = truth if mom_prior == "truth" else mom_prior
-        if prior == "auto":
-            prior = None
-        return mom_estimate(scan, prior=prior, tol=tol, max_iter=max_iter,
-                            compute_cov=False)
-    raise ValueError(f"unknown method {method!r}")
+        out[METHOD_DHD] = dhd_estimate(batch, compute_cov=False)
+    if METHOD_FIT in methods or METHOD_MOM in methods:
+        scan = sample_homodyne_scan(truth, scan_cfg, seed=seed, trial=trial)
+        fit = None
+        if METHOD_FIT in methods:
+            fit = out[METHOD_FIT] = fit_estimate(scan)
+        if METHOD_MOM in methods:
+            prior = truth if mom_prior == "truth" else mom_prior
+            if prior == "auto":
+                prior = None
+            out[METHOD_MOM] = mom_estimate(scan, prior=prior, tol=tol, max_iter=max_iter,
+                                           compute_cov=False, fit=fit)
+    return [out[m] for m in methods]
 
 
 def _collect_range(args):
-    """Worker entry point: estimates for trials [t0, t1). Picklable args."""
-    (truth, method, scan_cfg, mu, seed, t0, t1, mom_prior, tol, max_iter) = args
+    """Worker entry point: per-method arrays for trials [t0, t1). Picklable args."""
+    (truth, methods, scan_cfg, mu, seed, t0, t1, mom_prior, tol, max_iter) = args
     count = t1 - t0
-    est = np.empty((count, 3))
-    physical = np.empty(count, dtype=bool)
-    iters = np.empty(count, dtype=np.int64)
+    parts = [
+        (np.empty((count, 3)), np.empty(count, dtype=bool), np.empty(count, dtype=np.int64))
+        for _ in methods
+    ]
     for i, trial in enumerate(range(t0, t1)):
-        r = _estimate_one(method, truth, scan_cfg, mu, seed, trial,
-                          mom_prior, tol, max_iter)
-        est[i] = (r.params.s, r.params.kappa, r.params.phi_s)
-        physical[i] = r.physical
-        iters[i] = r.iterations
-    return est, physical, iters
+        results = _estimate_trial(methods, truth, scan_cfg, mu, seed, trial,
+                                  mom_prior, tol, max_iter)
+        for (est, physical, iters), r in zip(parts, results):
+            est[i] = (r.params.s, r.params.kappa, r.params.phi_s)
+            physical[i] = r.physical
+            iters[i] = r.iterations
+    return parts
 
 
 def collect_estimates(
     truth: StateParams,
-    method: str,
+    method,
     trials: int,
     seed: int = 0,
     scan_config: ScanConfig | None = None,
@@ -143,26 +165,37 @@ def collect_estimates(
     max_iter: int = 20,
     workers: int = 1,
 ):
-    """Per-trial estimates as arrays: (params (T,3), physical (T,), iterations (T,))."""
+    """Per-trial estimates as arrays: (params (T,3), physical (T,), iterations (T,)).
+
+    ``method`` is one method name, or a tuple of names that share each
+    trial's draw (fit and MoM estimate the same scan, and MoM is seeded
+    from that fit); a tuple gives a list of such triples, one per name.
+    """
+    methods = (method,) if isinstance(method, str) else tuple(method)
+    for m in methods:
+        if m not in _METHODS:
+            raise ValueError(f"unknown method {m!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    workers = worker_count(workers, trials)
     cfg = scan_config or ScanConfig()
-    base = (truth, method, cfg, mu, seed)
+    base = (truth, methods, cfg, mu, seed)
     opts = (mom_prior, tol, max_iter)
-    if workers <= 1:
-        return _collect_range(base + (0, trials) + opts)
-    bounds_list = np.linspace(0, trials, workers + 1).astype(int)
-    jobs = [
-        base + (int(bounds_list[i]), int(bounds_list[i + 1])) + opts
-        for i in range(workers)
-        if bounds_list[i + 1] > bounds_list[i]
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_collect_range, jobs))
-    est = np.concatenate([p[0] for p in parts])
-    physical = np.concatenate([p[1] for p in parts])
-    iters = np.concatenate([p[2] for p in parts])
-    return est, physical, iters
+    if workers == 1:
+        parts = _collect_range(base + (0, trials) + opts)
+    else:
+        bounds_list = np.linspace(0, trials, workers + 1).astype(int)
+        jobs = [
+            base + (int(bounds_list[i]), int(bounds_list[i + 1])) + opts
+            for i in range(workers)
+        ]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_collect_range, jobs))
+        parts = [
+            tuple(np.concatenate([chunk[j][k] for chunk in chunks]) for k in range(3))
+            for j in range(len(methods))
+        ]
+    return parts[0] if isinstance(method, str) else parts
 
 
 def _stats(est: np.ndarray, truth: StateParams):
@@ -261,6 +294,21 @@ def aggregate_estimates(
     )
 
 
+def _method_reports(truth, methods, trials, cfg, mu, policy, keep_estimates=False,
+                    **collect_opts) -> list[TrialReport]:
+    """One report per method, all methods estimated on shared draws."""
+    parts = collect_estimates(truth, tuple(methods), trials, scan_config=cfg, mu=mu,
+                              **collect_opts)
+    return [
+        aggregate_estimates(
+            est, physical, iters, truth, method,
+            mu if method == METHOD_DHD else cfg.n_psi,
+            policy=policy, keep_estimates=keep_estimates,
+        )
+        for method, (est, physical, iters) in zip(methods, parts)
+    ]
+
+
 def run_trials(
     truth: StateParams,
     method: str,
@@ -276,16 +324,11 @@ def run_trials(
     keep_estimates: bool = False,
 ) -> TrialReport:
     """Fresh scan/batch per trial, estimate, aggregate."""
-    cfg = scan_config or ScanConfig()
-    est, physical, iters = collect_estimates(
-        truth, method, trials, seed=seed, scan_config=cfg, mu=mu,
-        mom_prior=mom_prior, tol=tol, max_iter=max_iter, workers=workers,
-    )
-    n_samples = mu if method == METHOD_DHD else cfg.n_psi
-    return aggregate_estimates(
-        est, physical, iters, truth, method, n_samples,
-        policy=policy, keep_estimates=keep_estimates,
-    )
+    return _method_reports(
+        truth, (method,), trials, scan_config or ScanConfig(), mu, policy,
+        keep_estimates, seed=seed, mom_prior=mom_prior, tol=tol, max_iter=max_iter,
+        workers=workers,
+    )[0]
 
 
 def sweep_family(
@@ -304,19 +347,18 @@ def sweep_family(
     """run_trials over an s-grid, kappa = 1/sqrt(s) unless fixed.
 
     Methods sharing a data kind at the same (seed, s) see identical data:
-    scan streams are keyed by (seed, trial) only, so fit and MoM compete
-    on the same scans, as in the source experiment.
+    each trial's scan is drawn once and estimated by both fit and MoM, as
+    in the source experiment, and MoM is seeded from that fit.  The
+    reports equal those of separate run_trials calls.
     """
+    cfg = scan_config or ScanConfig()
     reports = []
     for s in s_values:
         truth = empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)
-        for method in methods:
-            reports.append(
-                run_trials(
-                    truth, method, trials, seed=seed, scan_config=scan_config,
-                    mu=mu, policy=policy, mom_prior=mom_prior, workers=workers,
-                )
-            )
+        reports.extend(
+            _method_reports(truth, methods, trials, cfg, mu, policy,
+                            seed=seed, mom_prior=mom_prior, workers=workers)
+        )
     return reports
 
 

@@ -76,6 +76,16 @@ def test_csv_parse_errors_cite_lines(tmp_path):
     with pytest.raises(ValueError, match="no data rows"):
         sio.read_scan_csv(header_only)
 
+    not_finite = tmp_path / "f.csv"
+    not_finite.write_text("psi_rad,q\n0.1,0.2\n0.3,nan\n")
+    with pytest.raises(ValueError, match=r"f\.csv:3: non-finite"):
+        sio.read_scan_csv(not_finite)
+
+    dhd_not_finite = tmp_path / "g.csv"
+    dhd_not_finite.write_text("# config: {}\nq1,p2\n-inf,0.2\n")
+    with pytest.raises(ValueError, match=r"g\.csv:3: non-finite"):
+        sio.read_dhd_csv(dhd_not_finite)
+
 
 def test_trace_round_trip(tmp_path):
     trace = np.array([0.5, -1.25, 2.0, 3.5], dtype=np.float32)
@@ -350,6 +360,12 @@ def test_benchmark_byte_identical_across_workers(tmp_path, capsys):
     assert len(lines) == 2 + 2 * 3
     echoed = json.loads(lines[0].removeprefix("# config: "))
     assert "workers" not in echoed and "out" not in echoed
+
+
+def test_benchmark_rejects_workers_below_one(capsys):
+    for workers in ("0", "-1"):
+        assert main(["benchmark", "--s", "0.5", "--trials", "4", "--workers", workers]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
 
 
 def test_benchmark_json_mirror(tmp_path, capsys):

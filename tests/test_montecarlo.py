@@ -1,6 +1,7 @@
 """Trial harness checks: determinism, aggregation, bias, tracking."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from squeezelab import (
     crb_homodyne,
     empirical_family,
     run_trials,
+    sample_homodyne_scan,
     simulate_phase_drift,
     sweep_family,
     track_angle,
 )
-from squeezelab.montecarlo import circular_mean_pi, method_bound, wrap_half_pi
+from squeezelab import montecarlo
+from squeezelab.montecarlo import circular_mean_pi, method_bound, worker_count, wrap_half_pi
 
 
 # ------------------------------------------------------------ helpers
@@ -65,6 +68,16 @@ def test_collect_validation():
         collect_estimates(truth, "fit", 0)
     with pytest.raises(ValueError):
         collect_estimates(truth, "kalman", 2)
+
+
+def test_worker_count_clamps_and_rejects():
+    """Checked on the helper alone: no process is started."""
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            worker_count(bad, 100)
+    assert worker_count(10**6, 50) == min(50, os.cpu_count())
+    assert worker_count(10**6, 10**9) == os.cpu_count()
+    assert worker_count(1, 10**9) == 1
 
 
 # ------------------------------------------------------------ aggregation
@@ -169,6 +182,27 @@ def test_sweep_family_structure():
         assert r.truth.kappa == pytest.approx(1.0 / math.sqrt(0.3), rel=1e-3)
     fixed = sweep_family((0.5,), ("fit",), 12, seed=0, scan_config=cfg, kappa=1.05)
     assert fixed[0].truth.kappa == 1.05
+
+
+def test_sweep_family_shares_each_scan(monkeypatch):
+    """One draw per (s, trial) serves fit and MoM; reports equal separate runs."""
+    cfg = ScanConfig(n_psi=64)
+    s_values, trials = (0.21, 0.5), 40
+    separate = [
+        run_trials(empirical_family(s), method, trials, seed=4, scan_config=cfg)
+        for s in s_values
+        for method in ("fit", "mom", "dhd")
+    ]
+    draws = []
+
+    def counting_sample(*args, **kwargs):
+        draws.append(kwargs["trial"])
+        return sample_homodyne_scan(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_homodyne_scan", counting_sample)
+    shared = sweep_family(s_values, ("fit", "mom", "dhd"), trials, seed=4, scan_config=cfg)
+    assert shared == separate
+    assert sorted(draws) == sorted(list(range(trials)) * len(s_values))
 
 
 # ------------------------------------------------------------ statistics
