@@ -8,16 +8,16 @@ Commands:
 * benchmark  Monte Carlo saturation study, CSV report (optional JSON mirror)
 * track      slow angle drift tracked scan by scan
 
-Option precedence, lowest to highest: built-in defaults, JSON config file
-(--config), the SQUEEZELAB_SEED environment variable (seed only), explicit
-command line flags.  Every command echoes the resolved run configuration
-as a single `config: {...}` line on stderr; file outputs embed the same
-JSON in a leading `# config:` comment.  The worker count and file paths
+Option precedence, lowest to highest: built-in defaults, the
+SQUEEZELAB_SEED environment variable (seed only), JSON config file
+(--config), explicit command line flags.  Every command echoes the
+resolved run configuration as a single `config: {...}` line on stderr;
+file outputs embed the same JSON in a leading `# config:` comment.  The worker count and file paths
 are execution details, not run configuration, so they are not echoed;
 this is what makes benchmark output byte-identical across --workers.
 
 Exit status: 0 on success, including estimates that carry quality flags;
-1 on configuration, I/O, or parse errors.
+1 on configuration, I/O, or parse errors; 2 on a malformed command line.
 """
 
 from __future__ import annotations
@@ -32,22 +32,27 @@ from dataclasses import dataclass
 
 from . import io as sio
 from .estimators import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     METHOD_DHD,
     METHOD_FIT,
     METHOD_MOM,
+    METHODS,
     dhd_estimate,
     fit_estimate,
     mom_estimate,
 )
-from .model import StateParams
+from .model import StateParams, empirical_family, squeezing_db, squeezing_db_error
 from .montecarlo import (
-    POLICY_EXCLUDE,
+    POLICIES,
     POLICY_INCLUDE,
     sweep_family,
     theory_curves,
     track_angle,
 )
 from .simulate import (
+    DRIFT_KINDS,
+    SPACINGS,
     DriftModel,
     ScanConfig,
     default_temporal_mode,
@@ -60,11 +65,7 @@ from .simulate import (
 __all__ = ["RunConfig", "ConfigError", "main"]
 
 ENV_SEED = "SQUEEZELAB_SEED"
-
-_METHODS = (METHOD_FIT, METHOD_MOM, METHOD_DHD)
-_POLICIES = (POLICY_INCLUDE, POLICY_EXCLUDE)
-_SPACINGS = ("equispaced", "random")
-_DRIFT_KINDS = ("mean-reverting", "random-walk")
+_FILE_KINDS = ("scan", "dhd", "trace")
 
 
 class ConfigError(ValueError):
@@ -73,11 +74,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved knobs shared by the commands.
+    """Resolved knobs shared by the commands, each declared only here.
 
-    kappa=None means the pure-state family value 1/sqrt(s) is used for
-    each s.  n_samples doubles as the homodyne sample count per scan
-    and the pair count per joint-quadrature batch.
+    A field's name is its config-file key, its annotation picks its parser,
+    and ``_FLAGS`` gives its flag.  kappa=None means the pure-state family
+    value 1/sqrt(s) is used for each s.  n_samples doubles as the homodyne
+    sample count per scan and the pair count per joint-quadrature batch.
     """
 
     seed: int = 0
@@ -91,29 +93,39 @@ class RunConfig:
     trials: int = 3000
     methods: tuple[str, ...] = (METHOD_FIT, METHOD_MOM)
     policy: str = POLICY_INCLUDE
-    tol: float = 1e-6
-    max_iter: int = 20
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     drift_kind: str = "mean-reverting"
     correlation_time: float = 5e-3
     step_interval: float = 5e-4
     amplitude: float = 0.15
     duration: float = 0.3
 
+    def __post_init__(self):
+        for s in self.s:
+            if not 0.0 < s <= 1.0:
+                raise ConfigError(f"s={s} outside (0, 1]")
+        if self.kappa is not None and self.kappa < 1.0:
+            raise ConfigError(f"kappa={self.kappa} below the vacuum floor 1")
+        if self.trials < 1 or self.n_samples < 1:
+            raise ConfigError("trials and n_samples must be positive")
+        if self.policy not in POLICIES:
+            raise ConfigError(f"policy must be one of {POLICIES}")
+        # the geometry and drift dataclasses check their own fields
+        self.scan_config()
+        self.drift_model()
+
     def scan_config(self) -> ScanConfig:
         return ScanConfig(n_psi=self.n_psi, n=self.phase_span, spacing=self.spacing)
 
-    def resolve_kappa(self, s: float) -> float:
-        return self.kappa if self.kappa is not None else 1.0 / math.sqrt(s)
+    def drift_model(self) -> DriftModel:
+        return DriftModel(kind=self.drift_kind, correlation_time=self.correlation_time,
+                          step_interval=self.step_interval, amplitude=self.amplitude)
 
-    def state(self, s: float | None = None) -> StateParams:
-        sv = self.s[0] if s is None else s
-        return StateParams(sv, self.resolve_kappa(sv), self.phi_s)
-
-    def echo_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["s"] = list(self.s)
-        d["methods"] = list(self.methods)
-        return d
+    def state(self, s: float) -> StateParams:
+        if self.kappa is None:
+            return empirical_family(s, self.phi_s)
+        return StateParams(s, self.kappa, self.phi_s)
 
 
 def parse_s_values(text) -> tuple[float, ...]:
@@ -150,31 +162,60 @@ def parse_methods(text) -> tuple[str, ...]:
     if not items:
         raise ConfigError("empty method list")
     for m in items:
-        if m not in _METHODS:
-            raise ConfigError(f"unknown method {m!r}, expected one of {_METHODS}")
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}, expected one of {METHODS}")
     return tuple(items)
 
 
-_FIELD_PARSERS = {
-    "seed": int,
-    "s": parse_s_values,
-    "kappa": lambda v: None if v is None else float(v),
-    "phi_s": float,
-    "n_psi": int,
-    "phase_span": int,
-    "spacing": str,
-    "n_samples": int,
-    "trials": int,
-    "methods": parse_methods,
-    "policy": str,
-    "tol": float,
-    "max_iter": int,
-    "drift_kind": str,
-    "correlation_time": float,
-    "step_interval": float,
-    "amplitude": float,
-    "duration": float,
+def _parse_int(value) -> int:
+    """Integral numbers and integer strings; JSON true/false and 2.5 are errors."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _parse_float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+# keyed by annotation text (annotations are strings here); scalar flags also
+# get an argparse type, so a malformed number on the command line exits 2
+_PARSERS = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "float | None": lambda v: None if v is None else _parse_float(v),
+    "str": str,
+    "tuple[float, ...]": parse_s_values,
+    "tuple[str, ...]": parse_methods,
 }
+_FLAG_TYPES = {"int": int, "float": float, "float | None": float}
+
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+# field -> (flag, help); the flag is --field-name but for --n, --tau, --step
+_FLAGS = {
+    "seed": ("--seed", "master RNG seed"),
+    "s": ("--s", "squeezing parameter s in (0, 1], or a list a,b or range start:stop[:step]"),
+    "kappa": ("--kappa", "thermal scale kappa >= 1 (default: pure family 1/sqrt(s))"),
+    "phi_s": ("--phi-s", "squeezing angle in radians"),
+    "n_psi": ("--n-psi", "phase settings per scan"),
+    "phase_span": ("--phase-span", "scan span in multiples of pi"),
+    "spacing": ("--spacing", "phase grid layout"),
+    "n_samples": ("--n", "pairs per DHD batch, and the sample count bounds scale to"),
+    "trials": ("--trials", "Monte Carlo trials per s value"),
+    "methods": ("--methods", f"comma list from {', '.join(METHODS)}"),
+    "policy": ("--policy", "variance over all trials or physical-only trials"),
+    "tol": ("--tol", "iteration stop tolerance"),
+    "max_iter": ("--max-iter", "iteration cap of the moment estimator"),
+    "drift_kind": ("--drift-kind", "drift process"),
+    "correlation_time": ("--tau", "drift correlation time in seconds"),
+    "step_interval": ("--step", "scan repetition interval in seconds"),
+    "amplitude": ("--amplitude", "drift amplitude in radians"),
+    "duration": ("--duration", "total tracked time in seconds"),
+}
+_CHOICES = {"spacing": SPACINGS, "policy": POLICIES, "drift_kind": DRIFT_KINDS}
 
 
 def _load_config_file(path) -> dict:
@@ -187,14 +228,14 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(raw) - set(_FIELD_PARSERS))
+    unknown = sorted(set(raw) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     return raw
 
 
 def resolve_config(args) -> RunConfig:
-    """Defaults, then config file, then environment seed, then CLI flags."""
+    """Defaults, then environment seed, then config file, then CLI flags."""
     values: dict = {}
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
@@ -205,39 +246,21 @@ def resolve_config(args) -> RunConfig:
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         values.update(_load_config_file(cfg_path))
-    for name in _FIELD_PARSERS:
+    for name in _FIELD_TYPES:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
     parsed = {}
     for name, value in values.items():
         try:
-            parsed[name] = _FIELD_PARSERS[name](value)
-        except ConfigError:
-            raise
+            parsed[name] = _PARSERS[_FIELD_TYPES[name]](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {name}: {exc}") from None
-    cfg = RunConfig(**parsed)
-    if getattr(args, "family", None) is not None and cfg.kappa is not None:
-        raise ConfigError("--family and --kappa are mutually exclusive")
-    if cfg.spacing not in _SPACINGS:
-        raise ConfigError(f"spacing must be one of {_SPACINGS}")
-    if cfg.policy not in _POLICIES:
-        raise ConfigError(f"policy must be one of {_POLICIES}")
-    if cfg.drift_kind not in _DRIFT_KINDS:
-        raise ConfigError(f"drift_kind must be one of {_DRIFT_KINDS}")
-    for s in cfg.s:
-        if not 0.0 < s <= 1.0:
-            raise ConfigError(f"s={s} outside (0, 1]")
-    if cfg.kappa is not None and cfg.kappa < 1.0:
-        raise ConfigError(f"kappa={cfg.kappa} below the vacuum floor 1")
-    if cfg.trials < 1 or cfg.n_samples < 1:
-        raise ConfigError("trials and n_samples must be positive")
-    return cfg
+    return RunConfig(**parsed)
 
 
 def _echo(cfg: RunConfig) -> str:
-    text = json.dumps(sio.json_ready(cfg.echo_dict()), sort_keys=True)
+    text = json.dumps(sio.json_ready(dataclasses.asdict(cfg)), sort_keys=True)
     print(f"config: {text}", file=sys.stderr)
     return text
 
@@ -290,19 +313,15 @@ def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     echo = _echo(cfg)
     truth = cfg.state(_single_s(cfg, "simulate"))
+    if args.out is None:
+        raise ConfigError(f"simulate --kind {args.kind} needs --out")
     if args.kind == "scan":
-        if args.out is None:
-            raise ConfigError("simulate --kind scan needs --out")
         scan = sample_homodyne_scan(truth, cfg.scan_config(), seed=cfg.seed, trial=args.trial)
         sio.write_scan_csv(args.out, scan, config_json=echo)
     elif args.kind == "dhd":
-        if args.out is None:
-            raise ConfigError("simulate --kind dhd needs --out")
         batch = sample_dhd(truth, cfg.n_samples, seed=cfg.seed, trial=args.trial)
         sio.write_dhd_csv(args.out, batch, config_json=echo)
     else:
-        if args.out is None:
-            raise ConfigError("simulate --kind trace needs --out")
         mode, total = default_temporal_mode(
             n_psi=cfg.n_psi,
             scan_duration=args.scan_duration,
@@ -323,18 +342,10 @@ def cmd_simulate(args) -> int:
 
 def _estimate_result_dict(res) -> dict:
     std = res.predicted_std()
-    prod = res.params.kappa * res.params.s
-    db = 10.0 * math.log10(prod) if prod > 0 else None
+    db = squeezing_db(res.params) if res.params.kappa * res.params.s > 0 else None
     db_err = None
     if db is not None and res.predicted_cov is not None:
-        c = res.predicted_cov
-        var_log = (
-            c.ss / res.params.s**2
-            + c.kk / res.params.kappa**2
-            + 2.0 * c.sk / prod
-        )
-        if math.isfinite(var_log) and var_log >= 0:
-            db_err = 10.0 / math.log(10.0) * math.sqrt(var_log)
+        db_err = squeezing_db_error(res.params, res.predicted_cov)
     return {
         "s": res.params.s,
         "kappa": res.params.kappa,
@@ -389,14 +400,9 @@ def cmd_estimate(args) -> int:
     else:
         scan = _load_scan_for_estimate(args, cfg, fmt)
         prior_bits = (args.prior_s, args.prior_kappa, args.prior_phi)
-        if any(v is not None for v in prior_bits):
-            if any(v is None for v in prior_bits):
-                raise ConfigError(
-                    "give all of --prior-s, --prior-kappa, --prior-phi or none"
-                )
-            prior = StateParams(args.prior_s, args.prior_kappa, args.prior_phi)
-        else:
-            prior = None
+        if None in prior_bits and any(v is not None for v in prior_bits):
+            raise ConfigError("give all of --prior-s, --prior-kappa, --prior-phi or none")
+        prior = None if args.prior_s is None else StateParams(*prior_bits)
         for method in methods:
             if method == METHOD_FIT:
                 results.append(fit_estimate(scan))
@@ -445,14 +451,8 @@ def cmd_track(args) -> int:
     cfg = resolve_config(args)
     echo = _echo(cfg)
     truth = cfg.state(_single_s(cfg, "track"))
-    model = DriftModel(
-        kind=cfg.drift_kind,
-        correlation_time=cfg.correlation_time,
-        step_interval=cfg.step_interval,
-        amplitude=cfg.amplitude,
-    )
     result = track_angle(
-        model,
+        cfg.drift_model(),
         truth,
         scan_config=cfg.scan_config(),
         duration=cfg.duration,
@@ -466,38 +466,12 @@ def cmd_track(args) -> int:
     return 0
 
 
-def _add_state_opts(sp, multi_s: bool) -> None:
-    help_s = "squeezing parameter s in (0, 1]"
-    if multi_s:
-        help_s += "; a value, comma list, or start:stop[:step] range"
-    sp.add_argument("--s", default=None, help=help_s)
-    sp.add_argument(
-        "--kappa",
-        type=float,
-        default=None,
-        help="thermal scale kappa >= 1 (default: pure family 1/sqrt(s))",
-    )
-    sp.add_argument(
-        "--family",
-        choices=("kappa-inv-sqrt-s",),
-        default=None,
-        help="tie kappa to s through the purity family (the default when --kappa is absent)",
-    )
-    sp.add_argument("--phi-s", dest="phi_s", type=float, default=None,
-                    help="squeezing angle in radians")
-
-
-def _add_scan_opts(sp) -> None:
-    sp.add_argument("--n-psi", dest="n_psi", type=int, default=None,
-                    help="phase settings per scan")
-    sp.add_argument("--phase-span", dest="phase_span", type=int, default=None,
-                    help="scan span in multiples of pi")
-    sp.add_argument("--spacing", choices=_SPACINGS, default=None,
-                    help="phase grid layout")
-
-
-def _add_common_opts(sp) -> None:
-    sp.add_argument("--seed", type=int, default=None, help="master RNG seed")
+def _add_run_opts(sp, fields) -> None:
+    """Flags for the given RunConfig fields, then --config and --out."""
+    for name in fields:
+        flag, help_text = _FLAGS[name]
+        sp.add_argument(flag, dest=name, type=_FLAG_TYPES.get(_FIELD_TYPES[name]),
+                        choices=_CHOICES.get(name), default=None, help=help_text)
     sp.add_argument("--config", default=None, help="JSON config file")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -518,70 +492,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    state = ("s", "kappa", "phi_s")
+    scan = ("n_psi", "phase_span", "spacing")
+
     p = sub.add_parser("bounds", help="tabulate variance bounds over s")
-    _add_state_opts(p, multi_s=True)
-    p.add_argument("--n", dest="n_samples", type=int, default=None,
-                   help="sample count the bounds are scaled to")
-    _add_common_opts(p)
+    _add_run_opts(p, state + ("n_samples", "seed"))
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="generate a data file")
-    p.add_argument("--kind", choices=("scan", "dhd", "trace"), default="scan")
-    _add_state_opts(p, multi_s=False)
-    _add_scan_opts(p)
-    p.add_argument("--n", dest="n_samples", type=int, default=None,
-                   help="pair count for --kind dhd")
+    p.add_argument("--kind", choices=_FILE_KINDS, default="scan")
     p.add_argument("--trial", type=int, default=0, help="trial index in the seed stream")
     _add_trace_opts(p)
-    _add_common_opts(p)
+    _add_run_opts(p, state + scan + ("n_samples", "seed"))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate (s, kappa, phi_s) from a data file")
     p.add_argument("--input", required=True, help="data file to read")
     p.add_argument("--method", required=True,
                    help="comma list from fit, mom, dhd (dhd alone)")
-    p.add_argument("--format", choices=("scan", "dhd", "trace"), default=None,
+    p.add_argument("--format", choices=_FILE_KINDS, default=None,
                    help="input layout (default: matches the method)")
     p.add_argument("--prior-s", dest="prior_s", type=float, default=None)
     p.add_argument("--prior-kappa", dest="prior_kappa", type=float, default=None)
     p.add_argument("--prior-phi", dest="prior_phi", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None, help="iteration stop tolerance")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    _add_scan_opts(p)
     _add_trace_opts(p)
-    _add_common_opts(p)
+    _add_run_opts(p, ("tol", "max_iter") + scan + ("seed",))
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("benchmark", help="Monte Carlo variance vs bound study")
-    _add_state_opts(p, multi_s=True)
-    _add_scan_opts(p)
-    p.add_argument("--methods", default=None, help="comma list from fit, mom, dhd")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--n", dest="n_samples", type=int, default=None,
-                   help="samples per trial (scan phases or pair count)")
-    p.add_argument("--policy", choices=_POLICIES, default=None,
-                   help="variance over all trials or physical-only trials")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes, at most one per trial and per CPU")
     p.add_argument("--json", default=None, help="also write a JSON mirror here")
-    _add_common_opts(p)
+    _add_run_opts(p, state + scan + ("methods", "trials", "n_samples", "policy", "seed"))
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("track", help="track a drifting squeezing angle")
-    _add_state_opts(p, multi_s=False)
-    _add_scan_opts(p)
-    p.add_argument("--drift-kind", dest="drift_kind", choices=_DRIFT_KINDS, default=None)
-    p.add_argument("--tau", dest="correlation_time", type=float, default=None,
-                   help="drift correlation time in seconds")
-    p.add_argument("--step", dest="step_interval", type=float, default=None,
-                   help="scan repetition interval in seconds")
-    p.add_argument("--amplitude", type=float, default=None,
-                   help="drift amplitude in radians")
-    p.add_argument("--duration", type=float, default=None,
-                   help="total tracked time in seconds")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    _add_common_opts(p)
+    _add_run_opts(p, state + scan + ("drift_kind", "correlation_time", "step_interval",
+                                     "amplitude", "duration", "tol", "max_iter", "seed"))
     p.set_defaults(func=cmd_track)
 
     return parser

@@ -37,6 +37,7 @@ __all__ = [
     "METHOD_FIT",
     "METHOD_MOM",
     "METHOD_DHD",
+    "METHODS",
     "FLAG_DEGENERATE",
     "FLAG_NONPHYSICAL",
     "FLAG_SINGULAR_PRIOR",
@@ -55,6 +56,7 @@ __all__ = [
 METHOD_FIT = "fit"
 METHOD_MOM = "mom"
 METHOD_DHD = "dhd"
+METHODS = (METHOD_FIT, METHOD_MOM, METHOD_DHD)
 
 FLAG_DEGENERATE = "degenerate"
 FLAG_NONPHYSICAL = "nonphysical"
@@ -153,7 +155,7 @@ def fit_estimate(scan) -> EstimateResult:
     k_hat = signed_sqrt(m * big)
     est = StateParams(s=s_hat, kappa=k_hat, phi_s=phi)
 
-    physical = m > 0.0 and k_hat >= 1.0 and math.isfinite(s_hat)
+    physical = m > 0.0 and est.is_physical
     if not physical:
         flags.add(FLAG_NONPHYSICAL)
 
@@ -255,12 +257,7 @@ def _mom_result(s: float, k: float, p: float, flags: set, phases, compute_cov: b
                 iterations: int, prior_used: StateParams) -> EstimateResult:
     """Physical test, flags and (for physical estimates) covariance of a MoM estimate."""
     est = StateParams(s=s, kappa=k, phi_s=p)
-    physical = (
-        FLAG_NONPHYSICAL not in flags
-        and math.isfinite(s)
-        and 0.0 < s <= 1.0
-        and k >= 1.0
-    )
+    physical = FLAG_NONPHYSICAL not in flags and est.is_physical
     if not physical:
         flags.add(FLAG_NONPHYSICAL)
     cov = None
@@ -412,7 +409,7 @@ def dhd_estimate(batch, compute_cov: bool = True) -> EstimateResult:
     k_hat = signed_sqrt(lam_min * lam_max)
     est = StateParams(s=s_hat, kappa=k_hat, phi_s=angle)
 
-    physical = lam_min > 0.0 and k_hat >= 1.0 and math.isfinite(s_hat) and s_hat <= 1.0
+    physical = lam_min > 0.0 and est.is_physical
     if not physical:
         flags.add(FLAG_NONPHYSICAL)
 

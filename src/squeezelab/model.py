@@ -31,6 +31,7 @@ __all__ = [
     "variance_partials",
     "state_covariance",
     "squeezing_db",
+    "squeezing_db_error",
     "empirical_family",
 ]
 
@@ -281,6 +282,20 @@ def state_covariance(params: StateParams) -> SymMatrix2:
 def squeezing_db(params: StateParams) -> float:
     """Squeezing level L = 10 log10(kappa s) in dB; negative means squeezed."""
     return 10.0 * math.log10(params.kappa * params.s)
+
+
+def squeezing_db_error(params: StateParams, cov: SymMatrix3) -> float | None:
+    """Delta-method standard error of ``squeezing_db`` at an estimate.
+
+    L = (10 / ln 10) (ln kappa + ln s), so with the estimate's covariance
+    C, Var L = (10 / ln 10)^2 (C_ss / s^2 + C_kk / kappa^2 + 2 C_sk / (kappa s)).
+    None when that variance comes out negative or not finite.
+    """
+    prod = params.kappa * params.s
+    var_log = cov.ss / params.s**2 + cov.kk / params.kappa**2 + 2.0 * cov.sk / prod
+    if not (math.isfinite(var_log) and var_log >= 0):
+        return None
+    return 10.0 / math.log(10.0) * math.sqrt(var_log)
 
 
 def empirical_family(s: float, phi_s: float = 0.0) -> StateParams:

@@ -28,9 +28,12 @@ from .bounds import (
     fit_variance_prediction,
 )
 from .estimators import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     METHOD_DHD,
     METHOD_FIT,
     METHOD_MOM,
+    METHODS,
     dhd_estimate,
     fit_estimate,
     mom_estimate,
@@ -48,6 +51,7 @@ __all__ = [
     "TrackResult",
     "POLICY_INCLUDE",
     "POLICY_EXCLUDE",
+    "POLICIES",
     "worker_count",
     "collect_estimates",
     "aggregate_estimates",
@@ -59,6 +63,7 @@ __all__ = [
 
 POLICY_INCLUDE = "include"
 POLICY_EXCLUDE = "exclude"
+POLICIES = (POLICY_INCLUDE, POLICY_EXCLUDE)
 
 INF = float("inf")
 
@@ -99,9 +104,6 @@ class TrialReport:
     estimates: np.ndarray | None = None
 
 
-_METHODS = (METHOD_FIT, METHOD_MOM, METHOD_DHD)
-
-
 def worker_count(workers: int, trials: int) -> int:
     """Worker processes worth starting: min(workers, trials, cpu count)."""
     if workers < 1:
@@ -110,12 +112,11 @@ def worker_count(workers: int, trials: int) -> int:
 
 
 def _estimate_trial(methods, truth: StateParams, scan_cfg: ScanConfig,
-                    mu: int, seed: int, trial: int, mom_prior, tol: float,
-                    max_iter: int):
+                    mu: int, seed: int, trial: int, tol: float, max_iter: int):
     """One trial's estimate for each of ``methods``, in order.
 
-    Methods of one data kind share the trial's draw, and MoM's automatic
-    seed reuses the trial's fit when fit is among the methods.
+    Methods of one data kind share the trial's draw, and MoM is seeded
+    from the fit of that scan (the same fit when fit is among the methods).
     """
     out = {}
     if METHOD_DHD in methods:
@@ -127,25 +128,21 @@ def _estimate_trial(methods, truth: StateParams, scan_cfg: ScanConfig,
         if METHOD_FIT in methods:
             fit = out[METHOD_FIT] = fit_estimate(scan)
         if METHOD_MOM in methods:
-            prior = truth if mom_prior == "truth" else mom_prior
-            if prior == "auto":
-                prior = None
-            out[METHOD_MOM] = mom_estimate(scan, prior=prior, tol=tol, max_iter=max_iter,
+            out[METHOD_MOM] = mom_estimate(scan, tol=tol, max_iter=max_iter,
                                            compute_cov=False, fit=fit)
     return [out[m] for m in methods]
 
 
 def _collect_range(args):
     """Worker entry point: per-method arrays for trials [t0, t1). Picklable args."""
-    (truth, methods, scan_cfg, mu, seed, t0, t1, mom_prior, tol, max_iter) = args
+    (truth, methods, scan_cfg, mu, seed, t0, t1, tol, max_iter) = args
     count = t1 - t0
     parts = [
         (np.empty((count, 3)), np.empty(count, dtype=bool), np.empty(count, dtype=np.int64))
         for _ in methods
     ]
     for i, trial in enumerate(range(t0, t1)):
-        results = _estimate_trial(methods, truth, scan_cfg, mu, seed, trial,
-                                  mom_prior, tol, max_iter)
+        results = _estimate_trial(methods, truth, scan_cfg, mu, seed, trial, tol, max_iter)
         for (est, physical, iters), r in zip(parts, results):
             est[i] = (r.params.s, r.params.kappa, r.params.phi_s)
             physical[i] = r.physical
@@ -160,9 +157,8 @@ def collect_estimates(
     seed: int = 0,
     scan_config: ScanConfig | None = None,
     mu: int = 900,
-    mom_prior="auto",
-    tol: float = 1e-6,
-    max_iter: int = 20,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     workers: int = 1,
 ):
     """Per-trial estimates as arrays: (params (T,3), physical (T,), iterations (T,)).
@@ -173,14 +169,14 @@ def collect_estimates(
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
     for m in methods:
-        if m not in _METHODS:
+        if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     workers = worker_count(workers, trials)
     cfg = scan_config or ScanConfig()
     base = (truth, methods, cfg, mu, seed)
-    opts = (mom_prior, tol, max_iter)
+    opts = (tol, max_iter)
     if workers == 1:
         parts = _collect_range(base + (0, trials) + opts)
     else:
@@ -249,7 +245,7 @@ def aggregate_estimates(
     trials = len(est)
     if trials < 2:
         raise ValueError("need at least 2 trials to form variances")
-    if policy not in (POLICY_INCLUDE, POLICY_EXCLUDE):
+    if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
 
     bound = method_bound(method, truth, n_samples)
@@ -317,17 +313,15 @@ def run_trials(
     scan_config: ScanConfig | None = None,
     mu: int = 900,
     policy: str = POLICY_INCLUDE,
-    mom_prior="auto",
-    tol: float = 1e-6,
-    max_iter: int = 20,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     workers: int = 1,
     keep_estimates: bool = False,
 ) -> TrialReport:
     """Fresh scan/batch per trial, estimate, aggregate."""
     return _method_reports(
         truth, (method,), trials, scan_config or ScanConfig(), mu, policy,
-        keep_estimates, seed=seed, mom_prior=mom_prior, tol=tol, max_iter=max_iter,
-        workers=workers,
+        keep_estimates, seed=seed, tol=tol, max_iter=max_iter, workers=workers,
     )[0]
 
 
@@ -341,7 +335,6 @@ def sweep_family(
     phi_s: float = 0.0,
     kappa: float | None = None,
     policy: str = POLICY_INCLUDE,
-    mom_prior="auto",
     workers: int = 1,
 ) -> list[TrialReport]:
     """run_trials over an s-grid, kappa = 1/sqrt(s) unless fixed.
@@ -357,7 +350,7 @@ def sweep_family(
         truth = empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)
         reports.extend(
             _method_reports(truth, methods, trials, cfg, mu, policy,
-                            seed=seed, mom_prior=mom_prior, workers=workers)
+                            seed=seed, workers=workers)
         )
     return reports
 
@@ -414,8 +407,8 @@ def track_angle(
     scan_config: ScanConfig | None = None,
     duration: float = 0.3,
     seed: int = 0,
-    tol: float = 1e-6,
-    max_iter: int = 20,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> TrackResult:
     """Scan-by-scan MoM tracking of a drifting squeezing angle.
 

@@ -18,6 +18,8 @@ from .model import StateParams, eval_variance, state_covariance
 
 __all__ = [
     "ConfigMismatchError",
+    "SPACINGS",
+    "DRIFT_KINDS",
     "ScanConfig",
     "HomodyneScan",
     "DhdBatch",
@@ -38,6 +40,9 @@ __all__ = [
 class ConfigMismatchError(ValueError):
     """Geometry described by the config does not fit the supplied data."""
 
+
+SPACINGS = ("equispaced", "random")
+DRIFT_KINDS = ("mean-reverting", "random-walk")
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,8 +87,8 @@ class ScanConfig:
             raise ValueError(f"n_psi must be >= 1, got {self.n_psi}")
         if self.n < 1:
             raise ValueError(f"phase-range multiplier n must be >= 1, got {self.n}")
-        if self.spacing not in ("equispaced", "random"):
-            raise ValueError(f"spacing must be 'equispaced' or 'random', got {self.spacing!r}")
+        if self.spacing not in SPACINGS:
+            raise ValueError(f"spacing must be one of {SPACINGS}, got {self.spacing!r}")
 
     def phase_grid(self) -> np.ndarray:
         """The deterministic equispaced grid (half-open, endpoint excluded)."""
@@ -169,8 +174,8 @@ class DriftModel:
     amplitude: float = 0.15
 
     def __post_init__(self):
-        if self.kind not in ("mean-reverting", "random-walk"):
-            raise ValueError(f"unknown drift kind {self.kind!r}")
+        if self.kind not in DRIFT_KINDS:
+            raise ValueError(f"drift kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
         if self.correlation_time <= 0.0:
             raise ValueError("correlation_time must be > 0")
         if self.step_interval <= 0.0:

@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_moment_batch, grid_points, moment_matched_scan
+import squeezelab
 from squeezelab import (
     DriftModel,
     ScanConfig,
@@ -374,6 +375,9 @@ def test_07_angle_tracking():
 
 def test_08_benchmark_determinism(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "SQUEEZELAB_SEED"}
+    # the subprocess must import the squeezelab under test, not an installed one
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(squeezelab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     outputs = []
     for workers in (1, 4):
         out = tmp_path / f"report_w{workers}.csv"

@@ -1,5 +1,7 @@
 """File format round trips and command line behavior."""
 
+import argparse
+import dataclasses
 import json
 import math
 
@@ -22,7 +24,15 @@ from squeezelab import (
     track_angle,
 )
 from squeezelab import io as sio
-from squeezelab.cli import ENV_SEED, ConfigError, main, parse_methods, parse_s_values
+from squeezelab.cli import (
+    ENV_SEED,
+    ConfigError,
+    RunConfig,
+    build_parser,
+    main,
+    parse_methods,
+    parse_s_values,
+)
 
 
 # ------------------------------------------------------------ io: raw data
@@ -234,8 +244,121 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 def test_config_validation_errors(capsys):
     assert main(["bounds", "--s", "1.5"]) == 1
     assert main(["bounds", "--s", "0.5", "--kappa", "0.5"]) == 1
-    assert main(["bounds", "--s", "0.5", "--kappa", "2", "--family", "kappa-inv-sqrt-s"]) == 1
     capsys.readouterr()
+    # kappa follows the purity family whenever --kappa is absent; there is no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--s", "0.5", "--family", "kappa-inv-sqrt-s"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_psi", 100.7), ("trials", 2.9), ("seed", True), ("max_iter", False),
+    ("phi_s", True), ("kappa", True), ("tol", False),
+])
+def test_config_file_rejects_bools_and_fractional_integers(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["bounds", "--s", "0.5", "--config", str(cfg)]) == 1
+    assert f"error: bad value for {key}" in capsys.readouterr().err
+
+
+def test_config_file_accepts_integral_floats(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_psi": 100.0, "trials": 20}')
+    assert main(["bounds", "--s", "0.5", "--config", str(cfg)]) == 0
+    echoed = _echo_config(capsys)
+    assert echoed["n_psi"] == 100 and isinstance(echoed["n_psi"], int)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("spacing", "grid"), ("policy", "some"), ("drift_kind", "jump"),
+    ("n_psi", 0), ("phase_span", 0), ("correlation_time", 0.0), ("step_interval", -1.0),
+])
+def test_config_file_bad_choice_or_range_exits_1(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["bounds", "--s", "0.5", "--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_every_run_config_field_is_a_config_key_echoed_back(tmp_path, capsys):
+    want = {
+        "seed": 5, "s": [0.3, 0.6], "kappa": 2.5, "phi_s": 0.1, "n_psi": 64,
+        "phase_span": 4, "spacing": "random", "n_samples": 50, "trials": 10,
+        "methods": ["fit", "dhd"], "policy": "exclude", "tol": 1e-7, "max_iter": 15,
+        "drift_kind": "random-walk", "correlation_time": 1e-3, "step_interval": 1e-4,
+        "amplitude": 0.2, "duration": 0.01,
+    }
+    defaults = dataclasses.asdict(RunConfig())
+    assert set(want) == set(defaults)
+    assert all(want[k] != defaults[k] for k in want)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(want))
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    assert _echo_config(capsys) == want
+
+
+def _flag_surface(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        (flag, a.dest, tuple(a.choices) if a.choices else None)
+        for a in sub.choices[command]._actions
+        for flag in a.option_strings
+        if a.dest != "help"
+    }
+
+
+_STATE = {("--s", "s", None), ("--kappa", "kappa", None), ("--phi-s", "phi_s", None)}
+_SCAN = {
+    ("--n-psi", "n_psi", None), ("--phase-span", "phase_span", None),
+    ("--spacing", "spacing", ("equispaced", "random")),
+}
+_TRACE = {
+    ("--rate-hz", "rate_hz", None), ("--fwhm-hz", "fwhm_hz", None),
+    ("--scan-duration", "scan_duration", None),
+}
+_COMMON = {("--seed", "seed", None), ("--config", "config", None), ("--out", "out", None)}
+_ITER = {("--tol", "tol", None), ("--max-iter", "max_iter", None)}
+
+
+@pytest.mark.parametrize("command, want", [
+    ("bounds", _STATE | _COMMON | {("--n", "n_samples", None)}),
+    ("simulate", _STATE | _SCAN | _TRACE | _COMMON | {
+        ("--kind", "kind", ("scan", "dhd", "trace")), ("--n", "n_samples", None),
+        ("--trial", "trial", None),
+    }),
+    ("estimate", _SCAN | _TRACE | _COMMON | _ITER | {
+        ("--input", "input", None), ("--method", "method", None),
+        ("--format", "format", ("scan", "dhd", "trace")),
+        ("--prior-s", "prior_s", None), ("--prior-kappa", "prior_kappa", None),
+        ("--prior-phi", "prior_phi", None),
+    }),
+    ("benchmark", _STATE | _SCAN | _COMMON | {
+        ("--methods", "methods", None), ("--trials", "trials", None),
+        ("--n", "n_samples", None), ("--policy", "policy", ("include", "exclude")),
+        ("--workers", "workers", None), ("--json", "json", None),
+    }),
+    ("track", _STATE | _SCAN | _COMMON | _ITER | {
+        ("--drift-kind", "drift_kind", ("mean-reverting", "random-walk")),
+        ("--tau", "correlation_time", None), ("--step", "step_interval", None),
+        ("--amplitude", "amplitude", None), ("--duration", "duration", None),
+    }),
+])
+def test_cli_flag_surface(command, want):
+    assert _flag_surface(command) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--kappa", "abc"],
+    ["simulate", "--n-psi", "2.5", "--out", "x.csv"],
+    ["benchmark", "--n-psi", "2.5"],
+])
+def test_malformed_scalar_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ cli: commands

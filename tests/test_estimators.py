@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import exact_moment_batch, grid_points, moment_matched_scan
 
 from squeezelab import (
@@ -21,6 +22,7 @@ from squeezelab import (
     mom_estimate,
     mom_step,
     mom_weights,
+    sample_dhd,
     sample_homodyne_scan,
     state_covariance,
     variance_partials,
@@ -270,3 +272,21 @@ def test_predicted_cov_positive_when_physical():
             assert r.predicted_cov.ss > 0
             assert r.predicted_cov.kk > 0
             assert r.predicted_cov.pp > 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.05, 1.0),
+    kappa=st.floats(1.0, 4.0),
+    phi=st.floats(0.0, math.pi, exclude_max=True),
+    n=st.integers(3, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_physical_iff_no_nonphysical_flag(s, kappa, phi, n, seed):
+    """Small samples put many estimates outside the physical domain."""
+    truth = StateParams(s, kappa, phi)
+    scan = sample_homodyne_scan(truth, ScanConfig(n_psi=n), seed=seed)
+    batch = sample_dhd(truth, n, seed=seed)
+    for res in (fit_estimate(scan), mom_estimate(scan), dhd_estimate(batch)):
+        assert res.physical == (FLAG_NONPHYSICAL not in res.flags), res
+        assert not res.physical or res.params.is_physical, res

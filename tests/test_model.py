@@ -16,6 +16,7 @@ from squeezelab import (
     empirical_family,
     eval_variance,
     squeezing_db,
+    squeezing_db_error,
     state_covariance,
     variance_partials,
 )
@@ -143,6 +144,30 @@ def test_squeezing_db():
     assert squeezing_db(StateParams(0.5, math.sqrt(2.0), 0.0)) == pytest.approx(
         10 * math.log10(math.sqrt(0.5)), rel=1e-12
     )
+
+
+def test_squeezing_db_error_matches_finite_difference_propagation():
+    """sqrt(J C J^T), J the central-difference gradient of 10 log10(kappa s)."""
+    rng = np.random.default_rng(7)
+
+    def level(s, kappa):
+        return 10.0 * math.log10(kappa * s)
+
+    h = 1e-6
+    for _ in range(20):
+        p = random_params(rng)
+        a = rng.normal(size=(3, 3))
+        cov = SymMatrix3.from_array(1e-3 * a @ a.T)
+        grad = np.array([
+            (level(p.s * (1 + h), p.kappa) - level(p.s * (1 - h), p.kappa)) / (2 * h * p.s),
+            (level(p.s, p.kappa * (1 + h)) - level(p.s, p.kappa * (1 - h))) / (2 * h * p.kappa),
+            0.0,
+        ])
+        want = math.sqrt(grad @ cov.as_array() @ grad)
+        assert squeezing_db_error(p, cov) == pytest.approx(want, rel=1e-6)
+    # a covariance whose propagated variance is negative has no error bar
+    bad = SymMatrix3(ss=0.0, sk=-1.0, sp=0.0, kk=0.0, kp=0.0, pp=1.0)
+    assert squeezing_db_error(StateParams(0.5, 2.0, 0.0), bad) is None
 
 
 def test_state_covariance_shape_and_det():
