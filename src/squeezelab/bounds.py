@@ -4,7 +4,9 @@ All bounds come in two flavors: the discrete Fisher sum over an explicit
 phase list, and closed-form per-sample expressions divided by the sample
 count.  Reports should state which one they used; for equispaced phases
 over [0, n pi) the two agree to machine precision because the variance
-model is a low-order trigonometric polynomial.
+model is a low-order trigonometric polynomial.  The discrete sum works on
+the grid harmonics (``model.grid_harmonics``) and does no trig on the grid
+when a caller that already holds them, as MoM does, passes them in.
 
 Unattainable directions are reported as an explicit +inf sentinel (never
 by overflow): var_phi at s = 1, and the quantum kappa bound collapsing to
@@ -22,9 +24,8 @@ from .model import (
     StateParams,
     SymMatrix2,
     SymMatrix3,
-    eval_variance,
+    grid_harmonics,
     state_covariance,
-    variance_partials,
 )
 
 __all__ = [
@@ -55,26 +56,47 @@ class BoundVector:
         return (self.var_s, self.var_kappa, self.var_phi)
 
 
-def fisher_homodyne_discrete(params: StateParams, phases) -> SymMatrix3:
+def fisher_homodyne_discrete(params: StateParams, phases, *, harmonics=None) -> SymMatrix3:
     """Fisher information of homodyne samples at the given phase list.
 
     F_ab = sum_j (1 / 2 V_j^2) (dV_j/da)(dV_j/db) for a zero-mean Gaussian
     sample of variance V_j per phase.  At s = 1 the phi_s row and column
     vanish identically and the matrix is singular; callers flag that.
+
+    No trig on the grid: ``harmonics`` are the rows (1, cos 2psi, sin 2psi)
+    of ``phases`` (``grid_harmonics``, computed here when not given).  With
+    u = psi - phi_s, C = cos 2u and S = sin 2u are rotations of those rows,
+    V = a + b C with a = kappa (s + 1/s) / 2 and b = kappa (s - 1/s) / 2,
+    and the partials are
+
+        dV/ds     = kappa ((s^2 - 1) + (s^2 + 1) C) / (2 s^2)
+        dV/dkappa = V / kappa
+        dV/dphi_s = 2 b S
+
+    F is summed from these per-phase g arrays.  Expanding it instead into
+    moments of 1/V^2 against C^2, C S and S^2 cancels badly at small s.
     """
     psi = np.asarray(phases, dtype=float)
     if psi.size == 0:
         raise ValueError("phase list must be non-empty")
-    v = eval_variance(params, psi)
-    g_s, g_k, g_p = variance_partials(params, psi)
-    w = 1.0 / (2.0 * v * v)
+    if harmonics is None:
+        harmonics = grid_harmonics(psi)
+    s, k = params.s, params.kappa
+    c2p = math.cos(2.0 * params.phi_s)
+    s2p = math.sin(2.0 * params.phi_s)
+    cos2u = harmonics[1] * c2p + harmonics[2] * s2p
+    sin2u = harmonics[2] * c2p - harmonics[1] * s2p
+    b = 0.5 * k * (s - 1.0 / s)
+    v = 0.5 * k * (s + 1.0 / s) + b * cos2u
+    g = np.stack((
+        k * ((s * s - 1.0) + (s * s + 1.0) * cos2u) / (2.0 * s * s),
+        v / k,
+        2.0 * b * sin2u,
+    ))
+    f = (g * (0.5 / (v * v))) @ g.T
     return SymMatrix3(
-        ss=float(np.sum(w * g_s * g_s)),
-        sk=float(np.sum(w * g_s * g_k)),
-        sp=float(np.sum(w * g_s * g_p)),
-        kk=float(np.sum(w * g_k * g_k)),
-        kp=float(np.sum(w * g_k * g_p)),
-        pp=float(np.sum(w * g_p * g_p)),
+        ss=float(f[0, 0]), sk=float(f[0, 1]), sp=float(f[0, 2]),
+        kk=float(f[1, 1]), kp=float(f[1, 2]), pp=float(f[2, 2]),
     )
 
 

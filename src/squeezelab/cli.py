@@ -131,9 +131,9 @@ class RunConfig:
 def parse_s_values(text) -> tuple[float, ...]:
     """Accepts a float, 'a,b,c', or 'start:stop[:step]' (step 0.05)."""
     if isinstance(text, (int, float)):
-        return (float(text),)
+        return (_parse_float(text),)
     if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
+        return tuple(_parse_float(v) for v in text)
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -434,6 +434,8 @@ def cmd_benchmark(args) -> int:
         phi_s=cfg.phi_s,
         kappa=cfg.kappa,
         policy=cfg.policy,
+        tol=cfg.tol,
+        max_iter=cfg.max_iter,
         workers=args.workers,
     )
     lines = sio.report_csv_lines(reports, config_json=echo)

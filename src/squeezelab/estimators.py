@@ -9,7 +9,11 @@ Shared conventions:
   occurred, see the FLAG_* constants;
 * ``predicted_cov`` is the model covariance evaluated at the estimate and
   is only computed for physical estimates (the information matrix means
-  nothing at an unphysical point).
+  nothing at an unphysical point);
+* the fit, the MoM iterations and the MoM covariance read the phase grid
+  only through its harmonics (1, cos 2psi, sin 2psi), taken from the scan's
+  ``ScanConfig`` when the scan lies on its grid, so the grid's trig is
+  computed once per config, not once per call.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .model import (
     angle_distance,
     canonical_angle,
     eval_variance,
+    grid_harmonics,
     variance_partials,
 )
 from .bounds import fisher_homodyne_discrete, fisher_dhd, fit_variance_prediction
@@ -100,31 +105,39 @@ class EstimateResult:
         return tuple(math.sqrt(v) if v >= 0 else float("nan") for v in d)
 
 
-def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray]:
-    """(phases, samples) as float arrays; at least 3 samples required."""
+def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phases, harmonics, samples) as float arrays; at least 3 samples required.
+
+    The harmonics are the rows (1, cos 2psi, sin 2psi) of the phases: the
+    config's cached rows when the scan lies on its config's grid, which is
+    how every drawn or trace-derived scan is built, else computed here.
+    """
     q = np.asarray(scan.samples, dtype=float)
     if q.size < 3:
         raise ValueError(f"need at least 3 samples, got {q.size}")
-    return np.asarray(scan.phases, dtype=float), q
-
-
-def _grid_harmonics(phases: np.ndarray) -> np.ndarray:
-    """Rows (1, cos 2psi, sin 2psi) of the phase grid, shape (3, N)."""
-    two_psi = 2.0 * phases
-    return np.stack((np.ones_like(phases), np.cos(two_psi), np.sin(two_psi)))
+    phases = np.asarray(scan.phases, dtype=float)
+    cfg = scan.meta
+    if cfg is not None and phases is cfg.grid:
+        return phases, cfg.harmonics, q
+    return phases, grid_harmonics(phases), q
 
 
 def fourier_components(scan) -> FourierComponents:
     """c0 = mean(q^2), c2 = mean(q^2 exp(-2i psi)), from the grid harmonics.
 
     Row means are pairwise sums (as np.mean), not a BLAS product, so c0 is
-    exactly mean(q^2).  Whether a vacuum scan's second harmonic comes out
-    exactly 0 (so the fit flags it degenerate) depends on the summation
-    order and the grid; on the default grid it does.
+    exactly mean(q^2).
     """
-    phases, q = _scan_samples(scan)
-    m0, mc, ms = (_grid_harmonics(phases) * (q * q)).mean(axis=1)
+    _, harmonics, q = _scan_samples(scan)
+    m0, mc, ms = (harmonics * (q * q)).mean(axis=1)
     return FourierComponents(c0=float(m0), c2=complex(mc, -ms))
+
+
+# |C2| / C0 at or below which the fit finds no second harmonic.  A vacuum
+# scan's |C2| is a rounding residue, 0 or up to ~1e-16 of C0 depending on
+# the grid and the summation order; noise in a real scan puts it of order
+# 1/sqrt(N).
+_DEGENERATE_REL_C2 = 1e-12
 
 
 def fit_estimate(scan) -> EstimateResult:
@@ -136,7 +149,8 @@ def fit_estimate(scan) -> EstimateResult:
     -(kappa(1-s^2)/4s) exp(-2i phi_s), so the angle is recovered as
     -(1/2) Arg(-C2); using Arg(C2) directly would land on the
     anti-squeezed axis, which breaks the exact round-trip on expected
-    moments.
+    moments.  A second harmonic of at most 1e-12 C0 flags ``degenerate``
+    and sets the angle to 0.
     """
     comp = fourier_components(scan)
     amp = abs(comp.c2)
@@ -144,8 +158,8 @@ def fit_estimate(scan) -> EstimateResult:
     big = comp.c0 + 2.0 * amp
 
     flags = set()
-    if comp.c2 == 0:
-        # no second harmonic at all: the angle is undefined, s comes out 1
+    if amp <= _DEGENERATE_REL_C2 * comp.c0:
+        # no second harmonic: the angle is undefined, s comes out 1
         flags.add(FLAG_DEGENERATE)
         phi = 0.0
     else:
@@ -253,8 +267,8 @@ def _mom_update(x2: np.ndarray, harmonics: np.ndarray, s0: float, k0: float, p0:
     return s_hat, k_hat, p_hat, flags
 
 
-def _mom_result(s: float, k: float, p: float, flags: set, phases, compute_cov: bool,
-                iterations: int, prior_used: StateParams) -> EstimateResult:
+def _mom_result(s: float, k: float, p: float, flags: set, phases, harmonics,
+                compute_cov: bool, iterations: int, prior_used: StateParams) -> EstimateResult:
     """Physical test, flags and (for physical estimates) covariance of a MoM estimate."""
     est = StateParams(s=s, kappa=k, phi_s=p)
     physical = FLAG_NONPHYSICAL not in flags and est.is_physical
@@ -263,7 +277,7 @@ def _mom_result(s: float, k: float, p: float, flags: set, phases, compute_cov: b
     cov = None
     if physical and compute_cov:
         try:
-            cov = fisher_homodyne_discrete(est, phases).inverse()
+            cov = fisher_homodyne_discrete(est, phases, harmonics=harmonics).inverse()
         except SingularMatrixError:
             flags.add(FLAG_SINGULAR_INFORMATION)
     return EstimateResult(
@@ -284,11 +298,11 @@ def mom_step(scan, prior: StateParams) -> EstimateResult:
     prior exactly.  The raw update is reported without canonicalization;
     the iterative wrapper handles the mirror image.
     """
-    phases, q = _scan_samples(scan)
+    phases, harmonics, q = _scan_samples(scan)
     s_hat, k_hat, p_hat, flags = _mom_update(
-        q * q, _grid_harmonics(phases), prior.s, prior.kappa, prior.phi_s
+        q * q, harmonics, prior.s, prior.kappa, prior.phi_s
     )
-    return _mom_result(s_hat, k_hat, p_hat, flags, phases, True, 1, prior)
+    return _mom_result(s_hat, k_hat, p_hat, flags, phases, harmonics, True, 1, prior)
 
 
 def _mirror(s: float, kappa: float, phi: float) -> tuple[float, float, float]:
@@ -331,12 +345,12 @@ def mom_estimate(
 
     Without a prior the iteration is seeded from ``fit``, the
     ``fit_estimate`` of this scan when the caller already has it, or
-    else from a fresh fit.  The grid harmonics are computed once per
-    call, so each iteration costs three reductions over the grid.
+    else from a fresh fit.  The iterations and the covariance use the
+    scan's grid harmonics (shared by every scan on its config's grid), so
+    each iteration costs three reductions over the grid and no trig.
     """
-    phases, q = _scan_samples(scan)
+    phases, harmonics, q = _scan_samples(scan)
     x2 = q * q
-    harmonics = _grid_harmonics(phases)
 
     run_flags = set()
     if prior is None:
@@ -373,8 +387,8 @@ def mom_estimate(
     if not converged:
         run_flags.add(FLAG_NO_CONVERGENCE)
 
-    return _mom_result(s0, k0, p0, run_flags | step_flags, phases, compute_cov,
-                       iterations, prior_used)
+    return _mom_result(s0, k0, p0, run_flags | step_flags, phases, harmonics,
+                       compute_cov, iterations, prior_used)
 
 
 # eigenvalue-gap threshold below which the DHD angle is meaningless

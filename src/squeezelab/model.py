@@ -29,6 +29,7 @@ __all__ = [
     "angle_distance",
     "eval_variance",
     "variance_partials",
+    "grid_harmonics",
     "state_covariance",
     "squeezing_db",
     "squeezing_db_error",
@@ -128,6 +129,20 @@ def variance_partials(params: StateParams, psi):
     if np.ndim(psi) == 0:
         return float(d_s), float(d_k), float(d_p)
     return d_s, d_k, d_p
+
+
+def grid_harmonics(phases) -> np.ndarray:
+    """Rows (1, cos 2psi, sin 2psi) of a phase grid, shape (3, N).
+
+    Everything the estimators and the homodyne Fisher matrix need from the
+    grid is a rotation of these rows: with u = psi - phi,
+    cos 2u = cos 2psi cos 2phi + sin 2psi sin 2phi and
+    sin 2u = sin 2psi cos 2phi - cos 2psi sin 2phi.  So the trig on a grid
+    is computed once, here, and reused for every state on it.
+    """
+    psi = np.asarray(phases, dtype=float)
+    two_psi = 2.0 * psi
+    return np.stack((np.ones_like(psi), np.cos(two_psi), np.sin(two_psi)))
 
 
 class SingularMatrixError(ValueError):

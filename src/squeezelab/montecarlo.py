@@ -335,6 +335,8 @@ def sweep_family(
     phi_s: float = 0.0,
     kappa: float | None = None,
     policy: str = POLICY_INCLUDE,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     workers: int = 1,
 ) -> list[TrialReport]:
     """run_trials over an s-grid, kappa = 1/sqrt(s) unless fixed.
@@ -349,8 +351,8 @@ def sweep_family(
     for s in s_values:
         truth = empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)
         reports.extend(
-            _method_reports(truth, methods, trials, cfg, mu, policy,
-                            seed=seed, workers=workers)
+            _method_reports(truth, methods, trials, cfg, mu, policy, seed=seed,
+                            tol=tol, max_iter=max_iter, workers=workers)
         )
     return reports
 

@@ -9,12 +9,13 @@ keyed per (seed, trial); trace synthesis per (seed, trial, window).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import StateParams, eval_variance, state_covariance
+from .model import StateParams, eval_variance, grid_harmonics, state_covariance
 
 __all__ = [
     "ConfigMismatchError",
@@ -94,6 +95,30 @@ class ScanConfig:
         """The deterministic equispaced grid (half-open, endpoint excluded)."""
         return np.arange(self.n_psi) * (self.n * math.pi / self.n_psi)
 
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """``phase_grid()``, computed once per config; read-only, because
+        every scan drawn on this config shares it."""
+        return _read_only(self.phase_grid())
+
+    @functools.cached_property
+    def harmonics(self) -> np.ndarray:
+        """``grid_harmonics(grid)``, computed once per config and read-only.
+
+        The estimators take these rows for any scan whose phases are
+        ``grid``, so every scan of a sweep or a track shares one set.
+        """
+        return _read_only(grid_harmonics(self.grid))
+
+    def __getstate__(self):
+        # pickle the fields only: a copy rebuilds its own read-only cache
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 @dataclass(frozen=True)
 class HomodyneScan:
@@ -137,7 +162,7 @@ def sample_homodyne_scan(
         # phases drawn first so the sample stream layout is documented
         psi = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
     else:
-        psi = cfg.phase_grid()
+        psi = cfg.grid
     sigma = np.sqrt(eval_variance(params, psi))
     q = rng.standard_normal(cfg.n_psi) * sigma
     return HomodyneScan(phases=psi, samples=q, meta=cfg)
@@ -336,4 +361,4 @@ def scan_from_trace(trace, mode: TemporalMode, config: ScanConfig | None = None)
     """Windowed mode projection packaged with the scan's phase grid."""
     cfg = config or ScanConfig()
     samples = apply_temporal_mode(trace, mode, n_windows=cfg.n_psi)
-    return HomodyneScan(phases=cfg.phase_grid(), samples=samples, meta=cfg)
+    return HomodyneScan(phases=cfg.grid, samples=samples, meta=cfg)

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from squeezelab import (
+    ScanConfig,
     StateParams,
     SymMatrix3,
     crb_dhd,
@@ -22,9 +24,11 @@ from squeezelab import (
     fisher_dhd,
     fisher_homodyne_discrete,
     fit_variance_prediction,
+    grid_harmonics,
     phase_averaged_fisher,
     qfi_matrix,
     state_covariance,
+    variance_partials,
 )
 
 RNG = np.random.default_rng(777)
@@ -152,6 +156,45 @@ def test_discrete_fisher_matches_finite_differences():
     v = eval_variance(p, phases)
     want = np.einsum("aj,bj,j->ab", grads, grads, 1.0 / (2 * v * v))
     np.testing.assert_allclose(got, want, rtol=1e-5)
+
+
+def _trig_fisher_terms(p, phases):
+    """Per-phase terms w g_a g_b of the Fisher sum in the trig form, shape (3, 3, N)."""
+    v = eval_variance(p, phases)
+    g = np.array(variance_partials(p, phases))
+    return g[:, None, :] * g[None, :, :] / (2.0 * v * v)
+
+
+@st.composite
+def state_and_grid(draw):
+    p = StateParams(draw(st.floats(0.05, 1.0)), draw(st.floats(1.0, 4.0)),
+                    draw(st.floats(-10.0, 10.0)))
+    n_psi = draw(st.sampled_from((5, 60, 900)))
+    if draw(st.booleans()):
+        phases = ScanConfig(n_psi=n_psi).grid
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        phases = np.sort(rng.uniform(0.0, 2.0 * math.pi, n_psi))
+    return p, phases
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(state_and_grid())
+@example((StateParams(1.0, 2.5, 0.9), ScanConfig(n_psi=60).grid))
+@example((StateParams(1.0, 1.0, 0.0), np.linspace(0.0, 2.0, 5)))
+def test_discrete_fisher_matches_trig_form(case):
+    """The harmonic-rotation kernel against eval_variance and variance_partials.
+
+    Each entry within 1e-12 of the sum of |terms| it adds; at s = 1 the
+    phi_s row is exactly 0; passing the grid's harmonics changes nothing.
+    """
+    p, phases = case
+    terms = _trig_fisher_terms(p, phases)
+    got = fisher_homodyne_discrete(p, phases)
+    assert np.all(np.abs(got.as_array() - terms.sum(axis=2)) <= 1e-12 * np.abs(terms).sum(axis=2))
+    if p.s == 1.0:
+        assert got.sp == 0.0 and got.kp == 0.0 and got.pp == 0.0
+    assert fisher_homodyne_discrete(p, phases, harmonics=grid_harmonics(phases)) == got
 
 
 def test_discrete_fisher_grid_matches_closed_form():

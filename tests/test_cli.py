@@ -254,12 +254,13 @@ def test_config_validation_errors(capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("n_psi", 100.7), ("trials", 2.9), ("seed", True), ("max_iter", False),
-    ("phi_s", True), ("kappa", True), ("tol", False),
+    ("phi_s", True), ("kappa", True), ("tol", False), ("s", True), ("s", [True]),
 ])
 def test_config_file_rejects_bools_and_fractional_integers(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
-    assert main(["bounds", "--s", "0.5", "--config", str(cfg)]) == 1
+    # no --s flag: it would override the file's s
+    assert main(["bounds", "--config", str(cfg)]) == 1
     assert f"error: bad value for {key}" in capsys.readouterr().err
 
 
@@ -483,6 +484,30 @@ def test_benchmark_byte_identical_across_workers(tmp_path, capsys):
     assert len(lines) == 2 + 2 * 3
     echoed = json.loads(lines[0].removeprefix("# config: "))
     assert "workers" not in echoed and "out" not in echoed
+
+
+def test_benchmark_honours_config_tol_and_max_iter(tmp_path, capsys):
+    """A config file's max_iter reaches MoM; fit and DHD rows do not move."""
+    common = ["benchmark", "--s", "0.5", "--methods", "fit,mom,dhd", "--trials", "20",
+              "--n-psi", "100", "--n", "100"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"max_iter": 1}')
+    default, capped = tmp_path / "default.csv", tmp_path / "capped.csv"
+    assert main(common + ["--out", str(default)]) == 0
+    assert main(common + ["--config", str(cfg), "--out", str(capped)]) == 0
+    capsys.readouterr()
+
+    def rows_by_method(path):
+        rows = {}
+        for line in path.read_text().splitlines()[2:]:
+            rows.setdefault(line.split(",")[3], []).append(line)
+        return rows
+
+    want, got = rows_by_method(default), rows_by_method(capped)
+    assert got["fit"] == want["fit"] and got["dhd"] == want["dhd"]
+    assert got["mom"] != want["mom"]
+    mean_iterations = sio.REPORT_HEADER.split(",").index("mean_iterations")
+    assert {row.split(",")[mean_iterations] for row in got["mom"]} == {"1"}
 
 
 def test_benchmark_rejects_workers_below_one(capsys):

@@ -82,11 +82,16 @@ def test_fit_inversion_exact_on_grid():
 
 
 def test_fit_vacuum_degenerate():
-    r = fit_estimate(moment_matched_scan(StateParams(1.0, 1.0, 0.0)))
-    assert r.params.s == pytest.approx(1.0, abs=1e-12)
-    assert r.params.kappa == pytest.approx(1.0, abs=1e-12)
-    assert FLAG_DEGENERATE in r.flags
-    assert r.params.phi_s == 0.0
+    scans = [moment_matched_scan(StateParams(1.0, 1.0, 0.0))]
+    # q = 1 leaves a second harmonic of 0 to ~1e-16 of C0, by grid and summation order
+    for n_psi in (300, 301, 600, 900, 1000, 1200):
+        scans.append(HomodyneScan(phases=ScanConfig(n_psi=n_psi).grid, samples=np.ones(n_psi)))
+    for scan in scans:
+        r = fit_estimate(scan)
+        assert r.params.s == pytest.approx(1.0, abs=1e-12)
+        assert r.params.kappa == pytest.approx(1.0, abs=1e-12)
+        assert FLAG_DEGENERATE in r.flags
+        assert r.params.phi_s == 0.0
 
 
 def test_fit_nonphysical_flagged_not_clamped():

@@ -26,6 +26,7 @@ from squeezelab import (
     canonical_angle,
     empirical_family,
     fourier_components,
+    grid_harmonics,
     mom_estimate,
     mom_weights,
     sample_homodyne_scan,
@@ -34,7 +35,6 @@ from squeezelab import estimators
 from squeezelab.estimators import (
     FLAG_NONPHYSICAL,
     FLAG_SINGULAR_PRIOR,
-    _grid_harmonics,
     _mom_moments,
     _mom_update,
 )
@@ -102,7 +102,7 @@ def scan_and_prior(draw):
 def test_mom_update_matches_trig_reference(case):
     scan, prior = case
     x2 = scan.samples * scan.samples
-    harmonics = _grid_harmonics(scan.phases)
+    harmonics = grid_harmonics(scan.phases)
     args = (prior.s, prior.kappa, prior.phi_s)
 
     want, scale = _reference_moments(x2, scan.phases, prior)

@@ -16,13 +16,14 @@ from squeezelab import (
     crb_dhd,
     crb_homodyne,
     empirical_family,
+    grid_harmonics,
     run_trials,
     sample_homodyne_scan,
     simulate_phase_drift,
     sweep_family,
     track_angle,
 )
-from squeezelab import montecarlo
+from squeezelab import bounds, estimators, montecarlo, simulate
 from squeezelab.montecarlo import circular_mean_pi, method_bound, worker_count, wrap_half_pi
 
 
@@ -203,6 +204,26 @@ def test_sweep_family_shares_each_scan(monkeypatch):
     shared = sweep_family(s_values, ("fit", "mom", "dhd"), trials, seed=4, scan_config=cfg)
     assert shared == separate
     assert sorted(draws) == sorted(list(range(trials)) * len(s_values))
+
+
+def test_grid_harmonics_computed_once_per_scan_config(monkeypatch):
+    """Every scan of a sweep or a track, and fit, MoM and the Fisher matrix
+    on it, share the config's harmonics: one computation per ScanConfig."""
+    calls = []
+
+    def counting(phases):
+        calls.append(len(phases))
+        return grid_harmonics(phases)
+
+    for module in (bounds, estimators, simulate):
+        monkeypatch.setattr(module, "grid_harmonics", counting)
+    sweep_family((0.3, 0.5), ("fit", "mom"), 10, seed=2, scan_config=ScanConfig(n_psi=64))
+    assert calls == [64]
+    calls.clear()
+    res = track_angle(DriftModel(), empirical_family(0.5), ScanConfig(n_psi=48),
+                      duration=0.01, seed=2)
+    assert np.isfinite(res.half_width).any()  # the Fisher matrix ran
+    assert calls == [48]
 
 
 # ------------------------------------------------------------ statistics
