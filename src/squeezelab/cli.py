@@ -47,7 +47,6 @@ from .montecarlo import (
     POLICIES,
     POLICY_INCLUDE,
     sweep_family,
-    theory_curves,
     track_angle,
 )
 from .simulate import (
@@ -280,32 +279,11 @@ def _single_s(cfg: RunConfig, command: str) -> float:
     return cfg.s[0]
 
 
-BOUNDS_HEADER = (
-    "s,kappa,phi_s,n_samples,"
-    "crb_var_s,crb_var_kappa,crb_var_phi,"
-    "fit_var_s,fit_var_kappa,fit_var_phi,"
-    "dhd_var_s,dhd_var_kappa,dhd_var_phi,"
-    "qcrb_var_s,qcrb_var_kappa,qcrb_var_phi"
-)
-
-
 def cmd_bounds(args) -> int:
     cfg = resolve_config(args)
     echo = _echo(cfg)
-    lines = [f"# config: {echo}", BOUNDS_HEADER]
-    for s in cfg.s:
-        truth = cfg.state(s)
-        curves = theory_curves(truth, cfg.n_samples)
-        cells = [
-            sio.fmt12(truth.s),
-            sio.fmt12(truth.kappa),
-            sio.fmt12(truth.phi_s),
-            str(cfg.n_samples),
-        ]
-        for key in ("crb_homodyne", "fit_prediction", "crb_dhd", "crb_quantum"):
-            cells.extend(sio.fmt12(v) for v in curves[key].as_tuple())
-        lines.append(",".join(cells))
-    _emit_lines(lines, args.out)
+    truths = [cfg.state(s) for s in cfg.s]
+    _emit_lines(sio.bounds_csv_lines(truths, cfg.n_samples, config_json=echo), args.out)
     return 0
 
 
@@ -356,9 +334,7 @@ def _estimate_result_dict(res) -> dict:
         "physical": res.physical,
         "iterations": res.iterations,
         "flags": sorted(res.flags),
-        "prior_used": None
-        if res.prior_used is None
-        else {"s": res.prior_used.s, "kappa": res.prior_used.kappa, "phi_s": res.prior_used.phi_s},
+        "prior_used": None if res.prior_used is None else dataclasses.asdict(res.prior_used),
         "predicted_std": None
         if std is None
         else {"s": std[0], "kappa": std[1], "phi_s": std[2]},

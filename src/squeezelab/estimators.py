@@ -30,9 +30,7 @@ from .model import (
     SymMatrix3,
     angle_distance,
     canonical_angle,
-    eval_variance,
     grid_harmonics,
-    variance_partials,
 )
 from .bounds import fisher_homodyne_discrete, fisher_dhd, fit_variance_prediction
 
@@ -52,7 +50,6 @@ __all__ = [
     "signed_sqrt",
     "fourier_components",
     "fit_estimate",
-    "mom_weights",
     "mom_step",
     "mom_estimate",
     "dhd_estimate",
@@ -106,7 +103,7 @@ class EstimateResult:
 
 
 def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phases, harmonics, samples) as float arrays; at least 3 samples required.
+    """(phases, harmonics, samples) as float arrays; at least 3 finite samples required.
 
     The harmonics are the rows (1, cos 2psi, sin 2psi) of the phases: the
     config's cached rows when the scan lies on its config's grid, which is
@@ -115,6 +112,8 @@ def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = np.asarray(scan.samples, dtype=float)
     if q.size < 3:
         raise ValueError(f"need at least 3 samples, got {q.size}")
+    if not np.isfinite(q).all():
+        raise ValueError("samples must be finite")
     phases = np.asarray(scan.phases, dtype=float)
     cfg = scan.meta
     if cfg is not None and phases is cfg.grid:
@@ -188,17 +187,10 @@ def fit_estimate(scan) -> EstimateResult:
     )
 
 
-def mom_weights(prior: StateParams, psi):
-    """Optimal moment weights c_a(psi) = (1 / 2 V^2) dV/da at the prior."""
-    v = eval_variance(prior, psi)
-    g_s, g_k, g_p = variance_partials(prior, psi)
-    w = 1.0 / (2.0 * np.asarray(v) ** 2)
-    return w * g_s, w * g_k, w * g_p
-
-
 def _mom_moments(x2: np.ndarray, harmonics: np.ndarray, s0: float, k0: float,
                  p0: float) -> tuple[float, float, float]:
-    """y_a = mean(c_a q^2) for the weights c_a of ``mom_weights`` at (s0, k0, p0).
+    """y_a = mean(c_a q^2) for the optimal moment weights at (s0, k0, p0),
+    c_a(psi) = (1 / 2 V^2) dV/da.
 
     No trig on the grid: with u = psi - p0, V = a + b cos 2u where
     a = k0 (s0 + 1/s0) / 2 and b = k0 (s0 - 1/s0) / 2, and each c_a is
@@ -400,17 +392,19 @@ def dhd_estimate(batch, compute_cov: bool = True) -> EstimateResult:
 
     Sample second moments of (q1, p2) give Gamma; subtracting the vacuum
     unit added by the beamsplitter leaves Gamma_theta, whose eigensystem
-    is (kappa s, kappa / s, phi_s).
+    is (kappa s, kappa / s, phi_s).  Non-finite data raise ValueError.
     """
     q1 = np.asarray(batch.q1, dtype=float)
     p2 = np.asarray(batch.p2, dtype=float)
     if q1.size < 3:
         raise ValueError(f"need at least 3 repetitions, got {q1.size}")
-    gamma = SymMatrix2(
-        xx=float(np.mean(q1 * q1)) - 1.0,
-        xp=float(np.mean(q1 * p2)),
-        pp=float(np.mean(p2 * p2)) - 1.0,
-    )
+    xx = float(np.mean(q1 * q1))
+    xp = float(np.mean(q1 * p2))
+    pp = float(np.mean(p2 * p2))
+    # a nan or inf anywhere in q1 or p2 makes a second moment non-finite
+    if not (math.isfinite(xx) and math.isfinite(xp) and math.isfinite(pp)):
+        raise ValueError("q1 and p2 must be finite, with finite second moments")
+    gamma = SymMatrix2(xx=xx - 1.0, xp=xp, pp=pp - 1.0)
     lam_min, lam_max, angle = gamma.eigensystem()
 
     flags = set()
@@ -419,8 +413,11 @@ def dhd_estimate(batch, compute_cov: bool = True) -> EstimateResult:
         flags.add(FLAG_DEGENERATE)
         angle = 0.0
 
-    s_hat = signed_sqrt(lam_min / lam_max) if lam_max != 0.0 else float("nan")
-    k_hat = signed_sqrt(lam_min * lam_max)
+    # both roots carry the sign of lam_min: with lam_max < 0 the ratio and
+    # the product are positive, and a plain signed root would look physical
+    s_hat = (math.copysign(math.sqrt(abs(lam_min / lam_max)), lam_min)
+             if lam_max != 0.0 else float("nan"))
+    k_hat = math.copysign(math.sqrt(abs(lam_min * lam_max)), lam_min)
     est = StateParams(s=s_hat, kappa=k_hat, phi_s=angle)
 
     physical = lam_min > 0.0 and est.is_physical

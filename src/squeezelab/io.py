@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .bounds import BoundVector
-from .model import StateParams, SymMatrix3
-from .montecarlo import TrialReport, TrackResult, theory_curves
+from .montecarlo import THEORY_CURVES, TrialReport, TrackResult, theory_curves
 from .simulate import DhdBatch, HomodyneScan
 
 __all__ = [
@@ -38,6 +37,7 @@ __all__ = [
     "REPORT_HEADER",
     "report_csv_lines",
     "write_report_csv",
+    "bounds_csv_lines",
     "track_csv_lines",
     "report_to_dict",
     "json_ready",
@@ -166,54 +166,56 @@ def read_trace(path) -> tuple[np.ndarray, int]:
 
 
 _PARAM_NAMES = ("s", "kappa", "phi_s")
+# the per-parameter fields of a BoundVector, in as_tuple order
+_BOUND_VARS = tuple(f.name for f in fields(BoundVector) if f.name.startswith("var_"))
 
-REPORT_HEADER = (
-    "s,kappa,phi_s,method,parameter,trials,n_samples,policy,"
-    "empirical_var,empirical_var_physical,bias,bound,saturation_ratio,"
-    "ratio_stderr,prediction,prediction_ratio,nonphysical_rate,n_physical,"
-    "mean_iterations,crb_homodyne,fit_prediction,crb_dhd,crb_quantum"
-)
+
+def _header(columns) -> str:
+    """The CSV header of a schema whose entries start with the column name."""
+    return ",".join(entry[0] for entry in columns)
+
+
+def _at(triple, i: int) -> str:
+    """Entry i of a per-parameter triple or BoundVector; blank when there is none."""
+    if triple is None:
+        return ""
+    if isinstance(triple, BoundVector):
+        triple = triple.as_tuple()
+    return fmt12(triple[i])
+
+
+# (column, cell) of the benchmark report: one row per report r and parameter
+# index i, with c the report's theory curves
+_REPORT_COLUMNS = (
+    ("s", lambda r, c, i: fmt12(r.truth.s)),
+    ("kappa", lambda r, c, i: fmt12(r.truth.kappa)),
+    ("phi_s", lambda r, c, i: fmt12(r.truth.phi_s)),
+    ("method", lambda r, c, i: r.method),
+    ("parameter", lambda r, c, i: _PARAM_NAMES[i]),
+    ("trials", lambda r, c, i: str(r.trials)),
+    ("n_samples", lambda r, c, i: str(r.n_samples)),
+    ("policy", lambda r, c, i: r.policy),
+    ("empirical_var", lambda r, c, i: _at(r.var_all, i)),
+    ("empirical_var_physical", lambda r, c, i: _at(r.var_physical, i)),
+    ("bias", lambda r, c, i: _at(r.bias_all, i)),
+    ("bound", lambda r, c, i: _at(r.bound, i)),
+    ("saturation_ratio", lambda r, c, i: _at(r.saturation_ratio, i)),
+    ("ratio_stderr", lambda r, c, i: _at(r.ratio_stderr, i)),
+    ("prediction", lambda r, c, i: _at(r.prediction, i)),
+    ("prediction_ratio", lambda r, c, i: _at(r.prediction_ratio, i)),
+    ("nonphysical_rate", lambda r, c, i: fmt12(r.nonphysical_rate)),
+    ("n_physical", lambda r, c, i: str(r.n_physical)),
+    ("mean_iterations", lambda r, c, i: fmt12(r.mean_iterations)),
+) + tuple((col, lambda r, c, i, col=col: _at(c[col], i)) for col, _, _ in THEORY_CURVES)
+
+REPORT_HEADER = _header(_REPORT_COLUMNS)
 
 
 def report_rows(report: TrialReport) -> list[str]:
     """One CSV row per parameter, carrying all four theory curves."""
-    t = report.truth
-    curves = theory_curves(t, report.n_samples)
-    rows = []
-    for i, pname in enumerate(_PARAM_NAMES):
-        var_phys = "" if report.var_physical is None else fmt12(report.var_physical[i])
-        pred = "" if report.prediction is None else fmt12(report.prediction.as_tuple()[i])
-        pred_ratio = "" if report.prediction_ratio is None else fmt12(report.prediction_ratio[i])
-        rows.append(
-            ",".join(
-                [
-                    fmt12(t.s),
-                    fmt12(t.kappa),
-                    fmt12(t.phi_s),
-                    report.method,
-                    pname,
-                    str(report.trials),
-                    str(report.n_samples),
-                    report.policy,
-                    fmt12(report.var_all[i]),
-                    var_phys,
-                    fmt12(report.bias_all[i]),
-                    fmt12(report.bound.as_tuple()[i]),
-                    fmt12(report.saturation_ratio[i]),
-                    fmt12(report.ratio_stderr[i]),
-                    pred,
-                    pred_ratio,
-                    fmt12(report.nonphysical_rate),
-                    str(report.n_physical),
-                    fmt12(report.mean_iterations),
-                    fmt12(curves["crb_homodyne"].as_tuple()[i]),
-                    fmt12(curves["fit_prediction"].as_tuple()[i]),
-                    fmt12(curves["crb_dhd"].as_tuple()[i]),
-                    fmt12(curves["crb_quantum"].as_tuple()[i]),
-                ]
-            )
-        )
-    return rows
+    curves = theory_curves(report.truth, report.n_samples)
+    return [",".join(cell(report, curves, i) for _, cell in _REPORT_COLUMNS)
+            for i in range(len(_PARAM_NAMES))]
 
 
 def report_csv_lines(reports, config_json=None) -> list[str]:
@@ -230,45 +232,35 @@ def write_report_csv(path, reports, config_json=None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _params_dict(p: StateParams) -> dict:
-    return {"s": p.s, "kappa": p.kappa, "phi_s": p.phi_s}
-
-
-def _bound_dict(b: BoundVector) -> dict:
-    return {
-        "var_s": b.var_s,
-        "var_kappa": b.var_kappa,
-        "var_phi": b.var_phi,
-        "n_samples": b.n_samples,
-    }
-
-
-def _sym3_dict(m: SymMatrix3) -> dict:
-    return {"ss": m.ss, "sk": m.sk, "sp": m.sp, "kk": m.kk, "kp": m.kp, "pp": m.pp}
-
-
 def report_to_dict(report: TrialReport) -> dict:
-    return {
-        "truth": _params_dict(report.truth),
-        "method": report.method,
-        "trials": report.trials,
-        "n_samples": report.n_samples,
-        "policy": report.policy,
-        "bound": _bound_dict(report.bound),
-        "prediction": None if report.prediction is None else _bound_dict(report.prediction),
-        "empirical_cov": _sym3_dict(report.empirical_cov),
-        "var_all": list(report.var_all),
-        "var_physical": None if report.var_physical is None else list(report.var_physical),
-        "bias": list(report.bias_all),
-        "saturation_ratio": list(report.saturation_ratio),
-        "ratio_stderr": list(report.ratio_stderr),
-        "prediction_ratio": None
-        if report.prediction_ratio is None
-        else list(report.prediction_ratio),
-        "nonphysical_rate": report.nonphysical_rate,
-        "n_physical": report.n_physical,
-        "mean_iterations": report.mean_iterations,
-    }
+    """The JSON mirror: every TrialReport field, with bias_all under "bias"."""
+    out = asdict(report)
+    out["bias"] = out.pop("bias_all")
+    return out
+
+
+# (column, cell) of the bounds table: one row per truth t at n samples, with c
+# the theory curves there
+_BOUNDS_COLUMNS = (
+    ("s", lambda t, n, c: fmt12(t.s)),
+    ("kappa", lambda t, n, c: fmt12(t.kappa)),
+    ("phi_s", lambda t, n, c: fmt12(t.phi_s)),
+    ("n_samples", lambda t, n, c: str(n)),
+) + tuple(
+    (f"{prefix}_{var}", lambda t, n, c, col=col, var=var: fmt12(getattr(c[col], var)))
+    for col, prefix, _ in THEORY_CURVES
+    for var in _BOUND_VARS
+)
+
+
+def bounds_csv_lines(truths, n_samples: int, config_json=None) -> list[str]:
+    """Every theory curve's three variances at each state, scaled to n_samples."""
+    lines = _config_comment(config_json)
+    lines.append(_header(_BOUNDS_COLUMNS))
+    for t in truths:
+        curves = theory_curves(t, n_samples)
+        lines.append(",".join(cell(t, n_samples, curves) for _, cell in _BOUNDS_COLUMNS))
+    return lines
 
 
 def json_ready(obj):
@@ -295,25 +287,26 @@ def dump_json(obj, path=None) -> str:
     return text
 
 
+# (column, TrackResult field, formatter) of the track CSV, one row per scan
+_TRACK_COLUMNS = (
+    ("t_s", "times", fmt12),
+    ("phi_true_rad", "phi_true", fmt12),
+    ("phi_est_rad", "phi_est", fmt12),
+    ("half_width_rad", "half_width", fmt12),
+    ("s_est", "s_est", fmt12),
+    ("kappa_est", "kappa_est", fmt12),
+    ("iterations", "iterations", lambda v: str(int(v))),
+)
+
+
 def track_csv_lines(result: TrackResult, config_json=None) -> list[str]:
     lines = _config_comment(config_json)
     lines.append(f"# tau_est_s: {fmt12(result.tau_est)}")
     lines.append(f"# noise_floor_rad2: {fmt12(result.noise_floor)}")
-    lines.append("t_s,phi_true_rad,phi_est_rad,half_width_rad,s_est,kappa_est,iterations")
+    lines.append(_header(_TRACK_COLUMNS))
+    columns = [(getattr(result, field), fmt) for _, field, fmt in _TRACK_COLUMNS]
     for k in range(len(result.times)):
-        lines.append(
-            ",".join(
-                [
-                    fmt12(result.times[k]),
-                    fmt12(result.phi_true[k]),
-                    fmt12(result.phi_est[k]),
-                    fmt12(result.half_width[k]),
-                    fmt12(result.s_est[k]),
-                    fmt12(result.kappa_est[k]),
-                    str(int(result.iterations[k])),
-                ]
-            )
-        )
+        lines.append(",".join(fmt(values[k]) for values, fmt in columns))
     return lines
 
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds
 from .model import StateParams, SymMatrix3, empirical_family
 from .bounds import (
     BoundVector,
     crb_dhd,
     crb_homodyne,
-    crb_quantum,
     fit_variance_prediction,
 )
 from .estimators import (
@@ -57,6 +57,8 @@ __all__ = [
     "aggregate_estimates",
     "run_trials",
     "sweep_family",
+    "THEORY_CURVES",
+    "theory_curves",
     "track_angle",
     "autocorrelation_time",
 ]
@@ -84,6 +86,8 @@ def wrap_half_pi(delta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrialReport:
+    """One method's trial statistics at one truth; its fields are the JSON mirror."""
+
     truth: StateParams
     method: str
     trials: int
@@ -101,7 +105,6 @@ class TrialReport:
     nonphysical_rate: float
     n_physical: int
     mean_iterations: float
-    estimates: np.ndarray | None = None
 
 
 def worker_count(workers: int, trials: int) -> int:
@@ -233,7 +236,6 @@ def aggregate_estimates(
     method: str,
     n_samples: int,
     policy: str = POLICY_INCLUDE,
-    keep_estimates: bool = False,
 ) -> TrialReport:
     """Fold per-trial estimates into a TrialReport.
 
@@ -286,11 +288,10 @@ def aggregate_estimates(
         nonphysical_rate=1.0 - n_phys / trials,
         n_physical=n_phys,
         mean_iterations=float(np.mean(iterations)),
-        estimates=est if keep_estimates else None,
     )
 
 
-def _method_reports(truth, methods, trials, cfg, mu, policy, keep_estimates=False,
+def _method_reports(truth, methods, trials, cfg, mu, policy,
                     **collect_opts) -> list[TrialReport]:
     """One report per method, all methods estimated on shared draws."""
     parts = collect_estimates(truth, tuple(methods), trials, scan_config=cfg, mu=mu,
@@ -298,8 +299,7 @@ def _method_reports(truth, methods, trials, cfg, mu, policy, keep_estimates=Fals
     return [
         aggregate_estimates(
             est, physical, iters, truth, method,
-            mu if method == METHOD_DHD else cfg.n_psi,
-            policy=policy, keep_estimates=keep_estimates,
+            mu if method == METHOD_DHD else cfg.n_psi, policy=policy,
         )
         for method, (est, physical, iters) in zip(methods, parts)
     ]
@@ -316,12 +316,11 @@ def run_trials(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     workers: int = 1,
-    keep_estimates: bool = False,
 ) -> TrialReport:
     """Fresh scan/batch per trial, estimate, aggregate."""
     return _method_reports(
         truth, (method,), trials, scan_config or ScanConfig(), mu, policy,
-        keep_estimates, seed=seed, tol=tol, max_iter=max_iter, workers=workers,
+        seed=seed, tol=tol, max_iter=max_iter, workers=workers,
     )[0]
 
 
@@ -357,14 +356,21 @@ def sweep_family(
     return reports
 
 
+# The theoretical variance curves, each declared once as (report column,
+# bounds-CSV prefix, function of ``bounds`` taking (truth, n_samples)).  The
+# function is looked up on the module at every call, so that a wrapper
+# installed there (a profiler's, say) sees the calls made through this table.
+THEORY_CURVES = (
+    ("crb_homodyne", "crb", "crb_homodyne"),
+    ("fit_prediction", "fit", "fit_variance_prediction"),
+    ("crb_dhd", "dhd", "crb_dhd"),
+    ("crb_quantum", "qcrb", "crb_quantum"),
+)
+
+
 def theory_curves(truth: StateParams, n_samples: int) -> dict[str, BoundVector]:
-    """All four theoretical variance curves at one parameter point."""
-    return {
-        "crb_homodyne": crb_homodyne(truth, n_samples),
-        "fit_prediction": fit_variance_prediction(truth, n_samples),
-        "crb_dhd": crb_dhd(truth, n_samples),
-        "crb_quantum": crb_quantum(truth, n_samples),
-    }
+    """Every theoretical variance curve at one parameter point, by report column."""
+    return {col: getattr(bounds, fn)(truth, n_samples) for col, _, fn in THEORY_CURVES}
 
 
 @dataclass(frozen=True)

@@ -247,14 +247,11 @@ class TemporalMode:
     on the window so vacuum maps to unit variance.
     """
 
-    shape: str = "double-exponential"
     fwhm_hz: float = 6e6
     sample_rate_hz: float = 1e8
     window_len: int = 55
 
     def __post_init__(self):
-        if self.shape != "double-exponential":
-            raise ValueError(f"unknown mode shape {self.shape!r}")
         if self.fwhm_hz <= 0.0 or self.sample_rate_hz <= 0.0:
             raise ValueError("fwhm_hz and sample_rate_hz must be > 0")
         if self.window_len < 1:

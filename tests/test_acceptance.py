@@ -37,6 +37,7 @@ from squeezelab import (
     ScanConfig,
     StateParams,
     angle_distance,
+    collect_estimates,
     crb_dhd,
     crb_homodyne,
     dhd_estimate,
@@ -141,9 +142,10 @@ def fit_regime_runs():
 
 @pytest.fixture(scope="module")
 def headline_runs():
+    """Per-trial (s, kappa, phi_s) estimates, one (TRIALS, 3) array per method."""
     truth = StateParams(0.2089, 2.188, PHI)
     return {
-        m: run_trials(truth, m, TRIALS, seed=SEED, keep_estimates=True)
+        m: collect_estimates(truth, m, TRIALS, seed=SEED)[0]
         for m in ("fit", "mom")
     }
 
@@ -228,8 +230,8 @@ def test_02_fit_matches_error_propagation(family_sweep, fit_regime_runs):
 def test_03_headline_squeezing_level(headline_runs):
     truth = StateParams(0.2089, 2.188, PHI)
 
-    def levels_db(rep):
-        prod = rep.estimates[:, 0] * rep.estimates[:, 1]
+    def levels_db(est):
+        prod = est[:, 0] * est[:, 1]
         return -10.0 * np.log10(prod[prod > 0])
 
     mom = levels_db(headline_runs["mom"])

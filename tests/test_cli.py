@@ -183,6 +183,93 @@ def test_track_csv_layout():
     assert all(len(row.split(",")) == 7 for row in lines[4:])
 
 
+# ------------------------------------------------------------ report schemas
+
+REPORT_HEADER = (
+    "s,kappa,phi_s,method,parameter,trials,n_samples,policy,"
+    "empirical_var,empirical_var_physical,bias,bound,saturation_ratio,"
+    "ratio_stderr,prediction,prediction_ratio,nonphysical_rate,n_physical,"
+    "mean_iterations,crb_homodyne,fit_prediction,crb_dhd,crb_quantum"
+)
+BOUNDS_HEADER = (
+    "s,kappa,phi_s,n_samples,"
+    "crb_var_s,crb_var_kappa,crb_var_phi,"
+    "fit_var_s,fit_var_kappa,fit_var_phi,"
+    "dhd_var_s,dhd_var_kappa,dhd_var_phi,"
+    "qcrb_var_s,qcrb_var_kappa,qcrb_var_phi"
+)
+TRACK_HEADER = "t_s,phi_true_rad,phi_est_rad,half_width_rad,s_est,kappa_est,iterations"
+
+
+def _key_tree(obj):
+    """The nesting of a JSON value's object keys; every other value is None."""
+    if isinstance(obj, dict):
+        return {k: _key_tree(v) for k, v in obj.items()}
+    return None
+
+
+def _keys(*names):
+    return dict.fromkeys(names)
+
+
+def test_csv_headers_are_pinned(tmp_path, capsys):
+    report = tmp_path / "rep.csv"
+    assert main(["benchmark", "--s", "0.5", "--methods", "fit", "--trials", "4",
+                 "--n-psi", "64", "--out", str(report)]) == 0
+    assert report.read_text().splitlines()[1] == REPORT_HEADER
+    assert sio.REPORT_HEADER == REPORT_HEADER
+
+    capsys.readouterr()
+    assert main(["bounds", "--s", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == BOUNDS_HEADER
+
+    track = tmp_path / "track.csv"
+    assert main(["track", "--s", "0.5", "--n-psi", "64", "--duration", "0.002",
+                 "--out", str(track)]) == 0
+    assert track.read_text().splitlines()[3] == TRACK_HEADER
+
+
+def test_json_documents_have_pinned_keys(tmp_path, capsys):
+    config = _keys(*(f.name for f in dataclasses.fields(RunConfig)))
+    bound = _keys("var_s", "var_kappa", "var_phi", "n_samples")
+    report = {
+        **_keys("method", "trials", "n_samples", "policy", "var_all", "var_physical",
+                "bias", "saturation_ratio", "ratio_stderr", "prediction_ratio",
+                "nonphysical_rate", "n_physical", "mean_iterations"),
+        "truth": _keys("s", "kappa", "phi_s"),
+        "bound": bound,
+        "prediction": bound,
+        "empirical_cov": _keys("ss", "sk", "sp", "kk", "kp", "pp"),
+    }
+    json_path = tmp_path / "rep.json"
+    assert main(["benchmark", "--s", "0.5", "--methods", "fit,mom", "--trials", "4",
+                 "--n-psi", "64", "--out", str(tmp_path / "rep.csv"),
+                 "--json", str(json_path)]) == 0
+    mirror = json.loads(json_path.read_text())
+    assert _key_tree(mirror) == {"config": config, "reports": None}
+    fit_report, mom_report = mirror["reports"]
+    assert _key_tree(fit_report) == report
+    assert _key_tree(mom_report) == {**report, "prediction": None}
+
+    scan = tmp_path / "scan.csv"
+    assert main(["simulate", "--s", "0.5", "--n-psi", "64", "--out", str(scan)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--input", str(scan), "--method", "fit,mom", "--n-psi", "64",
+                 "--prior-s", "0.4", "--prior-kappa", "1.5", "--prior-phi", "0.1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    triple = _keys("s", "kappa", "phi_s")
+    estimate = {
+        **_keys("s", "kappa", "phi_s", "squeezing_db", "squeezing_db_err", "method",
+                "physical", "iterations", "flags"),
+        "prior_used": triple,
+        "predicted_std": triple,
+    }
+    assert _key_tree(payload) == {"config": config, "estimates": None}
+    fit_est, mom_est = payload["estimates"]
+    assert _key_tree(fit_est) == {**estimate, "prior_used": None}
+    assert _key_tree(mom_est) == estimate
+
+
 # ------------------------------------------------------------ cli: parsing
 
 

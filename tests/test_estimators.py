@@ -1,12 +1,14 @@
 """Estimator identities: inversion, fixed points, equivariance, flags."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import exact_moment_batch, grid_points, moment_matched_scan
+from test_mom_kernel import mom_weights
 
 from squeezelab import (
     HomodyneScan,
@@ -21,7 +23,6 @@ from squeezelab import (
     fourier_components,
     mom_estimate,
     mom_step,
-    mom_weights,
     sample_dhd,
     sample_homodyne_scan,
     state_covariance,
@@ -266,6 +267,38 @@ def test_dhd_degenerate_isotropic():
     assert FLAG_DEGENERATE in r.flags
     assert r.params.s == pytest.approx(1.0, abs=1e-9)
     assert r.params.phi_s == 0.0
+
+
+def test_dhd_keeps_the_sign_when_both_eigenvalues_are_negative():
+    # all-zero data give Gamma_theta = -I, which must not read as the vacuum
+    r = dhd_estimate(DhdBatch(q1=np.zeros(40), p2=np.zeros(40)))
+    assert r.params.s < 0.0 and r.params.kappa < 0.0
+    assert FLAG_NONPHYSICAL in r.flags and not r.physical
+    # uncorrelated +-a, +-b data give Gamma_theta = diag(a^2 - 1, b^2 - 1)
+    a, b = 0.5, 0.8
+    r = dhd_estimate(DhdBatch(q1=np.array([a, -a, a, -a]), p2=np.array([b, b, -b, -b])))
+    assert r.params.s == pytest.approx(-math.sqrt(0.75 / 0.36), rel=1e-12)
+    assert r.params.kappa == pytest.approx(-math.sqrt(0.75 * 0.36), rel=1e-12)
+    assert FLAG_NONPHYSICAL in r.flags
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_samples_are_rejected(bad):
+    truth = StateParams(0.5, 2.0, 0.3)
+    scan = sample_homodyne_scan(truth, ScanConfig(n_psi=64), seed=0)
+    q = scan.samples.copy()
+    q[5] = bad
+    broken = dataclasses.replace(scan, samples=q)
+    for estimate in (fit_estimate, lambda sc: mom_step(sc, truth), mom_estimate):
+        with pytest.raises(ValueError, match="finite"):
+            estimate(broken)
+
+    batch = sample_dhd(truth, 64, seed=0)
+    for name in ("q1", "p2"):
+        x = getattr(batch, name).copy()
+        x[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            dhd_estimate(dataclasses.replace(batch, **{name: x}))
 
 
 def test_predicted_cov_positive_when_physical():

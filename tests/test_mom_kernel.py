@@ -1,8 +1,9 @@
 """The trig-free MoM kernel against the per-phase trig form it replaces.
 
 ``_reference_update`` is the moment update as first written: weights from
-``mom_weights`` on the phase grid, y_a = mean(c_a q^2), then the closed-form
-update.  The kernel must reproduce it to rounding.
+``mom_weights`` (defined here, and checked in test_estimators) on the phase
+grid, y_a = mean(c_a q^2), then the closed-form update.  The kernel must
+reproduce it to rounding.
 
 Tolerances, fixed before the tests were written: rtol 1e-12, angles
 1e-12 rad.  One update is compared at the level of its moments y_a, each
@@ -25,11 +26,12 @@ from squeezelab import (
     angle_distance,
     canonical_angle,
     empirical_family,
+    eval_variance,
     fourier_components,
     grid_harmonics,
     mom_estimate,
-    mom_weights,
     sample_homodyne_scan,
+    variance_partials,
 )
 from squeezelab import estimators
 from squeezelab.estimators import (
@@ -41,6 +43,14 @@ from squeezelab.estimators import (
 
 RTOL = 1e-12
 ANGLE_TOL = 1e-12
+
+
+def mom_weights(prior: StateParams, psi):
+    """Optimal moment weights c_a(psi) = (1 / 2 V^2) dV/da at the prior, by trig."""
+    v = eval_variance(prior, psi)
+    g_s, g_k, g_p = variance_partials(prior, psi)
+    w = 1.0 / (2.0 * np.asarray(v) ** 2)
+    return w * g_s, w * g_k, w * g_p
 
 
 def _reference_moments(x2, phases, prior):

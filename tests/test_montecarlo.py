@@ -164,15 +164,6 @@ def test_run_trials_reports_sample_count():
     assert dhd.prediction is None
 
 
-def test_run_trials_keep_estimates():
-    truth = StateParams(0.5, 1.4, 0.2)
-    rep = run_trials(truth, "fit", 5, seed=0, scan_config=ScanConfig(n_psi=64),
-                     keep_estimates=True)
-    assert rep.estimates is not None and rep.estimates.shape == (5, 3)
-    rep2 = run_trials(truth, "fit", 5, seed=0, scan_config=ScanConfig(n_psi=64))
-    assert rep2.estimates is None
-
-
 def test_sweep_family_structure():
     cfg = ScanConfig(n_psi=64)
     reports = sweep_family((0.3, 0.5), ("fit", "mom"), 12, seed=0, scan_config=cfg)

@@ -196,8 +196,6 @@ def test_mode_weights_symmetric_peak():
 
 def test_mode_validation():
     with pytest.raises(ValueError):
-        TemporalMode(shape="gaussian")
-    with pytest.raises(ValueError):
         TemporalMode(fwhm_hz=0.0)
     with pytest.raises(ValueError):
         TemporalMode(window_len=0)
