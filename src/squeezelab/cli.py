@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -463,7 +464,13 @@ def _add_trace_opts(sp) -> None:
                     help="wall time of one scan in seconds")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Parsing leaves a parser as it was, so every ``main`` call shares this
+    one instead of building all five subcommands again.
+    """
     parser = argparse.ArgumentParser(
         prog="squeezelab",
         description="Gaussian quadrature statistics: simulate, estimate, benchmark.",

@@ -103,8 +103,10 @@ class EstimateResult:
 
 
 def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phases, harmonics, samples) as float arrays; at least 3 finite samples required.
+    """(phases, harmonics, samples) as float arrays; at least 3 samples required.
 
+    The samples' sum of squares must be finite, which rejects nan and inf
+    and also any sample whose square would overflow in the estimators.
     The harmonics are the rows (1, cos 2psi, sin 2psi) of the phases: the
     config's cached rows when the scan lies on its config's grid, which is
     how every drawn or trace-derived scan is built, else computed here.
@@ -112,8 +114,11 @@ def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = np.asarray(scan.samples, dtype=float)
     if q.size < 3:
         raise ValueError(f"need at least 3 samples, got {q.size}")
-    if not np.isfinite(q).all():
-        raise ValueError("samples must be finite")
+    with np.errstate(over="ignore"):
+        sum_sq = float(np.dot(q, q))
+    if not math.isfinite(sum_sq):
+        raise ValueError("samples must be finite, with a finite sum of squares "
+                         "(a nan or inf sample, or squares that overflow float64)")
     phases = np.asarray(scan.phases, dtype=float)
     cfg = scan.meta
     if cfg is not None and phases is cfg.grid:
@@ -392,18 +397,21 @@ def dhd_estimate(batch, compute_cov: bool = True) -> EstimateResult:
 
     Sample second moments of (q1, p2) give Gamma; subtracting the vacuum
     unit added by the beamsplitter leaves Gamma_theta, whose eigensystem
-    is (kappa s, kappa / s, phi_s).  Non-finite data raise ValueError.
+    is (kappa s, kappa / s, phi_s).  Non-finite data, and data whose second
+    moments overflow, raise ValueError.
     """
     q1 = np.asarray(batch.q1, dtype=float)
     p2 = np.asarray(batch.p2, dtype=float)
     if q1.size < 3:
         raise ValueError(f"need at least 3 repetitions, got {q1.size}")
-    xx = float(np.mean(q1 * q1))
-    xp = float(np.mean(q1 * p2))
-    pp = float(np.mean(p2 * p2))
-    # a nan or inf anywhere in q1 or p2 makes a second moment non-finite
+    # overflowing products of mixed sign can sum to nan: both are caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        xx = float(np.mean(q1 * q1))
+        xp = float(np.mean(q1 * p2))
+        pp = float(np.mean(p2 * p2))
     if not (math.isfinite(xx) and math.isfinite(xp) and math.isfinite(pp)):
-        raise ValueError("q1 and p2 must be finite, with finite second moments")
+        raise ValueError("q1 and p2 must be finite, with finite second moments "
+                         "(a nan or inf value, or products that overflow float64)")
     gamma = SymMatrix2(xx=xx - 1.0, xp=xp, pp=pp - 1.0)
     lam_min, lam_max, angle = gamma.eigensystem()
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "PHYSICAL_EDGE_TOL",
     "StateParams",
     "SymMatrix2",
     "SymMatrix3",
@@ -28,6 +29,7 @@ __all__ = [
     "canonical_angle",
     "angle_distance",
     "eval_variance",
+    "quadrature_variance",
     "variance_partials",
     "grid_harmonics",
     "state_covariance",
@@ -58,6 +60,11 @@ def angle_distance(a: float, b: float) -> float:
     return abs(d)
 
 
+# rounding slack on the s <= 1 and kappa >= 1 edges of StateParams.is_physical:
+# four ulp of 1, a few roundings of the estimators' last arithmetic steps
+PHYSICAL_EDGE_TOL = 4.0 * math.ulp(1.0)
+
+
 @dataclass(frozen=True)
 class StateParams:
     """Parameter triple (s, kappa, phi_s) of a zero-mean Gaussian state.
@@ -79,7 +86,16 @@ class StateParams:
 
     @property
     def is_physical(self) -> bool:
-        return 0.0 < self.s <= 1.0 and self.kappa >= 1.0 and math.isfinite(self.s) and math.isfinite(self.kappa)
+        """0 < s <= 1 and kappa >= 1, each edge widened by PHYSICAL_EDGE_TOL.
+
+        Estimates of a boundary state land within a few ulp of the edge
+        (MoM on an exact vacuum scan returns kappa = 1 - 1.1e-16), so s up to
+        1 + PHYSICAL_EDGE_TOL and kappa down to 1 - PHYSICAL_EDGE_TOL count
+        as physical.  ``validate`` checks user input and stays strict.
+        """
+        return (0.0 < self.s <= 1.0 + PHYSICAL_EDGE_TOL
+                and self.kappa >= 1.0 - PHYSICAL_EDGE_TOL
+                and math.isfinite(self.s) and math.isfinite(self.kappa))
 
     @property
     def purity(self) -> float:
@@ -105,11 +121,21 @@ def eval_variance(params: StateParams, psi):
     V(psi) = kappa s cos^2(psi - phi_s) + (kappa/s) sin^2(psi - phi_s).
     Accepts a scalar or an array of phases.
     """
-    u = np.asarray(psi, dtype=float) - params.phi_s
+    v = quadrature_variance(params.s, params.kappa, params.phi_s, psi)
+    return float(v) if np.ndim(psi) == 0 else v
+
+
+def quadrature_variance(s, kappa, phi_s, psi) -> np.ndarray:
+    """``eval_variance`` with the parameters given one by one.
+
+    Each of s, kappa, phi_s and psi may be a scalar or an array; they
+    broadcast and the arithmetic is elementwise, so arrays of per-phase
+    parameters give each phase the variance of its own triple.
+    """
+    u = np.asarray(psi, dtype=float) - phi_s
     c = np.cos(u)
     sn = np.sin(u)
-    v = params.kappa * params.s * c * c + (params.kappa / params.s) * sn * sn
-    return float(v) if np.ndim(psi) == 0 else v
+    return kappa * s * c * c + (kappa / s) * sn * sn
 
 
 def variance_partials(params: StateParams, psi):

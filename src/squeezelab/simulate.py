@@ -4,7 +4,9 @@ Reproducibility contract: every draw comes from a numpy Philox
 counter-based generator keyed by (master seed, mixed stream path), so a
 given (inputs, seed) pair produces identical data regardless of worker
 count, call order, or platform.  Stream paths: scans and DHD batches are
-keyed per (seed, trial); trace synthesis per (seed, trial, window).
+keyed per (seed, trial); trace synthesis per (seed, trial, window), with
+one Philox per trace that is re-keyed for each window rather than a new
+generator per window (same key, same draws).
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import StateParams, eval_variance, grid_harmonics, state_covariance
+from .model import (
+    StateParams,
+    eval_variance,
+    grid_harmonics,
+    quadrature_variance,
+    state_covariance,
+)
 
 __all__ = [
     "ConfigMismatchError",
@@ -303,6 +311,12 @@ def synthesize_trace(
     then emit x = f*q + (w - f (f.w)) with white unit-variance w, so the
     mode direction carries exactly q and the orthogonal complement stays
     at vacuum.  Tail samples beyond the windows are plain vacuum noise.
+
+    Window j draws q then w from the stream ``keyed_generator(seed,
+    _STREAM_TRACE, trial, j)``, and the tail from window index n_psi.  The
+    windows share one Philox that is re-keyed per window, and the
+    arithmetic runs on the (n_psi, window_len) block, with one dot f.w per
+    window so the bits equal a loop over per-window generators.
     """
     cfg = config or ScanConfig()
     params_list = list(params_per_window)
@@ -310,7 +324,6 @@ def synthesize_trace(
         raise ConfigMismatchError(
             f"got {len(params_list)} window params for a {cfg.n_psi}-window scan"
         )
-    psi = cfg.phase_grid()
     wl = mode.window_len
     need = wl * cfg.n_psi
     total = need if total_len is None else int(total_len)
@@ -319,16 +332,38 @@ def synthesize_trace(
             f"{cfg.n_psi} windows of {wl} samples need {need} > trace length {total}"
         )
     f = mode_weights(mode)
-    out = np.empty(total)
-    for j, theta in enumerate(params_list):
-        rng = keyed_generator(seed, _STREAM_TRACE, trial, j)
-        qv = rng.standard_normal() * math.sqrt(eval_variance(theta, float(psi[j])))
-        w = rng.standard_normal(wl)
-        out[j * wl : (j + 1) * wl] = f * qv + (w - f * float(f @ w))
+    sigma = np.sqrt(quadrature_variance(
+        np.array([p.s for p in params_list]),
+        np.array([p.kappa for p in params_list]),
+        np.array([p.phi_s for p in params_list]),
+        cfg.grid,
+    ))
+    # re-keying: set window j's key and restore the rest of a fresh
+    # generator's state (zero counter, empty buffer), which replays the
+    # draws of a generator built with that key
+    prefix = _mix_path(_STREAM_TRACE, trial)
+    bitgen = np.random.Philox(key=np.array([int(seed) & _MASK64, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    z = np.empty((cfg.n_psi, wl + 1))
+    fw = np.empty(cfg.n_psi)
+    for j in range(cfg.n_psi):
+        fresh["state"]["key"][1] = _splitmix64(prefix ^ j)
+        bitgen.state = fresh
+        rng.standard_normal(out=z[j])
+        # one dot per window: a single matrix-vector product sums in
+        # another order and changes the last bits
+        fw[j] = f @ z[j, 1:]
+    # f*q + (w - f (f.w)), formed in place over w (addition commutes bit for bit)
+    w = z[:, 1:]
+    w -= f * fw[:, None]
+    w += f * (z[:, :1] * sigma[:, None])
+    out = np.empty(total, dtype=np.float32)
+    out[:need].reshape(cfg.n_psi, wl)[:] = w
     if total > need:
         tail_rng = keyed_generator(seed, _STREAM_TRACE, trial, cfg.n_psi)
         out[need:] = tail_rng.standard_normal(total - need)
-    return out.astype(np.float32)
+    return out
 
 
 def apply_temporal_mode(

@@ -4,10 +4,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import squeezelab
 from squeezelab import (
     DriftModel,
     ScanConfig,
@@ -447,6 +451,74 @@ def test_malformed_scalar_flags_exit_2(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "invalid" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    """Repeated main calls, a malformed one among them, share one parser."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(3):
+        assert main(["bounds", "--s", "0.5"]) == 0
+    with pytest.raises(SystemExit):
+        main(["bounds", "--kappa", "abc"])
+    capsys.readouterr()
+    assert built.count("squeezelab") <= 1
+
+
+def _scan_roundtrip(path, capsys):
+    """(exit code, stdout, stderr) of simulate and of estimate, and the file."""
+    outcomes = []
+    for argv in (["simulate", "--kind", "scan", "--s", "0.4", "--n-psi", "64",
+                  "--seed", "5", "--out", str(path)],
+                 ["estimate", "--input", str(path), "--method", "fit,mom", "--n-psi", "64"]):
+        code = main(argv)
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes, path.read_bytes()
+
+
+def test_malformed_call_leaves_next_call_unchanged(tmp_path, capsys):
+    """A call that exits 2 on a bad flag changes nothing a later call prints
+    or writes: the shared parser keeps no state from one call to the next."""
+    alone = _scan_roundtrip(tmp_path / "alone.csv", capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n-psi", "2.5", "--kind", "dhd", "--out", str(tmp_path / "bad.csv")])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert _scan_roundtrip(tmp_path / "after.csv", capsys) == alone
+    assert [code for code, _, _ in alone[0]] == [0, 0]
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_help_text_matches_a_fresh_process(monkeypatch, tmp_path, capsys):
+    """--help in a process whose parser has served earlier calls prints what
+    a fresh interpreter prints."""
+    monkeypatch.setenv("COLUMNS", "100")
+    assert main(["simulate", "--kind", "scan", "--n-psi", "16",
+                 "--out", str(tmp_path / "scan.csv")]) == 0
+    with pytest.raises(SystemExit):
+        main(["bounds", "--kappa", "abc"])
+    capsys.readouterr()
+
+    env = {k: v for k, v in os.environ.items() if k != ENV_SEED}
+    # the subprocess must import the squeezelab under test, not an installed one
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(squeezelab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    for argv in ([], ["bounds"], ["simulate"], ["estimate"], ["benchmark"], ["track"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        here = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-m", "squeezelab.cli", *argv, "--help"],
+                               env=env, capture_output=True, text=True, timeout=60)
+        assert fresh.returncode == 0, fresh.stderr
+        assert here == fresh.stdout
+        assert here.startswith("usage: squeezelab")
 
 
 # ------------------------------------------------------------ cli: commands

@@ -77,9 +77,8 @@ def test_fit_inversion_exact_on_grid():
         assert abs(r.params.kappa - p.kappa) < 1e-10
         if p.s < 1.0:
             assert angle_distance(r.params.phi_s, p.phi_s) < 1e-10
-        if p.kappa > 1.0:
-            # at kappa = 1 rounding can land a hair below the boundary
-            assert r.physical
+        # at kappa = 1 rounding lands within PHYSICAL_EDGE_TOL of the edge
+        assert r.physical
 
 
 def test_fit_vacuum_degenerate():
@@ -93,6 +92,7 @@ def test_fit_vacuum_degenerate():
         assert r.params.kappa == pytest.approx(1.0, abs=1e-12)
         assert FLAG_DEGENERATE in r.flags
         assert r.params.phi_s == 0.0
+        assert r.physical and FLAG_NONPHYSICAL not in r.flags
 
 
 def test_fit_nonphysical_flagged_not_clamped():
@@ -210,11 +210,16 @@ def test_mom_estimate_auto_seed_matches_explicit_fit_seed():
 
 
 def test_mom_estimate_vacuum_data():
-    r = mom_estimate(moment_matched_scan(StateParams(1.0, 1.0, 0.0)))
-    assert r.params.s == pytest.approx(1.0, abs=1e-9)
-    assert r.params.kappa == pytest.approx(1.0, abs=1e-9)
-    assert FLAG_SINGULAR_PRIOR in r.flags
-    assert math.isfinite(r.params.phi_s)
+    cfg = ScanConfig()
+    for scan in (moment_matched_scan(StateParams(1.0, 1.0, 0.0)),
+                 HomodyneScan(phases=cfg.grid, samples=np.ones(cfg.n_psi), meta=cfg)):
+        r = mom_estimate(scan)
+        assert r.params.s == pytest.approx(1.0, abs=1e-9)
+        assert r.params.kappa == pytest.approx(1.0, abs=1e-9)
+        assert FLAG_SINGULAR_PRIOR in r.flags
+        assert math.isfinite(r.params.phi_s)
+        # kappa comes out a few ulp below 1, inside PHYSICAL_EDGE_TOL
+        assert r.physical and FLAG_NONPHYSICAL not in r.flags
 
 
 def test_mom_estimate_equivariance_with_rotated_prior():
@@ -282,8 +287,10 @@ def test_dhd_keeps_the_sign_when_both_eigenvalues_are_negative():
     assert FLAG_NONPHYSICAL in r.flags
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 def test_non_finite_samples_are_rejected(bad):
+    """nan, inf and a finite sample whose square overflows all raise
+    ValueError, never a RuntimeWarning or an estimate iterated on inf."""
     truth = StateParams(0.5, 2.0, 0.3)
     scan = sample_homodyne_scan(truth, ScanConfig(n_psi=64), seed=0)
     q = scan.samples.copy()

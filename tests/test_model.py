@@ -20,6 +20,7 @@ from squeezelab import (
     state_covariance,
     variance_partials,
 )
+from squeezelab.model import PHYSICAL_EDGE_TOL
 
 RNG = np.random.default_rng(1234)
 
@@ -63,6 +64,19 @@ def test_state_params_validate():
     for s, k in [(0.0, 2.0), (-0.2, 2.0), (1.2, 2.0), (0.5, 0.9)]:
         with pytest.raises(ValueError):
             StateParams(s, k, 0.0).validate()
+
+
+def test_is_physical_admits_rounding_at_the_edges():
+    edge = PHYSICAL_EDGE_TOL
+    assert StateParams(1.0 + edge, 2.0).is_physical
+    assert StateParams(0.5, 1.0 - edge).is_physical
+    assert not StateParams(1.0 + 2.0 * edge, 2.0).is_physical
+    assert not StateParams(0.5, 1.0 - 2.0 * edge).is_physical
+    assert not StateParams(0.0, 2.0).is_physical
+    assert not StateParams(0.5, math.inf).is_physical
+    # input checks stay strict
+    with pytest.raises(ValueError):
+        StateParams(1.0 + edge, 2.0).validate()
 
 
 def test_purity():

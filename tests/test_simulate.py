@@ -1,9 +1,11 @@
 """Statistical and structural checks for the synthetic data layer."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squeezelab import (
     ConfigMismatchError,
@@ -24,6 +26,8 @@ from squeezelab import (
     simulate_phase_drift,
     synthesize_trace,
 )
+from squeezelab.cli import main
+from squeezelab.simulate import _STREAM_TRACE
 
 
 # ---------------------------------------------------------------- scans
@@ -302,6 +306,71 @@ def test_trace_determinism():
     b = synthesize_trace(states, mode, cfg, seed=0, trial=2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, synthesize_trace(states, mode, cfg, seed=0, trial=3))
+
+
+def _trace_reference(params_per_window, mode, cfg, seed, trial, total_len):
+    """The per-window loop synthesize_trace replaced: one fresh keyed
+    generator and one scalar variance per window."""
+    psi = cfg.phase_grid()
+    wl = mode.window_len
+    need = wl * cfg.n_psi
+    f = mode_weights(mode)
+    out = np.empty(total_len)
+    for j, theta in enumerate(params_per_window):
+        rng = keyed_generator(seed, _STREAM_TRACE, trial, j)
+        qv = rng.standard_normal() * math.sqrt(eval_variance(theta, float(psi[j])))
+        w = rng.standard_normal(wl)
+        out[j * wl : (j + 1) * wl] = f * qv + (w - f * float(f @ w))
+    if total_len > need:
+        tail_rng = keyed_generator(seed, _STREAM_TRACE, trial, cfg.n_psi)
+        out[need:] = tail_rng.standard_normal(total_len - need)
+    return out.astype(np.float32)
+
+
+_state = st.builds(
+    StateParams,
+    st.floats(0.05, 1.0),
+    st.floats(1.0, 4.0),
+    st.floats(-4.0, 4.0),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(-(2**63), 2**64 - 1),
+    trial=st.integers(-(2**31), 2**40),
+    n_psi=st.integers(1, 60),
+    window_len=st.integers(1, 80),
+    tail=st.integers(0, 40),
+    rate_hz=st.sampled_from([1e8, 3e8]),
+    drifting=st.booleans(),
+    data=st.data(),
+)
+def test_trace_matches_per_window_generators(seed, trial, n_psi, window_len, tail,
+                                             rate_hz, drifting, data):
+    """Re-keying one Philox per window replays each window's own stream, so
+    the trace is bit-identical to building a generator per window."""
+    cfg = ScanConfig(n_psi=n_psi)
+    mode = TemporalMode(sample_rate_hz=rate_hz, window_len=window_len)
+    if drifting:
+        states = data.draw(st.lists(_state, min_size=n_psi, max_size=n_psi))
+    else:
+        states = [data.draw(_state)] * n_psi
+    total = n_psi * window_len + tail
+    got = synthesize_trace(states, mode, cfg, seed=seed, trial=trial, total_len=total)
+    want = _trace_reference(states, mode, cfg, seed, trial, total)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_simulated_trace_file_is_pinned(tmp_path, capsys):
+    """File bytes of the default trace geometry: any change to the window
+    streams or to the arithmetic on them shows here."""
+    out = tmp_path / "trace.bin"
+    assert main(["simulate", "--kind", "trace", "--s", "0.5", "--phi-s", "0.3",
+                 "--seed", "3", "--trial", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "ae9640256fc235cc8a92658fc8148934581266aca568a1ae0fb1806061502e29"
 
 
 def test_geometry_mismatches_rejected():
