@@ -13,7 +13,13 @@ Shared conventions:
 * the fit, the MoM iterations and the MoM covariance read the phase grid
   only through its harmonics (1, cos 2psi, sin 2psi), taken from the scan's
   ``ScanConfig`` when the scan lies on its grid, so the grid's trig is
-  computed once per config, not once per call.
+  computed once per config, not once per call;
+* the fit and DHD estimate a block of scans or batches at once
+  (``fit_rows``, ``dhd_rows``): the moments are row reductions over the
+  block and each row is finished by the same function that finishes
+  ``fit_estimate`` and ``dhd_estimate``, the one-row case;
+* samples whose mean square (or a DHD second moment) is not finite or
+  exceeds ``MAX_MEAN_SQUARE`` raise ValueError.
 """
 
 from __future__ import annotations
@@ -50,9 +56,12 @@ __all__ = [
     "signed_sqrt",
     "fourier_components",
     "fit_estimate",
+    "fit_rows",
     "mom_step",
     "mom_estimate",
     "dhd_estimate",
+    "dhd_rows",
+    "MAX_MEAN_SQUARE",
 ]
 
 METHOD_FIT = "fit"
@@ -70,6 +79,13 @@ FLAG_SINGULAR_INFORMATION = "singular-information"
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 20
 FALLBACK_PRIOR = StateParams(s=0.5, kappa=2.0, phi_s=0.0)
+
+# Largest mean square of a scan's samples, and largest DHD second moment,
+# that the estimators accept.  The fit and DHD multiply two second moments
+# and MoM squares the model variance, which overflow float64 near 1e154;
+# data that far from shot-noise units are rejected instead of turning into
+# an inf estimate.
+MAX_MEAN_SQUARE = 1e100
 
 
 def signed_sqrt(x: float) -> float:
@@ -102,39 +118,64 @@ class EstimateResult:
         return tuple(math.sqrt(v) if v >= 0 else float("nan") for v in d)
 
 
-def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phases, harmonics, samples) as float arrays; at least 3 samples required.
+def _check_mean_square(value: float, what: str) -> None:
+    """Raise ValueError unless value <= MAX_MEAN_SQUARE; nan fails too."""
+    if not value <= MAX_MEAN_SQUARE:
+        raise ValueError(
+            f"{what} must be finite, with a mean square of at most "
+            f"{MAX_MEAN_SQUARE:g}; got {value!r} (a nan or inf value, or data "
+            "far out of shot-noise units)")
 
-    The samples' sum of squares must be finite, which rejects nan and inf
-    and also any sample whose square would overflow in the estimators.
-    The harmonics are the rows (1, cos 2psi, sin 2psi) of the phases: the
-    config's cached rows when the scan lies on its config's grid, which is
-    how every drawn or trace-derived scan is built, else computed here.
-    """
+
+def _harmonics(phases, cfg) -> np.ndarray:
+    """Rows (1, cos 2psi, sin 2psi) of the phases, shape (3, ...): the
+    config's cached rows when the phases are its grid, which is how every
+    drawn or trace-derived scan is built, else computed here."""
+    if cfg is not None and phases is cfg.grid:
+        return cfg.harmonics
+    return grid_harmonics(phases)
+
+
+def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phases, harmonics, samples) as float arrays; at least 3 samples required."""
     q = np.asarray(scan.samples, dtype=float)
     if q.size < 3:
         raise ValueError(f"need at least 3 samples, got {q.size}")
+    phases = np.asarray(scan.phases, dtype=float)
+    return phases, _harmonics(phases, scan.meta), q
+
+
+def _checked_squares(q: np.ndarray) -> np.ndarray:
+    """q * q, once the mean square of q has passed ``_check_mean_square``
+    (taken from one dot, before any square can overflow)."""
     with np.errstate(over="ignore"):
         sum_sq = float(np.dot(q, q))
-    if not math.isfinite(sum_sq):
-        raise ValueError("samples must be finite, with a finite sum of squares "
-                         "(a nan or inf sample, or squares that overflow float64)")
-    phases = np.asarray(scan.phases, dtype=float)
-    cfg = scan.meta
-    if cfg is not None and phases is cfg.grid:
-        return phases, cfg.harmonics, q
-    return phases, grid_harmonics(phases), q
+    _check_mean_square(sum_sq / q.size, "samples")
+    return q * q
+
+
+def _fourier_moments(harmonics: np.ndarray, q: np.ndarray) -> list:
+    """(mean q^2, mean q^2 cos 2psi, mean q^2 sin 2psi) of each row of q.
+
+    q has shape (B, N); harmonics is (3, N), shared by the rows, or
+    (3, B, N).  The means are pairwise row sums (as np.mean), not a BLAS
+    product, so the first is exactly mean(q^2); it is each row's mean
+    square, checked here.
+    """
+    # an overflowing square makes the row's mean square inf or nan: both are caught
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = harmonics.reshape(3, -1, q.shape[-1])
+        rows = (h * (q * q)).mean(axis=2).T.tolist()
+    for m0, _, _ in rows:
+        _check_mean_square(m0, "samples")
+    return rows
 
 
 def fourier_components(scan) -> FourierComponents:
-    """c0 = mean(q^2), c2 = mean(q^2 exp(-2i psi)), from the grid harmonics.
-
-    Row means are pairwise sums (as np.mean), not a BLAS product, so c0 is
-    exactly mean(q^2).
-    """
+    """c0 = mean(q^2), c2 = mean(q^2 exp(-2i psi)), from the grid harmonics."""
     _, harmonics, q = _scan_samples(scan)
-    m0, mc, ms = (harmonics * (q * q)).mean(axis=1)
-    return FourierComponents(c0=float(m0), c2=complex(mc, -ms))
+    m0, mc, ms = _fourier_moments(harmonics, q[None])[0]
+    return FourierComponents(c0=m0, c2=complex(mc, -ms))
 
 
 # |C2| / C0 at or below which the fit finds no second harmonic.  A vacuum
@@ -156,18 +197,39 @@ def fit_estimate(scan) -> EstimateResult:
     moments.  A second harmonic of at most 1e-12 C0 flags ``degenerate``
     and sets the angle to 0.
     """
-    comp = fourier_components(scan)
-    amp = abs(comp.c2)
-    m = comp.c0 - 2.0 * amp
-    big = comp.c0 + 2.0 * amp
+    q = np.asarray(scan.samples, dtype=float)
+    phases = np.asarray(scan.phases, dtype=float)
+    return fit_rows(phases, q[None], scan.meta, compute_cov=True)[0]
+
+
+def fit_rows(phases, samples, config=None, compute_cov: bool = False) -> list[EstimateResult]:
+    """``fit_estimate`` of each row of the float array ``samples`` (B, N).
+
+    ``phases`` is the rows' shared grid (``config.grid`` takes the
+    config's cached harmonics) or has one row per scan.  The covariance
+    is formed only when ``compute_cov`` is set.
+    """
+    n = samples.shape[-1]
+    if n < 3:
+        raise ValueError(f"need at least 3 samples, got {n}")
+    moments = _fourier_moments(_harmonics(phases, config), samples)
+    return [_fit_result(m0, mc, ms, n, compute_cov) for m0, mc, ms in moments]
+
+
+def _fit_result(c0: float, mc: float, ms: float, n: int, compute_cov: bool) -> EstimateResult:
+    """Inversion, flags and covariance of one fit from its Fourier moments."""
+    c2 = complex(mc, -ms)
+    amp = abs(c2)
+    m = c0 - 2.0 * amp
+    big = c0 + 2.0 * amp
 
     flags = set()
-    if amp <= _DEGENERATE_REL_C2 * comp.c0:
+    if amp <= _DEGENERATE_REL_C2 * c0:
         # no second harmonic: the angle is undefined, s comes out 1
         flags.add(FLAG_DEGENERATE)
         phi = 0.0
     else:
-        phi = canonical_angle(-0.5 * math.atan2(-comp.c2.imag, -comp.c2.real))
+        phi = canonical_angle(-0.5 * math.atan2(-c2.imag, -c2.real))
 
     s_hat = signed_sqrt(m / big) if big != 0.0 else float("nan")
     k_hat = signed_sqrt(m * big)
@@ -178,8 +240,8 @@ def fit_estimate(scan) -> EstimateResult:
         flags.add(FLAG_NONPHYSICAL)
 
     cov = None
-    if physical:
-        pred = fit_variance_prediction(est, len(scan.samples))
+    if physical and compute_cov:
+        pred = fit_variance_prediction(est, n)
         cov = SymMatrix3(ss=pred.var_s, sk=0.0, sp=0.0,
                          kk=pred.var_kappa, kp=0.0, pp=pred.var_phi)
     return EstimateResult(
@@ -297,7 +359,7 @@ def mom_step(scan, prior: StateParams) -> EstimateResult:
     """
     phases, harmonics, q = _scan_samples(scan)
     s_hat, k_hat, p_hat, flags = _mom_update(
-        q * q, harmonics, prior.s, prior.kappa, prior.phi_s
+        _checked_squares(q), harmonics, prior.s, prior.kappa, prior.phi_s
     )
     return _mom_result(s_hat, k_hat, p_hat, flags, phases, harmonics, True, 1, prior)
 
@@ -347,7 +409,7 @@ def mom_estimate(
     each iteration costs three reductions over the grid and no trig.
     """
     phases, harmonics, q = _scan_samples(scan)
-    x2 = q * q
+    x2 = _checked_squares(q)
 
     run_flags = set()
     if prior is None:
@@ -397,21 +459,35 @@ def dhd_estimate(batch, compute_cov: bool = True) -> EstimateResult:
 
     Sample second moments of (q1, p2) give Gamma; subtracting the vacuum
     unit added by the beamsplitter leaves Gamma_theta, whose eigensystem
-    is (kappa s, kappa / s, phi_s).  Non-finite data, and data whose second
-    moments overflow, raise ValueError.
+    is (kappa s, kappa / s, phi_s).  Non-finite data, and data with a
+    second moment above MAX_MEAN_SQUARE, raise ValueError.
     """
     q1 = np.asarray(batch.q1, dtype=float)
     p2 = np.asarray(batch.p2, dtype=float)
-    if q1.size < 3:
-        raise ValueError(f"need at least 3 repetitions, got {q1.size}")
-    # overflowing products of mixed sign can sum to nan: both are caught below
+    return dhd_rows(q1[None], p2[None], compute_cov)[0]
+
+
+def dhd_rows(q1, p2, compute_cov: bool = False) -> list[EstimateResult]:
+    """``dhd_estimate`` of each row of the float arrays ``q1`` and ``p2`` (B, mu)."""
+    mu = q1.shape[-1]
+    if mu < 3:
+        raise ValueError(f"need at least 3 repetitions, got {mu}")
+    # overflowing products of mixed sign can sum to nan: both are caught
+    # by the check in _dhd_result
     with np.errstate(over="ignore", invalid="ignore"):
-        xx = float(np.mean(q1 * q1))
-        xp = float(np.mean(q1 * p2))
-        pp = float(np.mean(p2 * p2))
-    if not (math.isfinite(xx) and math.isfinite(xp) and math.isfinite(pp)):
-        raise ValueError("q1 and p2 must be finite, with finite second moments "
-                         "(a nan or inf value, or products that overflow float64)")
+        xx = (q1 * q1).mean(axis=1).tolist()
+        xp = (q1 * p2).mean(axis=1).tolist()
+        pp = (p2 * p2).mean(axis=1).tolist()
+    return [_dhd_result(*m, mu, compute_cov) for m in zip(xx, xp, pp)]
+
+
+def _dhd_result(xx: float, xp: float, pp: float, mu: int, compute_cov: bool) -> EstimateResult:
+    """Eigensystem, flags and covariance of one DHD estimate from its moments.
+
+    Finite xx and pp within the limit bound every q1 and p2 and hence xp.
+    """
+    _check_mean_square(xx, "q1")
+    _check_mean_square(pp, "p2")
     gamma = SymMatrix2(xx=xx - 1.0, xp=xp, pp=pp - 1.0)
     lam_min, lam_max, angle = gamma.eigensystem()
 
@@ -436,7 +512,7 @@ def dhd_estimate(batch, compute_cov: bool = True) -> EstimateResult:
     if physical and compute_cov:
         try:
             cov = SymMatrix3.from_array(
-                fisher_dhd(est).as_array() * q1.size
+                fisher_dhd(est).as_array() * mu
             ).inverse()
         except SingularMatrixError:
             flags.add(FLAG_SINGULAR_INFORMATION)

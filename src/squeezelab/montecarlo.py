@@ -4,7 +4,16 @@ Trials are embarrassingly parallel and the per-trial RNG streams are
 keyed by (seed, trial index), so a report is a pure function of
 (config, seed): running on one worker or many, or permuting trial order,
 changes nothing.  Aggregation happens after a deterministic in-order
-merge of the per-worker chunks.
+merge of the per-worker chunks; a sweep hands the chunks of all its
+truths to one process pool.
+
+Within a chunk the trials are drawn and estimated in blocks of
+BLOCK_TRIALS: the sampler does the per-truth work once and draws each
+trial's row from that trial's own stream, the fit and DHD reduce the whole
+block at once, and MoM iterates scan by scan from the block's fits.  Every
+row is computed as in a separate single-trial call, so the estimates do
+not depend on the block size or on where a chunk starts, and the constant
+block size caps the memory a block takes.
 
 Angle statistics are circular modulo pi: means via the doubled-angle
 resultant, residuals wrapped to (-pi/2, pi/2].
@@ -34,15 +43,17 @@ from .estimators import (
     METHOD_FIT,
     METHOD_MOM,
     METHODS,
-    dhd_estimate,
-    fit_estimate,
+    dhd_rows,
+    fit_rows,
     mom_estimate,
 )
 from .simulate import (
     DriftModel,
+    HomodyneScan,
     ScanConfig,
-    sample_dhd,
+    sample_dhd_blocks,
     sample_homodyne_scan,
+    sample_scan_blocks,
     simulate_phase_drift,
 )
 
@@ -66,6 +77,11 @@ __all__ = [
 POLICY_INCLUDE = "include"
 POLICY_EXCLUDE = "exclude"
 POLICIES = (POLICY_INCLUDE, POLICY_EXCLUDE)
+
+# trials drawn and estimated together: enough to spread the per-call costs,
+# few enough that a block of 900-sample scans or DHD batches, with its
+# temporaries, stays within a few hundred kB
+BLOCK_TRIALS = 16
 
 INF = float("inf")
 
@@ -114,43 +130,82 @@ def worker_count(workers: int, trials: int) -> int:
     return min(workers, trials, os.cpu_count() or 1)
 
 
-def _estimate_trial(methods, truth: StateParams, scan_cfg: ScanConfig,
-                    mu: int, seed: int, trial: int, tol: float, max_iter: int):
-    """One trial's estimate for each of ``methods``, in order.
+def _block_estimates(methods, truth: StateParams, scan_cfg: ScanConfig, mu: int,
+                     seed: int, blocks: list, tol: float, max_iter: int):
+    """Yield (method, trials, estimates) for each block of trials and method.
 
-    Methods of one data kind share the trial's draw, and MoM is seeded
+    Methods of one data kind share each trial's draw, and MoM is seeded
     from the fit of that scan (the same fit when fit is among the methods).
     """
-    out = {}
     if METHOD_DHD in methods:
-        batch = sample_dhd(truth, mu, seed=seed, trial=trial)
-        out[METHOD_DHD] = dhd_estimate(batch, compute_cov=False)
-    if METHOD_FIT in methods or METHOD_MOM in methods:
-        scan = sample_homodyne_scan(truth, scan_cfg, seed=seed, trial=trial)
-        fit = None
+        for trials, qp in zip(blocks, sample_dhd_blocks(truth, mu, seed, blocks)):
+            yield METHOD_DHD, trials, dhd_rows(qp[..., 0], qp[..., 1])
+    if METHOD_FIT not in methods and METHOD_MOM not in methods:
+        return
+    for trials, (phases, q) in zip(blocks, sample_scan_blocks(truth, scan_cfg, seed, blocks)):
+        fits = fit_rows(phases, q, scan_cfg)
         if METHOD_FIT in methods:
-            fit = out[METHOD_FIT] = fit_estimate(scan)
+            yield METHOD_FIT, trials, fits
         if METHOD_MOM in methods:
-            out[METHOD_MOM] = mom_estimate(scan, tol=tol, max_iter=max_iter,
-                                           compute_cov=False, fit=fit)
-    return [out[m] for m in methods]
+            scans = (HomodyneScan(phases if phases.ndim == 1 else phases[i], q[i], meta=scan_cfg)
+                     for i in range(len(q)))
+            yield METHOD_MOM, trials, [
+                mom_estimate(scan, tol=tol, max_iter=max_iter, compute_cov=False, fit=fit)
+                for scan, fit in zip(scans, fits)
+            ]
 
 
 def _collect_range(args):
-    """Worker entry point: per-method arrays for trials [t0, t1). Picklable args."""
+    """Worker entry point: per-method arrays for trials [t0, t1), walked in
+    blocks of BLOCK_TRIALS. Picklable args."""
     (truth, methods, scan_cfg, mu, seed, t0, t1, tol, max_iter) = args
     count = t1 - t0
-    parts = [
-        (np.empty((count, 3)), np.empty(count, dtype=bool), np.empty(count, dtype=np.int64))
-        for _ in methods
+    parts = {
+        m: (np.empty((count, 3)), np.empty(count, dtype=bool), np.empty(count, dtype=np.int64))
+        for m in methods
+    }
+    blocks = [range(b, min(b + BLOCK_TRIALS, t1)) for b in range(t0, t1, BLOCK_TRIALS)]
+    for method, trials, results in _block_estimates(methods, truth, scan_cfg, mu, seed,
+                                                    blocks, tol, max_iter):
+        est, physical, iters = parts[method]
+        rows = slice(trials.start - t0, trials.stop - t0)
+        est[rows] = [r.params.as_tuple() for r in results]
+        physical[rows] = [r.physical for r in results]
+        iters[rows] = [r.iterations for r in results]
+    return [parts[m] for m in methods]
+
+
+def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanConfig,
+                    mu: int, tol: float, max_iter: int, workers: int) -> list:
+    """``collect_estimates`` parts for each truth, in order.
+
+    With more than one worker every truth's trials are split into chunks
+    and the chunks of all truths go to one process pool.
+    """
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    workers = worker_count(workers, trials)
+    edges = np.linspace(0, trials, workers + 1).astype(int).tolist()
+    jobs = [
+        (truth, methods, cfg, mu, seed, edges[i], edges[i + 1], tol, max_iter)
+        for truth in truths
+        for i in range(workers)
     ]
-    for i, trial in enumerate(range(t0, t1)):
-        results = _estimate_trial(methods, truth, scan_cfg, mu, seed, trial, tol, max_iter)
-        for (est, physical, iters), r in zip(parts, results):
-            est[i] = (r.params.s, r.params.kappa, r.params.phi_s)
-            physical[i] = r.physical
-            iters[i] = r.iterations
-    return parts
+    if workers == 1:
+        return [_collect_range(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = list(pool.map(_collect_range, jobs))
+    return [
+        [
+            tuple(np.concatenate([chunk[j][k] for chunk in chunks[t:t + workers]])
+                  for k in range(3))
+            for j in range(len(methods))
+        ]
+        for t in range(0, len(chunks), workers)
+    ]
 
 
 def collect_estimates(
@@ -171,29 +226,8 @@ def collect_estimates(
     from that fit); a tuple gives a list of such triples, one per name.
     """
     methods = (method,) if isinstance(method, str) else tuple(method)
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    workers = worker_count(workers, trials)
-    cfg = scan_config or ScanConfig()
-    base = (truth, methods, cfg, mu, seed)
-    opts = (tol, max_iter)
-    if workers == 1:
-        parts = _collect_range(base + (0, trials) + opts)
-    else:
-        bounds_list = np.linspace(0, trials, workers + 1).astype(int)
-        jobs = [
-            base + (int(bounds_list[i]), int(bounds_list[i + 1])) + opts
-            for i in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_collect_range, jobs))
-        parts = [
-            tuple(np.concatenate([chunk[j][k] for chunk in chunks]) for k in range(3))
-            for j in range(len(methods))
-        ]
+    parts = _collect_truths([truth], methods, trials, seed, scan_config or ScanConfig(),
+                            mu, tol, max_iter, workers)[0]
     return parts[0] if isinstance(method, str) else parts
 
 
@@ -291,16 +325,18 @@ def aggregate_estimates(
     )
 
 
-def _method_reports(truth, methods, trials, cfg, mu, policy,
-                    **collect_opts) -> list[TrialReport]:
-    """One report per method, all methods estimated on shared draws."""
-    parts = collect_estimates(truth, tuple(methods), trials, scan_config=cfg, mu=mu,
-                              **collect_opts)
+def _method_reports(truths, methods, trials, seed, cfg, mu, policy, tol, max_iter,
+                    workers) -> list[TrialReport]:
+    """One report per (truth, method), all methods estimated on shared draws."""
+    methods = tuple(methods)
+    all_parts = _collect_truths(truths, methods, trials, seed, cfg, mu, tol, max_iter,
+                                workers)
     return [
         aggregate_estimates(
             est, physical, iters, truth, method,
             mu if method == METHOD_DHD else cfg.n_psi, policy=policy,
         )
+        for truth, parts in zip(truths, all_parts)
         for method, (est, physical, iters) in zip(methods, parts)
     ]
 
@@ -318,10 +354,8 @@ def run_trials(
     workers: int = 1,
 ) -> TrialReport:
     """Fresh scan/batch per trial, estimate, aggregate."""
-    return _method_reports(
-        truth, (method,), trials, scan_config or ScanConfig(), mu, policy,
-        seed=seed, tol=tol, max_iter=max_iter, workers=workers,
-    )[0]
+    return _method_reports([truth], (method,), trials, seed, scan_config or ScanConfig(),
+                           mu, policy, tol, max_iter, workers)[0]
 
 
 def sweep_family(
@@ -343,17 +377,15 @@ def sweep_family(
     Methods sharing a data kind at the same (seed, s) see identical data:
     each trial's scan is drawn once and estimated by both fit and MoM, as
     in the source experiment, and MoM is seeded from that fit.  The
-    reports equal those of separate run_trials calls.
+    reports equal those of separate run_trials calls; with several
+    workers, one process pool serves every s value.
     """
-    cfg = scan_config or ScanConfig()
-    reports = []
-    for s in s_values:
-        truth = empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)
-        reports.extend(
-            _method_reports(truth, methods, trials, cfg, mu, policy, seed=seed,
-                            tol=tol, max_iter=max_iter, workers=workers)
-        )
-    return reports
+    truths = [
+        empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)
+        for s in s_values
+    ]
+    return _method_reports(truths, methods, trials, seed, scan_config or ScanConfig(), mu,
+                           policy, tol, max_iter, workers)
 
 
 # The theoretical variance curves, each declared once as (report column,

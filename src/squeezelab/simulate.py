@@ -4,9 +4,15 @@ Reproducibility contract: every draw comes from a numpy Philox
 counter-based generator keyed by (master seed, mixed stream path), so a
 given (inputs, seed) pair produces identical data regardless of worker
 count, call order, or platform.  Stream paths: scans and DHD batches are
-keyed per (seed, trial); trace synthesis per (seed, trial, window), with
-one Philox per trace that is re-keyed for each window rather than a new
-generator per window (same key, same draws).
+keyed per (seed, trial); trace synthesis per (seed, trial, window).
+
+A Monte-Carlo sweep draws its trials in blocks (``sample_scan_blocks``,
+``sample_dhd_blocks``): the per-state work (the scan's standard deviations,
+the DHD Cholesky factor) is done once per call, and one Philox is re-keyed
+for each trial of a block, as for each window of a trace, rather than a new
+generator built per trial.  Same key, same draws: a block row equals the
+single draw of ``sample_homodyne_scan`` or ``sample_dhd``, which are the
+one-row case of the block samplers.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ __all__ = [
     "keyed_generator",
     "sample_homodyne_scan",
     "sample_dhd",
+    "sample_scan_blocks",
+    "sample_dhd_blocks",
     "simulate_phase_drift",
     "mode_weights",
     "default_temporal_mode",
@@ -81,6 +89,29 @@ def keyed_generator(seed: int, *path: int) -> np.random.Generator:
     """Philox generator for the stream identified by (seed, path)."""
     key = np.array([int(seed) & _MASK64, _mix_path(*path)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekeyed_generators(seed: int, prefix: tuple, indices: range):
+    """Yield one generator per index j, at the start of the stream
+    (seed, *prefix, j); each is valid until the next is requested.
+
+    The first is built with its key.  For the others one Philox is re-keyed
+    through ``bitgen.state``: key [seed, mix(*prefix, j)] with the zero
+    counter and empty buffer of a fresh generator, which replays the draws
+    of a generator built with that key at a fraction of the cost.
+    """
+    rng = keyed_generator(seed, *prefix, indices[0])
+    if len(indices) == 1:
+        yield rng
+        return
+    bitgen = rng.bit_generator
+    fresh = bitgen.state
+    mixed = _mix_path(*prefix)
+    yield rng
+    for j in indices[1:]:
+        fresh["state"]["key"][1] = _splitmix64(mixed ^ (j & _MASK64))
+        bitgen.state = fresh
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -165,15 +196,38 @@ def sample_homodyne_scan(
 ) -> HomodyneScan:
     """Draw one phase scan: q_j ~ N(0, V(psi_j)) independently per phase."""
     cfg = config or ScanConfig()
-    rng = keyed_generator(seed, _STREAM_SCAN, trial)
-    if cfg.spacing == "random":
-        # phases drawn first so the sample stream layout is documented
-        psi = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
-    else:
-        psi = cfg.grid
-    sigma = np.sqrt(eval_variance(params, psi))
-    q = rng.standard_normal(cfg.n_psi) * sigma
-    return HomodyneScan(phases=psi, samples=q, meta=cfg)
+    # unpacking runs the generator to its end: no suspended frame to close
+    [(phases, q)] = sample_scan_blocks(params, cfg, seed, [range(trial, trial + 1)])
+    return HomodyneScan(phases=phases if phases is cfg.grid else phases[0],
+                        samples=q[0], meta=cfg)
+
+
+def sample_scan_blocks(params: StateParams, config: ScanConfig | None, seed: int, blocks):
+    """Yield (phases, samples) for each range of trials in ``blocks``.
+
+    ``samples`` has one row per trial, drawn from that trial's stream
+    exactly as a separate ``sample_homodyne_scan`` call would draw it.
+    ``phases`` is the config's shared grid for equispaced scans, whose
+    standard deviations are computed once per call; with random spacing it
+    has one row per trial, drawn first from the trial's stream.
+    """
+    cfg = config or ScanConfig()
+    random = cfg.spacing == "random"
+    sigma = None if random else np.sqrt(eval_variance(params, cfg.grid))
+    for trials in blocks:
+        q = np.empty((len(trials), cfg.n_psi))
+        phases = np.empty_like(q) if random else cfg.grid
+        for i, rng in enumerate(_rekeyed_generators(seed, (_STREAM_SCAN,), trials)):
+            if random:
+                # the phases come first in the trial's stream, then the samples
+                phases[i] = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
+                rng.standard_normal(out=q[i])
+                q[i] *= np.sqrt(eval_variance(params, phases[i]))
+            else:
+                rng.standard_normal(out=q[i])
+        if not random:
+            q *= sigma
+        yield phases, q
 
 
 def sample_dhd(
@@ -183,13 +237,25 @@ def sample_dhd(
     trial: int = 0,
 ) -> DhdBatch:
     """Draw mu (q1, p2) pairs with covariance Gamma_theta + I."""
+    [block] = sample_dhd_blocks(params, mu, seed, [range(trial, trial + 1)])
+    return DhdBatch(q1=block[0, :, 0], p2=block[0, :, 1])
+
+
+def sample_dhd_blocks(params: StateParams, mu: int, seed: int, blocks):
+    """Yield a (len(trials), mu, 2) array of (q1, p2) pairs for each range
+    of trials in ``blocks``; row i is trial i's ``sample_dhd`` batch.
+
+    The Cholesky factor of Gamma_theta + I is computed once per call.
+    """
     if mu < 1:
         raise ValueError(f"mu must be >= 1, got {mu}")
     gamma = state_covariance(params).add_identity().as_array()
-    chol = np.linalg.cholesky(gamma)
-    z = keyed_generator(seed, _STREAM_DHD, trial).standard_normal((mu, 2))
-    qp = z @ chol.T
-    return DhdBatch(q1=qp[:, 0], p2=qp[:, 1])
+    chol_t = np.linalg.cholesky(gamma).T
+    for trials in blocks:
+        z = np.empty((len(trials), mu, 2))
+        for i, rng in enumerate(_rekeyed_generators(seed, (_STREAM_DHD,), trials)):
+            rng.standard_normal(out=z[i])
+        yield z @ chol_t
 
 
 @dataclass(frozen=True)
@@ -338,18 +404,10 @@ def synthesize_trace(
         np.array([p.phi_s for p in params_list]),
         cfg.grid,
     ))
-    # re-keying: set window j's key and restore the rest of a fresh
-    # generator's state (zero counter, empty buffer), which replays the
-    # draws of a generator built with that key
-    prefix = _mix_path(_STREAM_TRACE, trial)
-    bitgen = np.random.Philox(key=np.array([int(seed) & _MASK64, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
     z = np.empty((cfg.n_psi, wl + 1))
     fw = np.empty(cfg.n_psi)
-    for j in range(cfg.n_psi):
-        fresh["state"]["key"][1] = _splitmix64(prefix ^ j)
-        bitgen.state = fresh
+    windows = _rekeyed_generators(seed, (_STREAM_TRACE, trial), range(cfg.n_psi))
+    for j, rng in enumerate(windows):
         rng.standard_normal(out=z[j])
         # one dot per window: a single matrix-vector product sums in
         # another order and changes the last bits

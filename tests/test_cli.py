@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -272,6 +273,24 @@ def test_json_documents_have_pinned_keys(tmp_path, capsys):
     fit_est, mom_est = payload["estimates"]
     assert _key_tree(fit_est) == {**estimate, "prior_used": None}
     assert _key_tree(mom_est) == estimate
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_benchmark_report_bytes_are_pinned(tmp_path, workers):
+    """SHA-256 of the report CSV and JSON mirror of a fit, MoM and DHD sweep,
+    recorded before the sweeps were drawn and estimated in blocks: any
+    change to a per-trial draw or estimate, or to the merge of the worker
+    chunks, shows here."""
+    csv_path, json_path = tmp_path / "rep.csv", tmp_path / "rep.json"
+    assert main(["benchmark", "--s", "0.21,0.5,0.9", "--methods", "fit,mom,dhd",
+                 "--trials", "200", "--n-psi", "300", "--seed", "11",
+                 "--workers", str(workers), "--out", str(csv_path),
+                 "--json", str(json_path)]) == 0
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)]
+    assert digests == [
+        "7ab55efd39e1464b614c5100d3da37a72b119b60f32f8915d098563b5bc3b903",
+        "e3d17f083eb8361408b30842f713c5186e5e58a0fc7c82ca189b642901b4ca61",
+    ]
 
 
 # ------------------------------------------------------------ cli: parsing

@@ -28,11 +28,15 @@ from squeezelab import (
     state_covariance,
     variance_partials,
 )
+from squeezelab import estimators
 from squeezelab.estimators import (
     FLAG_DEGENERATE,
     FLAG_NONPHYSICAL,
     FLAG_NO_CONVERGENCE,
     FLAG_SINGULAR_PRIOR,
+    MAX_MEAN_SQUARE,
+    dhd_rows,
+    fit_rows,
 )
 
 RNG = np.random.default_rng(42)
@@ -306,6 +310,92 @@ def test_non_finite_samples_are_rejected(bad):
         x[5] = bad
         with pytest.raises(ValueError, match="finite"):
             dhd_estimate(dataclasses.replace(batch, **{name: x}))
+
+
+@pytest.mark.parametrize("scale", [1e77, 1e80, 1e150])
+def test_out_of_range_samples_are_rejected(scale):
+    """Finite samples whose mean square exceeds MAX_MEAN_SQUARE raise
+    ValueError naming the limit: scaled by 1e77 the fit returned kappa = inf
+    and MoM overflowed, and DHD returned kappa = inf."""
+    truth = StateParams(0.5, 1.5, 0.0)
+    scan = sample_homodyne_scan(truth, ScanConfig(), seed=0)
+    big = dataclasses.replace(scan, samples=scan.samples * scale)
+    limit = "mean square of at most 1e\\+100"
+    for estimate in (fit_estimate, fourier_components, lambda sc: mom_step(sc, truth),
+                     mom_estimate, lambda sc: mom_estimate(sc, prior=truth)):
+        with pytest.raises(ValueError, match=limit):
+            estimate(big)
+
+    batch = sample_dhd(truth, 900, seed=0)
+    for name in ("q1", "p2"):
+        scaled = dataclasses.replace(batch, **{name: getattr(batch, name) * scale})
+        with pytest.raises(ValueError, match=f"{name} must be finite.*{limit}"):
+            dhd_estimate(scaled)
+
+
+def test_in_range_samples_stay_finite():
+    """Just inside the limit every estimator returns a finite estimate
+    (warnings are errors here, so nothing overflowed on the way)."""
+    truth = StateParams(0.5, 1.5, 0.0)
+    scan = sample_homodyne_scan(truth, ScanConfig(), seed=0)
+    scale = math.sqrt(0.5 * MAX_MEAN_SQUARE / float(np.mean(scan.samples**2)))
+    big = dataclasses.replace(scan, samples=scan.samples * scale)
+    batch = sample_dhd(truth, 900, seed=0)
+    big_batch = DhdBatch(q1=batch.q1 * scale, p2=batch.p2 * scale)
+    for r in (fit_estimate(big), mom_estimate(big), mom_step(big, truth),
+              dhd_estimate(big_batch)):
+        assert math.isfinite(r.params.s) and math.isfinite(r.params.kappa)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1e60])
+def test_block_estimators_check_every_row(bad):
+    """fit_rows and dhd_rows raise when one sample of one row of a block is
+    nan or puts that row's mean square beyond the limit."""
+    truth = StateParams(0.5, 2.0, 0.3)
+    cfg = ScanConfig(n_psi=64)
+    q = np.stack([sample_homodyne_scan(truth, cfg, seed=0, trial=t).samples for t in range(5)])
+    assert len(fit_rows(cfg.grid, q, cfg)) == 5
+    q[3, 7] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        fit_rows(cfg.grid, q, cfg)
+
+    batches = [sample_dhd(truth, 64, seed=0, trial=t) for t in range(5)]
+    q1 = np.stack([b.q1 for b in batches])
+    p2 = np.stack([b.p2 for b in batches])
+    assert len(dhd_rows(q1, p2)) == 5
+    p2[2, 7] = bad
+    with pytest.raises(ValueError, match="p2 must be finite"):
+        dhd_rows(q1, p2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.integers(1, 20),
+    n=st.integers(3, 300),
+    seed=st.integers(0, 2**32 - 1),
+    spacing=st.sampled_from(["equispaced", "random"]),
+)
+def test_block_moments_equal_per_scan_means(rows, n, seed, spacing):
+    """fit_rows and dhd_rows reduce each row of a block as np.mean reduces a
+    single scan or batch (pairwise sums), so each row's estimate equals the
+    one finished from per-scan np.mean moments, bit for bit."""
+    rng = np.random.default_rng(seed)
+    cfg = ScanConfig(n_psi=n, spacing=spacing)
+    q = rng.standard_normal((rows, n)) * rng.uniform(0.5, 3.0, (rows, 1))
+    if spacing == "random":
+        phases = np.sort(rng.uniform(0.0, 2.0 * math.pi, (rows, n)), axis=1)
+    else:
+        phases = cfg.grid
+    for i, got in enumerate(fit_rows(phases, q, cfg)):
+        psi = phases if phases.ndim == 1 else phases[i]
+        x2 = q[i] * q[i]
+        moments = [float(np.mean(w * x2)) for w in (1.0, np.cos(2.0 * psi), np.sin(2.0 * psi))]
+        assert got == estimators._fit_result(*moments, n, False)
+
+    q1, p2 = rng.standard_normal((2, rows, n)) * rng.uniform(0.5, 3.0, (2, rows, 1))
+    for i, got in enumerate(dhd_rows(q1, p2)):
+        moments = [float(np.mean(a[i] * b[i])) for a, b in ((q1, q1), (q1, p2), (p2, p2))]
+        assert got == estimators._dhd_result(*moments, n, False)
 
 
 def test_predicted_cov_positive_when_physical():

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squeezelab import (
     DriftModel,
@@ -15,9 +16,13 @@ from squeezelab import (
     collect_estimates,
     crb_dhd,
     crb_homodyne,
+    dhd_estimate,
     empirical_family,
+    fit_estimate,
     grid_harmonics,
+    mom_estimate,
     run_trials,
+    sample_dhd,
     sample_homodyne_scan,
     simulate_phase_drift,
     sweep_family,
@@ -187,14 +192,97 @@ def test_sweep_family_shares_each_scan(monkeypatch):
     ]
     draws = []
 
-    def counting_sample(*args, **kwargs):
-        draws.append(kwargs["trial"])
-        return sample_homodyne_scan(*args, **kwargs)
+    def counting_blocks(params, config, seed, blocks):
+        # the rows each block really holds, tagged with the trials they stand for
+        for trials_drawn, (phases, q) in zip(blocks, simulate.sample_scan_blocks(
+                params, config, seed, blocks)):
+            assert len(q) == len(trials_drawn)
+            draws.extend(trials_drawn)
+            yield phases, q
 
-    monkeypatch.setattr(montecarlo, "sample_homodyne_scan", counting_sample)
+    monkeypatch.setattr(montecarlo, "sample_scan_blocks", counting_blocks)
     shared = sweep_family(s_values, ("fit", "mom", "dhd"), trials, seed=4, scan_config=cfg)
     assert shared == separate
     assert sorted(draws) == sorted(list(range(trials)) * len(s_values))
+
+
+def test_sweep_opens_one_process_pool(monkeypatch):
+    """With two workers a sweep hands the chunks of every s value to one
+    pool, and its reports equal the single-worker ones."""
+    pools = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    kwargs = dict(seed=3, scan_config=ScanConfig(n_psi=64), mu=64)
+    parallel = sweep_family((0.21, 0.5, 0.9), ("fit", "dhd"), 20, workers=2, **kwargs)
+    assert pools == [2]
+    assert parallel == sweep_family((0.21, 0.5, 0.9), ("fit", "dhd"), 20, workers=1, **kwargs)
+    pools.clear()
+    run_trials(empirical_family(0.5), "mom", 20, workers=2, **kwargs)
+    assert pools == [2]
+
+
+def _per_trial_arrays(methods, truth, cfg, mu, seed, trials, tol, max_iter):
+    """The collection as a plain loop of single-trial draws and estimates."""
+    results = {m: [] for m in methods}
+    for trial in trials:
+        if "dhd" in methods:
+            batch = sample_dhd(truth, mu, seed=seed, trial=trial)
+            results["dhd"].append(dhd_estimate(batch, compute_cov=False))
+        if "fit" in methods or "mom" in methods:
+            scan = sample_homodyne_scan(truth, cfg, seed=seed, trial=trial)
+            fit = fit_estimate(scan)
+            if "fit" in methods:
+                results["fit"].append(fit)
+            if "mom" in methods:
+                results["mom"].append(mom_estimate(scan, tol=tol, max_iter=max_iter,
+                                                   compute_cov=False, fit=fit))
+    return [
+        (np.array([r.params.as_tuple() for r in results[m]]).reshape(-1, 3),
+         np.array([r.physical for r in results[m]], dtype=bool),
+         np.array([r.iterations for r in results[m]], dtype=np.int64))
+        for m in methods
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(0.05, 1.0),
+    kappa=st.floats(1.0, 4.0),
+    phi=st.floats(-4.0, 4.0),
+    n_psi=st.integers(3, 80),
+    mu=st.integers(3, 80),
+    spacing=st.sampled_from(["equispaced", "random"]),
+    methods=st.sampled_from([("dhd",), ("fit",), ("mom",), ("fit", "mom")]),
+    seed=st.integers(-(2**63), 2**64 - 1),
+    t0=st.integers(-40, 40),
+    count=st.integers(1, 3 * montecarlo.BLOCK_TRIALS + 3),
+    data=st.data(),
+)
+def test_block_collection_equals_per_trial_loop(s, kappa, phi, n_psi, mu, spacing, methods,
+                                                seed, t0, count, data):
+    """_collect_range, split at any point, gives byte for byte the arrays of
+    a per-trial loop of sample_* and *_estimate calls."""
+    truth = StateParams(s, kappa, phi)
+    cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
+    t1 = t0 + count
+    split = data.draw(st.integers(t0, t1))
+    tol, max_iter = 1e-6, 20
+    head, tail = (
+        montecarlo._collect_range((truth, methods, cfg, mu, seed, a, b, tol, max_iter))
+        for a, b in ((t0, split), (split, t1))
+    )
+    want = _per_trial_arrays(methods, truth, cfg, mu, seed, range(t0, t1), tol, max_iter)
+    for h, t, w in zip(head, tail, want):
+        for k in range(3):
+            got = np.concatenate([h[k], t[k]])
+            assert got.dtype == w[k].dtype and got.shape == w[k].shape
+            assert got.tobytes() == w[k].tobytes()
 
 
 def test_grid_harmonics_computed_once_per_scan_config(monkeypatch):

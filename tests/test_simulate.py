@@ -24,10 +24,17 @@ from squeezelab import (
     sample_homodyne_scan,
     scan_from_trace,
     simulate_phase_drift,
+    state_covariance,
     synthesize_trace,
 )
 from squeezelab.cli import main
-from squeezelab.simulate import _STREAM_TRACE
+from squeezelab.simulate import (
+    _STREAM_DHD,
+    _STREAM_SCAN,
+    _STREAM_TRACE,
+    sample_dhd_blocks,
+    sample_scan_blocks,
+)
 
 
 # ---------------------------------------------------------------- scans
@@ -360,6 +367,59 @@ def test_trace_matches_per_window_generators(seed, trial, n_psi, window_len, tai
     got = synthesize_trace(states, mode, cfg, seed=seed, trial=trial, total_len=total)
     want = _trace_reference(states, mode, cfg, seed, trial, total)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _scan_reference(params, cfg, seed, trial):
+    """The per-trial draw the block sampler replaced: a fresh keyed
+    generator per scan."""
+    rng = keyed_generator(seed, _STREAM_SCAN, trial)
+    if cfg.spacing == "random":
+        psi = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
+    else:
+        psi = cfg.phase_grid()
+    return psi, rng.standard_normal(cfg.n_psi) * np.sqrt(eval_variance(params, psi))
+
+
+def _dhd_reference(params, mu, seed, trial):
+    chol = np.linalg.cholesky(state_covariance(params).add_identity().as_array())
+    return keyed_generator(seed, _STREAM_DHD, trial).standard_normal((mu, 2)) @ chol.T
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    params=_state,
+    seed=st.integers(-(2**63), 2**64 - 1),
+    t0=st.integers(-(2**31), 2**40),
+    sizes=st.lists(st.integers(1, 20), min_size=1, max_size=4),
+    n_psi=st.integers(1, 60),
+    mu=st.integers(1, 60),
+    spacing=st.sampled_from(["equispaced", "random"]),
+)
+def test_block_rows_match_per_trial_generators(params, seed, t0, sizes, n_psi, mu, spacing):
+    """Re-keying one Philox per trial replays each trial's own stream: every
+    row of a scan or DHD block, and every single draw, is bit-identical to a
+    draw from a generator built for that trial."""
+    cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
+    edges = np.cumsum([t0] + sizes).tolist()
+    blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
+    scan_rows = [
+        (phases if phases.ndim == 1 else phases[i], q[i])
+        for phases, q in sample_scan_blocks(params, cfg, seed, blocks)
+        for i in range(len(q))
+    ]
+    dhd_rows = [qp for block in sample_dhd_blocks(params, mu, seed, blocks) for qp in block]
+    trials = range(edges[0], edges[-1])
+    assert len(scan_rows) == len(dhd_rows) == len(trials)
+    for trial, (phases, q), qp in zip(trials, scan_rows, dhd_rows):
+        psi, want = _scan_reference(params, cfg, seed, trial)
+        single = sample_homodyne_scan(params, cfg, seed=seed, trial=trial)
+        for got_phases, got in ((phases, q), (single.phases, single.samples)):
+            assert got_phases.tobytes() == psi.tobytes() and got.tobytes() == want.tobytes()
+        want = _dhd_reference(params, mu, seed, trial)
+        batch = sample_dhd(params, mu, seed=seed, trial=trial)
+        assert qp.tobytes() == want.tobytes()
+        assert batch.q1.tobytes() == want[:, 0].tobytes()
+        assert batch.p2.tobytes() == want[:, 1].tobytes()
 
 
 def test_simulated_trace_file_is_pinned(tmp_path, capsys):
