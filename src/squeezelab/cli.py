@@ -356,9 +356,9 @@ def _load_scan_for_estimate(args, cfg: RunConfig, fmt: str):
 
 
 def cmd_estimate(args) -> int:
-    cfg = resolve_config(args)
-    echo = _echo(cfg)
     methods = parse_methods(args.method)
+    cfg = dataclasses.replace(resolve_config(args), methods=methods)
+    echo = _echo(cfg)
     fmt = args.format
     if fmt is None:
         fmt = "dhd" if methods == (METHOD_DHD,) else "scan"

@@ -283,19 +283,15 @@ class SymMatrix3:
     def inverse(self) -> "SymMatrix3":
         """Adjugate-formula inverse with a conditioning guard.
 
-        Rejects |det| <= 1e-12 * scale^3 where scale is the largest entry
-        magnitude; a rank-deficient information matrix must surface as a
-        flag upstream, never as garbage variances.
+        Rejects |det| <= 1e-12 |ss kk pp|: for a positive semi-definite
+        matrix that ratio is the determinant of its correlation matrix, which
+        does not depend on the parameters' units; a zero diagonal entry with
+        a zero determinant is rejected.  A rank-deficient information matrix
+        must surface as a flag upstream, never as garbage variances.
         """
-        scale = max(
-            abs(self.ss), abs(self.sk), abs(self.sp),
-            abs(self.kk), abs(self.kp), abs(self.pp),
-        )
         d = self.det()
-        if scale == 0.0 or not math.isfinite(d) or abs(d) <= _SINGULAR_REL_DET * scale**3:
-            raise SingularMatrixError(
-                f"matrix is singular at working precision (det={d!r}, scale={scale!r})"
-            )
+        if not math.isfinite(d) or abs(d) <= _SINGULAR_REL_DET * abs(self.ss * self.kk * self.pp):
+            raise SingularMatrixError(f"matrix is singular at working precision (det={d!r})")
         c_ss = self.kk * self.pp - self.kp * self.kp
         c_sk = -(self.sk * self.pp - self.kp * self.sp)
         c_sp = self.sk * self.kp - self.kk * self.sp

@@ -10,9 +10,12 @@ truths to one process pool.
 Within a chunk the trials are drawn and estimated in blocks of
 BLOCK_TRIALS: the sampler does the per-truth work once and draws each
 trial's row from that trial's own stream, the fit and DHD reduce the whole
-block at once, and MoM iterates scan by scan from the block's fits.  Every
-row is computed as in a separate single-trial call, so the estimates do
-not depend on the block size or on where a chunk starts, and the constant
+block at once, and MoM iterates scan by scan from the block's fits.  One
+loop over the DHD blocks and one over the scan blocks write each block's
+estimates straight into the chunk's preallocated per-method arrays, and
+the chunks are merged the same way for one worker or many.  Every row is
+computed as in a separate single-trial call, so the estimates do not
+depend on the block size or on where a chunk starts, and the constant
 block size caps the memory a block takes.
 
 Angle statistics are circular modulo pi: means via the doubled-angle
@@ -83,8 +86,6 @@ POLICIES = (POLICY_INCLUDE, POLICY_EXCLUDE)
 # temporaries, stays within a few hundred kB
 BLOCK_TRIALS = 16
 
-INF = float("inf")
-
 
 def circular_mean_pi(angles: np.ndarray) -> float:
     """Mean of angles defined modulo pi, via the doubled-angle resultant."""
@@ -130,34 +131,12 @@ def worker_count(workers: int, trials: int) -> int:
     return min(workers, trials, os.cpu_count() or 1)
 
 
-def _block_estimates(methods, truth: StateParams, scan_cfg: ScanConfig, mu: int,
-                     seed: int, blocks: list, tol: float, max_iter: int):
-    """Yield (method, trials, estimates) for each block of trials and method.
-
+def _collect_range(args):
+    """Worker entry point (picklable args): per-method (params, physical,
+    iterations) arrays for trials [t0, t1), in blocks of BLOCK_TRIALS.
     Methods of one data kind share each trial's draw, and MoM is seeded
     from the fit of that scan (the same fit when fit is among the methods).
     """
-    if METHOD_DHD in methods:
-        for trials, qp in zip(blocks, sample_dhd_blocks(truth, mu, seed, blocks)):
-            yield METHOD_DHD, trials, dhd_rows(qp[..., 0], qp[..., 1])
-    if METHOD_FIT not in methods and METHOD_MOM not in methods:
-        return
-    for trials, (phases, q) in zip(blocks, sample_scan_blocks(truth, scan_cfg, seed, blocks)):
-        fits = fit_rows(phases, q, scan_cfg)
-        if METHOD_FIT in methods:
-            yield METHOD_FIT, trials, fits
-        if METHOD_MOM in methods:
-            scans = (HomodyneScan(phases if phases.ndim == 1 else phases[i], q[i], meta=scan_cfg)
-                     for i in range(len(q)))
-            yield METHOD_MOM, trials, [
-                mom_estimate(scan, tol=tol, max_iter=max_iter, compute_cov=False, fit=fit)
-                for scan, fit in zip(scans, fits)
-            ]
-
-
-def _collect_range(args):
-    """Worker entry point: per-method arrays for trials [t0, t1), walked in
-    blocks of BLOCK_TRIALS. Picklable args."""
     (truth, methods, scan_cfg, mu, seed, t0, t1, tol, max_iter) = args
     count = t1 - t0
     parts = {
@@ -165,13 +144,29 @@ def _collect_range(args):
         for m in methods
     }
     blocks = [range(b, min(b + BLOCK_TRIALS, t1)) for b in range(t0, t1, BLOCK_TRIALS)]
-    for method, trials, results in _block_estimates(methods, truth, scan_cfg, mu, seed,
-                                                    blocks, tol, max_iter):
+
+    def store(method, trials, results):
         est, physical, iters = parts[method]
         rows = slice(trials.start - t0, trials.stop - t0)
         est[rows] = [r.params.as_tuple() for r in results]
         physical[rows] = [r.physical for r in results]
         iters[rows] = [r.iterations for r in results]
+
+    if METHOD_DHD in methods:
+        for trials, qp in zip(blocks, sample_dhd_blocks(truth, mu, seed, blocks)):
+            store(METHOD_DHD, trials, dhd_rows(qp[..., 0], qp[..., 1]))
+    if METHOD_FIT in methods or METHOD_MOM in methods:
+        for trials, (phases, q) in zip(blocks, sample_scan_blocks(truth, scan_cfg, seed, blocks)):
+            fits = fit_rows(phases, q, scan_cfg)
+            if METHOD_FIT in methods:
+                store(METHOD_FIT, trials, fits)
+            if METHOD_MOM in methods:
+                store(METHOD_MOM, trials, [
+                    mom_estimate(HomodyneScan(phases if phases.ndim == 1 else phases[i], q[i],
+                                              meta=scan_cfg),
+                                 tol=tol, max_iter=max_iter, compute_cov=False, fit=fit)
+                    for i, fit in enumerate(fits)
+                ])
     return [parts[m] for m in methods]
 
 
@@ -195,15 +190,13 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
         for i in range(workers)
     ]
     if workers == 1:
-        return [_collect_range(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_collect_range, jobs))
+        chunks = [_collect_range(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_collect_range, jobs))
+    # a truth's chunks are consecutive; join each method's arrays across them
     return [
-        [
-            tuple(np.concatenate([chunk[j][k] for chunk in chunks[t:t + workers]])
-                  for k in range(3))
-            for j in range(len(methods))
-        ]
+        [tuple(map(np.concatenate, zip(*parts))) for parts in zip(*chunks[t:t + workers])]
         for t in range(0, len(chunks), workers)
     ]
 

@@ -607,6 +607,20 @@ def test_estimate_dhd_round_trip(tmp_path, capsys):
     assert est["kappa"] == pytest.approx(want.params.kappa, rel=1e-11)
 
 
+@pytest.mark.parametrize("kind, method", [("dhd", "dhd"), ("scan", "fit")])
+def test_estimate_echoes_the_methods_it_ran(tmp_path, capsys, kind, method):
+    """The config echo, on stderr and in the JSON, names the --method list."""
+    path = tmp_path / "data.csv"
+    assert main(["simulate", "--kind", kind, "--n-psi", "64", "--n", "64",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--input", str(path), "--method", method]) == 0
+    captured = capsys.readouterr()
+    echo = next(json.loads(line.removeprefix("config: "))
+                for line in captured.err.splitlines() if line.startswith("config: "))
+    assert echo["methods"] == json.loads(captured.out)["config"]["methods"] == [method]
+
+
 def test_estimate_trace_input(tmp_path, capsys):
     path = tmp_path / "trace.bin"
     assert main([

@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from squeezelab import (
     crb_homodyne,
     dhd_estimate,
     DhdBatch,
+    empirical_family,
     eval_variance,
     fit_estimate,
     fourier_components,
@@ -33,6 +35,7 @@ from squeezelab.estimators import (
     FLAG_DEGENERATE,
     FLAG_NONPHYSICAL,
     FLAG_NO_CONVERGENCE,
+    FLAG_SINGULAR_INFORMATION,
     FLAG_SINGULAR_PRIOR,
     MAX_MEAN_SQUARE,
     dhd_rows,
@@ -425,3 +428,101 @@ def test_physical_iff_no_nonphysical_flag(s, kappa, phi, n, seed):
     for res in (fit_estimate(scan), mom_estimate(scan), dhd_estimate(batch)):
         assert res.physical == (FLAG_NONPHYSICAL not in res.flags), res
         assert not res.physical or res.params.is_physical, res
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_mom_covariance_follows_rescaled_samples(scale):
+    """Samples scaled by c scale kappa by c^2 and nothing else, so the
+    covariance becomes D C D with D = diag(1, c^2, 1); the singularity
+    guard must not read the change of units as a singular matrix."""
+    scan = sample_homodyne_scan(StateParams(0.5, 1.5, 0.3), ScanConfig(), seed=0)
+    base = mom_estimate(scan).predicted_cov.as_array()
+    r = mom_estimate(HomodyneScan(scan.phases, scan.samples * scale, meta=scan.meta))
+    assert r.predicted_cov is not None, r.flags
+    d = np.diag([1.0, scale**2, 1.0])
+    got = r.predicted_cov.as_array()
+    sd = np.sqrt(np.diag(got))
+    np.testing.assert_allclose((got - d @ base @ d) / np.outer(sd, sd), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-9])
+def test_mom_angle_error_near_the_isotropic_edge(gap):
+    """Just below s = 1 the angle information is tiny but not singular:
+    the angle standard error is the closed-form bound sqrt(s/N) / (1 - s)."""
+    scan = moment_matched_scan(StateParams(1.0 - gap, 1.2, 0.3))
+    r = mom_estimate(scan)
+    assert r.predicted_cov is not None, r.flags
+    s = r.params.s
+    assert math.sqrt(r.predicted_cov.pp) == pytest.approx(
+        math.sqrt(s / scan.samples.size) / (1.0 - s), rel=1e-6)
+
+
+def test_mom_covariance_rejected_on_vacuum():
+    """On an exact vacuum scan MoM lands on s = 1, where the angle carries
+    no information: flagged, no covariance."""
+    cfg = ScanConfig()
+    r = mom_estimate(HomodyneScan(phases=cfg.grid, samples=np.ones(cfg.n_psi), meta=cfg))
+    assert r.params.s == 1.0
+    assert r.predicted_cov is None
+    assert FLAG_SINGULAR_INFORMATION in r.flags
+
+
+def _pinned_results():
+    """Every estimator entry point on a fixed set of drawn and exact inputs."""
+    prior = StateParams(0.4, 1.8, 0.2)
+    out = []
+    for cfg in (ScanConfig(n_psi=64), ScanConfig(n_psi=900),
+                ScanConfig(n_psi=64, spacing="random")):
+        for s in (0.05, 0.21, 0.5, 0.9, 1.0):
+            truth = empirical_family(s, 2.9)
+            scans = [sample_homodyne_scan(truth, cfg, seed=seed) for seed in range(3)]
+            for scan in scans:
+                out += [fit_estimate(scan), mom_estimate(scan),
+                        mom_estimate(scan, compute_cov=False),
+                        mom_estimate(scan, prior=prior), mom_step(scan, prior)]
+            phases = cfg.grid if cfg.spacing == "equispaced" else np.stack(
+                [scan.phases for scan in scans])
+            out += fit_rows(phases, np.stack([scan.samples for scan in scans]), cfg,
+                            compute_cov=True)
+            for mu in (64, 900):
+                batches = [sample_dhd(truth, mu, seed=seed) for seed in range(3)]
+                out += [dhd_estimate(batch) for batch in batches]
+                out += dhd_rows(np.stack([b.q1 for b in batches]),
+                                np.stack([b.p2 for b in batches]), compute_cov=True)
+    cfg = ScanConfig()
+    vacuum = HomodyneScan(cfg.grid, np.ones(cfg.n_psi), meta=cfg)
+    out += [fit_estimate(vacuum), mom_estimate(vacuum)]
+    return out
+
+
+def _hex_params(p) -> str:
+    return " ".join(float(v).hex() for v in p.as_tuple())
+
+
+def test_estimates_pinned_at_full_precision():
+    """Every bit of every estimator output on a fixed input set, as one
+    SHA-256: the report pins round to 12 digits and hide last-bit changes.
+    MoM estimates with 0 < 1 - s < 1e-5 are kept out of the set, because
+    their covariance depends on the singularity guard's tolerance."""
+    results = _pinned_results()
+    lines = []
+    for r in results:
+        assert not (r.method == "mom" and 0.0 < 1.0 - r.params.s < 1e-5), r
+        cov = r.predicted_cov
+        lines.append("|".join([
+            r.method,
+            _hex_params(r.params),
+            "None" if cov is None else " ".join(
+                float(getattr(cov, f)).hex() for f in ("ss", "sk", "sp", "kk", "kp", "pp")),
+            str(r.physical),
+            str(r.iterations),
+            ",".join(sorted(r.flags)),
+            "None" if r.prior_used is None else _hex_params(r.prior_used),
+        ]))
+    # the set reaches every outcome the finish can give
+    assert {f for r in results for f in r.flags} == {
+        "degenerate", "nonphysical", "no-convergence", "seed-fallback", "singular-prior",
+        "singular-information"}
+    assert any(r.predicted_cov is not None for r in results)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "6b28548550cef615b1155aac9d9e46993e8dbdcfd0585452bf95e6099a9de200"
