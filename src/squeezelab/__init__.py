@@ -4,137 +4,25 @@ Simulation of phase-scanned homodyne and double-homodyne measurements,
 three estimators of the squeezing triple (s, kappa, phi_s), the matching
 variance bounds, and a Monte Carlo harness that checks which estimator
 saturates which bound.
+
+The package exports every public name of those five modules, as each
+module's ``__all__`` declares it.
 """
 
-from .model import (
-    SingularMatrixError,
-    StateParams,
-    SymMatrix2,
-    SymMatrix3,
-    angle_distance,
-    canonical_angle,
-    empirical_family,
-    eval_variance,
-    grid_harmonics,
-    squeezing_db,
-    squeezing_db_error,
-    state_covariance,
-    variance_partials,
-)
-from .bounds import (
-    BoundVector,
-    crb_dhd,
-    crb_homodyne,
-    crb_quantum,
-    fisher_dhd,
-    fisher_homodyne_discrete,
-    fit_variance_prediction,
-    phase_averaged_fisher,
-    qfi_matrix,
-)
-from .estimators import (
-    METHOD_DHD,
-    METHOD_FIT,
-    METHOD_MOM,
-    EstimateResult,
-    FourierComponents,
-    dhd_estimate,
-    fit_estimate,
-    fourier_components,
-    mom_estimate,
-    mom_step,
-)
-from .simulate import (
-    ConfigMismatchError,
-    DhdBatch,
-    DriftModel,
-    HomodyneScan,
-    ScanConfig,
-    TemporalMode,
-    apply_temporal_mode,
-    default_temporal_mode,
-    keyed_generator,
-    mode_weights,
-    sample_dhd,
-    sample_homodyne_scan,
-    scan_from_trace,
-    simulate_phase_drift,
-    synthesize_trace,
-)
-from .montecarlo import (
-    POLICY_EXCLUDE,
-    POLICY_INCLUDE,
-    TrackResult,
-    TrialReport,
-    aggregate_estimates,
-    autocorrelation_time,
-    collect_estimates,
-    run_trials,
-    sweep_family,
-    theory_curves,
-    track_angle,
-)
+from . import model, bounds, estimators, simulate, montecarlo
+from .model import *
+from .bounds import *
+from .estimators import *
+from .simulate import *
+from .montecarlo import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "StateParams",
-    "SymMatrix2",
-    "SymMatrix3",
-    "SingularMatrixError",
-    "canonical_angle",
-    "angle_distance",
-    "eval_variance",
-    "variance_partials",
-    "grid_harmonics",
-    "state_covariance",
-    "squeezing_db",
-    "squeezing_db_error",
-    "empirical_family",
-    "BoundVector",
-    "fisher_homodyne_discrete",
-    "phase_averaged_fisher",
-    "crb_homodyne",
-    "fit_variance_prediction",
-    "fisher_dhd",
-    "crb_dhd",
-    "qfi_matrix",
-    "crb_quantum",
-    "METHOD_FIT",
-    "METHOD_MOM",
-    "METHOD_DHD",
-    "EstimateResult",
-    "FourierComponents",
-    "fourier_components",
-    "fit_estimate",
-    "mom_step",
-    "mom_estimate",
-    "dhd_estimate",
-    "ConfigMismatchError",
-    "ScanConfig",
-    "HomodyneScan",
-    "DhdBatch",
-    "keyed_generator",
-    "sample_homodyne_scan",
-    "sample_dhd",
-    "DriftModel",
-    "simulate_phase_drift",
-    "TemporalMode",
-    "mode_weights",
-    "default_temporal_mode",
-    "synthesize_trace",
-    "apply_temporal_mode",
-    "scan_from_trace",
-    "POLICY_INCLUDE",
-    "POLICY_EXCLUDE",
-    "TrialReport",
-    "TrackResult",
-    "collect_estimates",
-    "aggregate_estimates",
-    "run_trials",
-    "sweep_family",
-    "theory_curves",
-    "track_angle",
-    "autocorrelation_time",
+    *model.__all__,
+    *bounds.__all__,
+    *estimators.__all__,
+    *simulate.__all__,
+    *montecarlo.__all__,
     "__version__",
 ]

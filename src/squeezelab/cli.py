@@ -102,6 +102,14 @@ class RunConfig:
     duration: float = 0.3
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}={value} is not finite")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter={self.max_iter} must be >= 1")
+        if self.tol <= 0.0:
+            raise ConfigError(f"tol={self.tol} must be > 0")
         for s in self.s:
             if not 0.0 < s <= 1.0:
                 raise ConfigError(f"s={s} outside (0, 1]")
@@ -265,30 +273,20 @@ def _echo(cfg: RunConfig) -> str:
     return text
 
 
-def _emit_lines(lines, out) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def _single_s(cfg: RunConfig, command: str) -> float:
     if len(cfg.s) != 1:
         raise ConfigError(f"{command} expects a single s value, got {len(cfg.s)}")
     return cfg.s[0]
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> list[str]:
     cfg = resolve_config(args)
     echo = _echo(cfg)
     truths = [cfg.state(s) for s in cfg.s]
-    _emit_lines(sio.bounds_csv_lines(truths, cfg.n_samples, config_json=echo), args.out)
-    return 0
+    return sio.bounds_csv_lines(truths, cfg.n_samples, config_json=echo)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     cfg = resolve_config(args)
     echo = _echo(cfg)
     truth = cfg.state(_single_s(cfg, "simulate"))
@@ -316,7 +314,6 @@ def cmd_simulate(args) -> int:
             total_len=total,
         )
         sio.write_trace(args.out, trace, rate_hz=int(args.rate_hz))
-    return 0
 
 
 def _estimate_result_dict(res) -> dict:
@@ -355,7 +352,7 @@ def _load_scan_for_estimate(args, cfg: RunConfig, fmt: str):
     return scan_from_trace(trace, mode, config=cfg.scan_config())
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> list[str]:
     methods = parse_methods(args.method)
     cfg = dataclasses.replace(resolve_config(args), methods=methods)
     echo = _echo(cfg)
@@ -392,13 +389,10 @@ def cmd_estimate(args) -> int:
         "config": json.loads(echo),
         "estimates": [_estimate_result_dict(r) for r in results],
     }
-    text = sio.dump_json(payload, path=args.out)
-    if args.out is None:
-        print(text)
-    return 0
+    return [sio.dump_json(payload)]
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args) -> list[str]:
     cfg = resolve_config(args)
     echo = _echo(cfg)
     reports = sweep_family(
@@ -415,18 +409,16 @@ def cmd_benchmark(args) -> int:
         max_iter=cfg.max_iter,
         workers=args.workers,
     )
-    lines = sio.report_csv_lines(reports, config_json=echo)
-    _emit_lines(lines, args.out)
     if args.json is not None:
         payload = {
             "config": json.loads(echo),
             "reports": [sio.report_to_dict(r) for r in reports],
         }
         sio.dump_json(payload, path=args.json)
-    return 0
+    return sio.report_csv_lines(reports, config_json=echo)
 
 
-def cmd_track(args) -> int:
+def cmd_track(args) -> list[str]:
     cfg = resolve_config(args)
     echo = _echo(cfg)
     truth = cfg.state(_single_s(cfg, "track"))
@@ -439,10 +431,8 @@ def cmd_track(args) -> int:
         tol=cfg.tol,
         max_iter=cfg.max_iter,
     )
-    lines = sio.track_csv_lines(result, config_json=echo)
-    _emit_lines(lines, args.out)
     print(f"tau_est_s: {sio.fmt12(result.tau_est)}", file=sys.stderr)
-    return 0
+    return sio.track_csv_lines(result, config_json=echo)
 
 
 def _add_run_opts(sp, fields) -> None:
@@ -523,10 +513,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a command returns its output lines, or None when it wrote its own files
+        lines = args.func(args)
+        if lines is not None:
+            sio.write_lines(args.out, lines)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

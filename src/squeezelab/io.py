@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "json_ready",
     "dump_json",
     "write_track_csv",
+    "write_lines",
 ]
 
 SCAN_HEADER = "psi_rad,q"
@@ -59,6 +61,16 @@ def fmt12(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def write_lines(path, lines) -> None:
+    """Write the lines, each ended by a newline, to path, or to stdout when path is None."""
+    text = "\n".join(lines) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _config_comment(config_json) -> list[str]:
     if config_json is None:
         return []
@@ -72,8 +84,7 @@ def _write_pair_csv(path, header, col_a, col_b, config_json):
     lines.append(header)
     for a, b in zip(col_a, col_b):
         lines.append(f"{float(a)!r},{float(b)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _read_pair_csv(path, header):
@@ -227,9 +238,7 @@ def report_csv_lines(reports, config_json=None) -> list[str]:
 
 
 def write_report_csv(path, reports, config_json=None) -> None:
-    lines = report_csv_lines(reports, config_json)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, report_csv_lines(reports, config_json))
 
 
 def report_to_dict(report: TrialReport) -> dict:
@@ -282,8 +291,7 @@ def dump_json(obj, path=None) -> str:
     """Serialize with rounded floats; write to path when given."""
     text = json.dumps(json_ready(obj), indent=2, sort_keys=True)
     if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        write_lines(path, [text])
     return text
 
 
@@ -311,6 +319,4 @@ def track_csv_lines(result: TrackResult, config_json=None) -> list[str]:
 
 
 def write_track_csv(path, result: TrackResult, config_json=None) -> None:
-    lines = track_csv_lines(result, config_json)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, track_csv_lines(result, config_json))

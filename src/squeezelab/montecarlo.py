@@ -203,7 +203,7 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
 
 def collect_estimates(
     truth: StateParams,
-    method,
+    method: str,
     trials: int,
     seed: int = 0,
     scan_config: ScanConfig | None = None,
@@ -212,16 +212,9 @@ def collect_estimates(
     max_iter: int = DEFAULT_MAX_ITER,
     workers: int = 1,
 ):
-    """Per-trial estimates as arrays: (params (T,3), physical (T,), iterations (T,)).
-
-    ``method`` is one method name, or a tuple of names that share each
-    trial's draw (fit and MoM estimate the same scan, and MoM is seeded
-    from that fit); a tuple gives a list of such triples, one per name.
-    """
-    methods = (method,) if isinstance(method, str) else tuple(method)
-    parts = _collect_truths([truth], methods, trials, seed, scan_config or ScanConfig(),
-                            mu, tol, max_iter, workers)[0]
-    return parts[0] if isinstance(method, str) else parts
+    """One method's per-trial estimates: (params (T,3), physical (T,), iterations (T,))."""
+    return _collect_truths([truth], (method,), trials, seed, scan_config or ScanConfig(),
+                           mu, tol, max_iter, workers)[0][0]
 
 
 def _stats(est: np.ndarray, truth: StateParams):
@@ -318,22 +311,6 @@ def aggregate_estimates(
     )
 
 
-def _method_reports(truths, methods, trials, seed, cfg, mu, policy, tol, max_iter,
-                    workers) -> list[TrialReport]:
-    """One report per (truth, method), all methods estimated on shared draws."""
-    methods = tuple(methods)
-    all_parts = _collect_truths(truths, methods, trials, seed, cfg, mu, tol, max_iter,
-                                workers)
-    return [
-        aggregate_estimates(
-            est, physical, iters, truth, method,
-            mu if method == METHOD_DHD else cfg.n_psi, policy=policy,
-        )
-        for truth, parts in zip(truths, all_parts)
-        for method, (est, physical, iters) in zip(methods, parts)
-    ]
-
-
 def run_trials(
     truth: StateParams,
     method: str,
@@ -347,8 +324,9 @@ def run_trials(
     workers: int = 1,
 ) -> TrialReport:
     """Fresh scan/batch per trial, estimate, aggregate."""
-    return _method_reports([truth], (method,), trials, seed, scan_config or ScanConfig(),
-                           mu, policy, tol, max_iter, workers)[0]
+    return sweep_family([truth.s], (method,), trials, seed, scan_config, mu,
+                        phi_s=truth.phi_s, kappa=truth.kappa, policy=policy, tol=tol,
+                        max_iter=max_iter, workers=workers)[0]
 
 
 def sweep_family(
@@ -377,8 +355,18 @@ def sweep_family(
         empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)
         for s in s_values
     ]
-    return _method_reports(truths, methods, trials, seed, scan_config or ScanConfig(), mu,
-                           policy, tol, max_iter, workers)
+    methods = tuple(methods)
+    cfg = scan_config or ScanConfig()
+    all_parts = _collect_truths(truths, methods, trials, seed, cfg, mu, tol, max_iter,
+                                workers)
+    return [
+        aggregate_estimates(
+            est, physical, iters, truth, method,
+            mu if method == METHOD_DHD else cfg.n_psi, policy=policy,
+        )
+        for truth, parts in zip(truths, all_parts)
+        for method, (est, physical, iters) in zip(methods, parts)
+    ]
 
 
 # The theoretical variance curves, each declared once as (report column,

@@ -435,6 +435,8 @@ def apply_temporal_mode(
     q_j = sum_t f(t) x(offset + j*window_len + t).  Window count defaults
     to as many complete windows as fit; the remainder is discarded.
     """
+    if offset < 0:
+        raise ConfigMismatchError(f"offset {offset} is negative")
     x = np.asarray(trace, dtype=float)
     wl = mode.window_len
     avail = (x.size - offset) // wl

@@ -5,9 +5,14 @@ the model variance exactly at each grid phase.  On an equispaced grid
 covering whole periods the empirical Fourier sums then reproduce the
 population moments to machine precision, which turns estimator
 inversion identities into exact tests.
+
+Every property test runs under one Hypothesis profile: deterministic
+examples, no example database and no per-example deadline, so a test's
+``@settings`` gives only its example count.
 """
 
 import numpy as np
+from hypothesis import settings
 
 from squeezelab import (
     DhdBatch,
@@ -17,6 +22,9 @@ from squeezelab import (
     eval_variance,
     state_covariance,
 )
+
+settings.register_profile("squeezelab", deadline=None, derandomize=True, database=None)
+settings.load_profile("squeezelab")
 
 
 def moment_matched_scan(params, n_psi=900, n=2):

@@ -178,7 +178,7 @@ def state_and_grid(draw):
     return p, phases
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(state_and_grid())
 @example((StateParams(1.0, 2.5, 0.9), ScanConfig(n_psi=60).grid))
 @example((StateParams(1.0, 1.0, 0.0), np.linspace(0.0, 2.0, 5)))

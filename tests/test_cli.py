@@ -355,6 +355,8 @@ def test_config_validation_errors(capsys):
     assert main(["bounds", "--s", "1.5"]) == 1
     assert main(["bounds", "--s", "0.5", "--kappa", "0.5"]) == 1
     capsys.readouterr()
+    assert main(["track", "--duration", "inf"]) == 1
+    assert "error: duration=inf is not finite" in capsys.readouterr().err
     # kappa follows the purity family whenever --kappa is absent; there is no flag for it
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--s", "0.5", "--family", "kappa-inv-sqrt-s"])
@@ -385,6 +387,9 @@ def test_config_file_accepts_integral_floats(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("spacing", "grid"), ("policy", "some"), ("drift_kind", "jump"),
     ("n_psi", 0), ("phase_span", 0), ("correlation_time", 0.0), ("step_interval", -1.0),
+    ("kappa", math.nan), ("phi_s", math.nan), ("phi_s", -math.inf), ("tol", math.nan),
+    ("tol", -1.0), ("tol", 0.0), ("max_iter", 0), ("correlation_time", math.inf),
+    ("step_interval", math.nan), ("amplitude", math.inf), ("duration", math.inf),
 ])
 def test_config_file_bad_choice_or_range_exits_1(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -458,6 +463,19 @@ _ITER = {("--tol", "tol", None), ("--max-iter", "max_iter", None)}
 ])
 def test_cli_flag_surface(command, want):
     assert _flag_surface(command) == want
+
+
+def test_package_exports_every_public_module_name():
+    modules = [squeezelab.model, squeezelab.bounds, squeezelab.estimators,
+               squeezelab.simulate, squeezelab.montecarlo]
+    names = [name for mod in modules for name in mod.__all__]
+    # the package star-imports these modules, so a later module's name would
+    # silently shadow an earlier one
+    assert len(names) == len(set(names))
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(squeezelab, name) is getattr(mod, name), name
+    assert sorted(squeezelab.__all__) == sorted(names + ["__version__"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -371,7 +371,7 @@ def test_block_estimators_check_every_row(bad):
         dhd_rows(q1, p2)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     rows=st.integers(1, 20),
     n=st.integers(3, 300),
@@ -412,7 +412,7 @@ def test_predicted_cov_positive_when_physical():
             assert r.predicted_cov.pp > 0
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     s=st.floats(0.05, 1.0),
     kappa=st.floats(1.0, 4.0),

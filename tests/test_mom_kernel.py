@@ -107,7 +107,7 @@ def scan_and_prior(draw):
     return scan, prior
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(scan_and_prior())
 def test_mom_update_matches_trig_reference(case):
     scan, prior = case
@@ -122,7 +122,7 @@ def test_mom_update_matches_trig_reference(case):
     assert _mom_update(x2, harmonics, *args)[3] == _reference_update(x2, scan.phases, prior)[3]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(scan_and_prior())
 def test_fourier_components_match_complex_exponential(case):
     scan, _ = case

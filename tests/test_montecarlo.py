@@ -250,7 +250,7 @@ def _per_trial_arrays(methods, truth, cfg, mu, seed, trials, tol, max_iter):
     ]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     s=st.floats(0.05, 1.0),
     kappa=st.floats(1.0, 4.0),

@@ -342,7 +342,7 @@ _state = st.builds(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     seed=st.integers(-(2**63), 2**64 - 1),
     trial=st.integers(-(2**31), 2**40),
@@ -385,7 +385,7 @@ def _dhd_reference(params, mu, seed, trial):
     return keyed_generator(seed, _STREAM_DHD, trial).standard_normal((mu, 2)) @ chol.T
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     params=_state,
     seed=st.integers(-(2**63), 2**64 - 1),
@@ -446,3 +446,6 @@ def test_geometry_mismatches_rejected():
         apply_temporal_mode(trace, mode, n_windows=17)
     with pytest.raises(ConfigMismatchError):
         apply_temporal_mode(trace, mode, n_windows=0)
+    for offset in (-5, -len(trace)):
+        with pytest.raises(ConfigMismatchError, match="negative"):
+            apply_temporal_mode(trace, mode, offset=offset)
