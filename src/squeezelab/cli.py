@@ -8,13 +8,17 @@ Commands:
 * benchmark  Monte Carlo saturation study, CSV report (optional JSON mirror)
 * track      slow angle drift tracked scan by scan
 
-Option precedence, lowest to highest: built-in defaults, the
-SQUEEZELAB_SEED environment variable (seed only), JSON config file
-(--config), explicit command line flags.  Every command echoes the
-resolved run configuration as a single `config: {...}` line on stderr;
-file outputs embed the same JSON in a leading `# config:` comment.  The worker count and file paths
-are execution details, not run configuration, so they are not echoed;
-this is what makes benchmark output byte-identical across --workers.
+Every run setting, the trace geometry, the trial index and the MoM prior
+among them, is a ``RunConfig`` field, declared once with its flag.  Option
+precedence, lowest to highest: built-in defaults, the SQUEEZELAB_SEED
+environment variable (seed only), JSON config file (--config), explicit
+command line flags.  Every command echoes the resolved run configuration as
+a single `config: {...}` line on stderr; file outputs embed the same JSON in
+a leading `# config:` comment.  The options --config, --out, --input,
+--method (echoed as ``methods``), --format, --kind, --workers and --json
+are execution details, not run configuration, so they are not echoed; this
+is what makes benchmark output byte-identical across --workers.  `estimate`
+reads a trace's sample rate from the file header, not from ``rate_hz``.
 
 Exit status: 0 on success, including estimates that carry quality flags;
 1 on configuration, I/O, or parse errors; 2 on a malformed command line.
@@ -55,6 +59,7 @@ from .simulate import (
     SPACINGS,
     DriftModel,
     ScanConfig,
+    TemporalMode,
     default_temporal_mode,
     sample_dhd,
     sample_homodyne_scan,
@@ -80,6 +85,7 @@ class RunConfig:
     and ``_FLAGS`` gives its flag.  kappa=None means the pure-state family
     value 1/sqrt(s) is used for each s.  n_samples doubles as the homodyne
     sample count per scan and the pair count per joint-quadrature batch.
+    The prior_* triple is all None (MoM starts from the fit) or all set.
     """
 
     seed: int = 0
@@ -100,6 +106,13 @@ class RunConfig:
     step_interval: float = 5e-4
     amplitude: float = 0.15
     duration: float = 0.3
+    trial: int = 0
+    rate_hz: float = 1e8
+    fwhm_hz: float = 6e6
+    scan_duration: float = 500e-6
+    prior_s: float | None = None
+    prior_kappa: float | None = None
+    prior_phi: float | None = None
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -119,6 +132,10 @@ class RunConfig:
             raise ConfigError("trials and n_samples must be positive")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}")
+        if self.rate_hz != int(self.rate_hz):
+            raise ConfigError(f"rate_hz={self.rate_hz} must be a whole number of Hz")
+        if (self.prior_s, self.prior_kappa, self.prior_phi).count(None) in (1, 2):
+            raise ConfigError("give all of --prior-s, --prior-kappa, --prior-phi or none")
         # the geometry and drift dataclasses check their own fields
         self.scan_config()
         self.drift_model()
@@ -130,10 +147,18 @@ class RunConfig:
         return DriftModel(kind=self.drift_kind, correlation_time=self.correlation_time,
                           step_interval=self.step_interval, amplitude=self.amplitude)
 
+    def temporal_mode(self) -> tuple[TemporalMode, int]:
+        return default_temporal_mode(self.n_psi, self.scan_duration, self.rate_hz, self.fwhm_hz)
+
     def state(self, s: float) -> StateParams:
         if self.kappa is None:
             return empirical_family(s, self.phi_s)
         return StateParams(s, self.kappa, self.phi_s)
+
+    def prior(self) -> StateParams | None:
+        if self.prior_s is None:
+            return None
+        return StateParams(self.prior_s, self.prior_kappa, self.prior_phi)
 
 
 def parse_s_values(text) -> tuple[float, ...]:
@@ -222,6 +247,13 @@ _FLAGS = {
     "step_interval": ("--step", "scan repetition interval in seconds"),
     "amplitude": ("--amplitude", "drift amplitude in radians"),
     "duration": ("--duration", "total tracked time in seconds"),
+    "trial": ("--trial", "trial index in the seed stream"),
+    "rate_hz": ("--rate-hz", "trace sample rate in Hz, a whole number"),
+    "fwhm_hz": ("--fwhm-hz", "temporal mode bandwidth in Hz"),
+    "scan_duration": ("--scan-duration", "wall time of one scan in seconds"),
+    "prior_s": ("--prior-s", "MoM starting s; give all three --prior-* or none"),
+    "prior_kappa": ("--prior-kappa", "MoM starting kappa"),
+    "prior_phi": ("--prior-phi", "MoM starting angle in radians"),
 }
 _CHOICES = {"spacing": SPACINGS, "policy": POLICIES, "drift_kind": DRIFT_KINDS}
 
@@ -293,27 +325,16 @@ def cmd_simulate(args) -> None:
     if args.out is None:
         raise ConfigError(f"simulate --kind {args.kind} needs --out")
     if args.kind == "scan":
-        scan = sample_homodyne_scan(truth, cfg.scan_config(), seed=cfg.seed, trial=args.trial)
+        scan = sample_homodyne_scan(truth, cfg.scan_config(), seed=cfg.seed, trial=cfg.trial)
         sio.write_scan_csv(args.out, scan, config_json=echo)
     elif args.kind == "dhd":
-        batch = sample_dhd(truth, cfg.n_samples, seed=cfg.seed, trial=args.trial)
+        batch = sample_dhd(truth, cfg.n_samples, seed=cfg.seed, trial=cfg.trial)
         sio.write_dhd_csv(args.out, batch, config_json=echo)
     else:
-        mode, total = default_temporal_mode(
-            n_psi=cfg.n_psi,
-            scan_duration=args.scan_duration,
-            sample_rate_hz=args.rate_hz,
-            fwhm_hz=args.fwhm_hz,
-        )
-        trace = synthesize_trace(
-            [truth] * cfg.n_psi,
-            mode,
-            config=cfg.scan_config(),
-            seed=cfg.seed,
-            trial=args.trial,
-            total_len=total,
-        )
-        sio.write_trace(args.out, trace, rate_hz=int(args.rate_hz))
+        mode, total = cfg.temporal_mode()
+        trace = synthesize_trace([truth] * cfg.n_psi, mode, config=cfg.scan_config(),
+                                 seed=cfg.seed, trial=cfg.trial, total_len=total)
+        sio.write_trace(args.out, trace, rate_hz=int(cfg.rate_hz))
 
 
 def _estimate_result_dict(res) -> dict:
@@ -343,12 +364,7 @@ def _load_scan_for_estimate(args, cfg: RunConfig, fmt: str):
     if fmt == "scan":
         return sio.read_scan_csv(args.input)
     trace, rate_hz = sio.read_trace(args.input)
-    mode, _ = default_temporal_mode(
-        n_psi=cfg.n_psi,
-        scan_duration=args.scan_duration,
-        sample_rate_hz=float(rate_hz),
-        fwhm_hz=args.fwhm_hz,
-    )
+    mode, _ = dataclasses.replace(cfg, rate_hz=float(rate_hz)).temporal_mode()
     return scan_from_trace(trace, mode, config=cfg.scan_config())
 
 
@@ -373,10 +389,7 @@ def cmd_estimate(args) -> list[str]:
         results.append(dhd_estimate(batch))
     else:
         scan = _load_scan_for_estimate(args, cfg, fmt)
-        prior_bits = (args.prior_s, args.prior_kappa, args.prior_phi)
-        if None in prior_bits and any(v is not None for v in prior_bits):
-            raise ConfigError("give all of --prior-s, --prior-kappa, --prior-phi or none")
-        prior = None if args.prior_s is None else StateParams(*prior_bits)
+        prior = cfg.prior()
         for method in methods:
             if method == METHOD_FIT:
                 results.append(fit_estimate(scan))
@@ -445,15 +458,6 @@ def _add_run_opts(sp, fields) -> None:
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def _add_trace_opts(sp) -> None:
-    sp.add_argument("--rate-hz", dest="rate_hz", type=float, default=1e8,
-                    help="trace sample rate in Hz")
-    sp.add_argument("--fwhm-hz", dest="fwhm_hz", type=float, default=6e6,
-                    help="temporal mode bandwidth in Hz")
-    sp.add_argument("--scan-duration", dest="scan_duration", type=float, default=500e-6,
-                    help="wall time of one scan in seconds")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process.
@@ -469,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     state = ("s", "kappa", "phi_s")
     scan = ("n_psi", "phase_span", "spacing")
+    trace = ("fwhm_hz", "scan_duration")
 
     p = sub.add_parser("bounds", help="tabulate variance bounds over s")
     _add_run_opts(p, state + ("n_samples", "seed"))
@@ -476,9 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a data file")
     p.add_argument("--kind", choices=_FILE_KINDS, default="scan")
-    p.add_argument("--trial", type=int, default=0, help="trial index in the seed stream")
-    _add_trace_opts(p)
-    _add_run_opts(p, state + scan + ("n_samples", "seed"))
+    _add_run_opts(p, state + scan + trace + ("rate_hz", "trial", "n_samples", "seed"))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate (s, kappa, phi_s) from a data file")
@@ -487,11 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from fit, mom, dhd (dhd alone)")
     p.add_argument("--format", choices=_FILE_KINDS, default=None,
                    help="input layout (default: matches the method)")
-    p.add_argument("--prior-s", dest="prior_s", type=float, default=None)
-    p.add_argument("--prior-kappa", dest="prior_kappa", type=float, default=None)
-    p.add_argument("--prior-phi", dest="prior_phi", type=float, default=None)
-    _add_trace_opts(p)
-    _add_run_opts(p, ("tol", "max_iter") + scan + ("seed",))
+    _add_run_opts(p, ("tol", "max_iter", "prior_s", "prior_kappa", "prior_phi")
+                  + scan + trace + ("seed",))
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("benchmark", help="Monte Carlo variance vs bound study")

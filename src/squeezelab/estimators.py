@@ -354,8 +354,9 @@ def mom_step(scan, prior: StateParams) -> EstimateResult:
     kappa = 0.920 at N = 64; kappa is off by 2.9e-3 at N = 128, 3.0e-6 at
     256 and at most 2e-14 (rounding) at 900, and by 5e-9 at N = 64, s = 0.3.
     The raw update is reported without canonicalization; the iterative
-    wrapper handles the mirror image.
+    wrapper handles the mirror image.  A non-finite prior raises ValueError.
     """
+    _check_prior(prior)
     phases, harmonics, q = _scan_samples(scan)
     s_hat, k_hat, p_hat, flags = _mom_update(
         _checked_squares(q), harmonics, prior.s, prior.kappa, prior.phi_s
@@ -370,6 +371,11 @@ def _mirror(s: float, kappa: float, phi: float) -> tuple[float, float, float]:
     if s > 1.0:
         return 1.0 / s, kappa, canonical_angle(phi + 0.5 * math.pi)
     return s, kappa, phi
+
+
+def _check_prior(prior: StateParams) -> None:
+    if not all(map(math.isfinite, (prior.s, prior.kappa, prior.phi_s))):
+        raise ValueError(f"prior {prior} has a non-finite component")
 
 
 def _seed_prior(fit: EstimateResult) -> tuple[StateParams, set]:
@@ -404,7 +410,8 @@ def mom_estimate(
 
     Without a prior the iteration is seeded from ``fit``, the
     ``fit_estimate`` of this scan when the caller already has it, or
-    else from a fresh fit.  The iterations and the covariance use the
+    else from a fresh fit; a given prior with a non-finite component raises
+    ValueError.  The iterations and the covariance use the
     scan's grid harmonics (shared by every scan on its config's grid), so
     each iteration costs three reductions over the grid and no trig.
     """
@@ -414,6 +421,8 @@ def mom_estimate(
     run_flags = set()
     if prior is None:
         prior, run_flags = _seed_prior(fit_estimate(scan) if fit is None else fit)
+    else:
+        _check_prior(prior)
 
     s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
     s0, k0, p0 = _mirror(s0, k0, p0)

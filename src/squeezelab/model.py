@@ -303,11 +303,6 @@ class SymMatrix3:
             kk=c_kk / d, kp=c_kp / d, pp=c_pp / d,
         )
 
-    def is_psd(self, tol: float = 1e-10) -> bool:
-        w = np.linalg.eigvalsh(self.as_array())
-        bound = tol * max(1.0, float(abs(w).max()))
-        return bool(w.min() >= -bound)
-
 
 def state_covariance(params: StateParams) -> SymMatrix2:
     """Quadrature covariance of the state: R(phi_s) diag(kappa s, kappa/s) R^T."""

@@ -275,10 +275,12 @@ class DriftModel:
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
             raise ValueError(f"drift kind must be one of {DRIFT_KINDS}, got {self.kind!r}")
-        if self.correlation_time <= 0.0:
-            raise ValueError("correlation_time must be > 0")
-        if self.step_interval <= 0.0:
-            raise ValueError("step_interval must be > 0")
+        for name in ("correlation_time", "step_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name}={value} must be finite and > 0")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude={self.amplitude} must be finite")
 
 
 def simulate_phase_drift(model: DriftModel, duration: float, seed: int = 0) -> np.ndarray:
@@ -326,8 +328,10 @@ class TemporalMode:
     window_len: int = 55
 
     def __post_init__(self):
-        if self.fwhm_hz <= 0.0 or self.sample_rate_hz <= 0.0:
-            raise ValueError("fwhm_hz and sample_rate_hz must be > 0")
+        for name in ("fwhm_hz", "sample_rate_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name}={value} must be finite and > 0")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
 
@@ -353,7 +357,11 @@ def default_temporal_mode(
     window_len = floor(total / n_psi); the remainder at the trace end is
     dead time and gets discarded by the analysis.
     """
-    total = int(round(scan_duration * sample_rate_hz))
+    samples = scan_duration * sample_rate_hz
+    if not math.isfinite(samples):
+        raise ValueError(f"scan_duration={scan_duration} at sample_rate_hz={sample_rate_hz} "
+                         "gives no finite trace length")
+    total = int(round(samples))
     wl = total // n_psi
     if wl < 1:
         raise ConfigMismatchError(

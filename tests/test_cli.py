@@ -277,10 +277,10 @@ def test_json_documents_have_pinned_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_benchmark_report_bytes_are_pinned(tmp_path, workers):
-    """SHA-256 of the report CSV and JSON mirror of a fit, MoM and DHD sweep,
-    recorded before the sweeps were drawn and estimated in blocks: any
-    change to a per-trial draw or estimate, or to the merge of the worker
-    chunks, shows here."""
+    """SHA-256 of the report CSV and JSON mirror of a fit, MoM and DHD sweep:
+    any change to a per-trial draw or estimate, or to the merge of the worker
+    chunks, shows here.  Both files start with the config echo, so a new
+    RunConfig field changes the digests while every data row stays put."""
     csv_path, json_path = tmp_path / "rep.csv", tmp_path / "rep.json"
     assert main(["benchmark", "--s", "0.21,0.5,0.9", "--methods", "fit,mom,dhd",
                  "--trials", "200", "--n-psi", "300", "--seed", "11",
@@ -288,8 +288,8 @@ def test_benchmark_report_bytes_are_pinned(tmp_path, workers):
                  "--json", str(json_path)]) == 0
     digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)]
     assert digests == [
-        "7ab55efd39e1464b614c5100d3da37a72b119b60f32f8915d098563b5bc3b903",
-        "e3d17f083eb8361408b30842f713c5186e5e58a0fc7c82ca189b642901b4ca61",
+        "c2eb9d8445fbf73a843d396764f2f2e0b03becf41de9ee02bf04bf9d02a40c5a",
+        "e50e78836dde6b609ca23aa662fbbae160ccb03ff73376f71ac2f747309ffd10",
     ]
 
 
@@ -367,6 +367,7 @@ def test_config_validation_errors(capsys):
 @pytest.mark.parametrize("key, value", [
     ("n_psi", 100.7), ("trials", 2.9), ("seed", True), ("max_iter", False),
     ("phi_s", True), ("kappa", True), ("tol", False), ("s", True), ("s", [True]),
+    ("trial", 1.5),
 ])
 def test_config_file_rejects_bools_and_fractional_integers(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -390,6 +391,9 @@ def test_config_file_accepts_integral_floats(tmp_path, capsys):
     ("kappa", math.nan), ("phi_s", math.nan), ("phi_s", -math.inf), ("tol", math.nan),
     ("tol", -1.0), ("tol", 0.0), ("max_iter", 0), ("correlation_time", math.inf),
     ("step_interval", math.nan), ("amplitude", math.inf), ("duration", math.inf),
+    ("rate_hz", math.inf), ("rate_hz", 1e8 + 0.5), ("fwhm_hz", math.nan),
+    ("scan_duration", -math.inf), ("prior_s", math.nan), ("prior_kappa", math.inf),
+    ("prior_phi", math.nan),
 ])
 def test_config_file_bad_choice_or_range_exits_1(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -404,7 +408,8 @@ def test_every_run_config_field_is_a_config_key_echoed_back(tmp_path, capsys):
         "phase_span": 4, "spacing": "random", "n_samples": 50, "trials": 10,
         "methods": ["fit", "dhd"], "policy": "exclude", "tol": 1e-7, "max_iter": 15,
         "drift_kind": "random-walk", "correlation_time": 1e-3, "step_interval": 1e-4,
-        "amplitude": 0.2, "duration": 0.01,
+        "amplitude": 0.2, "duration": 0.01, "trial": 3, "rate_hz": 5e7, "fwhm_hz": 4e6,
+        "scan_duration": 2e-4, "prior_s": 0.4, "prior_kappa": 1.5, "prior_phi": 0.2,
     }
     defaults = dataclasses.asdict(RunConfig())
     assert set(want) == set(defaults)
@@ -415,11 +420,15 @@ def test_every_run_config_field_is_a_config_key_echoed_back(tmp_path, capsys):
     assert _echo_config(capsys) == want
 
 
-def _flag_surface(command):
+def _subcommands():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _flag_surface(command):
     return {
         (flag, a.dest, tuple(a.choices) if a.choices else None)
-        for a in sub.choices[command]._actions
+        for a in _subcommands()[command]._actions
         for flag in a.option_strings
         if a.dest != "help"
     }
@@ -430,10 +439,7 @@ _SCAN = {
     ("--n-psi", "n_psi", None), ("--phase-span", "phase_span", None),
     ("--spacing", "spacing", ("equispaced", "random")),
 }
-_TRACE = {
-    ("--rate-hz", "rate_hz", None), ("--fwhm-hz", "fwhm_hz", None),
-    ("--scan-duration", "scan_duration", None),
-}
+_TRACE = {("--fwhm-hz", "fwhm_hz", None), ("--scan-duration", "scan_duration", None)}
 _COMMON = {("--seed", "seed", None), ("--config", "config", None), ("--out", "out", None)}
 _ITER = {("--tol", "tol", None), ("--max-iter", "max_iter", None)}
 
@@ -442,7 +448,7 @@ _ITER = {("--tol", "tol", None), ("--max-iter", "max_iter", None)}
     ("bounds", _STATE | _COMMON | {("--n", "n_samples", None)}),
     ("simulate", _STATE | _SCAN | _TRACE | _COMMON | {
         ("--kind", "kind", ("scan", "dhd", "trace")), ("--n", "n_samples", None),
-        ("--trial", "trial", None),
+        ("--trial", "trial", None), ("--rate-hz", "rate_hz", None),
     }),
     ("estimate", _SCAN | _TRACE | _COMMON | _ITER | {
         ("--input", "input", None), ("--method", "method", None),
@@ -463,6 +469,18 @@ _ITER = {("--tol", "tol", None), ("--max-iter", "max_iter", None)}
 ])
 def test_cli_flag_surface(command, want):
     assert _flag_surface(command) == want
+
+
+# options that say where data come from and go to, or how a run executes
+_EXECUTION_DETAILS = {"config", "out", "input", "method", "format", "kind", "workers", "json"}
+
+
+def test_every_option_is_a_run_config_field_or_an_execution_detail():
+    """A run option declared outside RunConfig escapes its checks and its echo."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    for command, parser in _subcommands().items():
+        dests = {a.dest for a in parser._actions if a.dest != "help"}
+        assert dests - fields - _EXECUTION_DETAILS == set(), command
 
 
 def test_package_exports_every_public_module_name():
@@ -670,6 +688,41 @@ def test_estimate_rejects_bad_combinations(tmp_path, capsys):
                  "--prior-s", "0.5"]) == 1
     assert main(["estimate", "--input", str(path), "--method", "dhd"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["simulate", "--kind", "trace", "--rate-hz", "inf"], "error: rate_hz=inf "),
+    (["simulate", "--kind", "trace", "--rate-hz", "99999999.6"], "error: rate_hz=99999999.6 "),
+    (["simulate", "--kind", "trace", "--scan-duration", "nan"], "error: scan_duration=nan "),
+    (["simulate", "--kind", "trace", "--fwhm-hz", "nan"], "error: fwhm_hz=nan "),
+    (["estimate", "--method", "mom", "--prior-s", "nan", "--prior-kappa", "1",
+      "--prior-phi", "0"], "error: prior_s=nan "),
+    (["estimate", "--method", "mom", "--prior-s", "0.5"], "error: give all of "),
+], ids=["rate-inf", "rate-fractional", "scan-duration-nan", "fwhm-nan", "prior-nan",
+        "prior-partial"])
+def test_bad_trace_or_prior_setting_exits_1_before_any_output(tmp_path, capsys, argv, error):
+    if argv[0] == "estimate":
+        scan = tmp_path / "scan.csv"
+        sio.write_scan_csv(scan, sample_homodyne_scan(StateParams(0.5, 1.4, 0.2),
+                                                      ScanConfig(n_psi=64)))
+        argv = [*argv, "--input", str(scan), "--n-psi", "64"]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert error in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_echo_reproduces_its_file(tmp_path, capsys):
+    """The echoed config alone, fed back as a config file, rewrites the same bytes."""
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert main(["simulate", "--trial", "7", "--n-psi", "64", "--out", str(first)]) == 0
+    echo = _echo_config(capsys)
+    assert echo["trial"] == 7
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(echo))
+    assert main(["simulate", "--config", str(cfg), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_simulate_requires_out(capsys):

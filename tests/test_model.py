@@ -237,8 +237,3 @@ def test_sym3_singular_rejected():
     with pytest.raises(SingularMatrixError):
         m.inverse()
 
-
-def test_sym3_psd_check():
-    a = RNG.normal(size=(3, 3))
-    assert SymMatrix3.from_array(a @ a.T).is_psd()
-    assert not SymMatrix3.from_array(np.diag([1.0, -0.5, 2.0])).is_psd()

@@ -212,6 +212,20 @@ def test_mode_validation():
         TemporalMode(window_len=0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (TemporalMode, "fwhm_hz"), (TemporalMode, "sample_rate_hz"),
+    (default_temporal_mode, "scan_duration"), (default_temporal_mode, "sample_rate_hz"),
+    (default_temporal_mode, "fwhm_hz"),
+    (DriftModel, "correlation_time"), (DriftModel, "step_interval"), (DriftModel, "amplitude"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_geometry_and_drift_rejected(make, name, bad):
+    """nan slips past a `x <= 0` check and inf overflows the trace length:
+    both raise ValueError before any weight or sample is built."""
+    with pytest.raises(ValueError, match="finite"):
+        make(**{name: bad})
+
+
 def test_default_temporal_mode_geometry():
     mode, total = default_temporal_mode(n_psi=900, scan_duration=500e-6, sample_rate_hz=1e8)
     assert total == 50_000
