@@ -9,16 +9,19 @@ Commands:
 * track      slow angle drift tracked scan by scan
 
 Every run setting, the trace geometry, the trial index and the MoM prior
-among them, is a ``RunConfig`` field, declared once with its flag.  Option
-precedence, lowest to highest: built-in defaults, the SQUEEZELAB_SEED
-environment variable (seed only), JSON config file (--config), explicit
-command line flags.  Every command echoes the resolved run configuration as
-a single `config: {...}` line on stderr; file outputs embed the same JSON in
-a leading `# config:` comment.  The options --config, --out, --input,
---method (echoed as ``methods``), --format, --kind, --workers and --json
-are execution details, not run configuration, so they are not echoed; this
-is what makes benchmark output byte-identical across --workers.  `estimate`
-reads a trace's sample rate from the file header, not from ``rate_hz``.
+among them, is a ``RunConfig`` field that declares its own flag, help text,
+choices and sign; the subcommand parsers and the range checks read them
+from there.  ``main`` resolves the config once and hands it, with its echo,
+to the command.  Option precedence, lowest to highest: built-in defaults,
+the SQUEEZELAB_SEED environment variable (seed only), JSON config file
+(--config), explicit command line flags.  Every command echoes the resolved
+run configuration, floats at full precision, as a single `config: {...}`
+line on stderr; file outputs embed the same JSON in a leading `# config:`
+comment.  The options --config, --out, --input, --method (echoed as
+``methods``), --format, --kind, --workers and --json are execution details,
+not run configuration, so they are not echoed; this is what makes benchmark
+output byte-identical across --workers.  `estimate` reads a trace's sample
+rate from the file header, not from ``rate_hz``.
 
 Exit status: 0 on success, including estimates that carry quality flags;
 1 on configuration, I/O, or parse errors; 2 on a malformed command line.
@@ -77,61 +80,74 @@ class ConfigError(ValueError):
     """Bad option value, config file, or option combination."""
 
 
+def _setting(default, help_text, *, flag=None, choices=None, positive=False):
+    """A RunConfig field and its command line option: help text, flag (when
+    it is not --field-name), choices, and whether a set value must be > 0."""
+    return dataclasses.field(default=default, metadata={
+        "help": help_text, "flag": flag, "choices": choices, "positive": positive})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved knobs shared by the commands, each declared only here.
 
     A field's name is its config-file key, its annotation picks its parser,
-    and ``_FLAGS`` gives its flag.  kappa=None means the pure-state family
-    value 1/sqrt(s) is used for each s.  n_samples doubles as the homodyne
-    sample count per scan and the pair count per joint-quadrature batch.
-    The prior_* triple is all None (MoM starts from the fit) or all set.
+    and its ``_setting`` metadata give its flag, help text and choices, and
+    whether a set value must be > 0; ``__post_init__`` checks the choices,
+    the sign and that every float is finite.  kappa=None means the
+    pure-state family value 1/sqrt(s) is used for each s.
+    n_samples doubles as the homodyne sample count per scan and the pair
+    count per joint-quadrature batch.  The prior_* triple is all None (MoM
+    starts from the fit) or all set.
     """
 
-    seed: int = 0
-    s: tuple[float, ...] = (0.5,)
-    kappa: float | None = None
-    phi_s: float = 0.0
-    n_psi: int = 900
-    phase_span: int = 2
-    spacing: str = "equispaced"
-    n_samples: int = 900
-    trials: int = 3000
-    methods: tuple[str, ...] = (METHOD_FIT, METHOD_MOM)
-    policy: str = POLICY_INCLUDE
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    drift_kind: str = "mean-reverting"
-    correlation_time: float = 5e-3
-    step_interval: float = 5e-4
-    amplitude: float = 0.15
-    duration: float = 0.3
-    trial: int = 0
-    rate_hz: float = 1e8
-    fwhm_hz: float = 6e6
-    scan_duration: float = 500e-6
-    prior_s: float | None = None
-    prior_kappa: float | None = None
-    prior_phi: float | None = None
+    seed: int = _setting(0, "master RNG seed")
+    s: tuple[float, ...] = _setting(
+        (0.5,), "squeezing parameter s in (0, 1], or a list a,b or range start:stop[:step]")
+    kappa: float | None = _setting(
+        None, "thermal scale kappa >= 1 (default: pure family 1/sqrt(s))")
+    phi_s: float = _setting(0.0, "squeezing angle in radians")
+    n_psi: int = _setting(900, "phase settings per scan")
+    phase_span: int = _setting(2, "scan span in multiples of pi")
+    spacing: str = _setting("equispaced", "phase grid layout", choices=SPACINGS)
+    n_samples: int = _setting(900, "pairs per DHD batch, and the sample count bounds scale to",
+                              flag="--n", positive=True)
+    trials: int = _setting(3000, "Monte Carlo trials per s value", positive=True)
+    methods: tuple[str, ...] = _setting((METHOD_FIT, METHOD_MOM),
+                                        f"comma list from {', '.join(METHODS)}")
+    policy: str = _setting(POLICY_INCLUDE, "variance over all trials or physical-only trials",
+                           choices=POLICIES)
+    tol: float = _setting(DEFAULT_TOL, "iteration stop tolerance", positive=True)
+    max_iter: int = _setting(DEFAULT_MAX_ITER, "iteration cap of the moment estimator",
+                             positive=True)
+    drift_kind: str = _setting("mean-reverting", "drift process", choices=DRIFT_KINDS)
+    correlation_time: float = _setting(5e-3, "drift correlation time in seconds", flag="--tau")
+    step_interval: float = _setting(5e-4, "scan repetition interval in seconds", flag="--step")
+    amplitude: float = _setting(0.15, "drift amplitude in radians")
+    duration: float = _setting(0.3, "total tracked time in seconds", positive=True)
+    trial: int = _setting(0, "trial index in the seed stream")
+    rate_hz: float = _setting(1e8, "trace sample rate in Hz, a whole number", positive=True)
+    fwhm_hz: float = _setting(6e6, "temporal mode bandwidth in Hz", positive=True)
+    scan_duration: float = _setting(500e-6, "wall time of one scan in seconds", positive=True)
+    prior_s: float | None = _setting(
+        None, "MoM starting s; give all three --prior-* or none", positive=True)
+    prior_kappa: float | None = _setting(None, "MoM starting kappa", positive=True)
+    prior_phi: float | None = _setting(None, "MoM starting angle in radians")
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
+            value, choices = getattr(self, f.name), f.metadata["choices"]
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name}={value} is not finite")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter={self.max_iter} must be >= 1")
-        if self.tol <= 0.0:
-            raise ConfigError(f"tol={self.tol} must be > 0")
+            if f.metadata["positive"] and value is not None and value <= 0:
+                raise ConfigError(f"{f.name}={value} must be > 0")
+            if choices and value not in choices:
+                raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
         for s in self.s:
             if not 0.0 < s <= 1.0:
                 raise ConfigError(f"s={s} outside (0, 1]")
         if self.kappa is not None and self.kappa < 1.0:
             raise ConfigError(f"kappa={self.kappa} below the vacuum floor 1")
-        if self.trials < 1 or self.n_samples < 1:
-            raise ConfigError("trials and n_samples must be positive")
-        if self.policy not in POLICIES:
-            raise ConfigError(f"policy must be one of {POLICIES}")
         if self.rate_hz != int(self.rate_hz):
             raise ConfigError(f"rate_hz={self.rate_hz} must be a whole number of Hz")
         if (self.prior_s, self.prior_kappa, self.prior_phi).count(None) in (1, 2):
@@ -225,37 +241,7 @@ _PARSERS = {
 }
 _FLAG_TYPES = {"int": int, "float": float, "float | None": float}
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-# field -> (flag, help); the flag is --field-name but for --n, --tau, --step
-_FLAGS = {
-    "seed": ("--seed", "master RNG seed"),
-    "s": ("--s", "squeezing parameter s in (0, 1], or a list a,b or range start:stop[:step]"),
-    "kappa": ("--kappa", "thermal scale kappa >= 1 (default: pure family 1/sqrt(s))"),
-    "phi_s": ("--phi-s", "squeezing angle in radians"),
-    "n_psi": ("--n-psi", "phase settings per scan"),
-    "phase_span": ("--phase-span", "scan span in multiples of pi"),
-    "spacing": ("--spacing", "phase grid layout"),
-    "n_samples": ("--n", "pairs per DHD batch, and the sample count bounds scale to"),
-    "trials": ("--trials", "Monte Carlo trials per s value"),
-    "methods": ("--methods", f"comma list from {', '.join(METHODS)}"),
-    "policy": ("--policy", "variance over all trials or physical-only trials"),
-    "tol": ("--tol", "iteration stop tolerance"),
-    "max_iter": ("--max-iter", "iteration cap of the moment estimator"),
-    "drift_kind": ("--drift-kind", "drift process"),
-    "correlation_time": ("--tau", "drift correlation time in seconds"),
-    "step_interval": ("--step", "scan repetition interval in seconds"),
-    "amplitude": ("--amplitude", "drift amplitude in radians"),
-    "duration": ("--duration", "total tracked time in seconds"),
-    "trial": ("--trial", "trial index in the seed stream"),
-    "rate_hz": ("--rate-hz", "trace sample rate in Hz, a whole number"),
-    "fwhm_hz": ("--fwhm-hz", "temporal mode bandwidth in Hz"),
-    "scan_duration": ("--scan-duration", "wall time of one scan in seconds"),
-    "prior_s": ("--prior-s", "MoM starting s; give all three --prior-* or none"),
-    "prior_kappa": ("--prior-kappa", "MoM starting kappa"),
-    "prior_phi": ("--prior-phi", "MoM starting angle in radians"),
-}
-_CHOICES = {"spacing": SPACINGS, "policy": POLICIES, "drift_kind": DRIFT_KINDS}
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _load_config_file(path) -> dict:
@@ -268,7 +254,7 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(raw) - set(_FIELD_TYPES))
+    unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     return raw
@@ -286,21 +272,23 @@ def resolve_config(args) -> RunConfig:
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         values.update(_load_config_file(cfg_path))
-    for name in _FIELD_TYPES:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
+    flags = dict(vars(args))
+    if "method" in flags:  # estimate's --method is the methods it runs
+        flags["methods"] = flags.pop("method")
+    values.update((name, flags[name]) for name in _FIELDS if flags.get(name) is not None)
     parsed = {}
     for name, value in values.items():
         try:
-            parsed[name] = _PARSERS[_FIELD_TYPES[name]](value)
+            parsed[name] = _PARSERS[_FIELDS[name].type](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {name}: {exc}") from None
     return RunConfig(**parsed)
 
 
 def _echo(cfg: RunConfig) -> str:
-    text = json.dumps(sio.json_ready(dataclasses.asdict(cfg)), sort_keys=True)
+    """The config as one JSON line on stderr, floats at full precision so
+    that the line alone reproduces the run."""
+    text = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     print(f"config: {text}", file=sys.stderr)
     return text
 
@@ -311,16 +299,12 @@ def _single_s(cfg: RunConfig, command: str) -> float:
     return cfg.s[0]
 
 
-def cmd_bounds(args) -> list[str]:
-    cfg = resolve_config(args)
-    echo = _echo(cfg)
+def cmd_bounds(args, cfg: RunConfig, echo: str) -> list[str]:
     truths = [cfg.state(s) for s in cfg.s]
     return sio.bounds_csv_lines(truths, cfg.n_samples, config_json=echo)
 
 
-def cmd_simulate(args) -> None:
-    cfg = resolve_config(args)
-    echo = _echo(cfg)
+def cmd_simulate(args, cfg: RunConfig, echo: str) -> None:
     truth = cfg.state(_single_s(cfg, "simulate"))
     if args.out is None:
         raise ConfigError(f"simulate --kind {args.kind} needs --out")
@@ -343,7 +327,7 @@ def _estimate_result_dict(res) -> dict:
     db_err = None
     if db is not None and res.predicted_cov is not None:
         db_err = squeezing_db_error(res.params, res.predicted_cov)
-    return {
+    return sio.json_ready({
         "s": res.params.s,
         "kappa": res.params.kappa,
         "phi_s": res.params.phi_s,
@@ -357,7 +341,7 @@ def _estimate_result_dict(res) -> dict:
         "predicted_std": None
         if std is None
         else {"s": std[0], "kappa": std[1], "phi_s": std[2]},
-    }
+    })
 
 
 def _load_scan_for_estimate(args, cfg: RunConfig, fmt: str):
@@ -368,10 +352,8 @@ def _load_scan_for_estimate(args, cfg: RunConfig, fmt: str):
     return scan_from_trace(trace, mode, config=cfg.scan_config())
 
 
-def cmd_estimate(args) -> list[str]:
-    methods = parse_methods(args.method)
-    cfg = dataclasses.replace(resolve_config(args), methods=methods)
-    echo = _echo(cfg)
+def cmd_estimate(args, cfg: RunConfig, echo: str) -> list[str]:
+    methods = cfg.methods
     fmt = args.format
     if fmt is None:
         fmt = "dhd" if methods == (METHOD_DHD,) else "scan"
@@ -383,20 +365,16 @@ def cmd_estimate(args) -> list[str]:
     elif fmt == "dhd":
         raise ConfigError(f"methods {','.join(methods)} read scan or trace files, not dhd")
 
-    results = []
     if methods == (METHOD_DHD,):
-        batch = sio.read_dhd_csv(args.input)
-        results.append(dhd_estimate(batch))
+        results = [dhd_estimate(sio.read_dhd_csv(args.input))]
     else:
         scan = _load_scan_for_estimate(args, cfg, fmt)
         prior = cfg.prior()
-        for method in methods:
-            if method == METHOD_FIT:
-                results.append(fit_estimate(scan))
-            else:
-                results.append(
-                    mom_estimate(scan, prior=prior, max_iter=cfg.max_iter, tol=cfg.tol)
-                )
+        # one fit serves as the fit result and as MoM's seed
+        fit = fit_estimate(scan) if METHOD_FIT in methods or prior is None else None
+        results = [fit if method == METHOD_FIT else
+                   mom_estimate(scan, prior=prior, max_iter=cfg.max_iter, tol=cfg.tol, fit=fit)
+                   for method in methods]
 
     payload = {
         "config": json.loads(echo),
@@ -405,9 +383,7 @@ def cmd_estimate(args) -> list[str]:
     return [sio.dump_json(payload)]
 
 
-def cmd_benchmark(args) -> list[str]:
-    cfg = resolve_config(args)
-    echo = _echo(cfg)
+def cmd_benchmark(args, cfg: RunConfig, echo: str) -> list[str]:
     reports = sweep_family(
         cfg.s,
         cfg.methods,
@@ -431,9 +407,7 @@ def cmd_benchmark(args) -> list[str]:
     return sio.report_csv_lines(reports, config_json=echo)
 
 
-def cmd_track(args) -> list[str]:
-    cfg = resolve_config(args)
-    echo = _echo(cfg)
+def cmd_track(args, cfg: RunConfig, echo: str) -> list[str]:
     truth = cfg.state(_single_s(cfg, "track"))
     result = track_angle(
         cfg.drift_model(),
@@ -451,9 +425,10 @@ def cmd_track(args) -> list[str]:
 def _add_run_opts(sp, fields) -> None:
     """Flags for the given RunConfig fields, then --config and --out."""
     for name in fields:
-        flag, help_text = _FLAGS[name]
-        sp.add_argument(flag, dest=name, type=_FLAG_TYPES.get(_FIELD_TYPES[name]),
-                        choices=_CHOICES.get(name), default=None, help=help_text)
+        f = _FIELDS[name]
+        sp.add_argument(f.metadata["flag"] or "--" + name.replace("_", "-"), dest=name,
+                        type=_FLAG_TYPES.get(f.type), choices=f.metadata["choices"],
+                        default=None, help=f.metadata["help"])
     sp.add_argument("--config", default=None, help="JSON config file")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
@@ -510,11 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        cfg = resolve_config(args)
         # a command returns its output lines, or None when it wrote its own files
-        lines = args.func(args)
+        lines = args.func(args, cfg, _echo(cfg))
         if lines is not None:
             sio.write_lines(args.out, lines)
     except (ConfigError, ValueError, OSError) as exc:

@@ -354,7 +354,8 @@ def mom_step(scan, prior: StateParams) -> EstimateResult:
     kappa = 0.920 at N = 64; kappa is off by 2.9e-3 at N = 128, 3.0e-6 at
     256 and at most 2e-14 (rounding) at 900, and by 5e-9 at N = 64, s = 0.3.
     The raw update is reported without canonicalization; the iterative
-    wrapper handles the mirror image.  A non-finite prior raises ValueError.
+    wrapper handles the mirror image.  A prior with a non-finite component,
+    s <= 0 or kappa <= 0 raises ValueError.
     """
     _check_prior(prior)
     phases, harmonics, q = _scan_samples(scan)
@@ -374,8 +375,12 @@ def _mirror(s: float, kappa: float, phi: float) -> tuple[float, float, float]:
 
 
 def _check_prior(prior: StateParams) -> None:
+    """A given prior is outside input: reject it rather than let the loop
+    guards replace it.  s > 1 is legal, the mirror maps it onto s <= 1."""
     if not all(map(math.isfinite, (prior.s, prior.kappa, prior.phi_s))):
         raise ValueError(f"prior {prior} has a non-finite component")
+    if prior.s <= 0.0 or prior.kappa <= 0.0:
+        raise ValueError(f"prior {prior} needs s > 0 and kappa > 0")
 
 
 def _seed_prior(fit: EstimateResult) -> tuple[StateParams, set]:
@@ -410,8 +415,8 @@ def mom_estimate(
 
     Without a prior the iteration is seeded from ``fit``, the
     ``fit_estimate`` of this scan when the caller already has it, or
-    else from a fresh fit; a given prior with a non-finite component raises
-    ValueError.  The iterations and the covariance use the
+    else from a fresh fit; a given prior with a non-finite component,
+    s <= 0 or kappa <= 0 raises ValueError.  The iterations and the covariance use the
     scan's grid harmonics (shared by every scan on its config's grid), so
     each iteration costs three reductions over the grid and no trig.
     """

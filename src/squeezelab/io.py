@@ -8,7 +8,9 @@ Two precision regimes, deliberately different:
   bit-for-bit;
 * report files (bounds tables, benchmark CSV/JSON, track CSV) use 12
   significant digits, which is lossless at every tolerance the reports
-  are consumed at.
+  are consumed at;
+* the run config a file or JSON document carries keeps repr floats too,
+  so that it alone reproduces the run.
 
 Parse errors name the file and the 1-based line number.
 """
@@ -242,10 +244,11 @@ def write_report_csv(path, reports, config_json=None) -> None:
 
 
 def report_to_dict(report: TrialReport) -> dict:
-    """The JSON mirror: every TrialReport field, with bias_all under "bias"."""
+    """The JSON mirror: every TrialReport field, with bias_all under "bias",
+    floats at 12 significant digits."""
     out = asdict(report)
     out["bias"] = out.pop("bias_all")
-    return out
+    return json_ready(out)
 
 
 # (column, cell) of the bounds table: one row per truth t at n samples, with c
@@ -288,8 +291,8 @@ def json_ready(obj):
 
 
 def dump_json(obj, path=None) -> str:
-    """Serialize with rounded floats; write to path when given."""
-    text = json.dumps(json_ready(obj), indent=2, sort_keys=True)
+    """Serialize a JSON-ready object as it is; write to path when given."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
     if path is not None:
         write_lines(path, [text])
     return text

@@ -28,6 +28,7 @@ from squeezelab import (
     synthesize_trace,
     track_angle,
 )
+from squeezelab import estimators
 from squeezelab import io as sio
 from squeezelab.cli import (
     ENV_SEED,
@@ -385,6 +386,11 @@ def test_config_file_accepts_integral_floats(tmp_path, capsys):
     assert echoed["n_psi"] == 100 and isinstance(echoed["n_psi"], int)
 
 
+# the settings that must be > 0 when set
+_POSITIVE = ("n_samples", "trials", "tol", "max_iter", "duration", "rate_hz", "fwhm_hz",
+             "scan_duration", "prior_s", "prior_kappa")
+
+
 @pytest.mark.parametrize("key, value", [
     ("spacing", "grid"), ("policy", "some"), ("drift_kind", "jump"),
     ("n_psi", 0), ("phase_span", 0), ("correlation_time", 0.0), ("step_interval", -1.0),
@@ -393,13 +399,19 @@ def test_config_file_accepts_integral_floats(tmp_path, capsys):
     ("step_interval", math.nan), ("amplitude", math.inf), ("duration", math.inf),
     ("rate_hz", math.inf), ("rate_hz", 1e8 + 0.5), ("fwhm_hz", math.nan),
     ("scan_duration", -math.inf), ("prior_s", math.nan), ("prior_kappa", math.inf),
-    ("prior_phi", math.nan),
+    ("prior_phi", math.nan), ("max_iter", -1),
+    # tol and max_iter have their cases at 0 above
+    *((key, value) for key in _POSITIVE if key not in ("tol", "max_iter") for value in (0, -1)),
 ])
 def test_config_file_bad_choice_or_range_exits_1(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: value}))
+    # a whole prior, so that a bad prior_* value is the only fault
+    cfg.write_text(json.dumps({"prior_s": 0.4, "prior_kappa": 1.5, "prior_phi": 0.1,
+                               key: value}))
     assert main(["bounds", "--s", "0.5", "--config", str(cfg)]) == 1
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "error:" in err and out == ""
+    assert key not in _POSITIVE or f"error: {key}=" in err
 
 
 def test_every_run_config_field_is_a_config_key_echoed_back(tmp_path, capsys):
@@ -698,8 +710,14 @@ def test_estimate_rejects_bad_combinations(tmp_path, capsys):
     (["estimate", "--method", "mom", "--prior-s", "nan", "--prior-kappa", "1",
       "--prior-phi", "0"], "error: prior_s=nan "),
     (["estimate", "--method", "mom", "--prior-s", "0.5"], "error: give all of "),
+    (["simulate", "--kind", "trace", "--rate-hz", "-5"], "error: rate_hz=-5.0 "),
+    (["simulate", "--kind", "trace", "--fwhm-hz", "0"], "error: fwhm_hz=0.0 "),
+    (["simulate", "--kind", "trace", "--scan-duration=-1e-6"], "error: scan_duration=-1e-06 "),
+    (["estimate", "--method", "mom", "--prior-s", "-1", "--prior-kappa", "1",
+      "--prior-phi", "0"], "error: prior_s=-1.0 "),
 ], ids=["rate-inf", "rate-fractional", "scan-duration-nan", "fwhm-nan", "prior-nan",
-        "prior-partial"])
+        "prior-partial", "rate-negative", "fwhm-zero", "scan-duration-negative",
+        "prior-negative"])
 def test_bad_trace_or_prior_setting_exits_1_before_any_output(tmp_path, capsys, argv, error):
     if argv[0] == "estimate":
         scan = tmp_path / "scan.csv"
@@ -723,6 +741,49 @@ def test_simulate_echo_reproduces_its_file(tmp_path, capsys):
     cfg.write_text(json.dumps(echo))
     assert main(["simulate", "--config", str(cfg), "--out", str(again)]) == 0
     assert again.read_bytes() == first.read_bytes()
+
+
+def test_echo_keeps_every_digit(tmp_path, capsys):
+    """A setting with more than 12 significant digits is echoed as given, on
+    stderr, in a file's config comment and in a JSON output's config object,
+    so the echo replays the run."""
+    phi = 0.12345678901234567
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert main(["simulate", "--n-psi", "16", "--phi-s", str(phi), "--out", str(first)]) == 0
+    echo = _echo_config(capsys)
+    assert echo["phi_s"] == phi
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(echo))
+    assert main(["simulate", "--config", str(cfg), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+    assert main(["estimate", "--input", str(first), "--method", "fit", "--n-psi", "16",
+                 "--tol", str(phi)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tol"] == phi
+    json_path = tmp_path / "rep.json"
+    assert main(["benchmark", "--s", "0.5", "--methods", "fit", "--trials", "4",
+                 "--n-psi", "16", "--phi-s", str(phi), "--out", str(tmp_path / "rep.csv"),
+                 "--json", str(json_path)]) == 0
+    capsys.readouterr()
+    assert json.loads(json_path.read_text())["config"]["phi_s"] == phi
+
+
+@pytest.mark.parametrize("method", ["fit,mom", "mom,fit"])
+def test_estimate_fits_the_scan_once(tmp_path, capsys, monkeypatch, method):
+    """Without a prior, the fit result is also MoM's seed: one fit per scan."""
+    path = tmp_path / "scan.csv"
+    assert main(["simulate", "--n-psi", "64", "--out", str(path)]) == 0
+    calls = []
+    fit_rows = estimators.fit_rows
+
+    def counting_fit_rows(*args, **kwargs):
+        calls.append(args)
+        return fit_rows(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "fit_rows", counting_fit_rows)
+    assert main(["estimate", "--input", str(path), "--method", method, "--n-psi", "64"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_simulate_requires_out(capsys):

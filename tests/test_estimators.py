@@ -185,11 +185,15 @@ def test_mom_step_singular_prior_flag():
     assert r.params.phi_s == pytest.approx(0.9, abs=1e-12)
 
 
-@pytest.mark.parametrize("component", ["s", "kappa", "phi_s"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_prior_is_rejected(component, bad):
+@pytest.mark.parametrize("bad, component", [
+    *((bad, component) for bad in (math.nan, math.inf, -math.inf)
+      for component in ("s", "kappa", "phi_s")),
+    (-1.0, "s"), (0.0, "s"), (-3.0, "kappa"), (0.0, "kappa"),
+])
+def test_non_finite_prior_is_rejected(bad, component):
     """A given prior is outside input: the loop guards must not quietly
-    replace a non-finite component and report a converged estimate."""
+    replace a non-finite component, s <= 0 or kappa <= 0 and report a
+    converged estimate."""
     scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), ScanConfig(n_psi=64), seed=0)
     bits = {"s": 0.5, "kappa": 2.0, "phi_s": 0.3, component: bad}
     for estimate in (mom_step, lambda sc, p: mom_estimate(sc, prior=p)):
