@@ -88,16 +88,13 @@ def fisher_homodyne_discrete(params: StateParams, phases, *, harmonics=None) -> 
     sin2u = harmonics[2] * c2p - harmonics[1] * s2p
     b = 0.5 * k * (s - 1.0 / s)
     v = 0.5 * k * (s + 1.0 / s) + b * cos2u
-    g = np.stack((
+    g = np.array((
         k * ((s * s - 1.0) + (s * s + 1.0) * cos2u) / (2.0 * s * s),
         v / k,
         2.0 * b * sin2u,
     ))
-    f = (g * (0.5 / (v * v))) @ g.T
-    return SymMatrix3(
-        ss=float(f[0, 0]), sk=float(f[0, 1]), sp=float(f[0, 2]),
-        kk=float(f[1, 1]), kp=float(f[1, 2]), pp=float(f[2, 2]),
-    )
+    (ss, sk, sp), (_, kk, kp), (_, _, pp) = ((g * (0.5 / (v * v))) @ g.T).tolist()
+    return SymMatrix3(ss=ss, sk=sk, sp=sp, kk=kk, kp=kp, pp=pp)
 
 
 def phase_averaged_fisher(params: StateParams) -> SymMatrix3:

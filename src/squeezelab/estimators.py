@@ -18,9 +18,12 @@ Shared conventions:
   passes its own sign test and its covariance as a module-level function
   with its arguments, and ``_result`` sets ``physical``, the
   ``nonphysical`` and ``singular-information`` flags and the covariance;
-* the fit and DHD estimate a block of scans or batches at once
-  (``fit_rows``, ``dhd_rows``): the moments are row reductions over the
-  block, and ``fit_estimate`` and ``dhd_estimate`` are the one-row case;
+* every method estimates a block of scans or batches at once
+  (``fit_rows``, ``mom_rows``, ``dhd_rows``), and ``fit_estimate``,
+  ``mom_estimate`` and ``dhd_estimate`` are the one-row case: the fit and
+  DHD moments are row reductions over the block, and each MoM iteration
+  reduces the rows not yet converged at once and updates each row on its
+  own, so a row gets the same bits in any block;
 * samples whose mean square (or a DHD second moment) is not finite or
   exceeds ``MAX_MEAN_SQUARE`` raise ValueError.
 """
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -62,6 +66,7 @@ __all__ = [
     "fit_rows",
     "mom_step",
     "mom_estimate",
+    "mom_rows",
     "dhd_estimate",
     "dhd_rows",
     "MAX_MEAN_SQUARE",
@@ -169,11 +174,14 @@ def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _checked_squares(q: np.ndarray) -> np.ndarray:
-    """q * q, once the mean square of q has passed ``_check_mean_square``
-    (taken from one dot, before any square can overflow)."""
+    """q * q for the rows of q (B, N), once the mean square of each row has
+    passed ``_check_mean_square`` (taken from one stacked dot, which sums
+    each row as np.dot does, before any square can overflow)."""
+    n = q.shape[-1]
     with np.errstate(over="ignore"):
-        sum_sq = float(np.dot(q, q))
-    _check_mean_square(sum_sq / q.size, "samples")
+        sums = np.matmul(q[:, None, :], q[:, :, None]).ravel().tolist()
+    for sum_sq in sums:
+        _check_mean_square(sum_sq / n, "samples")
     return q * q
 
 
@@ -266,29 +274,65 @@ def _fit_cov(est: StateParams, n: int) -> SymMatrix3:
     return SymMatrix3(ss=pred.var_s, sk=0.0, sp=0.0, kk=pred.var_kappa, kp=0.0, pp=pred.var_phi)
 
 
-def _mom_moments(x2: np.ndarray, harmonics: np.ndarray, s0: float, k0: float,
-                 p0: float) -> tuple[float, float, float]:
-    """y_a = mean(c_a q^2) for the optimal moment weights at (s0, k0, p0),
-    c_a(psi) = (1 / 2 V^2) dV/da.
+def _mom_weights(s0: float, k0: float, p0: float) -> tuple:
+    """The model variance at the prior as a combination of the harmonics
+    (1, cos 2psi, sin 2psi): with u = psi - p0, V = a + b cos 2u where
+    a = k0 (s0 + 1/s0) / 2 and b = k0 (s0 - 1/s0) / 2.  Returns the
+    coefficients (a, b cos 2p0, b sin 2p0), which ``_mom_reducer``
+    reads, and b, cos 2p0 and sin 2p0, which ``_mom_moments`` reads."""
+    c2p = math.cos(2.0 * p0)
+    s2p = math.sin(2.0 * p0)
+    b = 0.5 * k0 * (s0 - 1.0 / s0)
+    return (0.5 * k0 * (s0 + 1.0 / s0), b * c2p, b * s2p), b, c2p, s2p
 
-    No trig on the grid: with u = psi - p0, V = a + b cos 2u where
-    a = k0 (s0 + 1/s0) / 2 and b = k0 (s0 - 1/s0) / 2, and each c_a is
-    h = 1/(2 V^2) times an affine function of (1, cos 2u, sin 2u).  So the
-    y_a follow from the three moments H = mean(h q^2 (1, cos 2u, sin 2u)),
-    which are the moments of h q^2 against ``harmonics``
-    (1, cos 2psi, sin 2psi) rotated by 2 p0:
+
+def _mom_reducer(harmonics: np.ndarray, x2: np.ndarray):
+    """The O(N) work of one MoM iteration on the rows of ``x2``, their
+    squared samples (A, N), as a function: given each row's variance
+    coefficients (see ``_mom_weights``), it returns each row's three sums
+    m = sum_j q_j^2 / V_j^2 (1, cos 2psi_j, sin 2psi_j), as A lists.
+
+    ``harmonics`` is (3, N), shared by the rows, or (A, 3, N).  A block
+    takes three stacked numpy calls; one row takes the 2-D products, which
+    are cheaper to dispatch.  Both reproduce a single row's np.dot bit for
+    bit, so a row's sums do not depend on the rows reduced with it.
+    """
+    if len(x2) == 1:
+        h, x = harmonics if harmonics.ndim == 2 else harmonics[0], x2[0]
+
+        def reduce(coefs):
+            v = np.dot(coefs[0], h)
+            v *= v
+            return [np.dot(h, np.divide(x, v, v)).tolist()]
+    else:
+        w_shape = (len(x2), x2.shape[1], 1)
+        x = x2[:, None, :]
+
+        def reduce(coefs):
+            v = np.matmul(np.array(coefs)[:, None, :], harmonics)
+            v *= v
+            w = np.divide(x, v, v).reshape(w_shape)
+            return np.matmul(harmonics, w).reshape(-1, 3).tolist()
+    return reduce
+
+
+def _mom_moments(m: list, n: int, s0: float, k0: float,
+                 weights: tuple) -> tuple[float, float, float]:
+    """y_a = mean(c_a q^2) for the optimal moment weights at the prior,
+    c_a(psi) = (1 / 2 V^2) dV/da, from the row's ``_mom_reducer`` sums m.
+
+    No trig on the grid: each c_a is h = 1/(2 V^2) times an affine
+    function of (1, cos 2u, sin 2u), u = psi - p0.  So the y_a follow
+    from the three moments H = mean(h q^2 (1, cos 2u, sin 2u)), which are
+    m / (2N) rotated by 2 p0:
 
         y1 = k0 ((s0^2 - 1) H0 + (s0^2 + 1) Hc) / (2 s0^2)
         y2 = (a H0 + b Hc) / k0
         y3 = 2 b Hs
     """
-    c2p = math.cos(2.0 * p0)
-    s2p = math.sin(2.0 * p0)
-    a = 0.5 * k0 * (s0 + 1.0 / s0)
-    b = 0.5 * k0 * (s0 - 1.0 / s0)
-    v = np.dot((a, b * c2p, b * s2p), harmonics)
-    m0, mc, ms = (harmonics @ (x2 / (v * v))).tolist()
-    scale = 0.5 / x2.size
+    (a, _, _), b, c2p, s2p = weights
+    m0, mc, ms = m
+    scale = 0.5 / n
     h0 = m0 * scale
     hc = (mc * c2p + ms * s2p) * scale
     hs = (ms * c2p - mc * s2p) * scale
@@ -300,10 +344,10 @@ def _mom_moments(x2: np.ndarray, harmonics: np.ndarray, s0: float, k0: float,
     )
 
 
-def _mom_update(x2: np.ndarray, harmonics: np.ndarray, s0: float, k0: float, p0: float):
+def _mom_update(y: tuple, s0: float, k0: float, p0: float):
     """One closed-form moment update. Returns (s, kappa, phi, flags).
 
-    The linear combinations y_a = mean(c_a q^2) (see ``_mom_moments``) feed
+    The moments y_a = mean(c_a q^2) (see ``_mom_moments``) feed
 
         num = y1 s0 (1+s0) + y2 k0
         den = y1 (1+s0) - y2 k0
@@ -314,8 +358,7 @@ def _mom_update(x2: np.ndarray, harmonics: np.ndarray, s0: float, k0: float, p0:
     evaluated as printed, with the absolute values recorded: the physical
     branch has num > 0 and den < 0, anything else flags non-physical.
     """
-    y1, y2, y3 = _mom_moments(x2, harmonics, s0, k0, p0)
-
+    y1, y2, y3 = y
     flags = set()
     num = y1 * s0 * (1.0 + s0) + y2 * k0
     den = y1 * (1.0 + s0) - y2 * k0
@@ -359,9 +402,10 @@ def mom_step(scan, prior: StateParams) -> EstimateResult:
     """
     _check_prior(prior)
     phases, harmonics, q = _scan_samples(scan)
-    s_hat, k_hat, p_hat, flags = _mom_update(
-        _checked_squares(q), harmonics, prior.s, prior.kappa, prior.phi_s
-    )
+    s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
+    w = _mom_weights(s0, k0, p0)
+    m = _mom_reducer(harmonics, _checked_squares(q[None]))([w[0]])[0]
+    s_hat, k_hat, p_hat, flags = _mom_update(_mom_moments(m, q.size, s0, k0, w), s0, k0, p0)
     return _result(METHOD_MOM, StateParams(s_hat, k_hat, p_hat), FLAG_NONPHYSICAL not in flags,
                    flags, True, _mom_cov, (phases, harmonics), 1, prior)
 
@@ -383,58 +427,39 @@ def _check_prior(prior: StateParams) -> None:
         raise ValueError(f"prior {prior} needs s > 0 and kappa > 0")
 
 
-def _seed_prior(fit: EstimateResult) -> tuple[StateParams, set]:
-    """Fit-based starting point, clamped into the iteration domain."""
+def _seed_prior(fit: EstimateResult) -> tuple[StateParams, tuple]:
+    """Fit-based starting point, clamped into the iteration domain, and
+    the flags that the choice raises."""
     s, k = fit.params.s, fit.params.kappa
     if not (math.isfinite(s) and math.isfinite(k)) or s <= 0.0 or k <= 0.0:
-        return FALLBACK_PRIOR, {FLAG_SEED_FALLBACK}
+        return FALLBACK_PRIOR, (FLAG_SEED_FALLBACK,)
     return StateParams(
         s=min(max(s, 0.01), 1.0),
         kappa=min(max(k, 1.0), 100.0),
         phi_s=fit.params.phi_s,
-    ), set()
+    ), ()
 
 
-def mom_estimate(
-    scan,
-    prior: StateParams | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    compute_cov: bool = True,
-    fit: EstimateResult | None = None,
-) -> EstimateResult:
-    """Iterated moment-based estimator.
+def _mom_row(prior: StateParams, seed_flags: tuple, n: int, tol: float, max_iter: int,
+             compute_cov: bool, cov_args: tuple):
+    """One row's MoM estimate, as a generator: it yields the variance
+    coefficients of each iterate (see ``_mom_weights``), is sent the
+    row's ``_mom_reducer`` sums back, and returns the finished
+    EstimateResult.
 
-    Feeds each update back as the next prior until the relative change
+    Each update is fed back as the next prior until the relative change
     max(|ds|/s, |dk|/k, circ|dphi| (1-s)/s) drops below tol.  Every
     iterate is mirror-canonicalized onto s <= 1 (exact gauge move, not a
     clamp); without this, poor priors converge to the mirrored fixed
     point and never meet the tolerance.  No mid-iteration clamping:
     forcing s back inside (0, 1] deadlocks at the s = 1 boundary where
     the angle weight vanishes.
-
-    Without a prior the iteration is seeded from ``fit``, the
-    ``fit_estimate`` of this scan when the caller already has it, or
-    else from a fresh fit; a given prior with a non-finite component,
-    s <= 0 or kappa <= 0 raises ValueError.  The iterations and the covariance use the
-    scan's grid harmonics (shared by every scan on its config's grid), so
-    each iteration costs three reductions over the grid and no trig.
     """
-    phases, harmonics, q = _scan_samples(scan)
-    x2 = _checked_squares(q)
-
-    run_flags = set()
-    if prior is None:
-        prior, run_flags = _seed_prior(fit_estimate(scan) if fit is None else fit)
-    else:
-        _check_prior(prior)
-
-    s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
-    s0, k0, p0 = _mirror(s0, k0, p0)
+    s0, k0, p0 = _mirror(prior.s, prior.kappa, prior.phi_s)
     step_flags: set = set()
     iterations = 0
     converged = False
-    for _ in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         # guards: keep the iteration inside the domain where the update is defined
         if not math.isfinite(s0) or s0 <= 0.0:
             s0 = 0.01
@@ -442,8 +467,9 @@ def mom_estimate(
             s0 = 1.0 - 1e-9
         if not math.isfinite(k0) or k0 <= 0.0:
             k0 = 1.0
-        s1, k1, p1, step_flags = _mom_update(x2, harmonics, s0, k0, p0)
-        iterations += 1
+        w = _mom_weights(s0, k0, p0)
+        m = yield w[0]
+        s1, k1, p1, step_flags = _mom_update(_mom_moments(m, n, s0, k0, w), s0, k0, p0)
         s1, k1, p1 = _mirror(s1, k1, p1)
         if math.isfinite(s1) and math.isfinite(k1) and s1 > 0.0 and k1 > 0.0:
             metric = max(
@@ -456,12 +482,97 @@ def mom_estimate(
                 converged = True
                 break
         s0, k0, p0 = s1, k1, p1
+    flags = step_flags.union(seed_flags)
     if not converged:
-        run_flags.add(FLAG_NO_CONVERGENCE)
-
+        flags.add(FLAG_NO_CONVERGENCE)
     return _result(METHOD_MOM, StateParams(s0, k0, p0), FLAG_NONPHYSICAL not in step_flags,
-                   run_flags | step_flags, compute_cov, _mom_cov, (phases, harmonics),
-                   iterations, prior)
+                   flags, compute_cov, _mom_cov, cov_args, iterations, prior)
+
+
+def mom_estimate(
+    scan,
+    prior: StateParams | None = None,
+    max_iter: int = DEFAULT_MAX_ITER,
+    tol: float = DEFAULT_TOL,
+    compute_cov: bool = True,
+    fit: EstimateResult | None = None,
+) -> EstimateResult:
+    """Iterated moment-based estimator: ``mom_rows`` of the one scan.
+
+    Without a prior the iteration is seeded from ``fit``, the
+    ``fit_estimate`` of this scan when the caller already has it, or
+    else from a fresh fit; a given prior with a non-finite component,
+    s <= 0 or kappa <= 0 raises ValueError.
+    """
+    q = np.asarray(scan.samples, dtype=float)
+    phases = np.asarray(scan.phases, dtype=float)
+    return mom_rows(phases, q[None], scan.meta, None if fit is None else [fit],
+                    None if prior is None else [prior], tol, max_iter, compute_cov)[0]
+
+
+def mom_rows(phases, samples, config=None, fits=None, priors=None, tol: float = DEFAULT_TOL,
+             max_iter: int = DEFAULT_MAX_ITER, compute_cov: bool = False) -> list[EstimateResult]:
+    """``mom_estimate`` of each row of the float array ``samples`` (B, N).
+
+    ``phases`` is the rows' shared grid (``config.grid`` takes the
+    config's cached harmonics) or has one row per scan.  Each row starts
+    from ``priors[i]`` when priors are given, else from the fit
+    ``fits[i]`` of that row, else from a fresh ``fit_rows``.  Every
+    iteration does the O(N) work of all rows not yet converged at once
+    (``_mom_reducer``) and each row's scalar update on its own
+    (``_mom_row``); a row leaves the block when it converges, and it
+    takes the same steps and bits as it would alone.  The iterations and
+    the covariance read the grid only through its harmonics, so an
+    iteration costs three reductions and no trig.  The covariance is
+    formed only when ``compute_cov`` is set.
+    """
+    n = samples.shape[-1]
+    if n < 3:
+        raise ValueError(f"need at least 3 samples, got {n}")
+    given = fits if priors is None else priors
+    if given is not None and len(given) != len(samples):
+        raise ValueError(f"need one prior or fit per row: {len(given)} for {len(samples)} rows")
+    x2 = _checked_squares(samples)
+    if priors is None:
+        seeds = map(_seed_prior, fit_rows(phases, samples, config) if fits is None else fits)
+    else:
+        for prior in priors:
+            _check_prior(prior)
+        seeds = zip(priors, repeat(()))
+
+    h = _harmonics(phases, config)
+    out = [None] * len(samples)
+    live = []  # (row, its estimate) of each row still iterating
+    coefs = []  # the variance coefficients of each live row's current iterate
+    for i, (prior, seed_flags) in enumerate(seeds):
+        row = _mom_row(prior, seed_flags, n, tol, max_iter, compute_cov,
+                       (phases, h) if h.ndim == 2 else (phases[i], h[:, i]))
+        try:
+            coefs.append(next(row))
+            live.append((i, row))
+        except StopIteration as stop:
+            out[i] = stop.value
+    # max_iter is shared, so every row is live here or none is
+    rows = h if h.ndim == 2 else h.transpose(1, 0, 2)  # (3, N) shared, or (B, 3, N)
+    reduce = _mom_reducer(rows, x2)
+    while live:
+        left = 0
+        for k, m in enumerate(reduce(coefs)):
+            try:
+                coefs[k] = live[k][1].send(m)
+            except StopIteration as stop:
+                out[live[k][0]] = stop.value
+                coefs[k] = None
+                left += 1
+        if left:
+            if left == len(live):
+                break
+            # reduce only the rows still iterating
+            live = [r for r, c in zip(live, coefs) if c is not None]
+            coefs = [c for c in coefs if c is not None]
+            idx = [i for i, _ in live]
+            reduce = _mom_reducer(rows if rows.ndim == 2 else rows[idx], x2[idx])
+    return out
 
 
 # eigenvalue-gap threshold below which the DHD angle is meaningless

@@ -10,13 +10,14 @@ truths to one process pool.
 Within a chunk the trials are drawn and estimated in blocks of
 BLOCK_TRIALS: the sampler does the per-truth work once and draws each
 trial's row from that trial's own stream, the fit and DHD reduce the whole
-block at once, and MoM iterates scan by scan from the block's fits.  One
-loop over the DHD blocks and one over the scan blocks write each block's
-estimates straight into the chunk's preallocated per-method arrays, and
-the chunks are merged the same way for one worker or many.  Every row is
-computed as in a separate single-trial call, so the estimates do not
-depend on the block size or on where a chunk starts, and the constant
-block size caps the memory a block takes.
+block at once, and MoM iterates the block from the block's fits, reducing
+the rows not yet converged together and updating each row on its own.
+One loop over the DHD blocks and one over the scan blocks write each
+block's estimates straight into the chunk's preallocated per-method
+arrays, and the chunks are merged the same way for one worker or many.
+Every row is computed as in a separate single-trial call, so the
+estimates do not depend on the block size or on where a chunk starts, and
+the constant block size caps the memory a block takes.
 
 Angle statistics are circular modulo pi: means via the doubled-angle
 resultant, residuals wrapped to (-pi/2, pi/2].
@@ -49,10 +50,10 @@ from .estimators import (
     dhd_rows,
     fit_rows,
     mom_estimate,
+    mom_rows,
 )
 from .simulate import (
     DriftModel,
-    HomodyneScan,
     ScanConfig,
     sample_dhd_blocks,
     sample_homodyne_scan,
@@ -161,12 +162,8 @@ def _collect_range(args):
             if METHOD_FIT in methods:
                 store(METHOD_FIT, trials, fits)
             if METHOD_MOM in methods:
-                store(METHOD_MOM, trials, [
-                    mom_estimate(HomodyneScan(phases if phases.ndim == 1 else phases[i], q[i],
-                                              meta=scan_cfg),
-                                 tol=tol, max_iter=max_iter, compute_cov=False, fit=fit)
-                    for i, fit in enumerate(fits)
-                ])
+                store(METHOD_MOM, trials,
+                      mom_rows(phases, q, scan_cfg, fits=fits, tol=tol, max_iter=max_iter))
     return [parts[m] for m in methods]
 
 

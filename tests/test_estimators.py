@@ -37,9 +37,11 @@ from squeezelab.estimators import (
     FLAG_NO_CONVERGENCE,
     FLAG_SINGULAR_INFORMATION,
     FLAG_SINGULAR_PRIOR,
+    FLAG_SEED_FALLBACK,
     MAX_MEAN_SQUARE,
     dhd_rows,
     fit_rows,
+    mom_rows,
 )
 
 RNG = np.random.default_rng(42)
@@ -415,6 +417,107 @@ def test_block_moments_equal_per_scan_means(rows, n, seed, spacing):
     for i, got in enumerate(dhd_rows(q1, p2)):
         moments = [float(np.mean(a[i] * b[i])) for a, b in ((q1, q1), (q1, p2), (p2, p2))]
         assert got == estimators._dhd_result(*moments, n, False)
+
+
+def _result_bits(r) -> str:
+    """Every bit of an estimate: params, iterations, flags, physical, the
+    prior used and the covariance."""
+    cov = r.predicted_cov
+    return "|".join([
+        _hex_params(r.params), str(r.iterations), ",".join(sorted(r.flags)), str(r.physical),
+        "None" if r.prior_used is None else _hex_params(r.prior_used),
+        "None" if cov is None else " ".join(float(v).hex() for v in cov.as_array().ravel()),
+    ])
+
+
+def _mom_errors(estimate) -> str | None:
+    """The ValueError message ``estimate()`` raises, or None."""
+    try:
+        estimate()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=100)
+@given(
+    rows=st.integers(1, 40),
+    n=st.sampled_from((16, 64, 900)),
+    spacing=st.sampled_from(("equispaced", "random")),
+    max_iter=st.sampled_from((1, 3, 20)),
+    seeding=st.sampled_from(("fit", "fits", "priors")),
+    specials=st.lists(st.sampled_from(("vacuum", "zeros")), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, seeding, specials,
+                                                 seed, data):
+    """Each row of a mom_rows block is, bit for bit, mom_estimate of that
+    row alone: params, iterations, flags, physical, prior and covariance.
+    An exact vacuum row and an all-zero row (whose fit forces the
+    seed-fallback) may be mixed in; max_iter 1 and 3 leave rows
+    unconverged, so the block shrinks unevenly.  Splitting the block
+    changes no row, a bad row or prior raises the same ValueError, and a
+    list of priors or fits one short of the rows is rejected."""
+    rng = np.random.default_rng(seed)
+    cfg = ScanConfig(n_psi=n, spacing=spacing)
+    truths = [StateParams(rng.uniform(0.05, 1.0), rng.uniform(1.0, 4.0), rng.uniform(0.0, math.pi))
+              for _ in range(rows)]
+    scans = [sample_homodyne_scan(t, cfg, seed=seed, trial=i) for i, t in enumerate(truths)]
+    for kind in specials:
+        at = data.draw(st.integers(0, len(scans)))
+        q = np.ones(n) if kind == "vacuum" else np.zeros(n)
+        scans.insert(at, HomodyneScan(scans[0].phases if spacing == "equispaced" else
+                                      np.sort(rng.uniform(0.0, 2.0 * math.pi, n)), q, meta=cfg))
+    rows = len(scans)
+    q = np.stack([scan.samples for scan in scans])
+    phases = cfg.grid if spacing == "equispaced" else np.stack([scan.phases for scan in scans])
+    fits = fit_rows(phases, q, cfg) if seeding == "fits" else None
+    priors = ([StateParams(rng.uniform(0.05, 2.0), rng.uniform(0.5, 4.0), rng.uniform(0.0, 4.0))
+               for _ in range(rows)] if seeding == "priors" else None)
+
+    def block(lo, hi):
+        return mom_rows(phases if phases.ndim == 1 else phases[lo:hi], q[lo:hi], cfg,
+                        fits=None if fits is None else fits[lo:hi],
+                        priors=None if priors is None else priors[lo:hi],
+                        max_iter=max_iter, compute_cov=True)
+
+    got = [_result_bits(r) for r in block(0, rows)]
+    want = [_result_bits(mom_estimate(
+        scan, max_iter=max_iter, fit=None if fits is None else fits[i],
+        prior=None if priors is None else priors[i])) for i, scan in enumerate(scans)]
+    assert got == want
+    if "zeros" in specials and seeding != "priors":
+        assert any(FLAG_SEED_FALLBACK in line for line in got)
+    cut = data.draw(st.integers(0, rows))
+    assert [_result_bits(r) for r in block(0, cut) + block(cut, rows)] == got
+    if seeding != "fit":
+        with pytest.raises(ValueError, match="one prior or fit per row"):
+            mom_rows(phases, q, cfg, fits=None if fits is None else fits[1:],
+                     priors=None if priors is None else priors[1:])
+
+    bad = data.draw(st.integers(0, rows - 1))
+    for what in ("nan", "huge", "short", "prior-nan", "prior-s"):
+        qb = q.copy()
+        pb = None if priors is None else list(priors)
+        if what == "nan":
+            qb[bad, n // 2] = math.nan
+        elif what == "huge":
+            qb[bad] = 1e60
+        elif what == "short":
+            qb = qb[:, :2]
+        else:
+            pb = list(priors or [StateParams(0.5, 2.0, 0.3)] * rows)
+            pb[bad] = StateParams(math.nan if what == "prior-nan" else 0.0, 2.0, 0.3)
+        ph = phases[..., :qb.shape[1]]
+        fits_b = None if fits is None or pb is not None else fits
+        one = HomodyneScan(ph if ph.ndim == 1 else ph[bad], qb[bad], meta=None)
+        want_err = _mom_errors(lambda: mom_estimate(
+            one, max_iter=max_iter, prior=None if pb is None else pb[bad],
+            fit=None if fits_b is None else fits_b[bad]))
+        assert want_err is not None
+        assert _mom_errors(lambda: mom_rows(ph, qb, None, fits=fits_b, priors=pb,
+                                            max_iter=max_iter)) == want_err
 
 
 def test_predicted_cov_positive_when_physical():

@@ -2,8 +2,9 @@
 
 ``_reference_update`` is the moment update as first written: weights from
 ``mom_weights`` (defined here, and checked in test_estimators) on the phase
-grid, y_a = mean(c_a q^2), then the closed-form update.  The kernel must
-reproduce it to rounding.
+grid, y_a = mean(c_a q^2), then the closed-form update.
+``_reference_estimate`` iterates it as ``mom_estimate`` iterates the kernel.
+The kernel must reproduce both to rounding, scan by scan and on blocks.
 
 Tolerances, fixed before the tests were written: rtol 1e-12, angles
 1e-12 rad.  One update is compared at the level of its moments y_a, each
@@ -27,18 +28,25 @@ from squeezelab import (
     canonical_angle,
     empirical_family,
     eval_variance,
+    fit_estimate,
     fourier_components,
     grid_harmonics,
     mom_estimate,
+    mom_rows,
     sample_homodyne_scan,
     variance_partials,
 )
-from squeezelab import estimators
 from squeezelab.estimators import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    FLAG_NO_CONVERGENCE,
     FLAG_NONPHYSICAL,
     FLAG_SINGULAR_PRIOR,
     _mom_moments,
+    _mom_reducer,
     _mom_update,
+    _mom_weights,
+    _seed_prior,
 )
 
 RTOL = 1e-12
@@ -84,6 +92,51 @@ def _reference_update(x2, phases, prior):
     return s_hat, k_hat, p_hat, flags
 
 
+def _reference_estimate(scan, prior):
+    """``mom_estimate(scan, prior=prior, compute_cov=False)`` with the trig
+    update: mirror onto s <= 1, guard, update, stop on a relative change
+    below the default tol.  Returns (s, kappa, phi, iterations, flags,
+    physical)."""
+    x2 = scan.samples * scan.samples
+    s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
+    if s0 > 1.0:
+        s0, p0 = 1.0 / s0, canonical_angle(p0 + 0.5 * math.pi)
+    step_flags = set()
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
+        if not math.isfinite(s0) or s0 <= 0.0:
+            s0 = 0.01
+        if s0 == 1.0:
+            s0 = 1.0 - 1e-9
+        if not math.isfinite(k0) or k0 <= 0.0:
+            k0 = 1.0
+        s1, k1, p1, step_flags = _reference_update(x2, scan.phases, StateParams(s0, k0, p0))
+        if s1 > 1.0:
+            s1, p1 = 1.0 / s1, canonical_angle(p1 + 0.5 * math.pi)
+        done = (math.isfinite(s1) and math.isfinite(k1) and s1 > 0.0 and k1 > 0.0 and max(
+            abs(s1 - s0) / s1,
+            abs(k1 - k0) / k1,
+            angle_distance(p1, p0) * (1.0 - s1) / max(s1, 1e-6),
+        ) < DEFAULT_TOL)
+        s0, k0, p0 = s1, k1, p1
+        if done:
+            break
+    flags = set(step_flags)
+    if not done:
+        flags.add(FLAG_NO_CONVERGENCE)
+    physical = FLAG_NONPHYSICAL not in step_flags and StateParams(s0, k0, p0).is_physical
+    if not physical:
+        flags.add(FLAG_NONPHYSICAL)
+    return s0, k0, p0, iterations, frozenset(flags), physical
+
+
+def _kernel_moments(x2, harmonics, prior):
+    """(y_a, flags of the update) from the kernel, one row."""
+    s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
+    w = _mom_weights(s0, k0, p0)
+    y = _mom_moments(_mom_reducer(harmonics, x2[None])([w[0]])[0], x2.size, s0, k0, w)
+    return y, _mom_update(y, s0, k0, p0)[3]
+
+
 squeezing = st.floats(0.05, 0.99)
 thermal = st.floats(1.0, 4.0)
 angles = st.floats(0.0, math.pi, exclude_max=True)
@@ -112,14 +165,11 @@ def scan_and_prior(draw):
 def test_mom_update_matches_trig_reference(case):
     scan, prior = case
     x2 = scan.samples * scan.samples
-    harmonics = grid_harmonics(scan.phases)
-    args = (prior.s, prior.kappa, prior.phi_s)
-
+    got, flags = _kernel_moments(x2, grid_harmonics(scan.phases), prior)
     want, scale = _reference_moments(x2, scan.phases, prior)
-    got = _mom_moments(x2, harmonics, *args)
     for g, w, sc in zip(got, want, scale):
         assert abs(g - w) <= RTOL * sc
-    assert _mom_update(x2, harmonics, *args)[3] == _reference_update(x2, scan.phases, prior)[3]
+    assert flags == _reference_update(x2, scan.phases, prior)[3]
 
 
 @settings(max_examples=300)
@@ -134,25 +184,25 @@ def test_fourier_components_match_complex_exponential(case):
     assert abs(got.c2 - want_c2) <= RTOL * abs(want_c2)
 
 
-def test_mom_estimate_matches_trig_reference(monkeypatch):
-    """Same iterations, flags and estimates as the trig update, 2000 scans."""
-    scans = [
-        sample_homodyne_scan(empirical_family(s, 0.4), ScanConfig(), seed=3, trial=t)
-        for s in (0.21, 0.3, 0.5, 0.7, 0.9)
-        for t in range(400)
-    ]
-    got = [mom_estimate(scan, compute_cov=False) for scan in scans]
-    for scan, g in zip(scans, got):
-        monkeypatch.setattr(
-            estimators, "_mom_update",
-            lambda x2, harmonics, s0, k0, p0, phases=scan.phases:
-                _reference_update(x2, phases, StateParams(s0, k0, p0)),
-        )
-        want = mom_estimate(scan, compute_cov=False)
-        assert g.iterations == want.iterations
-        assert g.flags == want.flags
-        assert g.physical == want.physical
-        assert abs(g.params.s - want.params.s) <= RTOL * abs(want.params.s)
-        assert abs(g.params.kappa - want.params.kappa) <= RTOL * abs(want.params.kappa)
-        assert angle_distance(g.params.phi_s, want.params.phi_s) <= ANGLE_TOL
-
+def test_mom_estimate_matches_trig_reference():
+    """Same iterations, flags and estimates as the iterated trig update,
+    2000 scans: mom_rows on blocks of them and mom_estimate on each."""
+    cfg = ScanConfig()
+    for s in (0.21, 0.3, 0.5, 0.7, 0.9):
+        scans = [sample_homodyne_scan(empirical_family(s, 0.4), cfg, seed=3, trial=t)
+                 for t in range(400)]
+        block = np.stack([scan.samples for scan in scans])
+        blocks = [r for b in range(0, 400, 25)
+                  for r in mom_rows(cfg.grid, block[b:b + 25], cfg, compute_cov=False)]
+        for scan, in_block in zip(scans, blocks):
+            alone = mom_estimate(scan, compute_cov=False)
+            prior, seed_flags = _seed_prior(fit_estimate(scan))
+            s0, k0, p0, iterations, flags, physical = _reference_estimate(scan, prior)
+            flags |= frozenset(seed_flags)
+            for g in (in_block, alone):
+                assert g.iterations == iterations
+                assert g.flags == flags
+                assert g.physical == physical
+                assert abs(g.params.s - s0) <= RTOL * abs(s0)
+                assert abs(g.params.kappa - k0) <= RTOL * abs(k0)
+                assert angle_distance(g.params.phi_s, p0) <= ANGLE_TOL
