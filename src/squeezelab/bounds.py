@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    StateParams,
-    SymMatrix2,
-    SymMatrix3,
-    grid_harmonics,
-    state_covariance,
-)
+from .model import StateParams, SymMatrix3, grid_harmonics
 
 __all__ = [
     "BoundVector",
@@ -160,36 +154,38 @@ def fit_variance_prediction(params: StateParams, n_samples: int) -> BoundVector:
     return BoundVector(var_s, var_k, var_p, n_samples)
 
 
-def _cov_partials(params: StateParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic derivatives of the state covariance w.r.t. (s, kappa, phi_s)."""
-    s, k, phi = params.s, params.kappa, params.phi_s
-    c = math.cos(phi)
-    sn = math.sin(phi)
-    r = np.array([[c, -sn], [sn, c]])
-    dr = np.array([[-sn, -c], [c, -sn]])
-    d = np.diag([k * s, k / s])
-    d_ds = np.diag([k, -k / (s * s)])
-    d_dk = np.diag([s, 1.0 / s])
-    g_s = r @ d_ds @ r.T
-    g_k = r @ d_dk @ r.T
-    g_p = dr @ d @ r.T + r @ d @ dr.T
-    return g_s, g_k, g_p
-
-
 def fisher_dhd(params: StateParams) -> SymMatrix3:
     """Per-repetition Fisher information of double-homodyne sampling.
 
     F_ab = (1/2) Tr[G^-1 dG/da G^-1 dG/db] with G = Gamma_theta + I (the
-    beamsplitter adds one unit of vacuum to each quadrature).
+    beamsplitter adds one unit of vacuum to each quadrature).  In the
+    state's eigenbasis G = diag(kappa s + 1, kappa/s + 1): the s and kappa
+    partials are diagonal there and the phi_s partial is off-diagonal, so
+    phi_s decouples (F_sp = F_kp = 0).  With l1 = kappa s + 1,
+    l2 = kappa + s and d = (1 - s)(1 + s):
+
+        F_ss = kappa^2 (1/l1^2 + 1/(s^2 l2^2)) / 2
+        F_sk = -kappa d (1 + 2 kappa s + s^2) / (2 s l1^2 l2^2)
+        F_kk = (s^2/l1^2 + 1/l2^2) / 2
+        F_pp = kappa^2 d^2 / (s l1 l2)
+
+    d is formed as that product, so nothing cancels near s = 1, and the
+    squares as products, which overflow to inf instead of raising.
     """
-    gamma = state_covariance(params).add_identity().as_array()
-    gi = np.linalg.inv(gamma)
-    parts = _cov_partials(params)
-    out = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            out[a, b] = out[b, a] = 0.5 * np.trace(gi @ parts[a] @ gi @ parts[b])
-    return SymMatrix3.from_array(out)
+    s, k = params.s, params.kappa
+    l1 = k * s + 1.0
+    l2 = k + s
+    d = (1.0 - s) * (1.0 + s)
+    l1l1 = l1 * l1
+    l2l2 = l2 * l2
+    return SymMatrix3(
+        ss=0.5 * k * k * (1.0 / l1l1 + 1.0 / (s * s * l2l2)),
+        sk=-k * d * (1.0 + 2.0 * k * s + s * s) / (2.0 * s * l1l1 * l2l2),
+        sp=0.0,
+        kk=0.5 * (s * s / l1l1 + 1.0 / l2l2),
+        kp=0.0,
+        pp=k * k * d * d / (s * l1 * l2),
+    )
 
 
 def crb_dhd(params: StateParams, n_samples: int) -> BoundVector:

@@ -9,7 +9,8 @@ Shared conventions:
   occurred, see the FLAG_* constants;
 * ``predicted_cov`` is the model covariance evaluated at the estimate and
   is only computed for physical estimates (the information matrix means
-  nothing at an unphysical point);
+  nothing at an unphysical point); the one-scan calls always compute it,
+  the ``*_rows`` block calls only when ``compute_cov`` is set;
 * the fit, the MoM iterations and the MoM covariance read the phase grid
   only through its harmonics (1, cos 2psi, sin 2psi), taken from the scan's
   ``ScanConfig`` when the scan lies on its grid, so the grid's trig is
@@ -494,10 +495,10 @@ def mom_estimate(
     prior: StateParams | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-    compute_cov: bool = True,
     fit: EstimateResult | None = None,
 ) -> EstimateResult:
-    """Iterated moment-based estimator: ``mom_rows`` of the one scan.
+    """Iterated moment-based estimator: ``mom_rows`` of the one scan,
+    with its covariance.
 
     Without a prior the iteration is seeded from ``fit``, the
     ``fit_estimate`` of this scan when the caller already has it, or
@@ -507,7 +508,7 @@ def mom_estimate(
     q = np.asarray(scan.samples, dtype=float)
     phases = np.asarray(scan.phases, dtype=float)
     return mom_rows(phases, q[None], scan.meta, None if fit is None else [fit],
-                    None if prior is None else [prior], tol, max_iter, compute_cov)[0]
+                    None if prior is None else [prior], tol, max_iter, compute_cov=True)[0]
 
 
 def mom_rows(phases, samples, config=None, fits=None, priors=None, tol: float = DEFAULT_TOL,
@@ -579,17 +580,18 @@ def mom_rows(phases, samples, config=None, fits=None, priors=None, tol: float = 
 _DEGENERATE_REL_GAP = 1e-12
 
 
-def dhd_estimate(batch, compute_cov: bool = True) -> EstimateResult:
+def dhd_estimate(batch) -> EstimateResult:
     """Eigensystem estimator for double-homodyne data.
 
     Sample second moments of (q1, p2) give Gamma; subtracting the vacuum
     unit added by the beamsplitter leaves Gamma_theta, whose eigensystem
-    is (kappa s, kappa / s, phi_s).  Non-finite data, and data with a
-    second moment above MAX_MEAN_SQUARE, raise ValueError.
+    is (kappa s, kappa / s, phi_s).  The result carries its covariance.
+    Non-finite data, and data with a second moment above MAX_MEAN_SQUARE,
+    raise ValueError.
     """
     q1 = np.asarray(batch.q1, dtype=float)
     p2 = np.asarray(batch.p2, dtype=float)
-    return dhd_rows(q1[None], p2[None], compute_cov)[0]
+    return dhd_rows(q1[None], p2[None], compute_cov=True)[0]
 
 
 def dhd_rows(q1, p2, compute_cov: bool = False) -> list[EstimateResult]:
@@ -633,4 +635,6 @@ def _dhd_result(xx: float, xp: float, pp: float, mu: int, compute_cov: bool) -> 
 
 def _dhd_cov(est: StateParams, mu: int) -> SymMatrix3:
     """Inverse Fisher matrix of mu DHD repetitions at the estimate."""
-    return SymMatrix3.from_array(fisher_dhd(est).as_array() * mu).inverse()
+    f = fisher_dhd(est)
+    return SymMatrix3(ss=f.ss * mu, sk=f.sk * mu, sp=f.sp * mu,
+                      kk=f.kk * mu, kp=f.kp * mu, pp=f.pp * mu).inverse()

@@ -183,17 +183,11 @@ class SymMatrix2:
     xp: float
     pp: float
 
-    def det(self) -> float:
-        return self.xx * self.pp - self.xp * self.xp
-
-    def trace(self) -> float:
-        return self.xx + self.pp
-
     def as_array(self) -> np.ndarray:
         return np.array([[self.xx, self.xp], [self.xp, self.pp]], dtype=float)
 
-    def add_identity(self, scale: float = 1.0) -> "SymMatrix2":
-        return SymMatrix2(self.xx + scale, self.xp, self.pp + scale)
+    def add_identity(self) -> "SymMatrix2":
+        return SymMatrix2(self.xx + 1.0, self.xp, self.pp + 1.0)
 
     def eigensystem(self) -> tuple[float, float, float]:
         """Return (lam_min, lam_max, angle of the lam_min eigenvector mod pi).

@@ -183,10 +183,6 @@ class DhdBatch:
                 f"q1 ({len(self.q1)}) and p2 ({len(self.p2)}) differ in length"
             )
 
-    @property
-    def mu(self) -> int:
-        return len(self.q1)
-
 
 def sample_homodyne_scan(
     params: StateParams,
@@ -365,8 +361,8 @@ def default_temporal_mode(
     wl = total // n_psi
     if wl < 1:
         raise ConfigMismatchError(
-            f"trace of {total} samples cannot hold {n_psi} windows"
-        )
+            f"scan_duration={scan_duration} at sample_rate_hz={sample_rate_hz} gives a trace "
+            f"of {total} samples, too short for n_psi={n_psi} windows")
     mode = TemporalMode(fwhm_hz=fwhm_hz, sample_rate_hz=sample_rate_hz, window_len=wl)
     return mode, total
 
@@ -436,25 +432,20 @@ def apply_temporal_mode(
     trace,
     mode: TemporalMode,
     n_windows: int | None = None,
-    offset: int = 0,
 ) -> np.ndarray:
     """Project consecutive windows of the trace onto the mode function.
 
-    q_j = sum_t f(t) x(offset + j*window_len + t).  Window count defaults
+    q_j = sum_t f(t) x(j*window_len + t): the first window starts at the
+    first sample (slice the trace to start later).  Window count defaults
     to as many complete windows as fit; the remainder is discarded.
     """
-    if offset < 0:
-        raise ConfigMismatchError(f"offset {offset} is negative")
     x = np.asarray(trace, dtype=float)
     wl = mode.window_len
-    avail = (x.size - offset) // wl
+    avail = x.size // wl
     n = avail if n_windows is None else int(n_windows)
     if n < 1 or n > avail:
-        raise ConfigMismatchError(
-            f"requested {n} windows of {wl} samples at offset {offset}, trace holds {max(avail, 0)}"
-        )
-    block = x[offset : offset + n * wl].reshape(n, wl)
-    return block @ mode_weights(mode)
+        raise ConfigMismatchError(f"requested {n} windows of {wl} samples, trace holds {avail}")
+    return x[: n * wl].reshape(n, wl) @ mode_weights(mode)
 
 
 def scan_from_trace(trace, mode: TemporalMode, config: ScanConfig | None = None) -> HomodyneScan:

@@ -2,10 +2,13 @@
 
 Closed forms are checked three ways: frozen hand-computed values,
 numerical quadrature of the per-phase information integrand, and finite
-differences replacing every analytic derivative.
+differences replacing every analytic derivative.  The closed-form DHD
+information is also held to the numeric trace loop it replaced and to
+exact rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -254,6 +257,62 @@ def test_fisher_dhd_matches_finite_differences():
             for b in range(3):
                 want[a, b] = 0.5 * np.trace(gi @ parts[a] @ gi @ parts[b])
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
+
+
+def trace_loop_fisher_dhd(p):
+    """Numeric reference for the DHD information: the 2x2 partials of
+    G = Gamma_theta + I, its inverse, and (1/2) Tr[G^-1 G_a G^-1 G_b] for
+    each pair."""
+    s, k = p.s, p.kappa
+    c, sn = math.cos(p.phi_s), math.sin(p.phi_s)
+    r = np.array([[c, -sn], [sn, c]])
+    dr = np.array([[-sn, -c], [c, -sn]])
+    d = np.diag([k * s, k / s])
+    parts = (r @ np.diag([k, -k / (s * s)]) @ r.T,
+             r @ np.diag([s, 1.0 / s]) @ r.T,
+             dr @ d @ r.T + r @ d @ dr.T)
+    gi = np.linalg.inv(state_covariance(p).add_identity().as_array())
+    return np.array([[0.5 * np.trace(gi @ a @ gi @ b) for b in parts] for a in parts])
+
+
+def test_fisher_dhd_matches_trace_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        p = random_params(rng, s_lo=0.01, s_hi=1.0, k_lo=1.0, k_hi=20.0)
+        got = fisher_dhd(p).as_array()
+        want = trace_loop_fisher_dhd(p)
+        scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+        assert np.all(np.abs(got - want) <= 1e-9 * scale), (p, got, want)
+
+
+def _exact_fisher_dhd(s, kappa):
+    """The closed form of ``fisher_dhd`` in exact rational arithmetic."""
+    s, k = Fraction(s), Fraction(kappa)
+    l1, l2, d = k * s + 1, k + s, (1 - s) * (1 + s)
+    return {
+        "ss": k * k * (1 / (l1 * l1) + 1 / (s * s * l2 * l2)) / 2,
+        "sk": -k * d * (1 + 2 * k * s + s * s) / (2 * s * l1 * l1 * l2 * l2),
+        "kk": (s * s / (l1 * l1) + 1 / (l2 * l2)) / 2,
+        "pp": k * k * d * d / (s * l1 * l2),
+    }
+
+
+@settings(max_examples=300)
+@given(
+    s=st.floats(0.01, 1.0),
+    kappa=st.floats(1.0, 20.0),
+    phi=st.floats(0.0, math.pi, exclude_max=True),
+)
+@example(s=1.0, kappa=2.0, phi=0.7)
+def test_fisher_dhd_is_exact(s, kappa, phi):
+    """Every entry within 4e-15 relative of exact arithmetic; the angle
+    decouples exactly, and carries no information at s = 1."""
+    f = fisher_dhd(StateParams(s, kappa, phi))
+    for name, want in _exact_fisher_dhd(s, kappa).items():
+        assert abs(Fraction(getattr(f, name)) - want) <= Fraction(4e-15) * abs(want), name
+    assert f.sp == 0.0 and f.kp == 0.0
+    if s == 1.0:
+        assert f.pp == 0.0
 
 
 def test_crb_dhd_frozen_and_inverse_consistency():

@@ -715,9 +715,12 @@ def test_estimate_rejects_bad_combinations(tmp_path, capsys):
     (["simulate", "--kind", "trace", "--scan-duration=-1e-6"], "error: scan_duration=-1e-06 "),
     (["estimate", "--method", "mom", "--prior-s", "-1", "--prior-kappa", "1",
       "--prior-phi", "0"], "error: prior_s=-1.0 "),
+    (["simulate", "--kind", "trace", "--scan-duration", "1e-9"],
+     "error: scan_duration=1e-09 at sample_rate_hz=100000000.0 gives a trace of 0 samples, "
+     "too short for n_psi=900 windows"),
 ], ids=["rate-inf", "rate-fractional", "scan-duration-nan", "fwhm-nan", "prior-nan",
         "prior-partial", "rate-negative", "fwhm-zero", "scan-duration-negative",
-        "prior-negative"])
+        "prior-negative", "scan-duration-too-short"])
 def test_bad_trace_or_prior_setting_exits_1_before_any_output(tmp_path, capsys, argv, error):
     if argv[0] == "estimate":
         scan = tmp_path / "scan.csv"

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from squeezelab import (
     ScanConfig,
     StateParams,
     angle_distance,
+    crb_dhd,
     crb_homodyne,
     dhd_estimate,
     DhdBatch,
@@ -269,6 +271,55 @@ def test_dhd_round_trip_exact():
         assert abs(r.params.kappa - p.kappa) < 1e-9
         if p.s < 0.999:
             assert angle_distance(r.params.phi_s, p.phi_s) < 1e-8
+
+
+@settings(max_examples=200)
+@given(
+    s=st.floats(0.05, 0.999),
+    kappa=st.floats(1.0, 10.0),
+    phi=st.floats(0.0, math.pi, exclude_max=True),
+    mu=st.sampled_from((64, 900)),
+)
+def test_dhd_inverts_exact_moments_with_the_bound_as_covariance(s, kappa, phi, mu):
+    """On pairs whose second moments are Gamma_theta + I (to rounding) the
+    eigensystem returns the truth, physical but next to the kappa = 1 edge, and
+    its covariance diagonal is the closed-form DHD bound at the estimate."""
+    truth = StateParams(s, kappa, phi)
+    r = dhd_estimate(exact_moment_batch(truth, mu))
+    assert abs(r.params.s - s) <= 1e-11 * s
+    assert abs(r.params.kappa - kappa) <= 1e-11 * kappa
+    assert angle_distance(r.params.phi_s, truth.phi_s) <= 1e-11
+    if kappa - 1.0 <= 1e-11 and not r.physical:
+        # within the recovery bound of the pure-state edge: lam_min = mid - r
+        # cancels, and the estimate can land some 100 ulp below kappa = 1,
+        # beyond the physical edge's 4 ulp; it is flagged, and nothing else
+        assert r.flags == {FLAG_NONPHYSICAL}, r
+        return
+    assert r.physical, r
+    bound = crb_dhd(r.params, mu).as_tuple()
+    for got, want in zip(r.predicted_cov.diag(), bound):
+        assert abs(got - want) <= 1e-12 * want
+
+
+@settings(max_examples=300)
+@given(
+    data=st.integers(3, 12).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n))),
+)
+def test_dhd_any_finite_input_gives_a_result_or_value_error(data):
+    """Any finite (q1, p2) over the whole float64 range gives an estimate
+    or the boundary ValueError: no other exception and no RuntimeWarning."""
+    q1, p2 = data
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            r = dhd_estimate(DhdBatch(q1=np.array(q1), p2=np.array(p2)))
+        except ValueError:
+            return
+    assert r.physical == (FLAG_NONPHYSICAL not in r.flags)
+    assert r.physical == (r.predicted_cov is not None
+                          or FLAG_SINGULAR_INFORMATION in r.flags)
 
 
 def test_dhd_nonphysical_on_noisy_vacuum():
@@ -597,7 +648,8 @@ def _pinned_results():
             scans = [sample_homodyne_scan(truth, cfg, seed=seed) for seed in range(3)]
             for scan in scans:
                 out += [fit_estimate(scan), mom_estimate(scan),
-                        mom_estimate(scan, compute_cov=False),
+                        mom_rows(np.asarray(scan.phases, dtype=float), scan.samples[None],
+                                 scan.meta)[0],
                         mom_estimate(scan, prior=prior), mom_step(scan, prior)]
             phases = cfg.grid if cfg.spacing == "equispaced" else np.stack(
                 [scan.phases for scan in scans])
@@ -644,4 +696,4 @@ def test_estimates_pinned_at_full_precision():
         "singular-information"}
     assert any(r.predicted_cov is not None for r in results)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "6b28548550cef615b1155aac9d9e46993e8dbdcfd0585452bf95e6099a9de200"
+    assert digest == "5347872b72620d3cad33dc1135400fac8127287410bc05be77756450304e8d8b"

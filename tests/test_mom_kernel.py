@@ -93,9 +93,9 @@ def _reference_update(x2, phases, prior):
 
 
 def _reference_estimate(scan, prior):
-    """``mom_estimate(scan, prior=prior, compute_cov=False)`` with the trig
-    update: mirror onto s <= 1, guard, update, stop on a relative change
-    below the default tol.  Returns (s, kappa, phi, iterations, flags,
+    """``mom_estimate(scan, prior=prior)``, less the covariance, with the
+    trig update: mirror onto s <= 1, guard, update, stop on a relative
+    change below the default tol.  Returns (s, kappa, phi, iterations, flags,
     physical)."""
     x2 = scan.samples * scan.samples
     s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
@@ -195,7 +195,7 @@ def test_mom_estimate_matches_trig_reference():
         blocks = [r for b in range(0, 400, 25)
                   for r in mom_rows(cfg.grid, block[b:b + 25], cfg, compute_cov=False)]
         for scan, in_block in zip(scans, blocks):
-            alone = mom_estimate(scan, compute_cov=False)
+            alone = mom_estimate(scan)
             prior, seed_flags = _seed_prior(fit_estimate(scan))
             s0, k0, p0, iterations, flags, physical = _reference_estimate(scan, prior)
             flags |= frozenset(seed_flags)

@@ -233,15 +233,14 @@ def _per_trial_arrays(methods, truth, cfg, mu, seed, trials, tol, max_iter):
     for trial in trials:
         if "dhd" in methods:
             batch = sample_dhd(truth, mu, seed=seed, trial=trial)
-            results["dhd"].append(dhd_estimate(batch, compute_cov=False))
+            results["dhd"].append(dhd_estimate(batch))
         if "fit" in methods or "mom" in methods:
             scan = sample_homodyne_scan(truth, cfg, seed=seed, trial=trial)
             fit = fit_estimate(scan)
             if "fit" in methods:
                 results["fit"].append(fit)
             if "mom" in methods:
-                results["mom"].append(mom_estimate(scan, tol=tol, max_iter=max_iter,
-                                                   compute_cov=False, fit=fit))
+                results["mom"].append(mom_estimate(scan, tol=tol, max_iter=max_iter, fit=fit))
     return [
         (np.array([r.params.as_tuple() for r in results[m]]).reshape(-1, 3),
          np.array([r.physical for r in results[m]], dtype=bool),

@@ -136,7 +136,6 @@ def test_dhd_validation():
         sample_dhd(StateParams(0.5, 1.0, 0.0), mu=0)
     with pytest.raises(ValueError):
         DhdBatch(q1=np.zeros(2), p2=np.zeros(3))
-    assert DhdBatch(q1=np.zeros(7), p2=np.zeros(7)).mu == 7
 
 
 # ---------------------------------------------------------------- drift
@@ -311,14 +310,6 @@ def test_scan_from_trace_round_trip():
     assert np.array_equal(scan.samples, apply_temporal_mode(trace, mode, n_windows=32))
 
 
-def test_apply_offset_shifts_windows():
-    mode = TemporalMode(window_len=5)
-    trace = keyed_generator(0, 99).standard_normal(40)
-    shifted = apply_temporal_mode(trace, mode, n_windows=7, offset=5)
-    direct = apply_temporal_mode(trace[5:], mode, n_windows=7)
-    assert np.allclose(shifted, direct, atol=1e-15)
-
-
 def test_trace_determinism():
     cfg = ScanConfig(n_psi=12)
     mode = TemporalMode(window_len=7)
@@ -460,6 +451,3 @@ def test_geometry_mismatches_rejected():
         apply_temporal_mode(trace, mode, n_windows=17)
     with pytest.raises(ConfigMismatchError):
         apply_temporal_mode(trace, mode, n_windows=0)
-    for offset in (-5, -len(trace)):
-        with pytest.raises(ConfigMismatchError, match="negative"):
-            apply_temporal_mode(trace, mode, offset=offset)
