@@ -89,6 +89,13 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 20
 FALLBACK_PRIOR = StateParams(s=0.5, kappa=2.0, phi_s=0.0)
 
+# Smallest min(s, 1/s) of a MoM prior or iterate.  Far from s = 1 the
+# update cannot be evaluated: the model's least variance a - |b| = k0 s0
+# cancels against a ~ k0 / (2 s0) once s0^2 nears the float64 epsilon (a
+# prior at s = 1e-10 divides by 0), and s0^2 itself underflows below 1e-162.
+# A prior beyond the floor is rejected; an iterate below it restarts.
+_MOM_S_FLOOR = 1e-6
+
 # Largest mean square of a scan's samples, and largest DHD second moment,
 # that the estimators accept.  The fit and DHD multiply two second moments
 # and MoM squares the model variance, which overflow float64 near 1e154;
@@ -399,7 +406,7 @@ def mom_step(scan, prior: StateParams) -> EstimateResult:
     256 and at most 2e-14 (rounding) at 900, and by 5e-9 at N = 64, s = 0.3.
     The raw update is reported without canonicalization; the iterative
     wrapper handles the mirror image.  A prior with a non-finite component,
-    s <= 0 or kappa <= 0 raises ValueError.
+    kappa <= 0, or s outside [1e-6, 1e6] raises ValueError.
     """
     _check_prior(prior)
     phases, harmonics, q = _scan_samples(scan)
@@ -426,6 +433,9 @@ def _check_prior(prior: StateParams) -> None:
         raise ValueError(f"prior {prior} has a non-finite component")
     if prior.s <= 0.0 or prior.kappa <= 0.0:
         raise ValueError(f"prior {prior} needs s > 0 and kappa > 0")
+    if min(prior.s, 1.0 / prior.s) < _MOM_S_FLOOR:
+        raise ValueError(f"prior {prior} needs {_MOM_S_FLOOR:g} <= s <= {1.0 / _MOM_S_FLOOR:g}:"
+                         " further from 1 the moment update cannot be evaluated")
 
 
 def _seed_prior(fit: EstimateResult) -> tuple[StateParams, tuple]:
@@ -462,7 +472,7 @@ def _mom_row(prior: StateParams, seed_flags: tuple, n: int, tol: float, max_iter
     converged = False
     for iterations in range(1, max_iter + 1):
         # guards: keep the iteration inside the domain where the update is defined
-        if not math.isfinite(s0) or s0 <= 0.0:
+        if not math.isfinite(s0) or s0 < _MOM_S_FLOOR:
             s0 = 0.01
         if s0 == 1.0:
             s0 = 1.0 - 1e-9
@@ -503,7 +513,7 @@ def mom_estimate(
     Without a prior the iteration is seeded from ``fit``, the
     ``fit_estimate`` of this scan when the caller already has it, or
     else from a fresh fit; a given prior with a non-finite component,
-    s <= 0 or kappa <= 0 raises ValueError.
+    kappa <= 0, or s outside [1e-6, 1e6] raises ValueError.
     """
     q = np.asarray(scan.samples, dtype=float)
     phases = np.asarray(scan.phases, dtype=float)

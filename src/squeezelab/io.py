@@ -315,9 +315,8 @@ def track_csv_lines(result: TrackResult, config_json=None) -> list[str]:
     lines.append(f"# tau_est_s: {fmt12(result.tau_est)}")
     lines.append(f"# noise_floor_rad2: {fmt12(result.noise_floor)}")
     lines.append(_header(_TRACK_COLUMNS))
-    columns = [(getattr(result, field), fmt) for _, field, fmt in _TRACK_COLUMNS]
-    for k in range(len(result.times)):
-        lines.append(",".join(fmt(values[k]) for values, fmt in columns))
+    columns = [map(fmt, getattr(result, field).tolist()) for _, field, fmt in _TRACK_COLUMNS]
+    lines.extend(map(",".join, zip(*columns)))
     return lines
 
 

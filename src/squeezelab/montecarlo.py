@@ -54,9 +54,9 @@ from .estimators import (
 )
 from .simulate import (
     DriftModel,
+    HomodyneScan,
     ScanConfig,
     sample_dhd_blocks,
-    sample_homodyne_scan,
     sample_scan_blocks,
     simulate_phase_drift,
 )
@@ -430,11 +430,12 @@ def track_angle(
 ) -> TrackResult:
     """Scan-by-scan MoM tracking of a drifting squeezing angle.
 
-    One scan per drift step; each scan's estimate seeds the next scan's
-    prior (the first scan seeds itself from the fit).  The reported
-    half-width is the predicted angle standard error sqrt([F^-1]_pp) at
-    the per-scan estimate; the correlation-time fit uses the mean squared
-    half-width as its measurement-noise floor.
+    One scan per drift step, at that step's angle; the scans are drawn in
+    blocks of BLOCK_TRIALS and estimated one by one, because each scan's
+    estimate seeds the next scan's prior (the first scan seeds itself from
+    the fit).  The reported half-width is the predicted angle standard
+    error sqrt([F^-1]_pp) at the per-scan estimate; the correlation-time
+    fit uses the mean squared half-width as its measurement-noise floor.
     """
     cfg = scan_config or ScanConfig()
     offsets = simulate_phase_drift(drift, duration, seed=seed)
@@ -449,20 +450,22 @@ def track_angle(
     s_est = np.empty(n)
     kappa_est = np.empty(n)
     iters = np.empty(n, dtype=np.int64)
+    truths = [StateParams(base.s, base.kappa, phi) for phi in phi_true]
+    blocks = [range(b, min(b + BLOCK_TRIALS, n)) for b in range(0, n, BLOCK_TRIALS)]
     prior = None
-    for k in range(n):
-        truth_k = StateParams(base.s, base.kappa, phi_true[k])
-        scan = sample_homodyne_scan(truth_k, cfg, seed=seed, trial=k)
-        r = mom_estimate(scan, prior=prior, tol=tol, max_iter=max_iter)
-        phi_est[k] = r.params.phi_s
-        s_est[k] = r.params.s
-        kappa_est[k] = r.params.kappa
-        iters[k] = r.iterations
-        if r.predicted_cov is not None and r.predicted_cov.pp > 0:
-            half_width[k] = math.sqrt(r.predicted_cov.pp)
-        else:
-            half_width[k] = float("nan")
-        prior = r.params if r.physical else None
+    for trials, (phases, q) in zip(blocks, sample_scan_blocks(truths, cfg, seed, blocks)):
+        for i, k in enumerate(trials):
+            scan = HomodyneScan(phases if phases is cfg.grid else phases[i], q[i], cfg)
+            r = mom_estimate(scan, prior=prior, tol=tol, max_iter=max_iter)
+            phi_est[k] = r.params.phi_s
+            s_est[k] = r.params.s
+            kappa_est[k] = r.params.kappa
+            iters[k] = r.iterations
+            if r.predicted_cov is not None and r.predicted_cov.pp > 0:
+                half_width[k] = math.sqrt(r.predicted_cov.pp)
+            else:
+                half_width[k] = float("nan")
+            prior = r.params if r.physical else None
 
     # angle residuals about the circular mean; drift stays well inside
     # the +-pi/2 wrap window for any sane amplitude

@@ -6,13 +6,14 @@ given (inputs, seed) pair produces identical data regardless of worker
 count, call order, or platform.  Stream paths: scans and DHD batches are
 keyed per (seed, trial); trace synthesis per (seed, trial, window).
 
-A Monte-Carlo sweep draws its trials in blocks (``sample_scan_blocks``,
-``sample_dhd_blocks``): the per-state work (the scan's standard deviations,
-the DHD Cholesky factor) is done once per call, and one Philox is re-keyed
-for each trial of a block, as for each window of a trace, rather than a new
-generator built per trial.  Same key, same draws: a block row equals the
-single draw of ``sample_homodyne_scan`` or ``sample_dhd``, which are the
-one-row case of the block samplers.
+A Monte-Carlo sweep and a track draw their trials in blocks
+(``sample_scan_blocks``, ``sample_dhd_blocks``): the per-state work (the
+scan's standard deviations, the DHD Cholesky factor) is done once per call
+for a shared truth, or over a block's rows for a track's truth per scan,
+and one Philox is re-keyed for each trial of a block, as for each window
+of a trace, rather than a new generator built per trial.  Same key, same
+draws: a block row equals the single draw of ``sample_homodyne_scan`` or
+``sample_dhd``, which are the one-row case of the block samplers.
 """
 
 from __future__ import annotations
@@ -198,19 +199,24 @@ def sample_homodyne_scan(
                         samples=q[0], meta=cfg)
 
 
-def sample_scan_blocks(params: StateParams, config: ScanConfig | None, seed: int, blocks):
+def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
     """Yield (phases, samples) for each range of trials in ``blocks``.
 
-    ``samples`` has one row per trial, drawn from that trial's stream
-    exactly as a separate ``sample_homodyne_scan`` call would draw it.
-    ``phases`` is the config's shared grid for equispaced scans, whose
-    standard deviations are computed once per call; with random spacing it
-    has one row per trial, drawn first from the trial's stream.
+    ``params`` is one StateParams shared by every trial, or one truth per
+    trial, looked up as ``params[trial]``.  ``samples`` has one row per
+    trial, drawn from that trial's stream exactly as a separate
+    ``sample_homodyne_scan`` call would draw it.  ``phases`` is the
+    config's shared grid for equispaced scans, whose standard deviations
+    are computed once per call for a shared truth and once per block, over
+    its rows, for per-trial truths; with random spacing it has one row per
+    trial, drawn first from the trial's stream.
     """
     cfg = config or ScanConfig()
     random = cfg.spacing == "random"
-    sigma = None if random else np.sqrt(eval_variance(params, cfg.grid))
+    shared = isinstance(params, StateParams)
+    sigma = np.sqrt(eval_variance(params, cfg.grid)) if shared and not random else None
     for trials in blocks:
+        truths = [params] * len(trials) if shared else [params[t] for t in trials]
         q = np.empty((len(trials), cfg.n_psi))
         phases = np.empty_like(q) if random else cfg.grid
         for i, rng in enumerate(_rekeyed_generators(seed, (_STREAM_SCAN,), trials)):
@@ -218,11 +224,16 @@ def sample_scan_blocks(params: StateParams, config: ScanConfig | None, seed: int
                 # the phases come first in the trial's stream, then the samples
                 phases[i] = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
                 rng.standard_normal(out=q[i])
-                q[i] *= np.sqrt(eval_variance(params, phases[i]))
+                q[i] *= np.sqrt(eval_variance(truths[i], phases[i]))
             else:
                 rng.standard_normal(out=q[i])
-        if not random:
+        if shared and not random:
             q *= sigma
+        elif not random:
+            # each row's own (s, kappa, phi_s) over the grid: elementwise, so
+            # a row gets the bits of eval_variance on its truth alone
+            s, kappa, phi_s = np.array([t.as_tuple() for t in truths]).T[:, :, None]
+            q *= np.sqrt(quadrature_variance(s, kappa, phi_s, cfg.grid))
         yield phases, q
 
 
@@ -247,6 +258,11 @@ def sample_dhd_blocks(params: StateParams, mu: int, seed: int, blocks):
         raise ValueError(f"mu must be >= 1, got {mu}")
     gamma = state_covariance(params).add_identity().as_array()
     chol_t = np.linalg.cholesky(gamma).T
+    if mu > 1:
+        # in C order z @ chol_t takes a path about 3x faster, with the same
+        # bits; a single pair is multiplied as a vector, whose bits depend
+        # on the factor's memory order, so it keeps the transposed view
+        chol_t = np.ascontiguousarray(chol_t)
     for trials in blocks:
         z = np.empty((len(trials), mu, 2))
         for i, rng in enumerate(_rekeyed_generators(seed, (_STREAM_DHD,), trials)):

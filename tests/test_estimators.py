@@ -205,6 +205,24 @@ def test_non_finite_prior_is_rejected(bad, component):
             estimate(scan, StateParams(**bits))
 
 
+@pytest.mark.parametrize("n_psi", [16, 64, 900])
+def test_prior_beyond_the_s_floor_is_rejected(n_psi):
+    """Far from s = 1 the moment update cannot be evaluated: at s = 1e-200
+    s^2 underflows, at 1e-12 the least model variance rounds to 0.  Such a
+    prior (or its mirror 1/s) raises ValueError naming the floor; priors at
+    the floor run without a floating-point warning."""
+    scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), ScanConfig(n_psi=n_psi), seed=0)
+    for s in (1e-200, 1e-12, 1e12):
+        for estimate in (mom_step, lambda sc, p: mom_estimate(sc, prior=p)):
+            with pytest.raises(ValueError, match=r"needs 1e-06 <= s <= 1e\+06"):
+                estimate(scan, StateParams(s, 1.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            for s in (1e-6, 1e6):
+                assert math.isfinite(mom_estimate(scan, prior=StateParams(s, 1.0, 0.0)).params.s)
+
+
 def test_mom_estimate_prior_truth_matches_single_step():
     p = StateParams(0.5, 2.0, 0.3)
     scan = moment_matched_scan(p)

@@ -403,6 +403,54 @@ def test_track_quasi_static_rms():
     assert float(np.nanmean(res.half_width)) == pytest.approx(sd_crb, rel=0.2)
 
 
+def _reference_track(drift, base, cfg, duration, seed):
+    """The loop track_angle replaced: a fresh single draw per scan, then
+    MoM warm-started from the previous physical estimate, then the
+    half-width; (per-scan fields, tau_est, noise_floor)."""
+    offsets = simulate_phase_drift(drift, duration, seed=seed)
+    n = len(offsets)
+    phi_true = base.phi_s + offsets
+    cols = {f: np.empty(n) for f in ("phi_est", "half_width", "s_est", "kappa_est")}
+    cols["iterations"] = np.empty(n, dtype=np.int64)
+    prior = None
+    for k in range(n):
+        truth = StateParams(base.s, base.kappa, phi_true[k])
+        r = mom_estimate(sample_homodyne_scan(truth, cfg, seed=seed, trial=k), prior=prior)
+        cols["phi_est"][k], cols["s_est"][k], cols["kappa_est"][k] = (
+            r.params.phi_s, r.params.s, r.params.kappa)
+        cols["iterations"][k] = r.iterations
+        pp = None if r.predicted_cov is None else r.predicted_cov.pp
+        cols["half_width"][k] = math.sqrt(pp) if pp is not None and pp > 0 else math.nan
+        prior = r.params if r.physical else None
+    cols["times"] = np.arange(n) * drift.step_interval
+    cols["phi_true"] = phi_true
+    resid = wrap_half_pi(cols["phi_est"] - circular_mean_pi(cols["phi_est"]))
+    hw = cols["half_width"][np.isfinite(cols["half_width"])]
+    noise_floor = float(np.mean(hw**2)) if hw.size else 0.0
+    return cols, autocorrelation_time(resid, drift.step_interval, noise_floor), noise_floor
+
+
+@pytest.mark.parametrize("spacing", ["equispaced", "random"])
+@pytest.mark.parametrize("n_psi", [64, 900])
+@pytest.mark.parametrize("kind", ["mean-reverting", "random-walk"])
+def test_track_matches_per_scan_reference(spacing, n_psi, kind):
+    """Drawing the scans in blocks leaves every field of the track, the
+    correlation time and the noise floor bit for bit as drawn scan by scan,
+    across block edges (50 scans: three full blocks and two scans)."""
+    cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
+    drift = DriftModel(kind=kind)
+    base = empirical_family(0.5, 0.2)
+    for seed in (0, 7, 123):
+        got = track_angle(drift, base, cfg, duration=0.025, seed=seed)
+        cols, tau, floor = _reference_track(drift, base, cfg, 0.025, seed)
+        assert len(got.times) == 50
+        for field, want in cols.items():
+            have = getattr(got, field)
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), field
+        for have, want in ((got.tau_est, tau), (got.noise_floor, floor)):
+            assert np.float64(have).tobytes() == np.float64(want).tobytes()
+
+
 def test_track_result_layout():
     base = empirical_family(0.5, 0.0)
     res = track_angle(DriftModel(step_interval=1e-3), base, duration=0.02, seed=1)

@@ -427,6 +427,43 @@ def test_block_rows_match_per_trial_generators(params, seed, t0, sizes, n_psi, m
         assert batch.p2.tobytes() == want[:, 1].tobytes()
 
 
+@settings(max_examples=60)
+@given(
+    seed=st.integers(-(2**63), 2**64 - 1),
+    t0=st.integers(-(2**31), 2**40),
+    sizes=st.lists(st.integers(1, 20), min_size=1, max_size=4),
+    n_psi=st.integers(3, 80),
+    spacing=st.sampled_from(["equispaced", "random"]),
+    pool=st.lists(_state, min_size=1, max_size=8),
+    shared=_state,
+)
+def test_block_rows_with_a_truth_per_trial(seed, t0, sizes, n_psi, spacing, pool, shared):
+    """With one truth per trial, every block row is the single draw of that
+    trial at its own truth, whatever the block split; identical truths
+    per trial give the bytes of the shared-truth call."""
+    cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
+    edges = np.cumsum([t0] + sizes).tolist()
+    blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
+    trials = range(edges[0], edges[-1])
+    truths = {t: pool[t % len(pool)] for t in trials}
+    rows = [
+        (phases if phases is cfg.grid else phases[i], q[i])
+        for phases, q in sample_scan_blocks(truths, cfg, seed, blocks)
+        for i in range(len(q))
+    ]
+    assert len(rows) == len(trials)
+    for trial, (phases, q) in zip(trials, rows):
+        want = sample_homodyne_scan(truths[trial], cfg, seed=seed, trial=trial)
+        assert phases.tobytes() == want.phases.tobytes()
+        assert q.tobytes() == want.samples.tobytes()
+
+    # a list is indexed from trial 0, so the same split is moved to start there
+    from_zero = [range(b.start - t0, b.stop - t0) for b in blocks]
+    per_trial = sample_scan_blocks([shared] * len(trials), cfg, seed, from_zero)
+    for (p1, q1), (p2, q2) in zip(per_trial, sample_scan_blocks(shared, cfg, seed, from_zero)):
+        assert p1.tobytes() == p2.tobytes() and q1.tobytes() == q2.tobytes()
+
+
 def test_simulated_trace_file_is_pinned(tmp_path, capsys):
     """File bytes of the default trace geometry: any change to the window
     streams or to the arithmetic on them shows here."""
