@@ -21,7 +21,9 @@ comment.  The options --config, --out, --input, --method (echoed as
 ``methods``), --format, --kind, --workers and --json are execution details,
 not run configuration, so they are not echoed; this is what makes benchmark
 output byte-identical across --workers.  `estimate` reads a trace's sample
-rate from the file header, not from ``rate_hz``.
+rate from the file header, not from ``rate_hz``, and records it in its JSON
+as ``trace_rate_hz``.  A negative number, exponent or not, may follow its
+flag after a space.
 
 Exit status: 0 on success, including estimates that carry quality flags;
 1 on configuration, I/O, or parse errors; 2 on a malformed command line.
@@ -35,6 +37,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -345,11 +348,13 @@ def _estimate_result_dict(res) -> dict:
 
 
 def _load_scan_for_estimate(args, cfg: RunConfig, fmt: str):
+    """The scan to estimate from, and the sample rate of a trace's header
+    (None for a scan file)."""
     if fmt == "scan":
-        return sio.read_scan_csv(args.input)
+        return sio.read_scan_csv(args.input), None
     trace, rate_hz = sio.read_trace(args.input)
     mode, _ = dataclasses.replace(cfg, rate_hz=float(rate_hz)).temporal_mode()
-    return scan_from_trace(trace, mode, config=cfg.scan_config())
+    return scan_from_trace(trace, mode, config=cfg.scan_config()), rate_hz
 
 
 def cmd_estimate(args, cfg: RunConfig, echo: str) -> list[str]:
@@ -365,10 +370,14 @@ def cmd_estimate(args, cfg: RunConfig, echo: str) -> list[str]:
     elif fmt == "dhd":
         raise ConfigError(f"methods {','.join(methods)} read scan or trace files, not dhd")
 
+    payload = {"config": json.loads(echo)}
     if methods == (METHOD_DHD,):
         results = [dhd_estimate(sio.read_dhd_csv(args.input))]
     else:
-        scan = _load_scan_for_estimate(args, cfg, fmt)
+        scan, rate_hz = _load_scan_for_estimate(args, cfg, fmt)
+        if rate_hz is not None:
+            # the rate used, which the config's rate_hz need not match
+            payload["trace_rate_hz"] = rate_hz
         prior = cfg.prior()
         # one fit serves as the fit result and as MoM's seed
         fit = fit_estimate(scan) if METHOD_FIT in methods or prior is None else None
@@ -376,10 +385,7 @@ def cmd_estimate(args, cfg: RunConfig, echo: str) -> list[str]:
                    mom_estimate(scan, prior=prior, max_iter=cfg.max_iter, tol=cfg.tol, fit=fit)
                    for method in methods]
 
-    payload = {
-        "config": json.loads(echo),
-        "estimates": [_estimate_result_dict(r) for r in results],
-    }
+    payload["estimates"] = [_estimate_result_dict(r) for r in results]
     return [sio.dump_json(payload)]
 
 
@@ -433,6 +439,11 @@ def _add_run_opts(sp, fields) -> None:
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+# argparse reads "-1e-3" as an option because its own negative-number pattern
+# admits no exponent; with this one "--phi-s -1e-3" passes the value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process.
@@ -481,6 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "amplitude", "duration", "tol", "max_iter", "seed"))
     p.set_defaults(func=cmd_track)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -84,46 +85,62 @@ def _config_comment(config_json) -> list[str]:
 def _write_pair_csv(path, header, col_a, col_b, config_json):
     lines = _config_comment(config_json)
     lines.append(header)
-    for a, b in zip(col_a, col_b):
-        lines.append(f"{float(a)!r},{float(b)!r}")
+    # a Python float reprs as the numpy float64 it came from, so the bytes
+    # are those of float(a)!r on each scalar, without the scalar round trips
+    col_a = np.asarray(col_a, dtype=float).tolist()
+    col_b = np.asarray(col_b, dtype=float).tolist()
+    lines.extend(f"{a!r},{b!r}" for a, b in zip(col_a, col_b))
     write_lines(path, lines)
 
 
 def _read_pair_csv(path, header):
-    col_a, col_b = [], []
+    """The two float columns of a CSV file with the given header.
+
+    Blank lines and lines starting with '#' are skipped anywhere, and
+    whitespace around a line or a field is ignored.  The body is parsed and
+    checked as whole arrays; only when a check fails are its lines walked
+    in order, to name the first bad one.
+    """
+    # universal newlines leave "\n" the only line end; str.splitlines would
+    # also split at form feeds and other separators a file line can hold
     with open(path) as fh:
-        lineno = 0
-        header_seen = False
-        for raw in fh:
-            lineno += 1
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != header:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected header {header!r}, got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 2 fields, got {len(parts)}"
-                )
-            try:
-                a, b = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric value in {line!r}"
-                ) from None
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
-            col_a.append(a)
-            col_b.append(b)
-        if not header_seen:
-            raise ValueError(f"{path}: empty file, expected header {header!r}")
-    return np.array(col_a), np.array(col_b)
+        lines = fh.read().split("\n")
+    for start, line in enumerate(map(str.strip, lines)):
+        if line and line[0] != "#":
+            break
+    else:
+        raise ValueError(f"{path}: empty file, expected header {header!r}")
+    if line != header:
+        raise ValueError(f"{path}:{start + 1}: expected header {header!r}, got {line!r}")
+    rows = [row for row in map(str.strip, lines[start + 1:]) if row and row[0] != "#"]
+    fields = ",".join(rows).split(",") if rows else []
+    try:
+        values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
+    except ValueError:
+        values = None
+    # a row holds two fields when it holds one comma
+    if (values is None or not set(map(str.count, rows, repeat(","))) <= {1}
+            or not np.isfinite(values).all()):
+        _raise_at_first_bad_row(path, lines, start + 1)
+    col_a, col_b = values.reshape(-1, 2).T.copy()
+    return col_a, col_b
+
+
+def _raise_at_first_bad_row(path, lines, first):
+    """Raise the error of the first bad data line from lines[first] on,
+    testing its field count, then its numbers, then their finiteness."""
+    for lineno, line in enumerate(map(str.strip, lines[first:]), first + 1):
+        if not line or line[0] == "#":
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            values = list(map(float, parts))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
 
 
 def write_scan_csv(path, scan: HomodyneScan, config_json=None) -> None:

@@ -425,16 +425,18 @@ def synthesize_trace(
         cfg.grid,
     ))
     z = np.empty((cfg.n_psi, wl + 1))
-    fw = np.empty(cfg.n_psi)
     windows = _rekeyed_generators(seed, (_STREAM_TRACE, trial), range(cfg.n_psi))
     for j, rng in enumerate(windows):
         rng.standard_normal(out=z[j])
-        # one dot per window: a single matrix-vector product sums in
-        # another order and changes the last bits
-        fw[j] = f @ z[j, 1:]
-    # f*q + (w - f (f.w)), formed in place over w (addition commutes bit for bit)
     w = z[:, 1:]
-    w -= f * fw[:, None]
+    # f.w as a stack of (1, wl) @ (wl, 1) products: numpy runs each item
+    # through the dot kernel that the vector product f @ w[j] uses, on the
+    # same strides, so every window keeps the bits of its own dot.  A single
+    # matrix-vector product w @ f sums in another order and changes the
+    # last bits.
+    fw = np.matmul(f[None, None, :], w[:, :, None])[:, 0]
+    # f*q + (w - f (f.w)), formed in place over w (addition commutes bit for bit)
+    w -= f * fw
     w += f * (z[:, :1] * sigma[:, None])
     out = np.empty(total, dtype=np.float32)
     out[:need].reshape(cfg.n_psi, wl)[:] = w

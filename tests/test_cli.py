@@ -11,10 +11,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import squeezelab
 from squeezelab import (
+    DhdBatch,
     DriftModel,
+    HomodyneScan,
     ScanConfig,
     StateParams,
     default_temporal_mode,
@@ -101,6 +104,76 @@ def test_csv_parse_errors_cite_lines(tmp_path):
     dhd_not_finite.write_text("# config: {}\nq1,p2\n-inf,0.2\n")
     with pytest.raises(ValueError, match=r"g\.csv:3: non-finite"):
         sio.read_dhd_csv(dhd_not_finite)
+
+
+# every finite float64 a data file must carry, the edges drawn often
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1.7e308, -1.7e308, 1.7976931348623157e308])
+_finite_floats = _edge_floats | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80)
+@given(pairs=st.lists(st.tuples(_finite_floats, _finite_floats), min_size=1, max_size=40))
+def test_csv_round_trip_keeps_every_bit(tmp_path_factory, pairs):
+    a, b = (np.array(col, dtype=float) for col in zip(*pairs))
+    path = tmp_path_factory.mktemp("rt") / "data.csv"
+    sio.write_scan_csv(path, HomodyneScan(phases=a, samples=b), config_json={"seed": 1})
+    scan = sio.read_scan_csv(path)
+    assert scan.phases.tobytes() == a.tobytes() and scan.samples.tobytes() == b.tobytes()
+    sio.write_dhd_csv(path, DhdBatch(q1=a, p2=b))
+    batch = sio.read_dhd_csv(path)
+    assert batch.q1.tobytes() == a.tobytes() and batch.p2.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("body, error", [
+    # the first bad line wins, whatever is wrong with a later one
+    ("0.1,0.2\n0.3,squeeze\n0.5,0.6\n0.7,0.8,0.9\n", r":3: non-numeric value in '0\.3,squeeze'"),
+    ("0.1,0.2,0.3\n0.4,squeeze\n", r":2: expected 2 fields, got 3"),
+    ("0.1,inf\n0.2,squeeze\n", r":2: non-finite value in '0\.1,inf'"),
+    # on one line: the field count, then the numbers, then finiteness
+    ("nan,squeeze,0.1\n", r":2: expected 2 fields, got 3"),
+    ("nan,squeeze\n", r":2: non-numeric value in 'nan,squeeze'"),
+    ("0.1\n", r":2: expected 2 fields, got 1"),
+    ("0.1,\n", r":2: non-numeric value in '0\.1,'"),
+    # comment and blank lines count towards the line number
+    ("0.1,0.2\n\n# note\n   \n0.3,-nan\n", r":6: non-finite value in '0\.3,-nan'"),
+    # a second header is a data row like any other
+    ("0.1,0.2\npsi_rad,q\n", r":3: non-numeric value in 'psi_rad,q'"),
+])
+def test_csv_reports_the_first_bad_line(tmp_path, body, error):
+    path = tmp_path / "bad.csv"
+    path.write_text("psi_rad,q\n" + body)
+    with pytest.raises(ValueError, match=r"bad\.csv" + error):
+        sio.read_scan_csv(path)
+
+
+def test_csv_layout_the_reader_accepts(tmp_path):
+    """Comment and blank lines anywhere, CRLF or CR endings, spaces around
+    fields and header, and no final newline."""
+    path = tmp_path / "loose.csv"
+    path.write_bytes(b"\r\n# config: {}\r\n  psi_rad,q \r\n 0.5 , -1.25\t\r\n# mid\r\n"
+                     b"   \r\n\r\n1e-3,2\r\n  # indented\r\n-0.0,4")
+    scan = sio.read_scan_csv(path)
+    assert scan.phases.tobytes() == np.array([0.5, 1e-3, -0.0]).tobytes()
+    assert scan.samples.tobytes() == np.array([-1.25, 2.0, 4.0]).tobytes()
+    assert scan.phases.flags.c_contiguous and scan.samples.flags.c_contiguous
+
+    path.write_bytes(b"q1,p2\r0.5,1\r\r0.25,2\r")
+    batch = sio.read_dhd_csv(path)
+    assert batch.q1.tolist() == [0.5, 0.25] and batch.p2.tolist() == [1.0, 2.0]
+    path.write_bytes(b"q1,p2\r0.5,1\r\r0.25,x\r")
+    with pytest.raises(ValueError, match=r"loose\.csv:4: non-numeric"):
+        sio.read_dhd_csv(path)
+
+    path.write_bytes(b"# only a comment\n\n")
+    with pytest.raises(ValueError, match=r"loose\.csv: empty file"):
+        sio.read_dhd_csv(path)
+    path.write_bytes(b"\n# note\nq1,p2\n# no rows\n\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        sio.read_dhd_csv(path)
+    path.write_bytes(b"\n# note\n q1,p3\n0,1\n")
+    with pytest.raises(ValueError, match=r"loose\.csv:3: expected header 'q1,p2', got 'q1,p3'"):
+        sio.read_dhd_csv(path)
 
 
 def test_trace_round_trip(tmp_path):
@@ -508,6 +581,30 @@ def test_package_exports_every_public_module_name():
     assert sorted(squeezelab.__all__) == sorted(names + ["__version__"])
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-2.5e+1", "-.5e1", "-3.e0", "-7", "-0.25"])
+def test_negative_number_follows_its_flag(capsys, value):
+    """A negative number, with or without an exponent, is read as the value
+    of the flag before it, as the --flag=value form is."""
+    assert main(["bounds", "--phi-s", value, "--n", "100"]) == 0
+    spaced = capsys.readouterr()
+    assert main(["bounds", f"--phi-s={value}", "--n", "100"]) == 0
+    assert capsys.readouterr() == spaced
+    echo = json.loads(spaced.err.removeprefix("config: "))
+    assert echo["phi_s"] == float(value) and echo["n_samples"] == 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--phi-s", "--n", "100"],
+    ["bounds", "--phi-s", "-1e-3x"],
+    ["simulate", "--phi-s", "-e3", "--out", "x.csv"],
+])
+def test_an_option_is_not_read_as_a_number(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["bounds", "--kappa", "abc"],
     ["simulate", "--n-psi", "2.5", "--out", "x.csv"],
@@ -687,6 +784,34 @@ def test_estimate_trace_input(tmp_path, capsys):
                              seed=1, total_len=total)
     want = fit_estimate(scan_from_trace(trace, mode, ScanConfig(n_psi=100)))
     assert payload["estimates"][0]["s"] == pytest.approx(want.params.s, rel=1e-6)
+
+
+def test_estimate_records_the_trace_rate(tmp_path, capsys):
+    """A trace written at 9e7 Hz is demodulated at its header rate, and the
+    JSON records that rate beside the config, whose rate_hz stays 1e8."""
+    path = tmp_path / "trace.bin"
+    assert main(["simulate", "--kind", "trace", "--s", "0.5", "--phi-s", "0.3",
+                 "--rate-hz", "90000000", "--seed", "4", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--input", str(path), "--method", "fit", "--format", "trace"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["trace_rate_hz"] == 90_000_000
+    assert payload["config"]["rate_hz"] == 1e8
+    assert '"rate_hz": 100000000.0' in captured.err
+
+    mode, total = default_temporal_mode(sample_rate_hz=9e7)
+    trace = synthesize_trace([StateParams(0.5, 1.0 / math.sqrt(0.5), 0.3)] * 900, mode,
+                             seed=4, total_len=total)
+    want = fit_estimate(scan_from_trace(trace, mode))
+    got = payload["estimates"][0]
+    assert [got["s"], got["kappa"], got["phi_s"]] == sio.json_ready(
+        [want.params.s, want.params.kappa, want.params.phi_s])
+
+    dhd = tmp_path / "pairs.csv"
+    assert main(["simulate", "--kind", "dhd", "--out", str(dhd)]) == 0
+    assert main(["estimate", "--input", str(dhd), "--method", "dhd"]) == 0
+    assert "trace_rate_hz" not in json.loads(capsys.readouterr().out)
 
 
 def test_estimate_rejects_bad_combinations(tmp_path, capsys):

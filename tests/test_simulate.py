@@ -475,6 +475,22 @@ def test_simulated_trace_file_is_pinned(tmp_path, capsys):
     assert digest == "ae9640256fc235cc8a92658fc8148934581266aca568a1ae0fb1806061502e29"
 
 
+@pytest.mark.parametrize("kind, digest", [
+    ("scan", "610a5b85a3effe42de3d911c0c1c6b263ceddd99acd9a36e337015dfa0b88882"),
+    ("dhd", "09fddc37e8fb65e285042ff7decc8ea03a74d3dfc9af567891c105e13da9064b"),
+])
+def test_simulated_csv_file_is_pinned(tmp_path, capsys, kind, digest):
+    """File bytes of a scan and a DHD CSV at the default geometry: any change
+    to the draws or to the repr formatting of the rows shows here.  The
+    files start with the config echo, so a new RunConfig field changes the
+    digests while every data row stays put."""
+    out = tmp_path / f"{kind}.csv"
+    assert main(["simulate", "--kind", kind, "--s", "0.5", "--phi-s", "0.3",
+                 "--seed", "3", "--trial", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_geometry_mismatches_rejected():
     cfg = ScanConfig(n_psi=16)
     mode = TemporalMode(window_len=9)
