@@ -11,22 +11,26 @@ Shared conventions:
   is only computed for physical estimates (the information matrix means
   nothing at an unphysical point); the one-scan calls always compute it,
   the ``*_rows`` block calls only when ``compute_cov`` is set;
-* the fit, the MoM iterations and the MoM covariance read the phase grid
-  only through its harmonics (1, cos 2psi, sin 2psi), taken from the scan's
-  ``ScanConfig`` when the scan lies on its grid, so the grid's trig is
-  computed once per config, not once per call;
+* a block of scans is prepared once, as a ``ScanBlock``: its phases, their
+  harmonics (1, cos 2psi, sin 2psi) and its squared samples, each row's
+  mean square checked.  The harmonics are the ``ScanConfig``'s cached rows
+  when the phases are its grid, else one ``grid_harmonics`` call over the
+  whole block, so the trig is computed once per config or per block; the
+  fit, the MoM iterations and the MoM covariance read the grid only
+  through them;
 * every estimate of every method is finished by ``_result``: the method
   passes its own sign test and its covariance as a module-level function
   with its arguments, and ``_result`` sets ``physical``, the
   ``nonphysical`` and ``singular-information`` flags and the covariance;
 * every method estimates a block of scans or batches at once
-  (``fit_rows``, ``mom_rows``, ``dhd_rows``), and ``fit_estimate``,
-  ``mom_estimate`` and ``dhd_estimate`` are the one-row case: the fit and
-  DHD moments are row reductions over the block, and each MoM iteration
-  reduces the rows not yet converged at once and updates each row on its
-  own, so a row gets the same bits in any block;
+  (``fit_rows`` and ``mom_rows`` of a ``ScanBlock``, ``dhd_rows``), and
+  ``fit_estimate``, ``mom_estimate`` and ``dhd_estimate`` are the one-row
+  case: the fit and DHD moments are row reductions over the block, and
+  each MoM iteration reduces the rows not yet converged at once and
+  updates each row on its own, so a row gets the same bits in any block;
 * samples whose mean square (or a DHD second moment) is not finite or
-  exceeds ``MAX_MEAN_SQUARE`` raise ValueError.
+  exceeds ``MAX_MEAN_SQUARE`` raise ValueError, and so do samples whose
+  mean square is positive but below 1 / ``MAX_MEAN_SQUARE``.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .bounds import fisher_homodyne_discrete, fisher_dhd, fit_variance_predictio
 
 __all__ = [
     "EstimateResult",
-    "FourierComponents",
+    "ScanBlock",
     "METHOD_FIT",
     "METHOD_MOM",
     "METHOD_DHD",
@@ -61,11 +65,8 @@ __all__ = [
     "FLAG_NO_CONVERGENCE",
     "FLAG_SEED_FALLBACK",
     "FLAG_SINGULAR_INFORMATION",
-    "signed_sqrt",
-    "fourier_components",
     "fit_estimate",
     "fit_rows",
-    "mom_step",
     "mom_estimate",
     "mom_rows",
     "dhd_estimate",
@@ -100,21 +101,15 @@ _MOM_S_FLOOR = 1e-6
 # that the estimators accept.  The fit and DHD multiply two second moments
 # and MoM squares the model variance, which overflow float64 near 1e154;
 # data that far from shot-noise units are rejected instead of turning into
-# an inf estimate.
+# an inf estimate.  A scan's mean square below 1 / MAX_MEAN_SQUARE, other
+# than 0, is rejected too: MoM's iterates shrink with the data, and their
+# squared model variance underflows to 0 near 1e-162.
 MAX_MEAN_SQUARE = 1e100
 
 
-def signed_sqrt(x: float) -> float:
+def _signed_sqrt(x: float) -> float:
     """sqrt(|x|) carrying the sign of x, so failed roots stay visible."""
     return math.copysign(math.sqrt(abs(x)), x)
-
-
-@dataclass(frozen=True)
-class FourierComponents:
-    """Zeroth and second Fourier components of the squared quadratures."""
-
-    c0: float
-    c2: complex
 
 
 @dataclass(frozen=True)
@@ -163,58 +158,54 @@ def _check_mean_square(value: float, what: str) -> None:
             "far out of shot-noise units)")
 
 
-def _harmonics(phases, cfg) -> np.ndarray:
-    """Rows (1, cos 2psi, sin 2psi) of the phases, shape (3, ...): the
-    config's cached rows when the phases are its grid, which is how every
-    drawn or trace-derived scan is built, else computed here."""
-    if cfg is not None and phases is cfg.grid:
-        return cfg.harmonics
-    return grid_harmonics(phases)
+@dataclass(frozen=True)
+class ScanBlock:
+    """B scans of N samples, prepared once for ``fit_rows`` and ``mom_rows``.
 
-
-def _scan_samples(scan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phases, harmonics, samples) as float arrays; at least 3 samples required."""
-    q = np.asarray(scan.samples, dtype=float)
-    if q.size < 3:
-        raise ValueError(f"need at least 3 samples, got {q.size}")
-    phases = np.asarray(scan.phases, dtype=float)
-    return phases, _harmonics(phases, scan.meta), q
-
-
-def _checked_squares(q: np.ndarray) -> np.ndarray:
-    """q * q for the rows of q (B, N), once the mean square of each row has
-    passed ``_check_mean_square`` (taken from one stacked dot, which sums
-    each row as np.dot does, before any square can overflow)."""
-    n = q.shape[-1]
-    with np.errstate(over="ignore"):
-        sums = np.matmul(q[:, None, :], q[:, :, None]).ravel().tolist()
-    for sum_sq in sums:
-        _check_mean_square(sum_sq / n, "samples")
-    return q * q
-
-
-def _fourier_moments(harmonics: np.ndarray, q: np.ndarray) -> list:
-    """(mean q^2, mean q^2 cos 2psi, mean q^2 sin 2psi) of each row of q.
-
-    q has shape (B, N); harmonics is (3, N), shared by the rows, or
-    (3, B, N).  The means are pairwise row sums (as np.mean), not a BLAS
-    product, so the first is exactly mean(q^2); it is each row's mean
-    square, checked here.
+    ``phases`` is the rows' shared grid (N,) or has one row per scan
+    (B, N); ``harmonics`` are its rows (1, cos 2psi, sin 2psi), (3, N) or
+    (3, B, N); ``x2`` holds the squared samples (B, N).  Build it with
+    ``ScanBlock.of``, which checks each row's mean square.
     """
-    # an overflowing square makes the row's mean square inf or nan: both are caught
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = harmonics.reshape(3, -1, q.shape[-1])
-        rows = (h * (q * q)).mean(axis=2).T.tolist()
-    for m0, _, _ in rows:
-        _check_mean_square(m0, "samples")
-    return rows
 
+    phases: np.ndarray
+    harmonics: np.ndarray
+    x2: np.ndarray
 
-def fourier_components(scan) -> FourierComponents:
-    """c0 = mean(q^2), c2 = mean(q^2 exp(-2i psi)), from the grid harmonics."""
-    _, harmonics, q = _scan_samples(scan)
-    m0, mc, ms = _fourier_moments(harmonics, q[None])[0]
-    return FourierComponents(c0=m0, c2=complex(mc, -ms))
+    @classmethod
+    def of(cls, phases, samples, config=None) -> ScanBlock:
+        """The block of the rows of ``samples`` (B, N), or of one scan (N,).
+
+        The harmonics are ``config.harmonics`` when ``phases`` is
+        ``config.grid``, which is how every drawn or trace-derived scan is
+        built, else one ``grid_harmonics`` call over all the phases.  Fewer
+        than 3 samples, or a row whose mean square fails
+        ``_check_mean_square`` or is positive but below 1 / MAX_MEAN_SQUARE,
+        raise ValueError.
+        """
+        q = np.atleast_2d(np.asarray(samples, dtype=float))
+        if q.shape[-1] < 3:
+            raise ValueError(f"need at least 3 samples, got {q.shape[-1]}")
+        # an overflowing square makes the row's mean square inf or nan: both are caught
+        with np.errstate(over="ignore"):
+            x2 = q * q
+            means = (x2.sum(axis=1) / q.shape[1]).tolist()
+        for m0 in means:
+            _check_mean_square(m0, "samples")
+            if 0.0 < m0 < 1.0 / MAX_MEAN_SQUARE:
+                raise ValueError(f"samples must have a mean square of 0 or at least "
+                                 f"{1.0 / MAX_MEAN_SQUARE:g}; got {m0!r} (data far out of "
+                                 "shot-noise units)")
+        phases = np.asarray(phases, dtype=float)
+        if config is not None and phases is config.grid:
+            return cls(phases, config.harmonics, x2)
+        return cls(phases, grid_harmonics(phases), x2)
+
+    def row(self, i: int) -> ScanBlock:
+        """Row i alone, as a one-row block."""
+        if self.harmonics.ndim == 2:
+            return ScanBlock(self.phases, self.harmonics, self.x2[i:i + 1])
+        return ScanBlock(self.phases[i], self.harmonics[:, i], self.x2[i:i + 1])
 
 
 # |C2| / C0 at or below which the fit finds no second harmonic.  A vacuum
@@ -236,22 +227,19 @@ def fit_estimate(scan) -> EstimateResult:
     moments.  A second harmonic of at most 1e-12 C0 flags ``degenerate``
     and sets the angle to 0.
     """
-    q = np.asarray(scan.samples, dtype=float)
-    phases = np.asarray(scan.phases, dtype=float)
-    return fit_rows(phases, q[None], scan.meta, compute_cov=True)[0]
+    return fit_rows(ScanBlock.of(scan.phases, scan.samples, scan.meta), compute_cov=True)[0]
 
 
-def fit_rows(phases, samples, config=None, compute_cov: bool = False) -> list[EstimateResult]:
-    """``fit_estimate`` of each row of the float array ``samples`` (B, N).
+def fit_rows(block: ScanBlock, compute_cov: bool = False) -> list[EstimateResult]:
+    """``fit_estimate`` of each row of the block; the covariance is formed
+    only when ``compute_cov`` is set.
 
-    ``phases`` is the rows' shared grid (``config.grid`` takes the
-    config's cached harmonics) or has one row per scan.  The covariance
-    is formed only when ``compute_cov`` is set.
+    The Fourier moments (mean q^2, mean q^2 cos 2psi, mean q^2 sin 2psi)
+    are pairwise row sums (as np.mean), not a BLAS product, so the first
+    is exactly the row's checked mean square.
     """
-    n = samples.shape[-1]
-    if n < 3:
-        raise ValueError(f"need at least 3 samples, got {n}")
-    moments = _fourier_moments(_harmonics(phases, config), samples)
+    n = block.x2.shape[-1]
+    moments = (block.harmonics.reshape(3, -1, n) * block.x2).mean(axis=2).T.tolist()
     return [_fit_result(m0, mc, ms, n, compute_cov) for m0, mc, ms in moments]
 
 
@@ -270,8 +258,8 @@ def _fit_result(c0: float, mc: float, ms: float, n: int, compute_cov: bool) -> E
     else:
         phi = canonical_angle(-0.5 * math.atan2(-c2.imag, -c2.real))
 
-    s_hat = signed_sqrt(m / big) if big != 0.0 else float("nan")
-    k_hat = signed_sqrt(m * big)
+    s_hat = _signed_sqrt(m / big) if big != 0.0 else float("nan")
+    k_hat = _signed_sqrt(m * big)
     est = StateParams(s=s_hat, kappa=k_hat, phi_s=phi)
     return _result(METHOD_FIT, est, m > 0.0, flags, compute_cov, _fit_cov, (n,))
 
@@ -389,33 +377,10 @@ def _mom_update(y: tuple, s0: float, k0: float, p0: float):
     return s_hat, k_hat, p_hat, flags
 
 
-def _mom_cov(est: StateParams, phases, harmonics) -> SymMatrix3:
-    """Inverse discrete Fisher matrix of the scan's phases at the estimate."""
-    return fisher_homodyne_discrete(est, phases, harmonics=harmonics).inverse()
-
-
-def mom_step(scan, prior: StateParams) -> EstimateResult:
-    """Single moment-based update from an explicit prior.
-
-    Fixed point: expected-moment input q_j^2 = V(psi_j, prior) returns the
-    prior only on a grid fine enough for the weights: the closed-form
-    update takes the grid means of c_a V for their phase integrals, which
-    differ by roughly ((1 - s)/(1 + s))^(N/2) on N equispaced points.  From
-    the truth at kappa = 1, phi = 2.9, s = 0.05, one step gives s = 0.0456,
-    kappa = 0.920 at N = 64; kappa is off by 2.9e-3 at N = 128, 3.0e-6 at
-    256 and at most 2e-14 (rounding) at 900, and by 5e-9 at N = 64, s = 0.3.
-    The raw update is reported without canonicalization; the iterative
-    wrapper handles the mirror image.  A prior with a non-finite component,
-    kappa <= 0, or s outside [1e-6, 1e6] raises ValueError.
-    """
-    _check_prior(prior)
-    phases, harmonics, q = _scan_samples(scan)
-    s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
-    w = _mom_weights(s0, k0, p0)
-    m = _mom_reducer(harmonics, _checked_squares(q[None]))([w[0]])[0]
-    s_hat, k_hat, p_hat, flags = _mom_update(_mom_moments(m, q.size, s0, k0, w), s0, k0, p0)
-    return _result(METHOD_MOM, StateParams(s_hat, k_hat, p_hat), FLAG_NONPHYSICAL not in flags,
-                   flags, True, _mom_cov, (phases, harmonics), 1, prior)
+def _mom_cov(est: StateParams, block: ScanBlock, i: int) -> SymMatrix3:
+    """Inverse discrete Fisher matrix of row i's phases at the estimate."""
+    row = block.row(i)
+    return fisher_homodyne_discrete(est, row.phases, harmonics=row.harmonics).inverse()
 
 
 def _mirror(s: float, kappa: float, phi: float) -> tuple[float, float, float]:
@@ -515,49 +480,41 @@ def mom_estimate(
     else from a fresh fit; a given prior with a non-finite component,
     kappa <= 0, or s outside [1e-6, 1e6] raises ValueError.
     """
-    q = np.asarray(scan.samples, dtype=float)
-    phases = np.asarray(scan.phases, dtype=float)
-    return mom_rows(phases, q[None], scan.meta, None if fit is None else [fit],
-                    None if prior is None else [prior], tol, max_iter, compute_cov=True)[0]
+    return mom_rows(ScanBlock.of(scan.phases, scan.samples, scan.meta),
+                    None if fit is None else [fit], None if prior is None else [prior], tol,
+                    max_iter, compute_cov=True)[0]
 
 
-def mom_rows(phases, samples, config=None, fits=None, priors=None, tol: float = DEFAULT_TOL,
+def mom_rows(block: ScanBlock, fits=None, priors=None, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER, compute_cov: bool = False) -> list[EstimateResult]:
-    """``mom_estimate`` of each row of the float array ``samples`` (B, N).
+    """``mom_estimate`` of each row of the block.
 
-    ``phases`` is the rows' shared grid (``config.grid`` takes the
-    config's cached harmonics) or has one row per scan.  Each row starts
-    from ``priors[i]`` when priors are given, else from the fit
-    ``fits[i]`` of that row, else from a fresh ``fit_rows``.  Every
+    Each row starts from ``priors[i]`` when priors are given, else from
+    the fit ``fits[i]`` of that row, else from a fresh ``fit_rows``.  Every
     iteration does the O(N) work of all rows not yet converged at once
     (``_mom_reducer``) and each row's scalar update on its own
     (``_mom_row``); a row leaves the block when it converges, and it
     takes the same steps and bits as it would alone.  The iterations and
-    the covariance read the grid only through its harmonics, so an
+    the covariance read the grid only through the block's harmonics, so an
     iteration costs three reductions and no trig.  The covariance is
     formed only when ``compute_cov`` is set.
     """
-    n = samples.shape[-1]
-    if n < 3:
-        raise ValueError(f"need at least 3 samples, got {n}")
+    x2, h = block.x2, block.harmonics
     given = fits if priors is None else priors
-    if given is not None and len(given) != len(samples):
-        raise ValueError(f"need one prior or fit per row: {len(given)} for {len(samples)} rows")
-    x2 = _checked_squares(samples)
+    if given is not None and len(given) != len(x2):
+        raise ValueError(f"need one prior or fit per row: {len(given)} for {len(x2)} rows")
     if priors is None:
-        seeds = map(_seed_prior, fit_rows(phases, samples, config) if fits is None else fits)
+        seeds = map(_seed_prior, fit_rows(block) if fits is None else fits)
     else:
         for prior in priors:
             _check_prior(prior)
         seeds = zip(priors, repeat(()))
 
-    h = _harmonics(phases, config)
-    out = [None] * len(samples)
+    out = [None] * len(x2)
     live = []  # (row, its estimate) of each row still iterating
     coefs = []  # the variance coefficients of each live row's current iterate
     for i, (prior, seed_flags) in enumerate(seeds):
-        row = _mom_row(prior, seed_flags, n, tol, max_iter, compute_cov,
-                       (phases, h) if h.ndim == 2 else (phases[i], h[:, i]))
+        row = _mom_row(prior, seed_flags, x2.shape[1], tol, max_iter, compute_cov, (block, i))
         try:
             coefs.append(next(row))
             live.append((i, row))

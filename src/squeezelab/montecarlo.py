@@ -9,9 +9,11 @@ truths to one process pool.
 
 Within a chunk the trials are drawn and estimated in blocks of
 BLOCK_TRIALS: the sampler does the per-truth work once and draws each
-trial's row from that trial's own stream, the fit and DHD reduce the whole
-block at once, and MoM iterates the block from the block's fits, reducing
-the rows not yet converged together and updating each row on its own.
+trial's row from that trial's own stream, each scan block is prepared once
+(``ScanBlock.of``: its harmonics and checked squares) for the fit and MoM,
+the fit and DHD reduce the whole block at once, and MoM iterates the block
+from the block's fits, reducing the rows not yet converged together and
+updating each row on its own.
 One loop over the DHD blocks and one over the scan blocks write each
 block's estimates straight into the chunk's preallocated per-method
 arrays, and the chunks are merged the same way for one worker or many.
@@ -47,14 +49,13 @@ from .estimators import (
     METHOD_FIT,
     METHOD_MOM,
     METHODS,
+    ScanBlock,
     dhd_rows,
     fit_rows,
-    mom_estimate,
     mom_rows,
 )
 from .simulate import (
     DriftModel,
-    HomodyneScan,
     ScanConfig,
     sample_dhd_blocks,
     sample_scan_blocks,
@@ -158,12 +159,12 @@ def _collect_range(args):
             store(METHOD_DHD, trials, dhd_rows(qp[..., 0], qp[..., 1]))
     if METHOD_FIT in methods or METHOD_MOM in methods:
         for trials, (phases, q) in zip(blocks, sample_scan_blocks(truth, scan_cfg, seed, blocks)):
-            fits = fit_rows(phases, q, scan_cfg)
+            block = ScanBlock.of(phases, q, scan_cfg)
+            fits = fit_rows(block)
             if METHOD_FIT in methods:
                 store(METHOD_FIT, trials, fits)
             if METHOD_MOM in methods:
-                store(METHOD_MOM, trials,
-                      mom_rows(phases, q, scan_cfg, fits=fits, tol=tol, max_iter=max_iter))
+                store(METHOD_MOM, trials, mom_rows(block, fits=fits, tol=tol, max_iter=max_iter))
     return [parts[m] for m in methods]
 
 
@@ -431,9 +432,10 @@ def track_angle(
     """Scan-by-scan MoM tracking of a drifting squeezing angle.
 
     One scan per drift step, at that step's angle; the scans are drawn in
-    blocks of BLOCK_TRIALS and estimated one by one, because each scan's
-    estimate seeds the next scan's prior (the first scan seeds itself from
-    the fit).  The reported half-width is the predicted angle standard
+    blocks of BLOCK_TRIALS, each block is prepared once (``ScanBlock.of``)
+    and its rows are estimated one by one, because each scan's estimate
+    seeds the next scan's prior (the first scan seeds itself from the
+    fit).  The reported half-width is the predicted angle standard
     error sqrt([F^-1]_pp) at the per-scan estimate; the correlation-time
     fit uses the mean squared half-width as its measurement-noise floor.
     """
@@ -445,27 +447,24 @@ def track_angle(
     times = np.arange(n) * drift.step_interval
     phi_true = base.phi_s + offsets
 
-    phi_est = np.empty(n)
-    half_width = np.empty(n)
-    s_est = np.empty(n)
-    kappa_est = np.empty(n)
-    iters = np.empty(n, dtype=np.int64)
     truths = [StateParams(base.s, base.kappa, phi) for phi in phi_true]
     blocks = [range(b, min(b + BLOCK_TRIALS, n)) for b in range(0, n, BLOCK_TRIALS)]
+    results = []
     prior = None
     for trials, (phases, q) in zip(blocks, sample_scan_blocks(truths, cfg, seed, blocks)):
-        for i, k in enumerate(trials):
-            scan = HomodyneScan(phases if phases is cfg.grid else phases[i], q[i], cfg)
-            r = mom_estimate(scan, prior=prior, tol=tol, max_iter=max_iter)
-            phi_est[k] = r.params.phi_s
-            s_est[k] = r.params.s
-            kappa_est[k] = r.params.kappa
-            iters[k] = r.iterations
-            if r.predicted_cov is not None and r.predicted_cov.pp > 0:
-                half_width[k] = math.sqrt(r.predicted_cov.pp)
-            else:
-                half_width[k] = float("nan")
+        block = ScanBlock.of(phases, q, cfg)
+        for i in range(len(trials)):
+            r = mom_rows(block.row(i), priors=None if prior is None else [prior], tol=tol,
+                         max_iter=max_iter, compute_cov=True)[0]
+            results.append(r)
             prior = r.params if r.physical else None
+    s_est, kappa_est, phi_est = np.array([r.params.as_tuple() for r in results]).T.copy()
+    iters = np.array([r.iterations for r in results], dtype=np.int64)
+    half_width = np.array([
+        math.sqrt(r.predicted_cov.pp)
+        if r.predicted_cov is not None and r.predicted_cov.pp > 0 else float("nan")
+        for r in results
+    ])
 
     # angle residuals about the circular mean; drift stays well inside
     # the +-pi/2 wrap window for any sane amplitude

@@ -6,10 +6,15 @@ covering whole periods the empirical Fourier sums then reproduce the
 population moments to machine precision, which turns estimator
 inversion identities into exact tests.
 
+fit_moments reads the Fourier moments (C0, C2) that fit_estimate forms,
+as its call to ``estimators._fit_result`` receives them.
+
 Every property test runs under one Hypothesis profile: deterministic
 examples, no example database and no per-example deadline, so a test's
 ``@settings`` gives only its example count.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import settings
@@ -19,7 +24,9 @@ from squeezelab import (
     HomodyneScan,
     ScanConfig,
     StateParams,
+    estimators,
     eval_variance,
+    fit_estimate,
     state_covariance,
 )
 
@@ -32,6 +39,14 @@ def moment_matched_scan(params, n_psi=900, n=2):
     phases = cfg.phase_grid()
     samples = np.sqrt(eval_variance(params, phases))
     return HomodyneScan(phases=phases, samples=samples, meta=None)
+
+
+def fit_moments(scan):
+    """(C0, C2) = (mean q^2, mean q^2 exp(-2i psi)) as ``fit_estimate`` forms them."""
+    with mock.patch.object(estimators, "_fit_result", wraps=estimators._fit_result) as finish:
+        fit_estimate(scan)
+    c0, mc, ms = finish.call_args.args[:3]
+    return c0, complex(mc, -ms)
 
 
 def grid_points():

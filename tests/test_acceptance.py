@@ -47,7 +47,7 @@ from squeezelab import (
     fisher_homodyne_discrete,
     fit_estimate,
     fit_variance_prediction,
-    mom_step,
+    mom_estimate,
     phase_averaged_fisher,
     qfi_matrix,
     run_trials,
@@ -329,7 +329,7 @@ def test_06_exact_identities():
         r = fit_estimate(scan)
         fit_err = max(fit_err, abs(r.params.s - p.s), abs(r.params.kappa - p.kappa),
                       angle_distance(r.params.phi_s, p.phi_s))
-        r = mom_step(scan, p)
+        r = mom_estimate(scan, prior=p)
         mom_err = max(mom_err, abs(r.params.s - p.s), abs(r.params.kappa - p.kappa),
                       angle_distance(r.params.phi_s, p.phi_s))
     for p in points[::7]:

@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import exact_moment_batch, grid_points, moment_matched_scan
+from hypothesis.extra.numpy import arrays
+from conftest import exact_moment_batch, fit_moments, grid_points, moment_matched_scan
 from test_mom_kernel import mom_weights
 
 from squeezelab import (
@@ -24,9 +25,7 @@ from squeezelab import (
     empirical_family,
     eval_variance,
     fit_estimate,
-    fourier_components,
     mom_estimate,
-    mom_step,
     sample_dhd,
     sample_homodyne_scan,
     state_covariance,
@@ -41,6 +40,7 @@ from squeezelab.estimators import (
     FLAG_SINGULAR_PRIOR,
     FLAG_SEED_FALLBACK,
     MAX_MEAN_SQUARE,
+    ScanBlock,
     dhd_rows,
     fit_rows,
     mom_rows,
@@ -53,32 +53,32 @@ def test_fourier_components_single_sample_arithmetic():
     scan = HomodyneScan(
         phases=np.array([0.0, 0.0, 0.0]), samples=np.array([2.0, 2.0, 2.0]), meta=None
     )
-    fc = fourier_components(scan)
-    assert fc.c0 == pytest.approx(4.0, rel=1e-15)
-    assert fc.c2 == pytest.approx(4.0 + 0j, rel=1e-15)
+    c0, c2 = fit_moments(scan)
+    assert c0 == pytest.approx(4.0, rel=1e-15)
+    assert c2 == pytest.approx(4.0 + 0j, rel=1e-15)
 
 
 def test_fourier_components_requires_three():
-    with pytest.raises(ValueError):
-        fourier_components(
-            HomodyneScan(phases=np.zeros(2), samples=np.ones(2), meta=None)
-        )
+    scan = HomodyneScan(phases=np.zeros(2), samples=np.ones(2), meta=None)
+    for estimate in (fit_estimate, mom_estimate):
+        with pytest.raises(ValueError, match="need at least 3 samples"):
+            estimate(scan)
 
 
 def test_fourier_components_population_means():
     p = StateParams(0.35, 1.9, 0.85)
-    fc = fourier_components(moment_matched_scan(p))
+    c0, c2 = fit_moments(moment_matched_scan(p))
     want_c0 = p.kappa * (1 + p.s**2) / (2 * p.s)
     want_c2 = -p.kappa * (1 - p.s**2) / (4 * p.s) * cmath.exp(-2j * p.phi_s)
-    assert fc.c0 == pytest.approx(want_c0, rel=1e-12)
-    assert fc.c2.real == pytest.approx(want_c2.real, abs=1e-12)
-    assert fc.c2.imag == pytest.approx(want_c2.imag, abs=1e-12)
+    assert c0 == pytest.approx(want_c0, rel=1e-12)
+    assert c2.real == pytest.approx(want_c2.real, abs=1e-12)
+    assert c2.imag == pytest.approx(want_c2.imag, abs=1e-12)
 
 
 def test_fourier_components_vacuum():
-    fc = fourier_components(moment_matched_scan(StateParams(1.0, 1.0, 0.0)))
-    assert fc.c0 == pytest.approx(1.0, rel=1e-14)
-    assert abs(fc.c2) < 1e-13
+    c0, c2 = fit_moments(moment_matched_scan(StateParams(1.0, 1.0, 0.0)))
+    assert c0 == pytest.approx(1.0, rel=1e-14)
+    assert abs(c2) < 1e-13
 
 
 def test_fit_inversion_exact_on_grid():
@@ -172,19 +172,21 @@ def test_mom_weights_at_squeezed_axis():
     assert c_s[0] == pytest.approx(1.0 / (2 * p.kappa * p.s**2), rel=1e-12)
 
 
-def test_mom_step_fixed_point_on_grid():
+def test_mom_estimate_fixed_point_on_grid():
     for p in grid_points():
         if p.s >= 0.999:
             continue
-        r = mom_step(moment_matched_scan(p), p)
+        r = mom_estimate(moment_matched_scan(p), prior=p)
         assert abs(r.params.s - p.s) < 1e-10
         assert abs(r.params.kappa - p.kappa) < 1e-10
         assert angle_distance(r.params.phi_s, p.phi_s) < 1e-10
 
 
 def test_mom_step_singular_prior_flag():
+    """One update from a prior at s = 1 flags the singular angle update
+    and keeps the prior's angle."""
     scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), ScanConfig(n_psi=300), seed=5)
-    r = mom_step(scan, StateParams(1.0, 1.0, 0.9))
+    r = mom_estimate(scan, prior=StateParams(1.0, 1.0, 0.9), max_iter=1)
     assert FLAG_SINGULAR_PRIOR in r.flags
     assert r.params.phi_s == pytest.approx(0.9, abs=1e-12)
 
@@ -200,9 +202,8 @@ def test_non_finite_prior_is_rejected(bad, component):
     converged estimate."""
     scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), ScanConfig(n_psi=64), seed=0)
     bits = {"s": 0.5, "kappa": 2.0, "phi_s": 0.3, component: bad}
-    for estimate in (mom_step, lambda sc, p: mom_estimate(sc, prior=p)):
-        with pytest.raises(ValueError):
-            estimate(scan, StateParams(**bits))
+    with pytest.raises(ValueError):
+        mom_estimate(scan, prior=StateParams(**bits))
 
 
 @pytest.mark.parametrize("n_psi", [16, 64, 900])
@@ -213,9 +214,8 @@ def test_prior_beyond_the_s_floor_is_rejected(n_psi):
     the floor run without a floating-point warning."""
     scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), ScanConfig(n_psi=n_psi), seed=0)
     for s in (1e-200, 1e-12, 1e12):
-        for estimate in (mom_step, lambda sc, p: mom_estimate(sc, prior=p)):
-            with pytest.raises(ValueError, match=r"needs 1e-06 <= s <= 1e\+06"):
-                estimate(scan, StateParams(s, 1.0, 0.0))
+        with pytest.raises(ValueError, match=r"needs 1e-06 <= s <= 1e\+06"):
+            mom_estimate(scan, prior=StateParams(s, 1.0, 0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(all="raise"):
@@ -390,7 +390,7 @@ def test_non_finite_samples_are_rejected(bad):
     q = scan.samples.copy()
     q[5] = bad
     broken = dataclasses.replace(scan, samples=q)
-    for estimate in (fit_estimate, lambda sc: mom_step(sc, truth), mom_estimate):
+    for estimate in (fit_estimate, lambda sc: mom_estimate(sc, prior=truth), mom_estimate):
         with pytest.raises(ValueError, match="finite"):
             estimate(broken)
 
@@ -411,8 +411,7 @@ def test_out_of_range_samples_are_rejected(scale):
     scan = sample_homodyne_scan(truth, ScanConfig(), seed=0)
     big = dataclasses.replace(scan, samples=scan.samples * scale)
     limit = "mean square of at most 1e\\+100"
-    for estimate in (fit_estimate, fourier_components, lambda sc: mom_step(sc, truth),
-                     mom_estimate, lambda sc: mom_estimate(sc, prior=truth)):
+    for estimate in (fit_estimate, mom_estimate, lambda sc: mom_estimate(sc, prior=truth)):
         with pytest.raises(ValueError, match=limit):
             estimate(big)
 
@@ -421,6 +420,23 @@ def test_out_of_range_samples_are_rejected(scale):
         scaled = dataclasses.replace(batch, **{name: getattr(batch, name) * scale})
         with pytest.raises(ValueError, match=f"{name} must be finite.*{limit}"):
             dhd_estimate(scaled)
+
+
+@pytest.mark.parametrize("samples", [[3.45993984e-81, 0.0, 0.0], [1e-60, -2e-60, 5e-61, 0.0]])
+def test_tiny_samples_are_rejected(samples):
+    """A nonzero mean square below 1 / MAX_MEAN_SQUARE raises ValueError:
+    from the first scan MoM iterated until its squared model variance
+    underflowed to 0 and divided 0 by 0.  An all-zero scan is still
+    estimated."""
+    n = len(samples)
+    cfg = ScanConfig(n_psi=n)
+    tiny = HomodyneScan(cfg.grid, np.array(samples), meta=cfg)
+    for estimate in (fit_estimate, mom_estimate,
+                     lambda sc: mom_estimate(sc, prior=StateParams(0.5, 2.0, 0.3))):
+        with pytest.raises(ValueError, match="mean square of 0 or at least 1e-100"):
+            estimate(tiny)
+    zeros = HomodyneScan(cfg.grid, np.zeros(n), meta=cfg)
+    assert FLAG_SEED_FALLBACK in mom_estimate(zeros).flags
 
 
 def test_in_range_samples_stay_finite():
@@ -432,22 +448,68 @@ def test_in_range_samples_stay_finite():
     big = dataclasses.replace(scan, samples=scan.samples * scale)
     batch = sample_dhd(truth, 900, seed=0)
     big_batch = DhdBatch(q1=batch.q1 * scale, p2=batch.p2 * scale)
-    for r in (fit_estimate(big), mom_estimate(big), mom_step(big, truth),
+    for r in (fit_estimate(big), mom_estimate(big), mom_estimate(big, prior=truth),
               dhd_estimate(big_batch)):
         assert math.isfinite(r.params.s) and math.isfinite(r.params.kappa)
 
 
+@settings(max_examples=300)
+@given(
+    n=st.integers(3, 40),
+    rows=st.integers(1, 3),
+    spacing=st.sampled_from(("equispaced", "random")),
+    log_s=st.floats(-6.0, 6.0),
+    log_kappa=st.floats(-6.0, 6.0),
+    phi=st.floats(-10.0, 10.0),
+    data=st.data(),
+)
+def test_any_finite_scan_gives_an_estimate_or_value_error(n, rows, spacing, log_s, log_kappa,
+                                                          phi, data):
+    """Any finite float64 samples, on the config's grid or on random phases
+    in [0, 2 pi) as a random-spacing ScanConfig draws them, give an estimate
+    or a ValueError from fit_estimate, from mom_estimate seeded by the fit
+    and from a prior inside the accepted s range, and from the block calls:
+    never another exception, and never a RuntimeWarning."""
+    cfg = ScanConfig(n_psi=n, spacing=spacing)
+    q = data.draw(arrays(np.float64, (rows, n),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    if spacing == "random":
+        phases = np.sort(data.draw(arrays(np.float64, (rows, n),
+                                          elements=st.floats(0.0, 2.0 * math.pi,
+                                                             exclude_max=True))), axis=1)
+    else:
+        phases = cfg.grid
+    prior = StateParams(10.0**log_s, 10.0**log_kappa, phi)
+    calls = [
+        lambda: fit_rows(ScanBlock.of(phases, q, cfg), compute_cov=True),
+        lambda: mom_rows(ScanBlock.of(phases, q, cfg), compute_cov=True),
+        lambda: mom_rows(ScanBlock.of(phases, q, cfg), priors=[prior] * rows, compute_cov=True),
+    ]
+    for i in range(rows):
+        scan = HomodyneScan(phases if phases.ndim == 1 else phases[i], q[i], meta=cfg)
+        calls += [lambda scan=scan: [fit_estimate(scan)], lambda scan=scan: [mom_estimate(scan)],
+                  lambda scan=scan: [mom_estimate(scan, prior=prior)]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            try:
+                results = call()
+            except ValueError:
+                continue
+            assert all(isinstance(r, estimators.EstimateResult) for r in results)
+
+
 @pytest.mark.parametrize("bad", [math.nan, 1e60])
 def test_block_estimators_check_every_row(bad):
-    """fit_rows and dhd_rows raise when one sample of one row of a block is
-    nan or puts that row's mean square beyond the limit."""
+    """A scan block and dhd_rows raise when one sample of one row is nan or
+    puts that row's mean square beyond the limit."""
     truth = StateParams(0.5, 2.0, 0.3)
     cfg = ScanConfig(n_psi=64)
     q = np.stack([sample_homodyne_scan(truth, cfg, seed=0, trial=t).samples for t in range(5)])
-    assert len(fit_rows(cfg.grid, q, cfg)) == 5
+    assert len(fit_rows(ScanBlock.of(cfg.grid, q, cfg))) == 5
     q[3, 7] = bad
     with pytest.raises(ValueError, match="samples must be finite"):
-        fit_rows(cfg.grid, q, cfg)
+        ScanBlock.of(cfg.grid, q, cfg)
 
     batches = [sample_dhd(truth, 64, seed=0, trial=t) for t in range(5)]
     q1 = np.stack([b.q1 for b in batches])
@@ -476,7 +538,7 @@ def test_block_moments_equal_per_scan_means(rows, n, seed, spacing):
         phases = np.sort(rng.uniform(0.0, 2.0 * math.pi, (rows, n)), axis=1)
     else:
         phases = cfg.grid
-    for i, got in enumerate(fit_rows(phases, q, cfg)):
+    for i, got in enumerate(fit_rows(ScanBlock.of(phases, q, cfg))):
         psi = phases if phases.ndim == 1 else phases[i]
         x2 = q[i] * q[i]
         moments = [float(np.mean(w * x2)) for w in (1.0, np.cos(2.0 * psi), np.sin(2.0 * psi))]
@@ -541,12 +603,12 @@ def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, see
     rows = len(scans)
     q = np.stack([scan.samples for scan in scans])
     phases = cfg.grid if spacing == "equispaced" else np.stack([scan.phases for scan in scans])
-    fits = fit_rows(phases, q, cfg) if seeding == "fits" else None
+    fits = fit_rows(ScanBlock.of(phases, q, cfg)) if seeding == "fits" else None
     priors = ([StateParams(rng.uniform(0.05, 2.0), rng.uniform(0.5, 4.0), rng.uniform(0.0, 4.0))
                for _ in range(rows)] if seeding == "priors" else None)
 
     def block(lo, hi):
-        return mom_rows(phases if phases.ndim == 1 else phases[lo:hi], q[lo:hi], cfg,
+        return mom_rows(ScanBlock.of(phases if phases.ndim == 1 else phases[lo:hi], q[lo:hi], cfg),
                         fits=None if fits is None else fits[lo:hi],
                         priors=None if priors is None else priors[lo:hi],
                         max_iter=max_iter, compute_cov=True)
@@ -562,7 +624,7 @@ def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, see
     assert [_result_bits(r) for r in block(0, cut) + block(cut, rows)] == got
     if seeding != "fit":
         with pytest.raises(ValueError, match="one prior or fit per row"):
-            mom_rows(phases, q, cfg, fits=None if fits is None else fits[1:],
+            mom_rows(ScanBlock.of(phases, q, cfg), fits=None if fits is None else fits[1:],
                      priors=None if priors is None else priors[1:])
 
     bad = data.draw(st.integers(0, rows - 1))
@@ -585,7 +647,7 @@ def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, see
             one, max_iter=max_iter, prior=None if pb is None else pb[bad],
             fit=None if fits_b is None else fits_b[bad]))
         assert want_err is not None
-        assert _mom_errors(lambda: mom_rows(ph, qb, None, fits=fits_b, priors=pb,
+        assert _mom_errors(lambda: mom_rows(ScanBlock.of(ph, qb), fits=fits_b, priors=pb,
                                             max_iter=max_iter)) == want_err
 
 
@@ -666,12 +728,11 @@ def _pinned_results():
             scans = [sample_homodyne_scan(truth, cfg, seed=seed) for seed in range(3)]
             for scan in scans:
                 out += [fit_estimate(scan), mom_estimate(scan),
-                        mom_rows(np.asarray(scan.phases, dtype=float), scan.samples[None],
-                                 scan.meta)[0],
-                        mom_estimate(scan, prior=prior), mom_step(scan, prior)]
+                        mom_rows(ScanBlock.of(scan.phases, scan.samples, scan.meta))[0],
+                        mom_estimate(scan, prior=prior)]
             phases = cfg.grid if cfg.spacing == "equispaced" else np.stack(
                 [scan.phases for scan in scans])
-            out += fit_rows(phases, np.stack([scan.samples for scan in scans]), cfg,
+            out += fit_rows(ScanBlock.of(phases, np.stack([scan.samples for scan in scans]), cfg),
                             compute_cov=True)
             for mu in (64, 900):
                 batches = [sample_dhd(truth, mu, seed=seed) for seed in range(3)]
@@ -714,4 +775,4 @@ def test_estimates_pinned_at_full_precision():
         "singular-information"}
     assert any(r.predicted_cov is not None for r in results)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "5347872b72620d3cad33dc1135400fac8127287410bc05be77756450304e8d8b"
+    assert digest == "8dd5ae89ab589aa90b65b66df45d315701d0ddbd04767d025b44b3ebeb9c077f"

@@ -19,9 +19,11 @@ same tolerance on their outputs.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from conftest import fit_moments
+from hypothesis import example, given, settings, strategies as st
 
 from squeezelab import (
+    ScanBlock,
     ScanConfig,
     StateParams,
     angle_distance,
@@ -29,7 +31,6 @@ from squeezelab import (
     empirical_family,
     eval_variance,
     fit_estimate,
-    fourier_components,
     grid_harmonics,
     mom_estimate,
     mom_rows,
@@ -160,8 +161,16 @@ def scan_and_prior(draw):
     return scan, prior
 
 
+# a prior at s = 1, where the angle update is singular
+SINGULAR_PRIOR_CASE = (
+    sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), ScanConfig(n_psi=300), seed=5),
+    StateParams(1.0, 1.0, 0.9),
+)
+
+
 @settings(max_examples=300)
 @given(scan_and_prior())
+@example(SINGULAR_PRIOR_CASE)
 def test_mom_update_matches_trig_reference(case):
     scan, prior = case
     x2 = scan.samples * scan.samples
@@ -179,9 +188,9 @@ def test_fourier_components_match_complex_exponential(case):
     x = scan.samples * scan.samples
     want_c0 = float(np.mean(x))
     want_c2 = complex(np.mean(x * np.exp(-2.0j * scan.phases)))
-    got = fourier_components(scan)
-    assert abs(got.c0 - want_c0) <= RTOL * want_c0
-    assert abs(got.c2 - want_c2) <= RTOL * abs(want_c2)
+    c0, c2 = fit_moments(scan)
+    assert abs(c0 - want_c0) <= RTOL * want_c0
+    assert abs(c2 - want_c2) <= RTOL * abs(want_c2)
 
 
 def test_mom_estimate_matches_trig_reference():
@@ -193,7 +202,7 @@ def test_mom_estimate_matches_trig_reference():
                  for t in range(400)]
         block = np.stack([scan.samples for scan in scans])
         blocks = [r for b in range(0, 400, 25)
-                  for r in mom_rows(cfg.grid, block[b:b + 25], cfg, compute_cov=False)]
+                  for r in mom_rows(ScanBlock.of(cfg.grid, block[b:b + 25], cfg))]
         for scan, in_block in zip(scans, blocks):
             alone = mom_estimate(scan)
             prior, seed_flags = _seed_prior(fit_estimate(scan))

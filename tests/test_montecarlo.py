@@ -286,7 +286,9 @@ def test_block_collection_equals_per_trial_loop(s, kappa, phi, n_psi, mu, spacin
 
 def test_grid_harmonics_computed_once_per_scan_config(monkeypatch):
     """Every scan of a sweep or a track, and fit, MoM and the Fisher matrix
-    on it, share the config's harmonics: one computation per ScanConfig."""
+    on it, share the config's harmonics: one computation per ScanConfig.
+    With random spacing each drawn block gets one computation over all its
+    rows, shared by the fit, MoM and the Fisher matrix."""
     calls = []
 
     def counting(phases):
@@ -302,6 +304,20 @@ def test_grid_harmonics_computed_once_per_scan_config(monkeypatch):
                       duration=0.01, seed=2)
     assert np.isfinite(res.half_width).any()  # the Fisher matrix ran
     assert calls == [48]
+
+    random = ScanConfig(n_psi=64, spacing="random")
+    calls.clear()
+    sweep_family((0.3, 0.5), ("fit", "mom"), 32, seed=2, scan_config=random)
+    # one call per drawn (16, 64) block, of which each of the two truths has two
+    assert calls == [montecarlo.BLOCK_TRIALS] * 4
+    calls.clear()
+    res = track_angle(DriftModel(), empirical_family(0.5), ScanConfig(n_psi=48, spacing="random"),
+                      duration=0.02, seed=2)
+    assert np.isfinite(res.half_width).any()
+    n = len(res.times)
+    sizes = [min(montecarlo.BLOCK_TRIALS, n - b) for b in range(0, n, montecarlo.BLOCK_TRIALS)]
+    assert len(sizes) > 1
+    assert calls == sizes
 
 
 # ------------------------------------------------------------ statistics
