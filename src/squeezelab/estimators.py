@@ -14,10 +14,12 @@ Shared conventions:
 * a block of scans is prepared once, as a ``ScanBlock``: its phases, their
   harmonics (1, cos 2psi, sin 2psi) and its squared samples, each row's
   mean square checked.  The harmonics are the ``ScanConfig``'s cached rows
-  when the phases are its grid, else one ``grid_harmonics`` call over the
-  whole block, so the trig is computed once per config or per block; the
-  fit, the MoM iterations and the MoM covariance read the grid only
-  through them;
+  when the phases are its grid, the rows the scan sampler drew a random
+  block's samples from, else one ``grid_harmonics`` call over the whole
+  block, so the trig is computed once per config or per block; the
+  sampler, the fit, the MoM iterations and the MoM covariance read the
+  grid only through them.  MoM takes V as the product of the harmonics
+  with ``model.variance_coefficients``, as the sampler does;
 * every estimate of every method is finished by ``_result``: the method
   passes its own sign test and its covariance as a module-level function
   with its arguments, and ``_result`` sets ``physical``, the
@@ -42,6 +44,7 @@ from itertools import repeat
 import numpy as np
 
 from .model import (
+    S_FLOOR,
     SingularMatrixError,
     StateParams,
     SymMatrix2,
@@ -49,6 +52,7 @@ from .model import (
     angle_distance,
     canonical_angle,
     grid_harmonics,
+    variance_coefficients,
 )
 from .bounds import fisher_homodyne_discrete, fisher_dhd, fit_variance_prediction
 
@@ -90,13 +94,6 @@ DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 20
 FALLBACK_PRIOR = StateParams(s=0.5, kappa=2.0, phi_s=0.0)
 
-# Smallest min(s, 1/s) of a MoM prior or iterate.  Far from s = 1 the
-# update cannot be evaluated: the model's least variance a - |b| = k0 s0
-# cancels against a ~ k0 / (2 s0) once s0^2 nears the float64 epsilon (a
-# prior at s = 1e-10 divides by 0), and s0^2 itself underflows below 1e-162.
-# A prior beyond the floor is rejected; an iterate below it restarts.
-_MOM_S_FLOOR = 1e-6
-
 # Largest mean square of a scan's samples, and largest DHD second moment,
 # that the estimators accept.  The fit and DHD multiply two second moments
 # and MoM squares the model variance, which overflow float64 near 1e154;
@@ -105,6 +102,14 @@ _MOM_S_FLOOR = 1e-6
 # than 0, is rejected too: MoM's iterates shrink with the data, and their
 # squared model variance underflows to 0 near 1e-162.
 MAX_MEAN_SQUARE = 1e100
+
+# Widest kappa of a MoM prior, as [1 / _MOM_KAPPA_LIMIT, _MOM_KAPPA_LIMIT].
+# The reducer squares V, which lies between kappa S_FLOOR and kappa / S_FLOOR,
+# and divides squared samples by V^2, where a row's mean square lies between
+# 1 / MAX_MEAN_SQUARE and MAX_MEAN_SQUARE.  At the limits V^2 stays within
+# 1e+-192 and mean(x^2) / V^2 within 1e+-292, so neither overflows nor
+# underflows, and a row sum of up to 1e16 such terms stays finite.
+_MOM_KAPPA_LIMIT = 1e90
 
 
 def _signed_sqrt(x: float) -> float:
@@ -173,15 +178,15 @@ class ScanBlock:
     x2: np.ndarray
 
     @classmethod
-    def of(cls, phases, samples, config=None) -> ScanBlock:
+    def of(cls, phases, samples, harmonics=None) -> ScanBlock:
         """The block of the rows of ``samples`` (B, N), or of one scan (N,).
 
-        The harmonics are ``config.harmonics`` when ``phases`` is
-        ``config.grid``, which is how every drawn or trace-derived scan is
-        built, else one ``grid_harmonics`` call over all the phases.  Fewer
-        than 3 samples, or a row whose mean square fails
-        ``_check_mean_square`` or is positive but below 1 / MAX_MEAN_SQUARE,
-        raise ValueError.
+        ``harmonics`` are the rows ``grid_harmonics(phases)`` when the
+        caller has them, as the scan sampler yields them and a ``ScanConfig``
+        caches them for its grid; else they are computed here, in one call
+        over all the phases.  Fewer than 3 samples, or a row whose mean
+        square fails ``_check_mean_square`` or is positive but below
+        1 / MAX_MEAN_SQUARE, raise ValueError.
         """
         q = np.atleast_2d(np.asarray(samples, dtype=float))
         if q.shape[-1] < 3:
@@ -197,15 +202,21 @@ class ScanBlock:
                                  f"{1.0 / MAX_MEAN_SQUARE:g}; got {m0!r} (data far out of "
                                  "shot-noise units)")
         phases = np.asarray(phases, dtype=float)
-        if config is not None and phases is config.grid:
-            return cls(phases, config.harmonics, x2)
-        return cls(phases, grid_harmonics(phases), x2)
+        return cls(phases, grid_harmonics(phases) if harmonics is None else harmonics, x2)
 
     def row(self, i: int) -> ScanBlock:
         """Row i alone, as a one-row block."""
         if self.harmonics.ndim == 2:
             return ScanBlock(self.phases, self.harmonics, self.x2[i:i + 1])
         return ScanBlock(self.phases[i], self.harmonics[:, i], self.x2[i:i + 1])
+
+
+def _scan_block(scan) -> ScanBlock:
+    """The one-row block of a ``HomodyneScan``; a scan on its config's grid
+    reads the config's cached harmonics."""
+    cfg = scan.meta
+    on_grid = cfg is not None and scan.phases is cfg.grid
+    return ScanBlock.of(scan.phases, scan.samples, cfg.harmonics if on_grid else None)
 
 
 # |C2| / C0 at or below which the fit finds no second harmonic.  A vacuum
@@ -227,7 +238,7 @@ def fit_estimate(scan) -> EstimateResult:
     moments.  A second harmonic of at most 1e-12 C0 flags ``degenerate``
     and sets the angle to 0.
     """
-    return fit_rows(ScanBlock.of(scan.phases, scan.samples, scan.meta), compute_cov=True)[0]
+    return fit_rows(_scan_block(scan), compute_cov=True)[0]
 
 
 def fit_rows(block: ScanBlock, compute_cov: bool = False) -> list[EstimateResult]:
@@ -270,23 +281,12 @@ def _fit_cov(est: StateParams, n: int) -> SymMatrix3:
     return SymMatrix3(ss=pred.var_s, sk=0.0, sp=0.0, kk=pred.var_kappa, kp=0.0, pp=pred.var_phi)
 
 
-def _mom_weights(s0: float, k0: float, p0: float) -> tuple:
-    """The model variance at the prior as a combination of the harmonics
-    (1, cos 2psi, sin 2psi): with u = psi - p0, V = a + b cos 2u where
-    a = k0 (s0 + 1/s0) / 2 and b = k0 (s0 - 1/s0) / 2.  Returns the
-    coefficients (a, b cos 2p0, b sin 2p0), which ``_mom_reducer``
-    reads, and b, cos 2p0 and sin 2p0, which ``_mom_moments`` reads."""
-    c2p = math.cos(2.0 * p0)
-    s2p = math.sin(2.0 * p0)
-    b = 0.5 * k0 * (s0 - 1.0 / s0)
-    return (0.5 * k0 * (s0 + 1.0 / s0), b * c2p, b * s2p), b, c2p, s2p
-
-
 def _mom_reducer(harmonics: np.ndarray, x2: np.ndarray):
     """The O(N) work of one MoM iteration on the rows of ``x2``, their
     squared samples (A, N), as a function: given each row's variance
-    coefficients (see ``_mom_weights``), it returns each row's three sums
-    m = sum_j q_j^2 / V_j^2 (1, cos 2psi_j, sin 2psi_j), as A lists.
+    coefficients (see ``model.variance_coefficients``), it returns each
+    row's three sums m = sum_j q_j^2 / V_j^2 (1, cos 2psi_j, sin 2psi_j),
+    as A lists.
 
     ``harmonics`` is (3, N), shared by the rows, or (A, 3, N).  A block
     takes three stacked numpy calls; one row takes the 2-D products, which
@@ -398,9 +398,13 @@ def _check_prior(prior: StateParams) -> None:
         raise ValueError(f"prior {prior} has a non-finite component")
     if prior.s <= 0.0 or prior.kappa <= 0.0:
         raise ValueError(f"prior {prior} needs s > 0 and kappa > 0")
-    if min(prior.s, 1.0 / prior.s) < _MOM_S_FLOOR:
-        raise ValueError(f"prior {prior} needs {_MOM_S_FLOOR:g} <= s <= {1.0 / _MOM_S_FLOOR:g}:"
+    if min(prior.s, 1.0 / prior.s) < S_FLOOR:
+        raise ValueError(f"prior {prior} needs {S_FLOOR:g} <= s <= {1.0 / S_FLOOR:g}:"
                          " further from 1 the moment update cannot be evaluated")
+    if not 1.0 / _MOM_KAPPA_LIMIT <= prior.kappa <= _MOM_KAPPA_LIMIT:
+        raise ValueError(f"prior {prior} needs {1.0 / _MOM_KAPPA_LIMIT:g} <= kappa <= "
+                         f"{_MOM_KAPPA_LIMIT:g}: further out the moment sums overflow or "
+                         "underflow")
 
 
 def _seed_prior(fit: EstimateResult) -> tuple[StateParams, tuple]:
@@ -419,8 +423,8 @@ def _seed_prior(fit: EstimateResult) -> tuple[StateParams, tuple]:
 def _mom_row(prior: StateParams, seed_flags: tuple, n: int, tol: float, max_iter: int,
              compute_cov: bool, cov_args: tuple):
     """One row's MoM estimate, as a generator: it yields the variance
-    coefficients of each iterate (see ``_mom_weights``), is sent the
-    row's ``_mom_reducer`` sums back, and returns the finished
+    coefficients of each iterate (see ``model.variance_coefficients``), is
+    sent the row's ``_mom_reducer`` sums back, and returns the finished
     EstimateResult.
 
     Each update is fed back as the next prior until the relative change
@@ -437,13 +441,13 @@ def _mom_row(prior: StateParams, seed_flags: tuple, n: int, tol: float, max_iter
     converged = False
     for iterations in range(1, max_iter + 1):
         # guards: keep the iteration inside the domain where the update is defined
-        if not math.isfinite(s0) or s0 < _MOM_S_FLOOR:
+        if not math.isfinite(s0) or s0 < S_FLOOR:
             s0 = 0.01
         if s0 == 1.0:
             s0 = 1.0 - 1e-9
         if not math.isfinite(k0) or k0 <= 0.0:
             k0 = 1.0
-        w = _mom_weights(s0, k0, p0)
+        w = variance_coefficients(s0, k0, p0)
         m = yield w[0]
         s1, k1, p1, step_flags = _mom_update(_mom_moments(m, n, s0, k0, w), s0, k0, p0)
         s1, k1, p1 = _mirror(s1, k1, p1)
@@ -478,9 +482,10 @@ def mom_estimate(
     Without a prior the iteration is seeded from ``fit``, the
     ``fit_estimate`` of this scan when the caller already has it, or
     else from a fresh fit; a given prior with a non-finite component,
-    kappa <= 0, or s outside [1e-6, 1e6] raises ValueError.
+    s outside [1e-6, 1e6] (``model.S_FLOOR``) or kappa outside
+    [1e-90, 1e90] raises ValueError.
     """
-    return mom_rows(ScanBlock.of(scan.phases, scan.samples, scan.meta),
+    return mom_rows(_scan_block(scan),
                     None if fit is None else [fit], None if prior is None else [prior], tol,
                     max_iter, compute_cov=True)[0]
 

@@ -10,10 +10,10 @@ truths to one process pool.
 Within a chunk the trials are drawn and estimated in blocks of
 BLOCK_TRIALS: the sampler does the per-truth work once and draws each
 trial's row from that trial's own stream, each scan block is prepared once
-(``ScanBlock.of``: its harmonics and checked squares) for the fit and MoM,
-the fit and DHD reduce the whole block at once, and MoM iterates the block
-from the block's fits, reducing the rows not yet converged together and
-updating each row on its own.
+(``ScanBlock.of``: the sampler's harmonics and the checked squares) for the
+fit and MoM, the fit and DHD reduce the whole block at once, and MoM
+iterates the block from the block's fits, reducing the rows not yet
+converged together and updating each row on its own.
 One loop over the DHD blocks and one over the scan blocks write each
 block's estimates straight into the chunk's preallocated per-method
 arrays, and the chunks are merged the same way for one worker or many.
@@ -158,8 +158,9 @@ def _collect_range(args):
         for trials, qp in zip(blocks, sample_dhd_blocks(truth, mu, seed, blocks)):
             store(METHOD_DHD, trials, dhd_rows(qp[..., 0], qp[..., 1]))
     if METHOD_FIT in methods or METHOD_MOM in methods:
-        for trials, (phases, q) in zip(blocks, sample_scan_blocks(truth, scan_cfg, seed, blocks)):
-            block = ScanBlock.of(phases, q, scan_cfg)
+        drawn = sample_scan_blocks(truth, scan_cfg, seed, blocks)
+        for trials, (phases, harmonics, q) in zip(blocks, drawn):
+            block = ScanBlock.of(phases, q, harmonics)
             fits = fit_rows(block)
             if METHOD_FIT in methods:
                 store(METHOD_FIT, trials, fits)
@@ -451,8 +452,9 @@ def track_angle(
     blocks = [range(b, min(b + BLOCK_TRIALS, n)) for b in range(0, n, BLOCK_TRIALS)]
     results = []
     prior = None
-    for trials, (phases, q) in zip(blocks, sample_scan_blocks(truths, cfg, seed, blocks)):
-        block = ScanBlock.of(phases, q, cfg)
+    drawn = sample_scan_blocks(truths, cfg, seed, blocks)
+    for trials, (phases, harmonics, q) in zip(blocks, drawn):
+        block = ScanBlock.of(phases, q, harmonics)
         for i in range(len(trials)):
             r = mom_rows(block.row(i), priors=None if prior is None else [prior], tol=tol,
                          max_iter=max_iter, compute_cov=True)[0]

@@ -14,6 +14,14 @@ and one Philox is re-keyed for each trial of a block, as for each window
 of a trace, rather than a new generator built per trial.  Same key, same
 draws: a block row equals the single draw of ``sample_homodyne_scan`` or
 ``sample_dhd``, which are the one-row case of the block samplers.
+
+A scan's variance is taken on the harmonics (1, cos 2psi, sin 2psi) that
+the estimators read, V = ``variance_coefficients`` times the harmonics:
+the config's cached rows on its grid, or one trig pass over a random
+block's phases, which the sampler yields for ``ScanBlock.of``.  That form
+rounds V at the scale of kappa max(s, 1/s), so a scan truth must keep
+min(s, 1/s) >= ``model.S_FLOOR``.  A raw trace takes each window's
+variance from ``quadrature_variance`` instead.
 """
 
 from __future__ import annotations
@@ -25,11 +33,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import (
+    S_FLOOR,
     StateParams,
-    eval_variance,
     grid_harmonics,
     quadrature_variance,
     state_covariance,
+    variance_coefficients,
 )
 
 __all__ = [
@@ -194,47 +203,66 @@ def sample_homodyne_scan(
     """Draw one phase scan: q_j ~ N(0, V(psi_j)) independently per phase."""
     cfg = config or ScanConfig()
     # unpacking runs the generator to its end: no suspended frame to close
-    [(phases, q)] = sample_scan_blocks(params, cfg, seed, [range(trial, trial + 1)])
+    [(phases, _, q)] = sample_scan_blocks(params, cfg, seed, [range(trial, trial + 1)])
     return HomodyneScan(phases=phases if phases is cfg.grid else phases[0],
                         samples=q[0], meta=cfg)
 
 
+def _scan_coefficients(truth: StateParams) -> tuple:
+    """The truth's ``variance_coefficients``; a truth with min(s, 1/s)
+    below S_FLOOR raises ValueError, because its variance on the harmonics
+    would lose its precision."""
+    if not (truth.s > 0.0 and min(truth.s, 1.0 / truth.s) >= S_FLOOR):
+        raise ValueError(f"truth {truth} needs min(s, 1/s) >= S_FLOOR = {S_FLOOR:g}, i.e. "
+                         f"{S_FLOOR:g} <= s <= {1.0 / S_FLOOR:g}: further from 1 the scan "
+                         "variance cannot be drawn to precision")
+    return variance_coefficients(truth.s, truth.kappa, truth.phi_s)[0]
+
+
 def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
-    """Yield (phases, samples) for each range of trials in ``blocks``.
+    """Yield (phases, harmonics, samples) for each range of trials in ``blocks``.
 
     ``params`` is one StateParams shared by every trial, or one truth per
     trial, looked up as ``params[trial]``.  ``samples`` has one row per
     trial, drawn from that trial's stream exactly as a separate
     ``sample_homodyne_scan`` call would draw it.  ``phases`` is the
-    config's shared grid for equispaced scans, whose standard deviations
-    are computed once per call for a shared truth and once per block, over
-    its rows, for per-trial truths; with random spacing it has one row per
-    trial, drawn first from the trial's stream.
+    config's shared grid for equispaced scans, and ``harmonics`` the
+    config's cached rows (1, cos 2psi, sin 2psi); with random spacing
+    ``phases`` has one row per trial, drawn first from the trial's stream,
+    and ``harmonics`` are one ``grid_harmonics`` call over the block's
+    (B, N) phases, to be handed on to ``ScanBlock.of``.
+
+    Each sample's variance is the product of its truth's
+    ``variance_coefficients`` with the harmonics: computed once per call
+    for a shared truth on the grid, else as one stacked product per block,
+    which gives each row the bits of that product on its own.  A truth
+    with min(s, 1/s) below ``model.S_FLOOR`` raises ValueError.
     """
     cfg = config or ScanConfig()
     random = cfg.spacing == "random"
     shared = isinstance(params, StateParams)
-    sigma = np.sqrt(eval_variance(params, cfg.grid)) if shared and not random else None
+    coefs = _scan_coefficients(params) if shared else None
+    sigma = np.sqrt(np.dot(coefs, cfg.harmonics)) if shared and not random else None
     for trials in blocks:
-        truths = [params] * len(trials) if shared else [params[t] for t in trials]
         q = np.empty((len(trials), cfg.n_psi))
         phases = np.empty_like(q) if random else cfg.grid
         for i, rng in enumerate(_rekeyed_generators(seed, (_STREAM_SCAN,), trials)):
             if random:
                 # the phases come first in the trial's stream, then the samples
                 phases[i] = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
-                rng.standard_normal(out=q[i])
-                q[i] *= np.sqrt(eval_variance(truths[i], phases[i]))
-            else:
-                rng.standard_normal(out=q[i])
-        if shared and not random:
+            rng.standard_normal(out=q[i])
+        harmonics = grid_harmonics(phases) if random else cfg.harmonics
+        if sigma is not None:
             q *= sigma
-        elif not random:
-            # each row's own (s, kappa, phi_s) over the grid: elementwise, so
-            # a row gets the bits of eval_variance on its truth alone
-            s, kappa, phi_s = np.array([t.as_tuple() for t in truths]).T[:, :, None]
-            q *= np.sqrt(quadrature_variance(s, kappa, phi_s, cfg.grid))
-        yield phases, q
+        else:
+            rows = [coefs] * len(trials) if shared else [_scan_coefficients(params[t])
+                                                          for t in trials]
+            # (B, 1, 3) @ (3, N) or (B, 3, N): each item is the vector-matrix
+            # product np.dot forms for one row, with the same bits
+            v = np.matmul(np.array(rows)[:, None, :],
+                          harmonics.transpose(1, 0, 2) if random else harmonics)
+            q *= np.sqrt(v, out=v)[:, 0]
+        yield phases, harmonics, q
 
 
 def sample_dhd(

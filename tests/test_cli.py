@@ -18,6 +18,7 @@ from squeezelab import (
     DhdBatch,
     DriftModel,
     HomodyneScan,
+    MAX_PHASE,
     ScanConfig,
     StateParams,
     default_temporal_mode,
@@ -859,6 +860,51 @@ def test_bad_trace_or_prior_setting_exits_1_before_any_output(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert error in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "scan"],
+    ["simulate", "--kind", "scan", "--spacing", "random"],
+    ["benchmark", "--methods", "fit,mom", "--trials", "20", "--n-psi", "64"],
+    ["track", "--n-psi", "64", "--duration", "0.01"],
+], ids=["simulate", "simulate-random", "benchmark", "track"])
+@pytest.mark.parametrize("s", ["1e-7", repr(math.nextafter(1e-6, 0.0))])
+def test_scan_truth_beyond_the_s_floor_exits_1_before_any_output(tmp_path, capsys, argv, s):
+    """Every command that draws scans rejects a truth with min(s, 1/s) below
+    S_FLOOR = 1e-6, one ulp below included, naming the floor; a truth at
+    the floor is simulated."""
+    out, report = tmp_path / "out", tmp_path / "report.json"
+    extra = ["--json", str(report)] if argv[0] == "benchmark" else []
+    assert main([*argv, "--s", s, "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert "min(s, 1/s) >= S_FLOOR = 1e-06" in err and "Traceback" not in err
+    assert not out.exists() and not report.exists()
+    if argv[0] == "simulate":
+        assert main([*argv, "--s", "1e-6", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.exists()
+
+
+@pytest.mark.parametrize("phase", ["1e308", repr(math.nextafter(MAX_PHASE, math.inf))])
+def test_estimate_rejects_a_phase_whose_double_overflows(tmp_path, capsys, phase):
+    """A finite phase beyond MAX_PHASE, where 2 psi overflows, exits 1 with
+    the limit named and no warning; a phase at the limit is estimated."""
+    cfg = ScanConfig(n_psi=64)
+    scan = sample_homodyne_scan(StateParams(0.5, 1.4, 0.2), cfg, seed=1)
+    for value, code in ((float(phase), 1), (MAX_PHASE, 0)):
+        phases = scan.phases.copy()
+        phases[5] = value
+        path, out = tmp_path / "scan.csv", tmp_path / "est.json"
+        sio.write_scan_csv(path, HomodyneScan(phases, scan.samples))
+        assert main(["estimate", "--input", str(path), "--method", "fit,mom",
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Warning" not in err and "Traceback" not in err
+        if code:
+            assert f"|psi| <= MAX_PHASE = {MAX_PHASE!r}" in err
+            assert not out.exists()
+        else:
+            assert out.exists()
 
 
 def test_simulate_echo_reproduces_its_file(tmp_path, capsys):

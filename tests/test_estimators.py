@@ -29,6 +29,7 @@ from squeezelab import (
     sample_dhd,
     sample_homodyne_scan,
     state_covariance,
+    variance_coefficients,
     variance_partials,
 )
 from squeezelab import estimators
@@ -221,6 +222,36 @@ def test_prior_beyond_the_s_floor_is_rejected(n_psi):
         with np.errstate(all="raise"):
             for s in (1e-6, 1e6):
                 assert math.isfinite(mom_estimate(scan, prior=StateParams(s, 1.0, 0.0)).params.s)
+
+
+@pytest.mark.parametrize("s", [1e-6, 0.5, 1e6])
+def test_prior_beyond_the_kappa_bound_is_rejected(s):
+    """A prior kappa outside [1e-90, 1e90] raises ValueError naming the
+    bound: at 1e300 the reducer's V^2 overflowed, at 1e-300 it divided by
+    0.  At the bound, with s at the floor or not and data whose mean square
+    is at either limit, the reducer's sum of x^2 / V^2 is finite and
+    positive, and MoM runs without overflow, division by 0 or an invalid
+    value (a product of a tiny term and a harmonic near 0 may underflow)."""
+    limit = estimators._MOM_KAPPA_LIMIT
+    cfg = ScanConfig(n_psi=64)
+    scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), cfg, seed=0)
+    for kappa in (math.nextafter(limit, math.inf), math.nextafter(1.0 / limit, 0.0),
+                  1e300, 1e-300):
+        with pytest.raises(ValueError, match=r"needs 1e-90 <= kappa <= 1e\+90"):
+            mom_estimate(scan, prior=StateParams(s, kappa, 0.3))
+    mean_square = float(np.mean(scan.samples**2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for target in (0.5 * MAX_MEAN_SQUARE, 2.0 / MAX_MEAN_SQUARE):
+                scaled = dataclasses.replace(
+                    scan, samples=scan.samples * math.sqrt(target / mean_square))
+                x2 = (scaled.samples**2)[None]
+                for kappa in (limit, 1.0 / limit):
+                    coefs = variance_coefficients(s, kappa, 0.3)[0]
+                    [m] = estimators._mom_reducer(cfg.harmonics, x2)([coefs])
+                    assert 0.0 < m[0] < math.inf
+                    mom_estimate(scaled, prior=StateParams(s, kappa, 0.3))
 
 
 def test_mom_estimate_prior_truth_matches_single_step():
@@ -465,25 +496,24 @@ def test_in_range_samples_stay_finite():
 )
 def test_any_finite_scan_gives_an_estimate_or_value_error(n, rows, spacing, log_s, log_kappa,
                                                           phi, data):
-    """Any finite float64 samples, on the config's grid or on random phases
-    in [0, 2 pi) as a random-spacing ScanConfig draws them, give an estimate
-    or a ValueError from fit_estimate, from mom_estimate seeded by the fit
-    and from a prior inside the accepted s range, and from the block calls:
-    never another exception, and never a RuntimeWarning."""
+    """Any finite float64 samples, on the config's grid or on sorted phases
+    drawn from every finite float64, give an estimate or a ValueError from
+    fit_estimate, from mom_estimate seeded by the fit and from a prior inside
+    the accepted s range, and from the block calls: never another exception,
+    and never a RuntimeWarning (a phase beyond MAX_PHASE overflowed 2 psi)."""
     cfg = ScanConfig(n_psi=n, spacing=spacing)
     q = data.draw(arrays(np.float64, (rows, n),
                          elements=st.floats(allow_nan=False, allow_infinity=False)))
     if spacing == "random":
-        phases = np.sort(data.draw(arrays(np.float64, (rows, n),
-                                          elements=st.floats(0.0, 2.0 * math.pi,
-                                                             exclude_max=True))), axis=1)
+        phases = np.sort(data.draw(arrays(np.float64, (rows, n), elements=st.floats(
+            allow_nan=False, allow_infinity=False))), axis=1)
     else:
         phases = cfg.grid
     prior = StateParams(10.0**log_s, 10.0**log_kappa, phi)
     calls = [
-        lambda: fit_rows(ScanBlock.of(phases, q, cfg), compute_cov=True),
-        lambda: mom_rows(ScanBlock.of(phases, q, cfg), compute_cov=True),
-        lambda: mom_rows(ScanBlock.of(phases, q, cfg), priors=[prior] * rows, compute_cov=True),
+        lambda: fit_rows(ScanBlock.of(phases, q), compute_cov=True),
+        lambda: mom_rows(ScanBlock.of(phases, q), compute_cov=True),
+        lambda: mom_rows(ScanBlock.of(phases, q), priors=[prior] * rows, compute_cov=True),
     ]
     for i in range(rows):
         scan = HomodyneScan(phases if phases.ndim == 1 else phases[i], q[i], meta=cfg)
@@ -506,10 +536,10 @@ def test_block_estimators_check_every_row(bad):
     truth = StateParams(0.5, 2.0, 0.3)
     cfg = ScanConfig(n_psi=64)
     q = np.stack([sample_homodyne_scan(truth, cfg, seed=0, trial=t).samples for t in range(5)])
-    assert len(fit_rows(ScanBlock.of(cfg.grid, q, cfg))) == 5
+    assert len(fit_rows(ScanBlock.of(cfg.grid, q, cfg.harmonics))) == 5
     q[3, 7] = bad
     with pytest.raises(ValueError, match="samples must be finite"):
-        ScanBlock.of(cfg.grid, q, cfg)
+        ScanBlock.of(cfg.grid, q, cfg.harmonics)
 
     batches = [sample_dhd(truth, 64, seed=0, trial=t) for t in range(5)]
     q1 = np.stack([b.q1 for b in batches])
@@ -538,7 +568,7 @@ def test_block_moments_equal_per_scan_means(rows, n, seed, spacing):
         phases = np.sort(rng.uniform(0.0, 2.0 * math.pi, (rows, n)), axis=1)
     else:
         phases = cfg.grid
-    for i, got in enumerate(fit_rows(ScanBlock.of(phases, q, cfg))):
+    for i, got in enumerate(fit_rows(ScanBlock.of(phases, q))):
         psi = phases if phases.ndim == 1 else phases[i]
         x2 = q[i] * q[i]
         moments = [float(np.mean(w * x2)) for w in (1.0, np.cos(2.0 * psi), np.sin(2.0 * psi))]
@@ -603,12 +633,12 @@ def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, see
     rows = len(scans)
     q = np.stack([scan.samples for scan in scans])
     phases = cfg.grid if spacing == "equispaced" else np.stack([scan.phases for scan in scans])
-    fits = fit_rows(ScanBlock.of(phases, q, cfg)) if seeding == "fits" else None
+    fits = fit_rows(ScanBlock.of(phases, q)) if seeding == "fits" else None
     priors = ([StateParams(rng.uniform(0.05, 2.0), rng.uniform(0.5, 4.0), rng.uniform(0.0, 4.0))
                for _ in range(rows)] if seeding == "priors" else None)
 
     def block(lo, hi):
-        return mom_rows(ScanBlock.of(phases if phases.ndim == 1 else phases[lo:hi], q[lo:hi], cfg),
+        return mom_rows(ScanBlock.of(phases if phases.ndim == 1 else phases[lo:hi], q[lo:hi]),
                         fits=None if fits is None else fits[lo:hi],
                         priors=None if priors is None else priors[lo:hi],
                         max_iter=max_iter, compute_cov=True)
@@ -624,7 +654,7 @@ def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, see
     assert [_result_bits(r) for r in block(0, cut) + block(cut, rows)] == got
     if seeding != "fit":
         with pytest.raises(ValueError, match="one prior or fit per row"):
-            mom_rows(ScanBlock.of(phases, q, cfg), fits=None if fits is None else fits[1:],
+            mom_rows(ScanBlock.of(phases, q), fits=None if fits is None else fits[1:],
                      priors=None if priors is None else priors[1:])
 
     bad = data.draw(st.integers(0, rows - 1))
@@ -728,11 +758,11 @@ def _pinned_results():
             scans = [sample_homodyne_scan(truth, cfg, seed=seed) for seed in range(3)]
             for scan in scans:
                 out += [fit_estimate(scan), mom_estimate(scan),
-                        mom_rows(ScanBlock.of(scan.phases, scan.samples, scan.meta))[0],
+                        mom_rows(ScanBlock.of(scan.phases, scan.samples))[0],
                         mom_estimate(scan, prior=prior)]
             phases = cfg.grid if cfg.spacing == "equispaced" else np.stack(
                 [scan.phases for scan in scans])
-            out += fit_rows(ScanBlock.of(phases, np.stack([scan.samples for scan in scans]), cfg),
+            out += fit_rows(ScanBlock.of(phases, np.stack([scan.samples for scan in scans])),
                             compute_cov=True)
             for mu in (64, 900):
                 batches = [sample_dhd(truth, mu, seed=seed) for seed in range(3)]
@@ -775,4 +805,4 @@ def test_estimates_pinned_at_full_precision():
         "singular-information"}
     assert any(r.predicted_cov is not None for r in results)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "8dd5ae89ab589aa90b65b66df45d315701d0ddbd04767d025b44b3ebeb9c077f"
+    assert digest == "63c1911bada7d59296eff5588866ef5824d099bcc4a61b403bcb98f5af464070"

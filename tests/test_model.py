@@ -20,7 +20,7 @@ from squeezelab import (
     state_covariance,
     variance_partials,
 )
-from squeezelab.model import PHYSICAL_EDGE_TOL
+from squeezelab.model import MAX_PHASE, PHYSICAL_EDGE_TOL, grid_harmonics
 
 RNG = np.random.default_rng(1234)
 
@@ -237,3 +237,15 @@ def test_sym3_singular_rejected():
     with pytest.raises(SingularMatrixError):
         m.inverse()
 
+
+def test_grid_harmonics_reject_a_phase_whose_double_overflows():
+    """Phases up to MAX_PHASE in size get finite harmonics without a
+    warning; one ulp beyond, or a non-finite phase, raises ValueError
+    naming the limit instead of overflowing 2 psi."""
+    edge = np.array([0.0, MAX_PHASE, -MAX_PHASE, 1e300])
+    with np.errstate(all="raise"):
+        assert np.all(np.isfinite(grid_harmonics(edge)))
+    for bad in (math.nextafter(MAX_PHASE, math.inf), -math.nextafter(MAX_PHASE, math.inf),
+                1e308, math.inf, math.nan):
+        with pytest.raises(ValueError, match="MAX_PHASE"):
+            grid_harmonics(np.append(edge, bad).reshape(5, 1))

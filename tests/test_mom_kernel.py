@@ -35,6 +35,7 @@ from squeezelab import (
     mom_estimate,
     mom_rows,
     sample_homodyne_scan,
+    variance_coefficients,
     variance_partials,
 )
 from squeezelab.estimators import (
@@ -46,7 +47,6 @@ from squeezelab.estimators import (
     _mom_moments,
     _mom_reducer,
     _mom_update,
-    _mom_weights,
     _seed_prior,
 )
 
@@ -133,7 +133,7 @@ def _reference_estimate(scan, prior):
 def _kernel_moments(x2, harmonics, prior):
     """(y_a, flags of the update) from the kernel, one row."""
     s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
-    w = _mom_weights(s0, k0, p0)
+    w = variance_coefficients(s0, k0, p0)
     y = _mom_moments(_mom_reducer(harmonics, x2[None])([w[0]])[0], x2.size, s0, k0, w)
     return y, _mom_update(y, s0, k0, p0)[3]
 
@@ -202,7 +202,7 @@ def test_mom_estimate_matches_trig_reference():
                  for t in range(400)]
         block = np.stack([scan.samples for scan in scans])
         blocks = [r for b in range(0, 400, 25)
-                  for r in mom_rows(ScanBlock.of(cfg.grid, block[b:b + 25], cfg))]
+                  for r in mom_rows(ScanBlock.of(cfg.grid, block[b:b + 25], cfg.harmonics))]
         for scan, in_block in zip(scans, blocks):
             alone = mom_estimate(scan)
             prior, seed_flags = _seed_prior(fit_estimate(scan))

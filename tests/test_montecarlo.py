@@ -194,11 +194,11 @@ def test_sweep_family_shares_each_scan(monkeypatch):
 
     def counting_blocks(params, config, seed, blocks):
         # the rows each block really holds, tagged with the trials they stand for
-        for trials_drawn, (phases, q) in zip(blocks, simulate.sample_scan_blocks(
+        for trials_drawn, (phases, harmonics, q) in zip(blocks, simulate.sample_scan_blocks(
                 params, config, seed, blocks)):
             assert len(q) == len(trials_drawn)
             draws.extend(trials_drawn)
-            yield phases, q
+            yield phases, harmonics, q
 
     monkeypatch.setattr(montecarlo, "sample_scan_blocks", counting_blocks)
     shared = sweep_family(s_values, ("fit", "mom", "dhd"), trials, seed=4, scan_config=cfg)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from squeezelab import (
     ConfigMismatchError,
@@ -18,6 +18,7 @@ from squeezelab import (
     apply_temporal_mode,
     default_temporal_mode,
     eval_variance,
+    grid_harmonics,
     keyed_generator,
     mode_weights,
     sample_dhd,
@@ -26,8 +27,10 @@ from squeezelab import (
     simulate_phase_drift,
     state_covariance,
     synthesize_trace,
+    variance_coefficients,
 )
 from squeezelab.cli import main
+from squeezelab.model import S_FLOOR
 from squeezelab.simulate import (
     _STREAM_DHD,
     _STREAM_SCAN,
@@ -97,6 +100,98 @@ def test_scan_config_validation():
         ScanConfig(n=0)
     with pytest.raises(ValueError):
         ScanConfig(spacing="jittered")
+
+
+# Unit roundoff of float64: eps = 2u.
+_U = 2.0**-53
+
+
+@settings(max_examples=200)
+@given(
+    log_s=st.floats(-6.0, 6.0),
+    log_kappa=st.floats(-3.0, 3.0),
+    phi=st.floats(-10.0, 10.0),
+    n_psi=st.integers(1, 64),
+    span=st.integers(1, 8),
+    spacing=st.sampled_from(["equispaced", "random"]),
+    seed=st.integers(0, 2**64 - 1),
+    t0=st.integers(0, 2**40),
+    rows=st.integers(1, 4),
+)
+def test_sampled_variance_within_its_rounding_bound(log_s, log_kappa, phi, n_psi, span,
+                                                    spacing, seed, t0, rows):
+    """The sampler's variance, recovered from its samples, lies within a
+    rounding bound of eval_variance at every drawn phase, for any truth with
+    min(s, 1/s) >= S_FLOOR.
+
+    With unit roundoff u = 2^-53, M = kappa max(s, 1/s), a = kappa (s + 1/s)/2
+    <= M and |b| = kappa |s - 1/s| / 2 <= M/2, counting first-order terms:
+
+    * sampler, V = a + (b cos 2phi) C + (b sin 2phi) S with C, S = cos, sin 2psi
+      (2 psi and 2 phi are exact; libm cos and sin are within 2u):
+      a is off by 3u a <= 3uM; b by 1.5uM; b cos 2phi and b sin 2phi by
+      1.5uM + 2u|b| + u|b| <= 3uM each, weighted by |C| + |S| <= sqrt 2:
+      4.3uM; C and S add 2u |b| sqrt 2 <= 1.5uM; the products and the two
+      sums over terms of total size <= a + |b| <= 1.5M add 3.5uM.  In all
+      12.3uM.
+    * eval_variance, kappa s cos^2 w + (kappa/s) sin^2 w with w = fl(psi - phi):
+      each term is off by 3u times itself plus 4u times its prefactor, the
+      sum by uM: 12uM in all; w is off by u (|psi| + pi) (phi in [0, pi)),
+      and |dV/dw| <= kappa |1/s - s| <= M adds uM (|psi| + pi).
+    * the recovery V' = (q / z)^2 of q = z sqrt(V) is off by 7u V <= 7.1uM.
+
+    So |V' - eval_variance| <= uM (34.6 + |psi|) <= 35 uM (1 + |psi|), which
+    is 17.5 eps M (1 + |psi|); the test allows 18 eps M (1 + |psi|).
+    """
+    s, kappa = 10.0**log_s, 10.0**log_kappa
+    assume(min(s, 1.0 / s) >= S_FLOOR)
+    truth = StateParams(s, kappa, phi)
+    cfg = ScanConfig(n_psi=n_psi, n=span, spacing=spacing)
+    [(phases, _, q)] = sample_scan_blocks(truth, cfg, seed, [range(t0, t0 + rows)])
+    bound = 18.0 * (2.0 * _U) * kappa * max(s, 1.0 / s)
+    for i in range(rows):
+        rng = keyed_generator(seed, _STREAM_SCAN, t0 + i)
+        psi = phases if phases is cfg.grid else phases[i]
+        if spacing == "random":
+            rng.uniform(size=n_psi)
+        z = rng.standard_normal(n_psi)
+        drawn = z != 0.0
+        got = (q[i][drawn] / z[drawn]) ** 2
+        want = eval_variance(truth, psi[drawn])
+        assert np.all(np.abs(got - want) <= bound * (1.0 + np.abs(psi[drawn])))
+
+
+def _beyond_the_floor(s: float) -> float:
+    """The float next to s, away from 1, whose min(s, 1/s) is below
+    S_FLOOR: one ulp below S_FLOOR, or the first float above 1 / S_FLOOR
+    whose reciprocal rounds below it (1e6 + 1 ulp still rounds to 1e-6)."""
+    if s < 1.0:
+        return math.nextafter(s, 0.0)
+    while 1.0 / s >= S_FLOOR:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+@pytest.mark.parametrize("s", [S_FLOOR, 1.0 / S_FLOOR])
+@pytest.mark.parametrize("spacing", ["equispaced", "random"])
+def test_sampler_rejects_a_truth_beyond_the_s_floor(s, spacing):
+    """A truth at the floor is drawn; one float beyond it, on either side
+    of s = 1, raises ValueError naming the floor, for a shared truth and for
+    a truth per trial."""
+    cfg = ScanConfig(n_psi=64, spacing=spacing)
+    at = StateParams(s, 2.0, 0.3)
+    with np.errstate(all="raise"):
+        assert np.all(np.isfinite(sample_homodyne_scan(at, cfg, seed=1).samples))
+    beyond = StateParams(_beyond_the_floor(s), 2.0, 0.3)
+    assert abs(math.log2(beyond.s / s)) < 1e-15
+    floor = r"min\(s, 1/s\) >= S_FLOOR = 1e-06"
+    with pytest.raises(ValueError, match=floor):
+        sample_homodyne_scan(beyond, cfg, seed=1)
+    with pytest.raises(ValueError, match=floor):
+        list(sample_scan_blocks([at, beyond], cfg, 1, [range(0, 2)]))
+    for bad in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=floor):
+            sample_homodyne_scan(StateParams(bad, 2.0, 0.3), cfg, seed=1)
 
 
 # ---------------------------------------------------------------- DHD
@@ -376,13 +471,15 @@ def test_trace_matches_per_window_generators(seed, trial, n_psi, window_len, tai
 
 def _scan_reference(params, cfg, seed, trial):
     """The per-trial draw the block sampler replaced: a fresh keyed
-    generator per scan."""
+    generator per scan, with the variance taken as the product of the
+    truth's coefficients with the phases' own harmonics."""
     rng = keyed_generator(seed, _STREAM_SCAN, trial)
     if cfg.spacing == "random":
         psi = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
     else:
         psi = cfg.phase_grid()
-    return psi, rng.standard_normal(cfg.n_psi) * np.sqrt(eval_variance(params, psi))
+    coefs = variance_coefficients(*params.as_tuple())[0]
+    return psi, rng.standard_normal(cfg.n_psi) * np.sqrt(np.dot(coefs, grid_harmonics(psi)))
 
 
 def _dhd_reference(params, mu, seed, trial):
@@ -409,7 +506,7 @@ def test_block_rows_match_per_trial_generators(params, seed, t0, sizes, n_psi, m
     blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
     scan_rows = [
         (phases if phases.ndim == 1 else phases[i], q[i])
-        for phases, q in sample_scan_blocks(params, cfg, seed, blocks)
+        for phases, _, q in sample_scan_blocks(params, cfg, seed, blocks)
         for i in range(len(q))
     ]
     dhd_rows = [qp for block in sample_dhd_blocks(params, mu, seed, blocks) for qp in block]
@@ -448,7 +545,7 @@ def test_block_rows_with_a_truth_per_trial(seed, t0, sizes, n_psi, spacing, pool
     truths = {t: pool[t % len(pool)] for t in trials}
     rows = [
         (phases if phases is cfg.grid else phases[i], q[i])
-        for phases, q in sample_scan_blocks(truths, cfg, seed, blocks)
+        for phases, _, q in sample_scan_blocks(truths, cfg, seed, blocks)
         for i in range(len(q))
     ]
     assert len(rows) == len(trials)
@@ -460,7 +557,7 @@ def test_block_rows_with_a_truth_per_trial(seed, t0, sizes, n_psi, spacing, pool
     # a list is indexed from trial 0, so the same split is moved to start there
     from_zero = [range(b.start - t0, b.stop - t0) for b in blocks]
     per_trial = sample_scan_blocks([shared] * len(trials), cfg, seed, from_zero)
-    for (p1, q1), (p2, q2) in zip(per_trial, sample_scan_blocks(shared, cfg, seed, from_zero)):
+    for (p1, _, q1), (p2, _, q2) in zip(per_trial, sample_scan_blocks(shared, cfg, seed, from_zero)):
         assert p1.tobytes() == p2.tobytes() and q1.tobytes() == q2.tobytes()
 
 
@@ -476,17 +573,20 @@ def test_simulated_trace_file_is_pinned(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind, digest", [
-    ("scan", "610a5b85a3effe42de3d911c0c1c6b263ceddd99acd9a36e337015dfa0b88882"),
+    ("scan", "13eedcf7cf7213d6e4721fedb3ba6e9701311c15c68b7a4632c10eebcb3f5792"),
+    ("scan-random", "61cde68264d79a7de21181daaf4b1a1d364321eaf808b58b19d4bb22ed79b2bd"),
     ("dhd", "09fddc37e8fb65e285042ff7decc8ea03a74d3dfc9af567891c105e13da9064b"),
 ])
 def test_simulated_csv_file_is_pinned(tmp_path, capsys, kind, digest):
-    """File bytes of a scan and a DHD CSV at the default geometry: any change
-    to the draws or to the repr formatting of the rows shows here.  The
-    files start with the config echo, so a new RunConfig field changes the
-    digests while every data row stays put."""
+    """File bytes of a scan on each spacing and a DHD CSV at the default
+    geometry: any change to the draws or to the repr formatting of the rows
+    shows here.  The files start with the config echo, so a new RunConfig
+    field changes the digests while every data row stays put."""
     out = tmp_path / f"{kind}.csv"
-    assert main(["simulate", "--kind", kind, "--s", "0.5", "--phi-s", "0.3",
-                 "--seed", "3", "--trial", "2", "--out", str(out)]) == 0
+    data, _, spacing = kind.partition("-")
+    assert main(["simulate", "--kind", data, "--s", "0.5", "--phi-s", "0.3",
+                 "--seed", "3", "--trial", "2", "--out", str(out),
+                 *(["--spacing", spacing] if spacing else [])]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
