@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StateParams, SymMatrix3, grid_harmonics
+from .model import StateParams, SymMatrix3, grid_harmonics, variance_coefficients
 
 __all__ = [
     "BoundVector",
@@ -58,10 +58,10 @@ def fisher_homodyne_discrete(params: StateParams, phases, *, harmonics=None) -> 
     vanish identically and the matrix is singular; callers flag that.
 
     No trig on the grid: ``harmonics`` are the rows (1, cos 2psi, sin 2psi)
-    of ``phases`` (``grid_harmonics``, computed here when not given).  With
-    u = psi - phi_s, C = cos 2u and S = sin 2u are rotations of those rows,
-    V = a + b C with a = kappa (s + 1/s) / 2 and b = kappa (s - 1/s) / 2,
-    and the partials are
+    of ``phases``, (3, N) (``grid_harmonics``, computed here when not given).
+    With u = psi - phi_s, C = cos 2u and S = sin 2u are rotations of those
+    rows, and V = a + b C, with a, b, cos 2phi_s and sin 2phi_s taken from
+    ``model.variance_coefficients``; the partials are
 
         dV/ds     = kappa ((s^2 - 1) + (s^2 + 1) C) / (2 s^2)
         dV/dkappa = V / kappa
@@ -76,12 +76,10 @@ def fisher_homodyne_discrete(params: StateParams, phases, *, harmonics=None) -> 
     if harmonics is None:
         harmonics = grid_harmonics(psi)
     s, k = params.s, params.kappa
-    c2p = math.cos(2.0 * params.phi_s)
-    s2p = math.sin(2.0 * params.phi_s)
+    (a, _, _), b, c2p, s2p = variance_coefficients(s, k, params.phi_s)
     cos2u = harmonics[1] * c2p + harmonics[2] * s2p
     sin2u = harmonics[2] * c2p - harmonics[1] * s2p
-    b = 0.5 * k * (s - 1.0 / s)
-    v = 0.5 * k * (s + 1.0 / s) + b * cos2u
+    v = a + b * cos2u
     g = np.array((
         k * ((s * s - 1.0) + (s * s + 1.0) * cos2u) / (2.0 * s * s),
         v / k,

@@ -13,17 +13,16 @@ among them, is a ``RunConfig`` field that declares its own flag, help text,
 choices and sign; the subcommand parsers and the range checks read them
 from there.  ``main`` resolves the config once and hands it, with its echo,
 to the command.  Option precedence, lowest to highest: built-in defaults,
-the SQUEEZELAB_SEED environment variable (seed only), JSON config file
-(--config), explicit command line flags.  Every command echoes the resolved
-run configuration, floats at full precision, as a single `config: {...}`
-line on stderr; file outputs embed the same JSON in a leading `# config:`
-comment.  The options --config, --out, --input, --method (echoed as
-``methods``), --format, --kind, --workers and --json are execution details,
-not run configuration, so they are not echoed; this is what makes benchmark
-output byte-identical across --workers.  `estimate` reads a trace's sample
-rate from the file header, not from ``rate_hz``, and records it in its JSON
-as ``trace_rate_hz``.  A negative number, exponent or not, may follow its
-flag after a space.
+JSON config file (--config), explicit command line flags; the environment
+sets none.  Every command echoes the resolved run configuration, floats at
+full precision, as a single `config: {...}` line on stderr; file outputs
+embed the same JSON in a leading `# config:` comment.  The options --config,
+--out, --input, --method (echoed as ``methods``), --format, --kind,
+--workers and --json are execution details, not run configuration, so they
+are not echoed; this is what makes benchmark output byte-identical across
+--workers.  `estimate` reads a trace's sample rate from the file header, not
+from ``rate_hz``, and records it in its JSON as ``trace_rate_hz``.  A
+negative number, exponent or not, may follow its flag after a space.
 
 Exit status: 0 on success, including estimates that carry quality flags;
 1 on configuration, I/O, or parse errors; 2 on a malformed command line.
@@ -36,7 +35,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -75,7 +73,6 @@ from .simulate import (
 
 __all__ = ["RunConfig", "ConfigError", "main"]
 
-ENV_SEED = "SQUEEZELAB_SEED"
 _FILE_KINDS = ("scan", "dhd", "trace")
 
 
@@ -264,14 +261,8 @@ def _load_config_file(path) -> dict:
 
 
 def resolve_config(args) -> RunConfig:
-    """Defaults, then environment seed, then config file, then CLI flags."""
+    """Defaults, then config file, then CLI flags."""
     values: dict = {}
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        try:
-            values["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED}={env_seed!r} is not an integer") from None
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         values.update(_load_config_file(cfg_path))

@@ -51,6 +51,7 @@ from .model import (
     SymMatrix3,
     angle_distance,
     canonical_angle,
+    check_harmonic_state,
     grid_harmonics,
     variance_coefficients,
 )
@@ -102,14 +103,6 @@ FALLBACK_PRIOR = StateParams(s=0.5, kappa=2.0, phi_s=0.0)
 # than 0, is rejected too: MoM's iterates shrink with the data, and their
 # squared model variance underflows to 0 near 1e-162.
 MAX_MEAN_SQUARE = 1e100
-
-# Widest kappa of a MoM prior, as [1 / _MOM_KAPPA_LIMIT, _MOM_KAPPA_LIMIT].
-# The reducer squares V, which lies between kappa S_FLOOR and kappa / S_FLOOR,
-# and divides squared samples by V^2, where a row's mean square lies between
-# 1 / MAX_MEAN_SQUARE and MAX_MEAN_SQUARE.  At the limits V^2 stays within
-# 1e+-192 and mean(x^2) / V^2 within 1e+-292, so neither overflows nor
-# underflows, and a row sum of up to 1e16 such terms stays finite.
-_MOM_KAPPA_LIMIT = 1e90
 
 
 def _signed_sqrt(x: float) -> float:
@@ -168,8 +161,8 @@ class ScanBlock:
     """B scans of N samples, prepared once for ``fit_rows`` and ``mom_rows``.
 
     ``phases`` is the rows' shared grid (N,) or has one row per scan
-    (B, N); ``harmonics`` are its rows (1, cos 2psi, sin 2psi), (3, N) or
-    (3, B, N); ``x2`` holds the squared samples (B, N).  Build it with
+    (B, N); ``harmonics`` are its ``grid_harmonics``, (3, N) or (B, 3, N);
+    ``x2`` holds the squared samples (B, N).  Build it with
     ``ScanBlock.of``, which checks each row's mean square.
     """
 
@@ -206,9 +199,9 @@ class ScanBlock:
 
     def row(self, i: int) -> ScanBlock:
         """Row i alone, as a one-row block."""
-        if self.harmonics.ndim == 2:
-            return ScanBlock(self.phases, self.harmonics, self.x2[i:i + 1])
-        return ScanBlock(self.phases[i], self.harmonics[:, i], self.x2[i:i + 1])
+        shared = self.phases.ndim == 1
+        return ScanBlock(self.phases if shared else self.phases[i],
+                         self.harmonics if shared else self.harmonics[i], self.x2[i:i + 1])
 
 
 def _scan_block(scan) -> ScanBlock:
@@ -250,7 +243,7 @@ def fit_rows(block: ScanBlock, compute_cov: bool = False) -> list[EstimateResult
     is exactly the row's checked mean square.
     """
     n = block.x2.shape[-1]
-    moments = (block.harmonics.reshape(3, -1, n) * block.x2).mean(axis=2).T.tolist()
+    moments = (block.harmonics * block.x2[:, None]).mean(axis=-1).tolist()
     return [_fit_result(m0, mc, ms, n, compute_cov) for m0, mc, ms in moments]
 
 
@@ -391,22 +384,6 @@ def _mirror(s: float, kappa: float, phi: float) -> tuple[float, float, float]:
     return s, kappa, phi
 
 
-def _check_prior(prior: StateParams) -> None:
-    """A given prior is outside input: reject it rather than let the loop
-    guards replace it.  s > 1 is legal, the mirror maps it onto s <= 1."""
-    if not all(map(math.isfinite, (prior.s, prior.kappa, prior.phi_s))):
-        raise ValueError(f"prior {prior} has a non-finite component")
-    if prior.s <= 0.0 or prior.kappa <= 0.0:
-        raise ValueError(f"prior {prior} needs s > 0 and kappa > 0")
-    if min(prior.s, 1.0 / prior.s) < S_FLOOR:
-        raise ValueError(f"prior {prior} needs {S_FLOOR:g} <= s <= {1.0 / S_FLOOR:g}:"
-                         " further from 1 the moment update cannot be evaluated")
-    if not 1.0 / _MOM_KAPPA_LIMIT <= prior.kappa <= _MOM_KAPPA_LIMIT:
-        raise ValueError(f"prior {prior} needs {1.0 / _MOM_KAPPA_LIMIT:g} <= kappa <= "
-                         f"{_MOM_KAPPA_LIMIT:g}: further out the moment sums overflow or "
-                         "underflow")
-
-
 def _seed_prior(fit: EstimateResult) -> tuple[StateParams, tuple]:
     """Fit-based starting point, clamped into the iteration domain, and
     the flags that the choice raises."""
@@ -481,9 +458,9 @@ def mom_estimate(
 
     Without a prior the iteration is seeded from ``fit``, the
     ``fit_estimate`` of this scan when the caller already has it, or
-    else from a fresh fit; a given prior with a non-finite component,
-    s outside [1e-6, 1e6] (``model.S_FLOOR``) or kappa outside
-    [1e-90, 1e90] raises ValueError.
+    else from a fresh fit; a given prior that
+    ``model.check_harmonic_state`` refuses (s outside [1e-6, 1e6], kappa
+    outside [1e-90, 1e90], or a non-finite angle) raises ValueError.
     """
     return mom_rows(_scan_block(scan),
                     None if fit is None else [fit], None if prior is None else [prior], tol,
@@ -511,8 +488,8 @@ def mom_rows(block: ScanBlock, fits=None, priors=None, tol: float = DEFAULT_TOL,
     if priors is None:
         seeds = map(_seed_prior, fit_rows(block) if fits is None else fits)
     else:
-        for prior in priors:
-            _check_prior(prior)
+        for prior in priors:  # checked, not replaced by the loop guards
+            check_harmonic_state(prior, "prior")
         seeds = zip(priors, repeat(()))
 
     out = [None] * len(x2)
@@ -526,8 +503,7 @@ def mom_rows(block: ScanBlock, fits=None, priors=None, tol: float = DEFAULT_TOL,
         except StopIteration as stop:
             out[i] = stop.value
     # max_iter is shared, so every row is live here or none is
-    rows = h if h.ndim == 2 else h.transpose(1, 0, 2)  # (3, N) shared, or (B, 3, N)
-    reduce = _mom_reducer(rows, x2)
+    reduce = _mom_reducer(h, x2)
     while live:
         left = 0
         for k, m in enumerate(reduce(coefs)):
@@ -544,7 +520,7 @@ def mom_rows(block: ScanBlock, fits=None, priors=None, tol: float = DEFAULT_TOL,
             live = [r for r, c in zip(live, coefs) if c is not None]
             coefs = [c for c in coefs if c is not None]
             idx = [i for i, _ in live]
-            reduce = _mom_reducer(rows if rows.ndim == 2 else rows[idx], x2[idx])
+            reduce = _mom_reducer(h if h.ndim == 2 else h[idx], x2[idx])
     return out
 
 

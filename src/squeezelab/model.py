@@ -24,6 +24,8 @@ import numpy as np
 __all__ = [
     "PHYSICAL_EDGE_TOL",
     "S_FLOOR",
+    "KAPPA_LIMIT",
+    "MAX_DRAW_VARIANCE",
     "MAX_PHASE",
     "StateParams",
     "SymMatrix2",
@@ -35,6 +37,8 @@ __all__ = [
     "quadrature_variance",
     "variance_partials",
     "variance_coefficients",
+    "check_harmonic_state",
+    "check_drawn_states",
     "grid_harmonics",
     "state_covariance",
     "squeezing_db",
@@ -172,6 +176,27 @@ def variance_partials(params: StateParams, psi):
 # float64 epsilon, and it underflows below 1e-162.
 S_FLOOR = 1e-6
 
+# Widest kappa of a state whose variance is taken on the harmonics, as
+# [1 / KAPPA_LIMIT, KAPPA_LIMIT].  MoM's reducer squares V, which lies between
+# kappa S_FLOOR and kappa / S_FLOOR, and divides squared samples by V^2, where
+# a row's mean square lies within 1e+-100 (``estimators.MAX_MEAN_SQUARE``).
+# At the limits V^2 stays within 1e+-192 and mean(x^2) / V^2 within 1e+-292,
+# so neither overflows nor underflows, and a row sum of up to 1e16 such terms
+# stays finite.  A scan drawn within them has a mean square near
+# kappa (s + 1/s) / 2, between 1e-90 and 1e96, which the estimators accept.
+KAPPA_LIMIT = 1e90
+
+# Largest variance kappa max(s, 1/s) of a state drawn as DHD pairs or as a
+# raw trace.  A trace stores its samples as float32, whose largest finite
+# value is 3.4e38: at a variance of 1e70 that is 3400 standard deviations,
+# and a normal draw beyond 40 has a probability below 1e-300.  The second
+# moments of DHD pairs, and of the scan a trace's windows project to, then
+# stay within 1600 times 1e70, far below the estimators' MAX_MEAN_SQUARE =
+# 1e100, and the products of two of them that DHD and the fit form stay
+# finite.  These draws take their variance from the covariance matrix or from
+# ``quadrature_variance``, not from the harmonics, so they need no s floor.
+MAX_DRAW_VARIANCE = 1e70
+
 # Largest |psi| whose harmonics are formed: beyond it 2 psi overflows.
 MAX_PHASE = 0.5 * sys.float_info.max
 
@@ -184,8 +209,8 @@ def variance_coefficients(s: float, kappa: float, phi_s: float) -> tuple:
     (a, b cos 2phi_s, b sin 2phi_s) with the harmonics.  Returns those
     coefficients, which the scan sampler and MoM's reducer multiply with
     ``grid_harmonics`` rows, and b, cos 2phi_s and sin 2phi_s, which MoM's
-    moments read.  The product is rounded at the scale of a, so callers keep
-    min(s, 1/s) >= S_FLOOR.
+    moments and the homodyne Fisher matrix read.  The product is rounded at
+    the scale of a: see ``check_harmonic_state``.
     """
     c2p = math.cos(2.0 * phi_s)
     s2p = math.sin(2.0 * phi_s)
@@ -193,8 +218,45 @@ def variance_coefficients(s: float, kappa: float, phi_s: float) -> tuple:
     return (0.5 * kappa * (s + 1.0 / s), b * c2p, b * s2p), b, c2p, s2p
 
 
+def check_harmonic_state(params: StateParams, what: str) -> None:
+    """Raise ValueError naming the rule unless the variance of ``params`` may
+    be taken on the harmonics: a finite phi_s, min(s, 1/s) >= S_FLOOR and
+    1 / KAPPA_LIMIT <= kappa <= KAPPA_LIMIT.  The scan sampler checks each
+    truth and MoM each given prior; ``what`` names the state."""
+    s, kappa = params.s, params.kappa
+    if not (s > 0.0 and min(s, 1.0 / s) >= S_FLOOR):
+        raise ValueError(f"{what} {params} needs {S_FLOOR:g} <= s <= {1.0 / S_FLOOR:g}: "
+                         f"min(s, 1/s) >= S_FLOOR = {S_FLOOR:g} (the harmonics' precision)")
+    if not 1.0 / KAPPA_LIMIT <= kappa <= KAPPA_LIMIT:
+        raise ValueError(f"{what} {params} needs {1.0 / KAPPA_LIMIT:g} <= kappa <= "
+                         f"{KAPPA_LIMIT:g} = KAPPA_LIMIT (beyond it V^2 overflows or underflows)")
+    if not math.isfinite(params.phi_s):
+        raise ValueError(f"{what} {params} needs a finite phi_s")
+
+
+def check_drawn_states(s, kappa, phi_s) -> None:
+    """Raise ValueError unless every state (s, kappa, phi_s) can be drawn as
+    DHD pairs or as a raw trace: a finite phi_s, s > 0, kappa > 0 and a
+    largest variance kappa max(s, 1/s) of at most MAX_DRAW_VARIANCE.
+
+    The arguments are floats, or arrays with one state per trace window;
+    the message names the first state that fails.
+    """
+    s, kappa, phi_s = np.atleast_1d(s, kappa, phi_s)
+    with np.errstate(all="ignore"):
+        ok = ((s > 0.0) & (kappa > 0.0) & np.isfinite(phi_s)
+              & (kappa * np.maximum(s, 1.0 / s) <= MAX_DRAW_VARIANCE))
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise ValueError(f"truth (s={float(s[j])!r}, kappa={float(kappa[j])!r}, "
+                         f"phi_s={float(phi_s[j])!r}) needs s > 0, kappa > 0, a finite phi_s "
+                         f"and kappa max(s, 1/s) <= MAX_DRAW_VARIANCE = {MAX_DRAW_VARIANCE:g}")
+
+
 def grid_harmonics(phases) -> np.ndarray:
-    """Rows (1, cos 2psi, sin 2psi) of a phase grid, shape (3, N).
+    """Rows (1, cos 2psi, sin 2psi) of phases on the second-to-last axis:
+    (3, N) for N phases, (B, 3, N) for B rows of them, each bit for bit the
+    rows of its own phases.
 
     Everything the estimators, the homodyne Fisher matrix and the scan
     sampler need from the grid is a rotation of these rows: with
@@ -208,7 +270,7 @@ def grid_harmonics(phases) -> np.ndarray:
         raise ValueError(f"phases must be finite, with |psi| <= MAX_PHASE = {MAX_PHASE!r} "
                          "(beyond it 2 psi overflows)")
     two_psi = 2.0 * psi
-    return np.stack((np.ones_like(psi), np.cos(two_psi), np.sin(two_psi)))
+    return np.stack((np.ones_like(psi), np.cos(two_psi), np.sin(two_psi)), axis=-2)
 
 
 class SingularMatrixError(ValueError):

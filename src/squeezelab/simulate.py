@@ -19,9 +19,12 @@ A scan's variance is taken on the harmonics (1, cos 2psi, sin 2psi) that
 the estimators read, V = ``variance_coefficients`` times the harmonics:
 the config's cached rows on its grid, or one trig pass over a random
 block's phases, which the sampler yields for ``ScanBlock.of``.  That form
-rounds V at the scale of kappa max(s, 1/s), so a scan truth must keep
-min(s, 1/s) >= ``model.S_FLOOR``.  A raw trace takes each window's
-variance from ``quadrature_variance`` instead.
+rounds V at the scale of kappa max(s, 1/s), so a scan truth must pass
+``model.check_harmonic_state``, as a MoM prior must.  DHD pairs take their
+covariance from ``state_covariance`` and a raw trace each window's variance
+from ``quadrature_variance``; their truths must pass
+``model.check_drawn_states``.  A trace's windows carry no phases, so a trace
+is equispaced: a config with random spacing raises ValueError.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import (
-    S_FLOOR,
     StateParams,
+    check_drawn_states,
+    check_harmonic_state,
     grid_harmonics,
     quadrature_variance,
     state_covariance,
@@ -111,9 +115,6 @@ def _rekeyed_generators(seed: int, prefix: tuple, indices: range):
     of a generator built with that key at a fraction of the cost.
     """
     rng = keyed_generator(seed, *prefix, indices[0])
-    if len(indices) == 1:
-        yield rng
-        return
     bitgen = rng.bit_generator
     fresh = bitgen.state
     mixed = _mix_path(*prefix)
@@ -209,13 +210,8 @@ def sample_homodyne_scan(
 
 
 def _scan_coefficients(truth: StateParams) -> tuple:
-    """The truth's ``variance_coefficients``; a truth with min(s, 1/s)
-    below S_FLOOR raises ValueError, because its variance on the harmonics
-    would lose its precision."""
-    if not (truth.s > 0.0 and min(truth.s, 1.0 / truth.s) >= S_FLOOR):
-        raise ValueError(f"truth {truth} needs min(s, 1/s) >= S_FLOOR = {S_FLOOR:g}, i.e. "
-                         f"{S_FLOOR:g} <= s <= {1.0 / S_FLOOR:g}: further from 1 the scan "
-                         "variance cannot be drawn to precision")
+    """The ``variance_coefficients`` of a truth that ``check_harmonic_state`` accepts."""
+    check_harmonic_state(truth, "truth")
     return variance_coefficients(truth.s, truth.kappa, truth.phi_s)[0]
 
 
@@ -226,17 +222,17 @@ def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
     trial, looked up as ``params[trial]``.  ``samples`` has one row per
     trial, drawn from that trial's stream exactly as a separate
     ``sample_homodyne_scan`` call would draw it.  ``phases`` is the
-    config's shared grid for equispaced scans, and ``harmonics`` the
-    config's cached rows (1, cos 2psi, sin 2psi); with random spacing
-    ``phases`` has one row per trial, drawn first from the trial's stream,
-    and ``harmonics`` are one ``grid_harmonics`` call over the block's
-    (B, N) phases, to be handed on to ``ScanBlock.of``.
+    config's shared grid (N,) for equispaced scans, and ``harmonics`` the
+    config's cached rows (1, cos 2psi, sin 2psi), (3, N); with random
+    spacing ``phases`` (B, N) has one row per trial, drawn first from the
+    trial's stream, and ``harmonics`` (B, 3, N) are one ``grid_harmonics``
+    call over them, to be handed on to ``ScanBlock.of``.
 
     Each sample's variance is the product of its truth's
     ``variance_coefficients`` with the harmonics: computed once per call
     for a shared truth on the grid, else as one stacked product per block,
     which gives each row the bits of that product on its own.  A truth
-    with min(s, 1/s) below ``model.S_FLOOR`` raises ValueError.
+    that ``model.check_harmonic_state`` refuses raises ValueError.
     """
     cfg = config or ScanConfig()
     random = cfg.spacing == "random"
@@ -259,8 +255,7 @@ def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
                                                           for t in trials]
             # (B, 1, 3) @ (3, N) or (B, 3, N): each item is the vector-matrix
             # product np.dot forms for one row, with the same bits
-            v = np.matmul(np.array(rows)[:, None, :],
-                          harmonics.transpose(1, 0, 2) if random else harmonics)
+            v = np.matmul(np.array(rows)[:, None, :], harmonics)
             q *= np.sqrt(v, out=v)[:, 0]
         yield phases, harmonics, q
 
@@ -280,10 +275,12 @@ def sample_dhd_blocks(params: StateParams, mu: int, seed: int, blocks):
     """Yield a (len(trials), mu, 2) array of (q1, p2) pairs for each range
     of trials in ``blocks``; row i is trial i's ``sample_dhd`` batch.
 
-    The Cholesky factor of Gamma_theta + I is computed once per call.
+    The Cholesky factor of Gamma_theta + I is computed once per call.  A
+    truth that ``model.check_drawn_states`` refuses raises ValueError.
     """
     if mu < 1:
         raise ValueError(f"mu must be >= 1, got {mu}")
+    check_drawn_states(params.s, params.kappa, params.phi_s)
     gamma = state_covariance(params).add_identity().as_array()
     chol_t = np.linalg.cholesky(gamma).T
     if mu > 1:
@@ -430,9 +427,12 @@ def synthesize_trace(
     _STREAM_TRACE, trial, j)``, and the tail from window index n_psi.  The
     windows share one Philox that is re-keyed per window, and the
     arithmetic runs on the (n_psi, window_len) block, with one dot f.w per
-    window so the bits equal a loop over per-window generators.
+    window so the bits equal a loop over per-window generators.  A config
+    with random spacing, or a window's truth that
+    ``model.check_drawn_states`` refuses, raises ValueError.
     """
     cfg = config or ScanConfig()
+    grid = _trace_grid(cfg)
     params_list = list(params_per_window)
     if len(params_list) != cfg.n_psi:
         raise ConfigMismatchError(
@@ -446,12 +446,11 @@ def synthesize_trace(
             f"{cfg.n_psi} windows of {wl} samples need {need} > trace length {total}"
         )
     f = mode_weights(mode)
-    sigma = np.sqrt(quadrature_variance(
-        np.array([p.s for p in params_list]),
-        np.array([p.kappa for p in params_list]),
-        np.array([p.phi_s for p in params_list]),
-        cfg.grid,
-    ))
+    states = (np.array([p.s for p in params_list]),
+              np.array([p.kappa for p in params_list]),
+              np.array([p.phi_s for p in params_list]))
+    check_drawn_states(*states)
+    sigma = np.sqrt(quadrature_variance(*states, grid))
     z = np.empty((cfg.n_psi, wl + 1))
     windows = _rekeyed_generators(seed, (_STREAM_TRACE, trial), range(cfg.n_psi))
     for j, rng in enumerate(windows):
@@ -494,8 +493,19 @@ def apply_temporal_mode(
     return x[: n * wl].reshape(n, wl) @ mode_weights(mode)
 
 
+def _trace_grid(cfg: ScanConfig) -> np.ndarray:
+    """The phases of a trace's windows: the config's equispaced grid.  A
+    trace records no phases, so a config with random spacing raises ValueError."""
+    if cfg.spacing != "equispaced":
+        raise ValueError(f"a trace's windows carry no phases, so a trace is equispaced; "
+                         f"got spacing={cfg.spacing!r}")
+    return cfg.grid
+
+
 def scan_from_trace(trace, mode: TemporalMode, config: ScanConfig | None = None) -> HomodyneScan:
-    """Windowed mode projection packaged with the scan's phase grid."""
+    """Windowed mode projection packaged with the scan's phase grid; a
+    config with random spacing raises ValueError."""
     cfg = config or ScanConfig()
+    grid = _trace_grid(cfg)
     samples = apply_temporal_mode(trace, mode, n_windows=cfg.n_psi)
-    return HomodyneScan(phases=cfg.grid, samples=samples, meta=cfg)
+    return HomodyneScan(phases=grid, samples=samples, meta=cfg)

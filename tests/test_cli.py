@@ -35,7 +35,6 @@ from squeezelab import (
 from squeezelab import estimators
 from squeezelab import io as sio
 from squeezelab.cli import (
-    ENV_SEED,
     ConfigError,
     RunConfig,
     build_parser,
@@ -352,20 +351,27 @@ def test_json_documents_have_pinned_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_benchmark_report_bytes_are_pinned(tmp_path, workers):
-    """SHA-256 of the report CSV and JSON mirror of a fit, MoM and DHD sweep:
-    any change to a per-trial draw or estimate, or to the merge of the worker
-    chunks, shows here.  Both files start with the config echo, so a new
-    RunConfig field changes the digests while every data row stays put."""
-    csv_path, json_path = tmp_path / "rep.csv", tmp_path / "rep.json"
-    assert main(["benchmark", "--s", "0.21,0.5,0.9", "--methods", "fit,mom,dhd",
-                 "--trials", "200", "--n-psi", "300", "--seed", "11",
-                 "--workers", str(workers), "--out", str(csv_path),
-                 "--json", str(json_path)]) == 0
-    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)]
-    assert digests == [
-        "c2eb9d8445fbf73a843d396764f2f2e0b03becf41de9ee02bf04bf9d02a40c5a",
-        "e50e78836dde6b609ca23aa662fbbae160ccb03ff73376f71ac2f747309ffd10",
+    """SHA-256 of the report CSV and JSON mirror of a fit, MoM and DHD sweep,
+    and of a fit and MoM sweep on random phases, whose blocks carry per-row
+    harmonics: any change to a per-trial draw or estimate, or to the merge
+    of the worker chunks, shows here.  Both files start with the config
+    echo, so a new RunConfig field changes the digests while every data row
+    stays put."""
+    cases = [
+        (["--s", "0.21,0.5,0.9", "--methods", "fit,mom,dhd", "--trials", "200",
+          "--n-psi", "300", "--seed", "11"],
+         ["c2eb9d8445fbf73a843d396764f2f2e0b03becf41de9ee02bf04bf9d02a40c5a",
+          "e50e78836dde6b609ca23aa662fbbae160ccb03ff73376f71ac2f747309ffd10"]),
+        (["--spacing", "random", "--n-psi", "64", "--methods", "fit,mom", "--s", "0.21,0.5",
+          "--trials", "200", "--seed", "11"],
+         ["68a004778ec46bce07fbbb4510924dda585c1f8b4c6a918f50022fc41817aa89",
+          "bb0142be670afbe7ed48089ac86d7cf3361a69565c99f15653d17114d1b5aab9"]),
     ]
+    for k, (argv, want) in enumerate(cases):
+        csv_path, json_path = tmp_path / f"rep{k}.csv", tmp_path / f"rep{k}.json"
+        assert main(["benchmark", *argv, "--workers", str(workers), "--out", str(csv_path),
+                     "--json", str(json_path)]) == 0
+        assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, json_path)] == want
 
 
 # ------------------------------------------------------------ cli: parsing
@@ -398,25 +404,17 @@ def _echo_config(capsys):
     raise AssertionError(f"no config echo in stderr: {err!r}")
 
 
-def test_precedence_env_file_flags(tmp_path, capsys, monkeypatch):
+def test_precedence_env_file_flags(tmp_path, capsys):
+    """The config file beats the defaults and the flags beat the file; the
+    environment sets no option."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"seed": 7}')
-    monkeypatch.setenv(ENV_SEED, "9")
-
-    assert main(["bounds", "--s", "0.5"]) == 0
-    assert _echo_config(capsys)["seed"] == 9
 
     assert main(["bounds", "--s", "0.5", "--config", str(cfg)]) == 0
     assert _echo_config(capsys)["seed"] == 7
 
     assert main(["bounds", "--s", "0.5", "--config", str(cfg), "--seed", "4"]) == 0
     assert _echo_config(capsys)["seed"] == 4
-
-
-def test_env_seed_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv(ENV_SEED, "lots")
-    assert main(["bounds", "--s", "0.5"]) == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -670,7 +668,7 @@ def test_help_text_matches_a_fresh_process(monkeypatch, tmp_path, capsys):
         main(["bounds", "--kappa", "abc"])
     capsys.readouterr()
 
-    env = {k: v for k, v in os.environ.items() if k != ENV_SEED}
+    env = dict(os.environ)
     # the subprocess must import the squeezelab under test, not an installed one
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(squeezelab.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
@@ -905,6 +903,63 @@ def test_estimate_rejects_a_phase_whose_double_overflows(tmp_path, capsys, phase
             assert not out.exists()
         else:
             assert out.exists()
+
+
+# (simulate flags at the bound, flags one float beyond it, estimate flags) per
+# file kind: kappa at KAPPA_LIMIT with s at the floor for scans, and a largest
+# variance kappa max(s, 1/s) of MAX_DRAW_VARIANCE = 2 * 5e69 for DHD and traces
+_DRAW_BOUNDS = {
+    "scan": (["--kappa", "1e90", "--s", "1e-6", "--n-psi", "8"],
+             ["--kappa", repr(math.nextafter(1e90, math.inf)), "--s", "0.5", "--n-psi", "8"],
+             ["--method", "fit,mom"]),
+    "dhd": (["--kappa", "5e69", "--s", "0.5"],
+            ["--kappa", repr(math.nextafter(5e69, math.inf)), "--s", "0.5"],
+            ["--method", "dhd"]),
+    "trace": (["--kappa", "5e69", "--s", "0.5"],
+              ["--kappa", repr(math.nextafter(5e69, math.inf)), "--s", "0.5"],
+              ["--method", "fit,mom", "--format", "trace"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_DRAW_BOUNDS))
+def test_simulate_refuses_a_truth_whose_data_estimate_refuses(tmp_path, capsys, kind):
+    """At its bound each kind of file is drawn and estimated; one float beyond
+    it, and at kappa = 1e305 (whose samples overflow the estimators' mean
+    square, or float32 in a trace), simulate exits 1 naming the rule and
+    writes no file.  DHD keeps no s floor: s = 1e-7 is drawn, while
+    s = 1e-200 (largest variance 1e300) is refused."""
+    at, beyond, estimate = _DRAW_BOUNDS[kind]
+    data, est = tmp_path / "data", tmp_path / "est.json"
+    assert main(["simulate", "--kind", kind, *at, "--out", str(data)]) == 0
+    assert main(["estimate", *estimate, "--input", str(data), "--out", str(est)]) == 0
+    assert json.loads(est.read_text())["estimates"]
+    capsys.readouterr()
+    rule = "KAPPA_LIMIT" if kind == "scan" else "MAX_DRAW_VARIANCE = 1e+70"
+    refused = [beyond, ["--kappa", "1e305", "--s", "1e-3", "--n-psi", "8"]]
+    if kind == "dhd":
+        assert main(["simulate", "--kind", "dhd", "--s", "1e-7", "--out", str(data)]) == 0
+        refused.append(["--s", "1e-200"])
+    for argv in refused:
+        out = tmp_path / "refused"
+        assert main(["simulate", "--kind", kind, *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert rule in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_trace_commands_refuse_random_spacing(tmp_path, capsys):
+    """A trace's windows carry no phases: simulate and estimate of a trace
+    with --spacing random exit 1 and write nothing."""
+    trace, out = tmp_path / "trace.bin", tmp_path / "out"
+    assert main(["simulate", "--kind", "trace", "--spacing", "random", "--out", str(trace)]) == 1
+    assert not trace.exists()
+    assert main(["simulate", "--kind", "trace", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--method", "fit,mom", "--format", "trace", "--input", str(trace),
+                 "--spacing", "random", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "carry no phases" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate_echo_reproduces_its_file(tmp_path, capsys):

@@ -32,7 +32,7 @@ from squeezelab import (
     variance_coefficients,
     variance_partials,
 )
-from squeezelab import estimators
+from squeezelab import estimators, model
 from squeezelab.estimators import (
     FLAG_DEGENERATE,
     FLAG_NONPHYSICAL,
@@ -232,7 +232,7 @@ def test_prior_beyond_the_kappa_bound_is_rejected(s):
     is at either limit, the reducer's sum of x^2 / V^2 is finite and
     positive, and MoM runs without overflow, division by 0 or an invalid
     value (a product of a tiny term and a harmonic near 0 may underflow)."""
-    limit = estimators._MOM_KAPPA_LIMIT
+    limit = model.KAPPA_LIMIT
     cfg = ScanConfig(n_psi=64)
     scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), cfg, seed=0)
     for kappa in (math.nextafter(limit, math.inf), math.nextafter(1.0 / limit, 0.0),

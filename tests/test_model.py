@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from squeezelab import (
@@ -249,3 +250,20 @@ def test_grid_harmonics_reject_a_phase_whose_double_overflows():
                 1e308, math.inf, math.nan):
         with pytest.raises(ValueError, match="MAX_PHASE"):
             grid_harmonics(np.append(edge, bad).reshape(5, 1))
+
+
+@settings(max_examples=200)
+@given(
+    rows=st.integers(1, 8),
+    n=st.integers(1, 70),
+    scale=st.sampled_from([1.0, 1e3, 1e12, MAX_PHASE]),
+    data=st.data(),
+)
+def test_block_harmonics_are_their_rows_harmonics(rows, n, scale, data):
+    """A (B, N) block of phases gets its harmonics on the second-to-last axis,
+    (B, 3, N), and row i is grid_harmonics of phase row i, bit for bit."""
+    phases = np.array(data.draw(st.lists(st.floats(-scale, scale), min_size=rows * n,
+                                         max_size=rows * n))).reshape(rows, n)
+    block = grid_harmonics(phases)
+    assert block.shape == (rows, 3, n)
+    assert block.tobytes() == np.stack([grid_harmonics(row) for row in phases]).tobytes()

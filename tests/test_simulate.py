@@ -30,7 +30,7 @@ from squeezelab import (
     variance_coefficients,
 )
 from squeezelab.cli import main
-from squeezelab.model import S_FLOOR
+from squeezelab.model import KAPPA_LIMIT, MAX_DRAW_VARIANCE, S_FLOOR
 from squeezelab.simulate import (
     _STREAM_DHD,
     _STREAM_SCAN,
@@ -192,6 +192,31 @@ def test_sampler_rejects_a_truth_beyond_the_s_floor(s, spacing):
     for bad in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match=floor):
             sample_homodyne_scan(StateParams(bad, 2.0, 0.3), cfg, seed=1)
+
+
+@pytest.mark.parametrize("spacing", ["equispaced", "random"])
+def test_sampler_rejects_a_kappa_beyond_the_limit(spacing):
+    """The scan sampler checks its truths as MoM checks its priors: at the
+    kappa limits, with s at the floor on either side, a scan is drawn with
+    every floating-point error raised; a kappa of -1, 0, nan or inf, or one
+    float beyond either limit, raises ValueError naming the limit, for a
+    shared truth and for a truth per trial, and so does a nan angle."""
+    cfg = ScanConfig(n_psi=64, spacing=spacing)
+    with np.errstate(all="raise"):
+        for kappa in (KAPPA_LIMIT, 1.0 / KAPPA_LIMIT):
+            for s in (S_FLOOR, 1.0 / S_FLOOR):
+                scan = sample_homodyne_scan(StateParams(s, kappa, 0.3), cfg, seed=1)
+                assert np.all(np.isfinite(scan.samples))
+    at = StateParams(0.5, 2.0, 0.3)
+    for kappa in (-1.0, 0.0, math.nan, math.inf, math.nextafter(KAPPA_LIMIT, math.inf),
+                  math.nextafter(1.0 / KAPPA_LIMIT, 0.0)):
+        beyond = StateParams(0.5, kappa, 0.3)
+        with pytest.raises(ValueError, match=r"needs 1e-90 <= kappa <= 1e\+90"):
+            sample_homodyne_scan(beyond, cfg, seed=1)
+        with pytest.raises(ValueError, match=r"needs 1e-90 <= kappa <= 1e\+90"):
+            list(sample_scan_blocks([at, beyond], cfg, 1, [range(0, 2)]))
+    with pytest.raises(ValueError, match="finite phi_s"):
+        sample_homodyne_scan(StateParams(0.5, 2.0, math.nan), cfg, seed=1)
 
 
 # ---------------------------------------------------------------- DHD
@@ -589,6 +614,54 @@ def test_simulated_csv_file_is_pinned(tmp_path, capsys, kind, digest):
                  *(["--spacing", spacing] if spacing else [])]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _draw(kind: str, truth: StateParams) -> np.ndarray:
+    """A DHD batch of the truth, or a 16-window trace whose last window has it."""
+    if kind == "dhd":
+        batch = sample_dhd(truth, mu=64, seed=1)
+        return np.concatenate([batch.q1, batch.p2])
+    states = [StateParams(0.5, 2.0, 0.3)] * 15 + [truth]
+    return synthesize_trace(states, TemporalMode(window_len=4), ScanConfig(n_psi=16), seed=1)
+
+
+@pytest.mark.parametrize("kind", ["dhd", "trace"])
+def test_dhd_and_trace_samplers_reject_truths_they_cannot_draw(kind):
+    """DHD pairs and traces take a truth with s > 0, kappa > 0, a finite angle
+    and a largest variance kappa max(s, 1/s) of at most MAX_DRAW_VARIANCE:
+    at the bound, on both sides of s = 1, the draw is finite with every
+    floating-point error raised, and s = 1e-7 is drawn (no s floor).  A
+    kappa or s of -1, 0, nan or inf, one float beyond the bound, s = 1e-200
+    or a nan angle raises ValueError naming the rule and the truth (a trace
+    its first bad window), before any nan sample or Cholesky failure."""
+    assert 5e69 * 2.0 == MAX_DRAW_VARIANCE
+    with np.errstate(all="raise"):
+        for truth in (StateParams(0.5, 5e69, 0.3), StateParams(2.0, 5e69, 0.3),
+                      StateParams(1.0, MAX_DRAW_VARIANCE, 0.3), StateParams(1e-7, 1.0, 0.3)):
+            assert np.all(np.isfinite(_draw(kind, truth)))
+    bad = [StateParams(0.5, kappa, 0.3) for kappa in
+           (-1.0, 0.0, math.nan, math.inf, math.nextafter(5e69, math.inf))]
+    bad += [StateParams(s, 2.0, 0.3) for s in (-1.0, 0.0, math.nan, math.inf, 1e-200)]
+    bad.append(StateParams(0.5, 2.0, math.nan))
+    rule = r"kappa max\(s, 1/s\) <= MAX_DRAW_VARIANCE = 1e\+70"
+    for truth in bad:
+        with pytest.raises(ValueError, match=rule) as err:
+            _draw(kind, truth)
+        assert f"(s={truth.s!r}, kappa={truth.kappa!r}, phi_s={truth.phi_s!r})" in str(err.value)
+
+
+def test_traces_refuse_random_spacing():
+    """A trace's windows carry no phases, so synthesis and projection both
+    raise ValueError for a config with random spacing instead of using the
+    equispaced grid."""
+    mode = TemporalMode(window_len=4)
+    states = [StateParams(0.5, 2.0, 0.3)] * 16
+    random = ScanConfig(n_psi=16, spacing="random")
+    with pytest.raises(ValueError, match="carry no phases"):
+        synthesize_trace(states, mode, random, seed=0)
+    trace = synthesize_trace(states, mode, ScanConfig(n_psi=16), seed=0)
+    with pytest.raises(ValueError, match="carry no phases"):
+        scan_from_trace(trace, mode, random)
 
 
 def test_geometry_mismatches_rejected():
