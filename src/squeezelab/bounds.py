@@ -77,15 +77,25 @@ def fisher_homodyne_discrete(params: StateParams, phases, *, harmonics=None) -> 
         harmonics = grid_harmonics(psi)
     s, k = params.s, params.kappa
     (a, _, _), b, c2p, s2p = variance_coefficients(s, k, params.phi_s)
-    cos2u = harmonics[1] * c2p + harmonics[2] * s2p
-    sin2u = harmonics[2] * c2p - harmonics[1] * s2p
-    v = a + b * cos2u
-    g = np.array((
-        k * ((s * s - 1.0) + (s * s + 1.0) * cos2u) / (2.0 * s * s),
-        v / k,
-        2.0 * b * sin2u,
-    ))
-    (ss, sk, sp), (_, kk, kp), (_, _, pp) = ((g * (0.5 / (v * v))) @ g.T).tolist()
+    # the rotations from two (2, N) products, then g's rows and 1/(2 V^2)
+    # formed in place, in the order of the formulas above (the same bits)
+    hc = harmonics[1:] * c2p
+    hs = harmonics[1:] * s2p
+    cos2u = np.add(hc[0], hs[1], out=hc[0])
+    sin2u = np.subtract(hc[1], hs[0], out=hc[1])
+    g = np.empty((3, psi.size))
+    np.multiply(cos2u, s * s + 1.0, out=g[0])
+    g[0] += s * s - 1.0
+    g[0] *= k
+    g[0] /= 2.0 * s * s
+    v = cos2u
+    v *= b
+    v += a
+    np.divide(v, k, out=g[1])
+    np.multiply(sin2u, 2.0 * b, out=g[2])
+    v *= v
+    np.divide(0.5, v, out=v)
+    (ss, sk, sp), (_, kk, kp), (_, _, pp) = ((g * v) @ g.T).tolist()
     return SymMatrix3(ss=ss, sk=sk, sp=sp, kk=kk, kp=kp, pp=pp)
 
 

@@ -282,7 +282,8 @@ def resolve_config(args) -> RunConfig:
 def _echo(cfg: RunConfig) -> str:
     """The config as one JSON line on stderr, floats at full precision so
     that the line alone reproduces the run."""
-    text = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+    text = json.dumps({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
+                      sort_keys=True)
     print(f"config: {text}", file=sys.stderr)
     return text
 

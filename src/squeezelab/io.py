@@ -56,11 +56,8 @@ TRACE_MAGIC = "squeezelab-trace v1"
 
 
 def fmt12(x: float) -> str:
-    """12-significant-digit report formatting; inf/nan spelled out."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """12-significant-digit report formatting; ``format`` spells out nan
+    (of either sign), inf and -inf."""
     return format(float(x), ".12g")
 
 

@@ -9,11 +9,13 @@ keyed per (seed, trial); trace synthesis per (seed, trial, window).
 A Monte-Carlo sweep and a track draw their trials in blocks
 (``sample_scan_blocks``, ``sample_dhd_blocks``): the per-state work (the
 scan's standard deviations, the DHD Cholesky factor) is done once per call
-for a shared truth, or over a block's rows for a track's truth per scan,
-and one Philox is re-keyed for each trial of a block, as for each window
-of a trace, rather than a new generator built per trial.  Same key, same
-draws: a block row equals the single draw of ``sample_homodyne_scan`` or
-``sample_dhd``, which are the one-row case of the block samplers.
+for a shared truth, or over a block's rows for a track's truth per scan.
+Each sampler call builds one Philox of its own and re-keys it for each
+trial, as a trace does for each window and its tail, rather than building
+a generator per trial; the keys of all its streams are mixed in one numpy
+pass.  Same key, same draws: a block row equals the single draw of
+``sample_homodyne_scan`` or ``sample_dhd``, which are the one-row case of
+the block samplers.  An empty range of trials gives an empty block.
 
 A scan's variance is taken on the harmonics (1, cos 2psi, sin 2psi) that
 the estimators read, V = ``variance_coefficients`` times the harmonics:
@@ -30,6 +32,7 @@ is equispaced: a config with random spacing raises ValueError.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -85,7 +88,9 @@ _STREAM_TRACE = 0x54524143
 _STREAM_DRIFT = 0x44524654
 
 
-def _splitmix64(x: int) -> int:
+def _splitmix64(x):
+    """splitmix64's finalizer of a Python int, or elementwise of a uint64
+    array, whose arithmetic wraps modulo 2^64 (the masks then change nothing)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -105,23 +110,29 @@ def keyed_generator(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekeyed_generators(seed: int, prefix: tuple, indices: range):
-    """Yield one generator per index j, at the start of the stream
-    (seed, *prefix, j); each is valid until the next is requested.
+def _keyed_streams(seed: int, prefix: tuple, blocks: list):
+    """Yield a generator at the start of the stream (seed, *prefix, j) for
+    each j of the ranges in ``blocks``, in order; each is valid until the
+    next is requested.
 
-    The first is built with its key.  For the others one Philox is re-keyed
-    through ``bitgen.state``: key [seed, mix(*prefix, j)] with the zero
-    counter and empty buffer of a fresh generator, which replays the draws
-    of a generator built with that key at a fraction of the cost.
+    One Philox serves the whole call and is re-keyed for every stream: its
+    ``bitgen.state`` is set from one dict of Python lists holding the key
+    [seed, mix(*prefix, j)] and the zero counter and empty buffer of a fresh
+    Philox, which replays the draws of ``keyed_generator(seed, *prefix, j)``.
+    The keys are mixed for all the streams at once, in one pass of
+    ``_splitmix64`` over a uint64 array of the indices j modulo 2^64.
     """
-    rng = keyed_generator(seed, *prefix, indices[0])
+    indices = np.array([j & _MASK64 for trials in blocks for j in trials], dtype=np.uint64)
+    keys = _splitmix64(indices ^ _mix_path(*prefix)).tolist()
+    rng = keyed_generator(seed)
     bitgen = rng.bit_generator
     fresh = bitgen.state
-    mixed = _mix_path(*prefix)
-    yield rng
-    for j in indices[1:]:
-        fresh["state"]["key"][1] = _splitmix64(mixed ^ (j & _MASK64))
-        bitgen.state = fresh
+    state = {**fresh, "state": {k: v.tolist() for k, v in fresh["state"].items()},
+             "buffer": fresh["buffer"].tolist()}
+    key = state["state"]["key"]
+    for k in keys:
+        key[1] = k
+        bitgen.state = state
         yield rng
 
 
@@ -216,7 +227,8 @@ def _scan_coefficients(truth: StateParams) -> tuple:
 
 
 def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
-    """Yield (phases, harmonics, samples) for each range of trials in ``blocks``.
+    """Yield (phases, harmonics, samples) for each range of trials in ``blocks``;
+    an empty range gives an empty block, (0, N) samples.
 
     ``params`` is one StateParams shared by every trial, or one truth per
     trial, looked up as ``params[trial]``.  ``samples`` has one row per
@@ -239,10 +251,12 @@ def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
     shared = isinstance(params, StateParams)
     coefs = _scan_coefficients(params) if shared else None
     sigma = np.sqrt(np.dot(coefs, cfg.harmonics)) if shared and not random else None
+    blocks = list(blocks)
+    streams = _keyed_streams(seed, (_STREAM_SCAN,), blocks)
     for trials in blocks:
         q = np.empty((len(trials), cfg.n_psi))
         phases = np.empty_like(q) if random else cfg.grid
-        for i, rng in enumerate(_rekeyed_generators(seed, (_STREAM_SCAN,), trials)):
+        for i, rng in enumerate(itertools.islice(streams, len(trials))):
             if random:
                 # the phases come first in the trial's stream, then the samples
                 phases[i] = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
@@ -255,7 +269,7 @@ def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
                                                           for t in trials]
             # (B, 1, 3) @ (3, N) or (B, 3, N): each item is the vector-matrix
             # product np.dot forms for one row, with the same bits
-            v = np.matmul(np.array(rows)[:, None, :], harmonics)
+            v = np.matmul(np.array(rows).reshape(-1, 1, 3), harmonics)
             q *= np.sqrt(v, out=v)[:, 0]
         yield phases, harmonics, q
 
@@ -273,7 +287,8 @@ def sample_dhd(
 
 def sample_dhd_blocks(params: StateParams, mu: int, seed: int, blocks):
     """Yield a (len(trials), mu, 2) array of (q1, p2) pairs for each range
-    of trials in ``blocks``; row i is trial i's ``sample_dhd`` batch.
+    of trials in ``blocks``; row i is trial i's ``sample_dhd`` batch, and an
+    empty range gives a (0, mu, 2) block.
 
     The Cholesky factor of Gamma_theta + I is computed once per call.  A
     truth that ``model.check_drawn_states`` refuses raises ValueError.
@@ -288,9 +303,11 @@ def sample_dhd_blocks(params: StateParams, mu: int, seed: int, blocks):
         # bits; a single pair is multiplied as a vector, whose bits depend
         # on the factor's memory order, so it keeps the transposed view
         chol_t = np.ascontiguousarray(chol_t)
+    blocks = list(blocks)
+    streams = _keyed_streams(seed, (_STREAM_DHD,), blocks)
     for trials in blocks:
         z = np.empty((len(trials), mu, 2))
-        for i, rng in enumerate(_rekeyed_generators(seed, (_STREAM_DHD,), trials)):
+        for i, rng in enumerate(itertools.islice(streams, len(trials))):
             rng.standard_normal(out=z[i])
         yield z @ chol_t
 
@@ -425,7 +442,7 @@ def synthesize_trace(
 
     Window j draws q then w from the stream ``keyed_generator(seed,
     _STREAM_TRACE, trial, j)``, and the tail from window index n_psi.  The
-    windows share one Philox that is re-keyed per window, and the
+    windows and the tail share one Philox that is re-keyed per stream, and the
     arithmetic runs on the (n_psi, window_len) block, with one dot f.w per
     window so the bits equal a loop over per-window generators.  A config
     with random spacing, or a window's truth that
@@ -452,8 +469,9 @@ def synthesize_trace(
     check_drawn_states(*states)
     sigma = np.sqrt(quadrature_variance(*states, grid))
     z = np.empty((cfg.n_psi, wl + 1))
-    windows = _rekeyed_generators(seed, (_STREAM_TRACE, trial), range(cfg.n_psi))
-    for j, rng in enumerate(windows):
+    # windows 0 .. n_psi - 1, then the tail's stream n_psi
+    streams = _keyed_streams(seed, (_STREAM_TRACE, trial), [range(cfg.n_psi + 1)])
+    for j, rng in enumerate(itertools.islice(streams, cfg.n_psi)):
         rng.standard_normal(out=z[j])
     w = z[:, 1:]
     # f.w as a stack of (1, wl) @ (wl, 1) products: numpy runs each item
@@ -468,8 +486,7 @@ def synthesize_trace(
     out = np.empty(total, dtype=np.float32)
     out[:need].reshape(cfg.n_psi, wl)[:] = w
     if total > need:
-        tail_rng = keyed_generator(seed, _STREAM_TRACE, trial, cfg.n_psi)
-        out[need:] = tail_rng.standard_normal(total - need)
+        out[need:] = next(streams).standard_normal(total - need)
     return out
 
 

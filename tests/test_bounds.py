@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from squeezelab import (
+    SPACINGS,
     ScanConfig,
     StateParams,
     SymMatrix3,
@@ -31,6 +32,7 @@ from squeezelab import (
     phase_averaged_fisher,
     qfi_matrix,
     state_covariance,
+    variance_coefficients,
     variance_partials,
 )
 
@@ -198,6 +200,38 @@ def test_discrete_fisher_matches_trig_form(case):
     if p.s == 1.0:
         assert got.sp == 0.0 and got.kp == 0.0 and got.pp == 0.0
     assert fisher_homodyne_discrete(p, phases, harmonics=grid_harmonics(phases)) == got
+
+
+def _fisher_expression(p, harmonics):
+    """The discrete Fisher matrix as one expression over fresh temporaries:
+    the reference that the in-place kernel must reproduce bit for bit."""
+    s, k = p.s, p.kappa
+    (a, _, _), b, c2p, s2p = variance_coefficients(s, k, p.phi_s)
+    cos2u = harmonics[1] * c2p + harmonics[2] * s2p
+    sin2u = harmonics[2] * c2p - harmonics[1] * s2p
+    v = a + b * cos2u
+    g = np.array((
+        k * ((s * s - 1.0) + (s * s + 1.0) * cos2u) / (2.0 * s * s),
+        v / k,
+        2.0 * b * sin2u,
+    ))
+    return (g * (0.5 / (v * v))) @ g.T
+
+
+@settings(max_examples=300)
+@given(log_s=st.floats(math.log(1e-6), 0.0), log_kappa=st.floats(-3.0, 5.0),
+       phi=st.floats(-10.0, 10.0), n_psi=st.integers(1, 999),
+       spacing=st.sampled_from(SPACINGS), seed=st.integers(0, 2**32 - 1))
+def test_discrete_fisher_keeps_the_expression_bits(log_s, log_kappa, phi, n_psi, spacing, seed):
+    p = StateParams(math.exp(log_s), math.exp(log_kappa), phi)
+    if spacing == "random":
+        phases = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_psi))
+    else:
+        phases = ScanConfig(n_psi=n_psi).grid
+    upper = np.triu_indices(3)
+    want = _fisher_expression(p, grid_harmonics(phases))[upper]
+    got = fisher_homodyne_discrete(p, phases).as_array()[upper]
+    assert got.tobytes() == want.tobytes()
 
 
 def test_discrete_fisher_grid_matches_closed_form():

@@ -41,6 +41,7 @@ from squeezelab.cli import (
     main,
     parse_methods,
     parse_s_values,
+    resolve_config,
 )
 
 
@@ -212,6 +213,19 @@ def test_fmt12():
     assert sio.fmt12(float("-inf")) == "-inf"
     assert sio.fmt12(float("nan")) == "nan"
     assert sio.fmt12(2.0) == "2"
+
+
+@pytest.mark.parametrize("x, text", [
+    (float("nan"), "nan"),
+    (-float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+    (-0.0, "-0"),
+    (1e-320, "9.99988867183e-321"),
+])
+def test_fmt12_spells_out_the_edge_values(x, text):
+    assert sio.fmt12(x) == text
+    assert sio.fmt12(np.float64(x)) == text
 
 
 def test_json_ready_rounds_and_converts():
@@ -486,15 +500,19 @@ def test_config_file_bad_choice_or_range_exits_1(tmp_path, capsys, key, value):
     assert key not in _POSITIVE or f"error: {key}=" in err
 
 
+# a value other than its default for every RunConfig field
+_EVERY_SETTING = {
+    "seed": 5, "s": [0.3, 0.6], "kappa": 2.5, "phi_s": 0.1, "n_psi": 64,
+    "phase_span": 4, "spacing": "random", "n_samples": 50, "trials": 10,
+    "methods": ["fit", "dhd"], "policy": "exclude", "tol": 1e-7, "max_iter": 15,
+    "drift_kind": "random-walk", "correlation_time": 1e-3, "step_interval": 1e-4,
+    "amplitude": 0.2, "duration": 0.01, "trial": 3, "rate_hz": 5e7, "fwhm_hz": 4e6,
+    "scan_duration": 2e-4, "prior_s": 0.4, "prior_kappa": 1.5, "prior_phi": 0.2,
+}
+
+
 def test_every_run_config_field_is_a_config_key_echoed_back(tmp_path, capsys):
-    want = {
-        "seed": 5, "s": [0.3, 0.6], "kappa": 2.5, "phi_s": 0.1, "n_psi": 64,
-        "phase_span": 4, "spacing": "random", "n_samples": 50, "trials": 10,
-        "methods": ["fit", "dhd"], "policy": "exclude", "tol": 1e-7, "max_iter": 15,
-        "drift_kind": "random-walk", "correlation_time": 1e-3, "step_interval": 1e-4,
-        "amplitude": 0.2, "duration": 0.01, "trial": 3, "rate_hz": 5e7, "fwhm_hz": 4e6,
-        "scan_duration": 2e-4, "prior_s": 0.4, "prior_kappa": 1.5, "prior_phi": 0.2,
-    }
+    want = _EVERY_SETTING
     defaults = dataclasses.asdict(RunConfig())
     assert set(want) == set(defaults)
     assert all(want[k] != defaults[k] for k in want)
@@ -502,6 +520,24 @@ def test_every_run_config_field_is_a_config_key_echoed_back(tmp_path, capsys):
     cfg.write_text(json.dumps(want))
     assert main(["bounds", "--config", str(cfg)]) == 0
     assert _echo_config(capsys) == want
+
+
+@pytest.mark.parametrize("settings_file", [
+    None,
+    {"s": [0.21, 0.3, 0.5], "methods": ["fit", "mom", "dhd"]},
+    _EVERY_SETTING,
+], ids=["defaults", "lists", "every-setting"])
+def test_echo_is_the_json_of_the_config_as_a_dict(tmp_path, capsys, settings_file):
+    """The echo line holds, byte for byte, the JSON of ``dataclasses.asdict``."""
+    argv = ["bounds"]
+    if settings_file is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(settings_file))
+        argv += ["--config", str(path)]
+    cfg = resolve_config(build_parser().parse_args(argv))
+    assert main(argv) == 0
+    echoes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("config: ")]
+    assert echoes == ["config: " + json.dumps(dataclasses.asdict(cfg), sort_keys=True)]
 
 
 def _subcommands():

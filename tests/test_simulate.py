@@ -11,6 +11,7 @@ from squeezelab import (
     ConfigMismatchError,
     DhdBatch,
     DriftModel,
+    SPACINGS,
     HomodyneScan,
     ScanConfig,
     StateParams,
@@ -584,6 +585,95 @@ def test_block_rows_with_a_truth_per_trial(seed, t0, sizes, n_psi, spacing, pool
     per_trial = sample_scan_blocks([shared] * len(trials), cfg, seed, from_zero)
     for (p1, _, q1), (p2, _, q2) in zip(per_trial, sample_scan_blocks(shared, cfg, seed, from_zero)):
         assert p1.tobytes() == p2.tobytes() and q1.tobytes() == q2.tobytes()
+
+
+# seeds and trial indices far outside int64, on both sides: a stream is keyed
+# by their values modulo 2^64
+_WIDE_SEED = st.one_of(st.integers(-(2**63), -1), st.integers(2**63, 2**65))
+_WIDE_INDEX = st.one_of(st.integers(-(2**70), -1), st.integers(2**63 - 40, 2**64 + 40),
+                        st.integers(2**64, 2**80))
+
+
+@settings(max_examples=80)
+@given(
+    params=_state,
+    seed=_WIDE_SEED,
+    start=_WIDE_INDEX,
+    step=st.sampled_from([1, 2, -1, -3]),
+    sizes=st.lists(st.integers(0, 6), max_size=5),
+    n_psi=st.integers(1, 12),
+    mu=st.integers(1, 12),
+    window_len=st.integers(1, 9),
+    tail=st.integers(0, 9),
+    spacing=st.sampled_from(SPACINGS),
+)
+def test_every_stream_replays_its_fresh_keyed_generator(params, seed, start, step, sizes, n_psi,
+                                                        mu, window_len, tail, spacing):
+    """Whatever the seed, the trial indices and their split into blocks, empty
+    ones included, every scan row, DHD row, trace window and trace tail holds
+    the draws of a generator built for its own stream path."""
+    cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
+    edges = np.cumsum([0] + sizes).tolist()
+    blocks = [range(start + a * step, start + b * step, step) for a, b in zip(edges, edges[1:])]
+    trials = range(start, start + edges[-1] * step, step)
+    scans = [(phases if phases is cfg.grid else phases[i], q[i])
+             for phases, _, q in sample_scan_blocks(params, cfg, seed, blocks)
+             for i in range(len(q))]
+    pairs = [qp for block in sample_dhd_blocks(params, mu, seed, blocks) for qp in block]
+    assert len(scans) == len(pairs) == len(trials)
+    for trial, (phases, q), qp in zip(trials, scans, pairs):
+        psi, want = _scan_reference(params, cfg, seed, trial)
+        assert phases.tobytes() == psi.tobytes() and q.tobytes() == want.tobytes()
+        assert qp.tobytes() == _dhd_reference(params, mu, seed, trial).tobytes()
+
+    grid = ScanConfig(n_psi=n_psi)
+    mode = TemporalMode(window_len=window_len)
+    total = n_psi * window_len + tail
+    got = synthesize_trace([params] * n_psi, mode, grid, seed=seed, trial=start, total_len=total)
+    want = _trace_reference([params] * n_psi, mode, grid, seed, start, total)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+def test_an_empty_trial_range_yields_an_empty_block(spacing):
+    cfg = ScanConfig(n_psi=8, spacing=spacing)
+    truth = StateParams(0.5, 1.5, 0.2)
+    for params in (truth, [truth] * 5):
+        [(phases, harmonics, q)] = sample_scan_blocks(params, cfg, 0, [range(3, 3)])
+        assert q.shape == (0, 8)
+        if spacing == "random":
+            assert phases.shape == (0, 8) and harmonics.shape == (0, 3, 8)
+        else:
+            assert phases is cfg.grid and harmonics is cfg.harmonics
+    [pairs] = sample_dhd_blocks(truth, 8, 0, [range(3, 3)])
+    assert pairs.shape == (0, 8, 2)
+
+
+def _scan_bytes(drawn):
+    return [(phases.tobytes(), q.tobytes()) for phases, _, q in drawn]
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+def test_interleaved_samplers_draw_what_they_draw_alone(spacing):
+    """Two sampler iterators advanced in turn each yield the bytes they
+    yield alone: a call's streams share no state with another call's."""
+    cfg = ScanConfig(n_psi=20, spacing=spacing)
+    truth = StateParams(0.4, 1.8, 0.3)
+    blocks = [range(0, 5), range(5, 6), range(6, 6), range(6, 17)]
+    scan_alone = _scan_bytes(sample_scan_blocks(truth, cfg, 3, blocks))
+    other_alone = _scan_bytes(sample_scan_blocks(truth, cfg, 4, blocks))
+    dhd_alone = [z.tobytes() for z in sample_dhd_blocks(truth, 7, 3, blocks)]
+    assert scan_alone != other_alone
+
+    turns = list(zip(sample_scan_blocks(truth, cfg, 3, blocks),
+                     sample_dhd_blocks(truth, 7, 3, blocks)))
+    assert _scan_bytes(scan for scan, _ in turns) == scan_alone
+    assert [z.tobytes() for _, z in turns] == dhd_alone
+
+    turns = list(zip(sample_scan_blocks(truth, cfg, 3, blocks),
+                     sample_scan_blocks(truth, cfg, 4, blocks)))
+    assert _scan_bytes(a for a, _ in turns) == scan_alone
+    assert _scan_bytes(b for _, b in turns) == other_alone
 
 
 def test_simulated_trace_file_is_pinned(tmp_path, capsys):
