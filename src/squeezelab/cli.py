@@ -146,6 +146,8 @@ class RunConfig:
         for s in self.s:
             if not 0.0 < s <= 1.0:
                 raise ConfigError(f"s={s} outside (0, 1]")
+        if self.trials < 2:
+            raise ConfigError(f"trials={self.trials} must be >= 2 to form variances")
         if self.kappa is not None and self.kappa < 1.0:
             raise ConfigError(f"kappa={self.kappa} below the vacuum floor 1")
         if self.rate_hz != int(self.rate_hz):

@@ -49,7 +49,6 @@ from .model import (
     StateParams,
     SymMatrix2,
     SymMatrix3,
-    angle_distance,
     canonical_angle,
     check_harmonic_state,
     grid_harmonics,
@@ -305,75 +304,12 @@ def _mom_reducer(harmonics: np.ndarray, x2: np.ndarray):
     return reduce
 
 
-def _mom_moments(m: list, n: int, s0: float, k0: float,
-                 weights: tuple) -> tuple[float, float, float]:
-    """y_a = mean(c_a q^2) for the optimal moment weights at the prior,
-    c_a(psi) = (1 / 2 V^2) dV/da, from the row's ``_mom_reducer`` sums m.
-
-    No trig on the grid: each c_a is h = 1/(2 V^2) times an affine
-    function of (1, cos 2u, sin 2u), u = psi - p0.  So the y_a follow
-    from the three moments H = mean(h q^2 (1, cos 2u, sin 2u)), which are
-    m / (2N) rotated by 2 p0:
-
-        y1 = k0 ((s0^2 - 1) H0 + (s0^2 + 1) Hc) / (2 s0^2)
-        y2 = (a H0 + b Hc) / k0
-        y3 = 2 b Hs
-    """
-    (a, _, _), b, c2p, s2p = weights
-    m0, mc, ms = m
-    scale = 0.5 / n
-    h0 = m0 * scale
-    hc = (mc * c2p + ms * s2p) * scale
-    hs = (ms * c2p - mc * s2p) * scale
-    ss = s0 * s0
-    return (
-        k0 * ((ss - 1.0) * h0 + (ss + 1.0) * hc) / (2.0 * ss),
-        (a * h0 + b * hc) / k0,
-        2.0 * b * hs,
-    )
-
-
-def _mom_update(y: tuple, s0: float, k0: float, p0: float):
-    """One closed-form moment update. Returns (s, kappa, phi, flags).
-
-    The moments y_a = mean(c_a q^2) (see ``_mom_moments``) feed
-
-        num = y1 s0 (1+s0) + y2 k0
-        den = y1 (1+s0) - y2 k0
-        s   = sqrt|num / den|
-        k   = 2 k0 sqrt|num * den|
-        phi = phi0 - y3 / (2 y1 (1 - s0^2))
-
-    evaluated as printed, with the absolute values recorded: the physical
-    branch has num > 0 and den < 0, anything else flags non-physical.
-    """
-    y1, y2, y3 = y
-    flags = set()
-    num = y1 * s0 * (1.0 + s0) + y2 * k0
-    den = y1 * (1.0 + s0) - y2 * k0
-    if den == 0.0:
-        s_hat = float("inf")
-        flags.add(FLAG_NONPHYSICAL)
-    else:
-        s_hat = math.sqrt(abs(num / den))
-    k_hat = 2.0 * k0 * math.sqrt(abs(num * den))
-    if not (num > 0.0 and den < 0.0):
-        flags.add(FLAG_NONPHYSICAL)
-
-    phi_den = 2.0 * y1 * (1.0 - s0 * s0)
-    if phi_den == 0.0 or abs(1.0 - s0 * s0) < 1e-8:
-        # prior at the isotropic boundary (or dead y1): no angle update exists
-        flags.add(FLAG_SINGULAR_PRIOR)
-        p_hat = p0
-    else:
-        p_hat = canonical_angle(p0 - y3 / phi_den)
-    return s_hat, k_hat, p_hat, flags
-
-
 def _mom_cov(est: StateParams, block: ScanBlock, i: int) -> SymMatrix3:
-    """Inverse discrete Fisher matrix of row i's phases at the estimate."""
-    row = block.row(i)
-    return fisher_homodyne_discrete(est, row.phases, harmonics=row.harmonics).inverse()
+    """Inverse discrete Fisher matrix of row i's phases at the estimate; a
+    shared grid, as of a one-row block, is read without building the row."""
+    if block.phases.ndim == 2:
+        block = block.row(i)
+    return fisher_homodyne_discrete(est, block.phases, harmonics=block.harmonics).inverse()
 
 
 def _mirror(s: float, kappa: float, phi: float) -> tuple[float, float, float]:
@@ -404,18 +340,22 @@ def _mom_row(prior: StateParams, seed_flags: tuple, n: int, tol: float, max_iter
     sent the row's ``_mom_reducer`` sums back, and returns the finished
     EstimateResult.
 
-    Each update is fed back as the next prior until the relative change
-    max(|ds|/s, |dk|/k, circ|dphi| (1-s)/s) drops below tol.  Every
-    iterate is mirror-canonicalized onto s <= 1 (exact gauge move, not a
-    clamp); without this, poor priors converge to the mirrored fixed
-    point and never meet the tolerance.  No mid-iteration clamping:
-    forcing s back inside (0, 1] deadlocks at the s = 1 boundary where
-    the angle weight vanishes.
+    Each iteration takes the closed-form moment step from those sums in
+    this frame, as derived in the comments below, and feeds it back as the
+    next prior until the relative change max(|ds|/s, |dk|/k, circ|dphi|
+    (1-s)/s) drops below tol.  The last step's ``nonphysical`` and
+    ``singular-prior`` outcomes are carried as two booleans and become
+    flags when the row finishes.  Every iterate is mirror-canonicalized
+    onto s <= 1 (exact gauge move, not a clamp); without this, poor priors
+    converge to the mirrored fixed point and never meet the tolerance.  No
+    mid-iteration clamping: forcing s back inside (0, 1] deadlocks at the
+    s = 1 boundary where the angle weight vanishes.
     """
     s0, k0, p0 = _mirror(prior.s, prior.kappa, prior.phi_s)
-    step_flags: set = set()
+    scale = 0.5 / n
+    half_pi = 0.5 * math.pi
+    nonphysical = singular = converged = False
     iterations = 0
-    converged = False
     for iterations in range(1, max_iter + 1):
         # guards: keep the iteration inside the domain where the update is defined
         if not math.isfinite(s0) or s0 < S_FLOOR:
@@ -424,25 +364,63 @@ def _mom_row(prior: StateParams, seed_flags: tuple, n: int, tol: float, max_iter
             s0 = 1.0 - 1e-9
         if not math.isfinite(k0) or k0 <= 0.0:
             k0 = 1.0
-        w = variance_coefficients(s0, k0, p0)
-        m = yield w[0]
-        s1, k1, p1, step_flags = _mom_update(_mom_moments(m, n, s0, k0, w), s0, k0, p0)
-        s1, k1, p1 = _mirror(s1, k1, p1)
+        coefs, b, c2p, s2p = variance_coefficients(s0, k0, p0)
+        m0, mc, ms = yield coefs
+        # y_a = mean(c_a q^2) for the optimal moment weights at the prior,
+        # c_a(psi) = (1 / 2 V^2) dV/da, with no trig on the grid: each c_a is
+        # h = 1/(2 V^2) times an affine function of (1, cos 2u, sin 2u),
+        # u = psi - p0, so the y_a follow from the three moments
+        # H = mean(h q^2 (1, cos 2u, sin 2u)), which are the sums m / (2N)
+        # rotated by 2 p0:
+        #     y1 = k0 ((s0^2 - 1) H0 + (s0^2 + 1) Hc) / (2 s0^2)
+        #     y2 = (a H0 + b Hc) / k0
+        #     y3 = 2 b Hs
+        h0 = m0 * scale
+        hc = (mc * c2p + ms * s2p) * scale
+        hs = (ms * c2p - mc * s2p) * scale
+        ss = s0 * s0
+        y1 = k0 * ((ss - 1.0) * h0 + (ss + 1.0) * hc) / (2.0 * ss)
+        y2 = (coefs[0] * h0 + b * hc) / k0
+        # the closed-form update, evaluated as printed:
+        #     num = y1 s0 (1+s0) + y2 k0
+        #     den = y1 (1+s0) - y2 k0
+        #     s   = sqrt|num / den|
+        #     k   = 2 k0 sqrt|num * den|
+        #     phi = phi0 - y3 / (2 y1 (1 - s0^2))
+        # the physical branch has num > 0 and den < 0; anything else,
+        # den = 0 (s = inf) included, is non-physical
+        num = y1 * s0 * (1.0 + s0) + y2 * k0
+        den = y1 * (1.0 + s0) - y2 * k0
+        nonphysical = not (num > 0.0 and den < 0.0)
+        s1 = math.sqrt(abs(num / den)) if den != 0.0 else math.inf
+        k1 = 2.0 * k0 * math.sqrt(abs(num * den))
+        phi_den = 2.0 * y1 * (1.0 - ss)
+        # a prior at the isotropic boundary (or a dead y1) has no angle update
+        singular = phi_den == 0.0 or abs(1.0 - ss) < 1e-8
+        p1 = p0 if singular else canonical_angle(p0 - 2.0 * b * hs / phi_den)
+        if s1 > 1.0:  # the mirror, as for the prior
+            s1, p1 = 1.0 / s1, canonical_angle(p1 + half_pi)
         if math.isfinite(s1) and math.isfinite(k1) and s1 > 0.0 and k1 > 0.0:
-            metric = max(
-                abs(s1 - s0) / s1,
-                abs(k1 - k0) / k1,
-                angle_distance(p1, p0) * (1.0 - s1) / max(s1, 1e-6),
-            )
-            if metric < tol:
+            # circular angle step, wrapped into [-pi/2, pi/2] as model.angle_distance
+            dp = math.fmod(p1 - p0, math.pi)
+            if dp < -half_pi:
+                dp += math.pi
+            elif dp > half_pi:
+                dp -= math.pi
+            if max(abs(s1 - s0) / s1, abs(k1 - k0) / k1,
+                   abs(dp) * (1.0 - s1) / max(s1, 1e-6)) < tol:
                 s0, k0, p0 = s1, k1, p1
                 converged = True
                 break
         s0, k0, p0 = s1, k1, p1
-    flags = step_flags.union(seed_flags)
+    flags = set(seed_flags)
+    if nonphysical:
+        flags.add(FLAG_NONPHYSICAL)
+    if singular:
+        flags.add(FLAG_SINGULAR_PRIOR)
     if not converged:
         flags.add(FLAG_NO_CONVERGENCE)
-    return _result(METHOD_MOM, StateParams(s0, k0, p0), FLAG_NONPHYSICAL not in step_flags,
+    return _result(METHOD_MOM, StateParams(s0, k0, p0), not nonphysical,
                    flags, compute_cov, _mom_cov, cov_args, iterations, prior)
 
 

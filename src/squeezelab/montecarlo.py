@@ -348,13 +348,16 @@ def sweep_family(
     each trial's scan is drawn once and estimated by both fit and MoM, as
     in the source experiment, and MoM is seeded from that fit.  The
     reports equal those of separate run_trials calls; with several
-    workers, one process pool serves every s value.
+    workers, one process pool serves every s value.  Fewer than 2 trials
+    raise ValueError before any draw.
     """
     truths = [
         empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)
         for s in s_values
     ]
     methods = tuple(methods)
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials to form variances, got {trials}")
     cfg = scan_config or ScanConfig()
     all_parts = _collect_truths(truths, methods, trials, seed, cfg, mu, tol, max_iter,
                                 workers)
@@ -439,12 +442,16 @@ def track_angle(
     fit).  The reported half-width is the predicted angle standard
     error sqrt([F^-1]_pp) at the per-scan estimate; the correlation-time
     fit uses the mean squared half-width as its measurement-noise floor.
+    A duration of fewer than 3 scans, which that fit needs, raises
+    ValueError before any draw.
     """
+    # the scan count simulate_phase_drift draws
+    n = int(duration / drift.step_interval) if duration > 0.0 else 0
+    if n < 3:
+        raise ValueError(f"duration {duration!r} covers {n} scans of step_interval "
+                         f"{drift.step_interval!r}; tracking needs at least 3")
     cfg = scan_config or ScanConfig()
     offsets = simulate_phase_drift(drift, duration, seed=seed)
-    n = len(offsets)
-    if n < 2:
-        raise ValueError("duration must cover at least 2 scans")
     times = np.arange(n) * drift.step_interval
     phi_true = base.phi_s + offsets
 

@@ -1107,6 +1107,15 @@ def test_benchmark_rejects_workers_below_one(capsys):
         assert "workers must be >= 1" in capsys.readouterr().err
 
 
+def test_benchmark_rejects_fewer_than_two_trials(capsys):
+    """A variance needs 2 trials: 1 is a ConfigError, exit 1, before any draw."""
+    assert RunConfig(trials=2).trials == 2
+    with pytest.raises(ConfigError, match="trials=1 must be >= 2"):
+        RunConfig(trials=1)
+    assert main(["benchmark", "--s", "0.5", "--trials", "1"]) == 1
+    assert "error: trials=1 must be >= 2 to form variances" in capsys.readouterr().err
+
+
 def test_benchmark_json_mirror(tmp_path, capsys):
     csv_path = tmp_path / "rep.csv"
     json_path = tmp_path / "rep.json"
@@ -1138,6 +1147,9 @@ def test_track_cli(tmp_path, capsys):
 def test_track_rejects_multi_s(capsys):
     assert main(["track", "--s", "0.3,0.5", "--duration", "0.005"]) == 1
     assert "single s" in capsys.readouterr().err
+    # 0.001 s is 2 scans at the default 0.5 ms step; the correlation time needs 3
+    assert main(["track", "--duration", "0.001"]) == 1
+    assert "tracking needs at least 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spacing, digest", [

@@ -6,6 +6,12 @@ grid, y_a = mean(c_a q^2), then the closed-form update.
 ``_reference_estimate`` iterates it as ``mom_estimate`` iterates the kernel.
 The kernel must reproduce both to rounding, scan by scan and on blocks.
 
+``_step_moments`` and ``_step_update`` are the kernel's step as two
+functions, the moments y_a from the reducer's sums and the closed-form
+update; ``_stepwise_estimate`` loops them with the guards, the mirror and
+the convergence metric.  ``mom_estimate`` takes the same step in one frame,
+and must reproduce that loop bit for bit.
+
 Tolerances, fixed before the tests were written: rtol 1e-12, angles
 1e-12 rad.  One update is compared at the level of its moments y_a, each
 relative to the size of the terms it sums, mean|c_a q^2|.  The update's
@@ -30,6 +36,7 @@ from squeezelab import (
     canonical_angle,
     empirical_family,
     eval_variance,
+    fisher_homodyne_discrete,
     fit_estimate,
     grid_harmonics,
     mom_estimate,
@@ -43,12 +50,13 @@ from squeezelab.estimators import (
     DEFAULT_TOL,
     FLAG_NO_CONVERGENCE,
     FLAG_NONPHYSICAL,
+    FLAG_SINGULAR_INFORMATION,
     FLAG_SINGULAR_PRIOR,
-    _mom_moments,
     _mom_reducer,
-    _mom_update,
+    _scan_block,
     _seed_prior,
 )
+from squeezelab.model import S_FLOOR, SingularMatrixError
 
 RTOL = 1e-12
 ANGLE_TOL = 1e-12
@@ -69,28 +77,9 @@ def _reference_moments(x2, phases, prior):
 
 
 def _reference_update(x2, phases, prior):
-    s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
-    (y1, y2, y3), _ = _reference_moments(x2, phases, prior)
-
-    flags = set()
-    num = y1 * s0 * (1.0 + s0) + y2 * k0
-    den = y1 * (1.0 + s0) - y2 * k0
-    if den == 0.0:
-        s_hat = float("inf")
-        flags.add(FLAG_NONPHYSICAL)
-    else:
-        s_hat = math.sqrt(abs(num / den))
-    k_hat = 2.0 * k0 * math.sqrt(abs(num * den))
-    if not (num > 0.0 and den < 0.0):
-        flags.add(FLAG_NONPHYSICAL)
-
-    phi_den = 2.0 * y1 * (1.0 - s0 * s0)
-    if phi_den == 0.0 or abs(1.0 - s0 * s0) < 1e-8:
-        flags.add(FLAG_SINGULAR_PRIOR)
-        p_hat = p0
-    else:
-        p_hat = canonical_angle(p0 - y3 / phi_den)
-    return s_hat, k_hat, p_hat, flags
+    """The closed-form update, ``_step_update``, of the per-phase moments."""
+    return _step_update(_reference_moments(x2, phases, prior)[0],
+                        prior.s, prior.kappa, prior.phi_s)
 
 
 def _reference_estimate(scan, prior):
@@ -130,12 +119,119 @@ def _reference_estimate(scan, prior):
     return s0, k0, p0, iterations, frozenset(flags), physical
 
 
+def _step_moments(m: list, n: int, s0: float, k0: float,
+                  weights: tuple) -> tuple[float, float, float]:
+    """y_a = mean(c_a q^2) from a row's ``_mom_reducer`` sums m: the sums
+    over 2N rotated by 2 p0 give H = mean(h q^2 (1, cos 2u, sin 2u)), and
+
+        y1 = k0 ((s0^2 - 1) H0 + (s0^2 + 1) Hc) / (2 s0^2)
+        y2 = (a H0 + b Hc) / k0
+        y3 = 2 b Hs
+    """
+    (a, _, _), b, c2p, s2p = weights
+    m0, mc, ms = m
+    scale = 0.5 / n
+    h0 = m0 * scale
+    hc = (mc * c2p + ms * s2p) * scale
+    hs = (ms * c2p - mc * s2p) * scale
+    ss = s0 * s0
+    return (
+        k0 * ((ss - 1.0) * h0 + (ss + 1.0) * hc) / (2.0 * ss),
+        (a * h0 + b * hc) / k0,
+        2.0 * b * hs,
+    )
+
+
+def _step_update(y: tuple, s0: float, k0: float, p0: float):
+    """The closed-form update from the moments y_a, evaluated as printed:
+
+        num = y1 s0 (1+s0) + y2 k0
+        den = y1 (1+s0) - y2 k0
+        s   = sqrt|num / den|
+        k   = 2 k0 sqrt|num * den|
+        phi = phi0 - y3 / (2 y1 (1 - s0^2))
+
+    Returns (s, kappa, phi, flags)."""
+    y1, y2, y3 = y
+    flags = set()
+    num = y1 * s0 * (1.0 + s0) + y2 * k0
+    den = y1 * (1.0 + s0) - y2 * k0
+    if den == 0.0:
+        s_hat = float("inf")
+        flags.add(FLAG_NONPHYSICAL)
+    else:
+        s_hat = math.sqrt(abs(num / den))
+    k_hat = 2.0 * k0 * math.sqrt(abs(num * den))
+    if not (num > 0.0 and den < 0.0):
+        flags.add(FLAG_NONPHYSICAL)
+
+    phi_den = 2.0 * y1 * (1.0 - s0 * s0)
+    if phi_den == 0.0 or abs(1.0 - s0 * s0) < 1e-8:
+        flags.add(FLAG_SINGULAR_PRIOR)
+        p_hat = p0
+    else:
+        p_hat = canonical_angle(p0 - y3 / phi_den)
+    return s_hat, k_hat, p_hat, flags
+
+
+def _mirrored(s, kappa, phi):
+    if s > 1.0:
+        return 1.0 / s, kappa, canonical_angle(phi + 0.5 * math.pi)
+    return s, kappa, phi
+
+
+def _stepwise_estimate(scan, prior, max_iter):
+    """``mom_estimate(scan, prior=prior, max_iter=max_iter)`` as a loop of
+    ``_step_moments`` and ``_step_update`` on the kernel's reducer sums.
+    Returns (params, iterations, flags)."""
+    block = _scan_block(scan)
+    reduce = _mom_reducer(block.harmonics, block.x2)
+    s0, k0, p0 = _mirrored(prior.s, prior.kappa, prior.phi_s)
+    step_flags = set()
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        if not math.isfinite(s0) or s0 < S_FLOOR:
+            s0 = 0.01
+        if s0 == 1.0:
+            s0 = 1.0 - 1e-9
+        if not math.isfinite(k0) or k0 <= 0.0:
+            k0 = 1.0
+        w = variance_coefficients(s0, k0, p0)
+        y = _step_moments(reduce([w[0]])[0], scan.samples.size, s0, k0, w)
+        s1, k1, p1, step_flags = _step_update(y, s0, k0, p0)
+        s1, k1, p1 = _mirrored(s1, k1, p1)
+        if math.isfinite(s1) and math.isfinite(k1) and s1 > 0.0 and k1 > 0.0:
+            metric = max(
+                abs(s1 - s0) / s1,
+                abs(k1 - k0) / k1,
+                angle_distance(p1, p0) * (1.0 - s1) / max(s1, 1e-6),
+            )
+            if metric < DEFAULT_TOL:
+                s0, k0, p0 = s1, k1, p1
+                converged = True
+                break
+        s0, k0, p0 = s1, k1, p1
+    est = StateParams(s0, k0, p0)
+    flags = set(step_flags)
+    if not converged:
+        flags.add(FLAG_NO_CONVERGENCE)
+    if FLAG_NONPHYSICAL in step_flags or not est.is_physical:
+        flags.add(FLAG_NONPHYSICAL)
+    else:
+        try:
+            fisher_homodyne_discrete(est, block.phases, harmonics=block.harmonics).inverse()
+        except SingularMatrixError:
+            flags.add(FLAG_SINGULAR_INFORMATION)
+    return est, iterations, frozenset(flags)
+
+
 def _kernel_moments(x2, harmonics, prior):
-    """(y_a, flags of the update) from the kernel, one row."""
+    """(y_a, flags of the update) from the kernel's reducer and step, one row."""
     s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
     w = variance_coefficients(s0, k0, p0)
-    y = _mom_moments(_mom_reducer(harmonics, x2[None])([w[0]])[0], x2.size, s0, k0, w)
-    return y, _mom_update(y, s0, k0, p0)[3]
+    y = _step_moments(_mom_reducer(harmonics, x2[None])([w[0]])[0], x2.size, s0, k0, w)
+    return y, _step_update(y, s0, k0, p0)[3]
 
 
 squeezing = st.floats(0.05, 0.99)
@@ -215,3 +311,39 @@ def test_mom_estimate_matches_trig_reference():
                 assert abs(g.params.s - s0) <= RTOL * abs(s0)
                 assert abs(g.params.kappa - k0) <= RTOL * abs(k0)
                 assert angle_distance(g.params.phi_s, p0) <= ANGLE_TOL
+
+
+@st.composite
+def scan_prior_and_cap(draw):
+    """A scan of 16, 64 or 900 points on either spacing, a prior near the
+    truth, far from it or at s = 1, and an iteration cap of 1, 2 or 20."""
+    truth = StateParams(draw(squeezing), draw(thermal), draw(angles))
+    cfg = ScanConfig(n_psi=draw(st.sampled_from((16, 64, 900))),
+                     spacing=draw(st.sampled_from(("equispaced", "random"))))
+    scan = sample_homodyne_scan(truth, cfg, seed=draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("near", "far", "s=1")))
+    if kind == "near":
+        prior = StateParams(truth.s * (1 + draw(nudge)), truth.kappa * (1 + draw(nudge)),
+                            truth.phi_s + draw(nudge))
+    elif kind == "far":
+        # s up to 2 starts on the mirrored branch
+        prior = StateParams(draw(st.floats(0.02, 2.0)), draw(st.floats(1.0, 10.0)),
+                            draw(st.floats(-4.0, 4.0)))
+    else:
+        prior = StateParams(1.0, draw(thermal), draw(angles))
+    return scan, prior, draw(st.sampled_from((1, 2, 20)))
+
+
+@settings(max_examples=300)
+@given(scan_prior_and_cap())
+@example((*SINGULAR_PRIOR_CASE, 1))
+@example((*SINGULAR_PRIOR_CASE, 20))
+def test_mom_estimate_is_the_stepwise_loop_bit_for_bit(case):
+    """The step taken in one frame keeps every iterate's bits: params,
+    iterations and flags equal those of the two-function loop."""
+    scan, prior, max_iter = case
+    got = mom_estimate(scan, prior=prior, max_iter=max_iter)
+    est, iterations, flags = _stepwise_estimate(scan, prior, max_iter)
+    assert np.array(got.params.as_tuple()).tobytes() == np.array(est.as_tuple()).tobytes()
+    assert got.iterations == iterations
+    assert got.flags == flags

@@ -29,6 +29,7 @@ from squeezelab import (
     track_angle,
 )
 from squeezelab import bounds, estimators, montecarlo, simulate
+from squeezelab.io import report_csv_lines
 from squeezelab.montecarlo import circular_mean_pi, method_bound, worker_count, wrap_half_pi
 
 
@@ -74,6 +75,26 @@ def test_collect_validation():
         collect_estimates(truth, "fit", 0)
     with pytest.raises(ValueError):
         collect_estimates(truth, "kalman", 2)
+
+
+def test_one_trial_is_refused_before_any_draw(monkeypatch):
+    """sweep_family and run_trials need 2 trials for a variance and say so
+    before drawing; collect_estimates keeps its minimum of 1."""
+    truth = StateParams(0.5, 2.0, 0.3)
+    cfg = ScanConfig(n_psi=16)
+    one = collect_estimates(truth, "mom", 1, scan_config=cfg)
+    assert [len(a) for a in one] == [1, 1, 1]
+
+    def no_draw(*args):
+        raise AssertionError("drew trials")
+
+    monkeypatch.setattr(montecarlo, "sample_scan_blocks", no_draw)
+    monkeypatch.setattr(montecarlo, "sample_dhd_blocks", no_draw)
+    for trials in (1, 0):
+        with pytest.raises(ValueError, match="need at least 2 trials"):
+            sweep_family((0.3, 0.5), ("fit", "mom", "dhd"), trials, scan_config=cfg)
+        with pytest.raises(ValueError, match="need at least 2 trials"):
+            run_trials(truth, "dhd", trials)
 
 
 def test_worker_count_clamps_and_rejects():
@@ -465,6 +486,51 @@ def test_track_matches_per_scan_reference(spacing, n_psi, kind):
             assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), field
         for have, want in ((got.tau_est, tau), (got.noise_floor, floor)):
             assert np.float64(have).tobytes() == np.float64(want).tobytes()
+
+
+def test_track_refuses_fewer_than_3_scans_before_any_draw(monkeypatch):
+    """The correlation-time fit needs 3 scans: 2 scans (0.001 s at the
+    default 0.5 ms step) raise before the drift or a scan is drawn, and 3
+    scans run."""
+    base = empirical_family(0.5, 0.2)
+    cfg = ScanConfig(n_psi=16)
+    three = track_angle(DriftModel(), base, cfg, duration=0.0015, seed=3)
+    assert len(three.times) == 3
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a scan or the drift")
+
+    monkeypatch.setattr(montecarlo, "simulate_phase_drift", no_draw)
+    monkeypatch.setattr(montecarlo, "sample_scan_blocks", no_draw)
+    for duration in (0.001, 0.0005, 1e-9, 0.0, -1.0):
+        with pytest.raises(ValueError, match="needs at least 3"):
+            track_angle(DriftModel(), base, cfg, duration=duration, seed=3)
+
+
+def test_outputs_do_not_depend_on_the_block_size(monkeypatch):
+    """Sweep report CSVs (fit, MoM and DHD, both spacings) and every track
+    array are the same bytes at BLOCK_TRIALS 1, 3 and 16.  At 1, every sweep
+    row takes the one-row path that track uses."""
+    def outputs():
+        csv = [report_csv_lines(sweep_family((0.21, 0.5), ("fit", "mom", "dhd"), 40, seed=9,
+                                             scan_config=ScanConfig(n_psi=64, spacing=sp),
+                                             mu=64))
+               for sp in ("equispaced", "random")]
+        tracks = [track_angle(DriftModel(), empirical_family(0.5, 0.2),
+                              ScanConfig(n_psi=64, spacing=sp), duration=0.02, seed=9)
+                  for sp in ("equispaced", "random")]
+        arrays = [[getattr(t, f).tobytes() for f in ("times", "phi_true", "phi_est",
+                                                     "half_width", "s_est", "kappa_est",
+                                                     "iterations")]
+                  + [np.float64(t.tau_est).tobytes(), np.float64(t.noise_floor).tobytes()]
+                  for t in tracks]
+        return csv, arrays
+
+    got = {}
+    for size in (1, 3, 16):
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", size)
+        got[size] = outputs()
+    assert got[1] == got[3] == got[16]
 
 
 def test_track_result_layout():
