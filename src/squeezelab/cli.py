@@ -107,9 +107,9 @@ class RunConfig:
     kappa: float | None = _setting(
         None, "thermal scale kappa >= 1 (default: pure family 1/sqrt(s))")
     phi_s: float = _setting(0.0, "squeezing angle in radians")
-    n_psi: int = _setting(900, "phase settings per scan")
-    phase_span: int = _setting(2, "scan span in multiples of pi")
-    spacing: str = _setting("equispaced", "phase grid layout", choices=SPACINGS)
+    n_psi: int = _setting(ScanConfig.n_psi, "phase settings per scan")
+    phase_span: int = _setting(ScanConfig.n, "scan span in multiples of pi")
+    spacing: str = _setting(ScanConfig.spacing, "phase grid layout", choices=SPACINGS)
     n_samples: int = _setting(900, "pairs per DHD batch, and the sample count bounds scale to",
                               flag="--n", positive=True)
     trials: int = _setting(3000, "Monte Carlo trials per s value", positive=True)
@@ -120,14 +120,17 @@ class RunConfig:
     tol: float = _setting(DEFAULT_TOL, "iteration stop tolerance", positive=True)
     max_iter: int = _setting(DEFAULT_MAX_ITER, "iteration cap of the moment estimator",
                              positive=True)
-    drift_kind: str = _setting("mean-reverting", "drift process", choices=DRIFT_KINDS)
-    correlation_time: float = _setting(5e-3, "drift correlation time in seconds", flag="--tau")
-    step_interval: float = _setting(5e-4, "scan repetition interval in seconds", flag="--step")
-    amplitude: float = _setting(0.15, "drift amplitude in radians")
+    drift_kind: str = _setting(DriftModel.kind, "drift process", choices=DRIFT_KINDS)
+    correlation_time: float = _setting(DriftModel.correlation_time,
+                                      "drift correlation time in seconds", flag="--tau")
+    step_interval: float = _setting(DriftModel.step_interval,
+                                   "scan repetition interval in seconds", flag="--step")
+    amplitude: float = _setting(DriftModel.amplitude, "drift amplitude in radians")
     duration: float = _setting(0.3, "total tracked time in seconds", positive=True)
     trial: int = _setting(0, "trial index in the seed stream")
-    rate_hz: float = _setting(1e8, "trace sample rate in Hz, a whole number", positive=True)
-    fwhm_hz: float = _setting(6e6, "temporal mode bandwidth in Hz", positive=True)
+    rate_hz: float = _setting(TemporalMode.sample_rate_hz,
+                              "trace sample rate in Hz, a whole number", positive=True)
+    fwhm_hz: float = _setting(TemporalMode.fwhm_hz, "temporal mode bandwidth in Hz", positive=True)
     scan_duration: float = _setting(500e-6, "wall time of one scan in seconds", positive=True)
     prior_s: float | None = _setting(
         None, "MoM starting s; give all three --prior-* or none", positive=True)

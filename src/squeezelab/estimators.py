@@ -13,12 +13,12 @@ Shared conventions:
   the ``*_rows`` block calls only when ``compute_cov`` is set;
 * a block of scans is prepared once, as a ``ScanBlock``: its phases, their
   harmonics (1, cos 2psi, sin 2psi) and its squared samples, each row's
-  mean square checked.  The harmonics are the ``ScanConfig``'s cached rows
-  when the phases are its grid, the rows the scan sampler drew a random
-  block's samples from, else one ``grid_harmonics`` call over the whole
-  block, so the trig is computed once per config or per block; the
-  sampler, the fit, the MoM iterations and the MoM covariance read the
-  grid only through them.  MoM takes V as the product of the harmonics
+  mean square checked.  The harmonics are the rows the scan sampler drew
+  the block's samples from, else one ``grid_harmonics`` call over the
+  whole block, so the trig is computed once per sampler call (equispaced)
+  or per block (random), and once per one-scan estimate; the sampler, the
+  fit, the MoM iterations and the MoM covariance read the grid only
+  through them.  MoM takes V as the product of the harmonics
   with ``model.variance_coefficients``, as the sampler does;
 * every estimate of every method is finished by ``_result``: the method
   passes its own sign test and its covariance as a module-level function
@@ -174,11 +174,10 @@ class ScanBlock:
         """The block of the rows of ``samples`` (B, N), or of one scan (N,).
 
         ``harmonics`` are the rows ``grid_harmonics(phases)`` when the
-        caller has them, as the scan sampler yields them and a ``ScanConfig``
-        caches them for its grid; else they are computed here, in one call
-        over all the phases.  Fewer than 3 samples, or a row whose mean
-        square fails ``_check_mean_square`` or is positive but below
-        1 / MAX_MEAN_SQUARE, raise ValueError.
+        caller has them, as the scan sampler yields them; else they are
+        computed here, in one call over all the phases.  Fewer than 3
+        samples, or a row whose mean square fails ``_check_mean_square`` or
+        is positive but below 1 / MAX_MEAN_SQUARE, raise ValueError.
         """
         q = np.atleast_2d(np.asarray(samples, dtype=float))
         if q.shape[-1] < 3:
@@ -203,14 +202,6 @@ class ScanBlock:
                          self.harmonics if shared else self.harmonics[i], self.x2[i:i + 1])
 
 
-def _scan_block(scan) -> ScanBlock:
-    """The one-row block of a ``HomodyneScan``; a scan on its config's grid
-    reads the config's cached harmonics."""
-    cfg = scan.meta
-    on_grid = cfg is not None and scan.phases is cfg.grid
-    return ScanBlock.of(scan.phases, scan.samples, cfg.harmonics if on_grid else None)
-
-
 # |C2| / C0 at or below which the fit finds no second harmonic.  A vacuum
 # scan's |C2| is a rounding residue, 0 or up to ~1e-16 of C0 depending on
 # the grid and the summation order; noise in a real scan puts it of order
@@ -230,7 +221,7 @@ def fit_estimate(scan) -> EstimateResult:
     moments.  A second harmonic of at most 1e-12 C0 flags ``degenerate``
     and sets the angle to 0.
     """
-    return fit_rows(_scan_block(scan), compute_cov=True)[0]
+    return fit_rows(ScanBlock.of(scan.phases, scan.samples), compute_cov=True)[0]
 
 
 def fit_rows(block: ScanBlock, compute_cov: bool = False) -> list[EstimateResult]:
@@ -440,7 +431,7 @@ def mom_estimate(
     ``model.check_harmonic_state`` refuses (s outside [1e-6, 1e6], kappa
     outside [1e-90, 1e90], or a non-finite angle) raises ValueError.
     """
-    return mom_rows(_scan_block(scan),
+    return mom_rows(ScanBlock.of(scan.phases, scan.samples),
                     None if fit is None else [fit], None if prior is None else [prior], tol,
                     max_iter, compute_cov=True)[0]
 

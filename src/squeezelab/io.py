@@ -148,7 +148,7 @@ def read_scan_csv(path) -> HomodyneScan:
     psi, q = _read_pair_csv(path, SCAN_HEADER)
     if psi.size == 0:
         raise ValueError(f"{path}: no data rows")
-    return HomodyneScan(phases=psi, samples=q, meta=None)
+    return HomodyneScan(phases=psi, samples=q)
 
 
 def write_dhd_csv(path, batch: DhdBatch, config_json=None) -> None:

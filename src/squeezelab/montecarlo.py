@@ -97,10 +97,9 @@ def circular_mean_pi(angles: np.ndarray) -> float:
 
 
 def wrap_half_pi(delta) -> np.ndarray:
-    """Wrap angle differences (mod pi) into (-pi/2, pi/2]."""
+    """Wrap angle differences (mod pi), an array or a scalar, into (-pi/2, pi/2]."""
     d = np.mod(np.asarray(delta, dtype=float), math.pi)
-    d[d > math.pi / 2] -= math.pi
-    return d
+    return np.where(d > math.pi / 2, d - math.pi, d)
 
 
 @dataclass(frozen=True)
@@ -225,7 +224,7 @@ def _stats(est: np.ndarray, truth: StateParams):
     bias = (
         float(np.mean(s_col)) - truth.s,
         float(np.mean(k_col)) - truth.kappa,
-        float(wrap_half_pi(np.array([cmean - truth.phi_s]))[0]),
+        float(wrap_half_pi(cmean - truth.phi_s)),
     )
     resid = np.column_stack([s_col - s_col.mean(), k_col - k_col.mean(), r_phi - r_phi.mean()])
     cov = resid.T @ resid / (len(est) - 1)

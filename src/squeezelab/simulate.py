@@ -19,10 +19,10 @@ the block samplers.  An empty range of trials gives an empty block.
 
 A scan's variance is taken on the harmonics (1, cos 2psi, sin 2psi) that
 the estimators read, V = ``variance_coefficients`` times the harmonics:
-the config's cached rows on its grid, or one trig pass over a random
-block's phases, which the sampler yields for ``ScanBlock.of``.  That form
-rounds V at the scale of kappa max(s, 1/s), so a scan truth must pass
-``model.check_harmonic_state``, as a MoM prior must.  DHD pairs take their
+one trig pass per sampler call over the equispaced grid, or per random
+block over its phases, which the sampler yields for ``ScanBlock.of``.
+That form rounds V at the scale of kappa max(s, 1/s), so a scan truth must
+pass ``model.check_harmonic_state``, as a MoM prior must.  DHD pairs take their
 covariance from ``state_covariance`` and a raw trace each window's variance
 from ``quadrature_variance``; their truths must pass
 ``model.check_drawn_states``.  A trace's windows carry no phases, so a trace
@@ -31,10 +31,10 @@ is equispaced: a config with random spacing raises ValueError.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,6 +145,10 @@ class ScanConfig:
     spacing: str = "equispaced"
 
     def __post_init__(self):
+        # a fractional n would scan part of a period of the pi-periodic variance
+        for name in ("n_psi", "n"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_psi < 1:
             raise ValueError(f"n_psi must be >= 1, got {self.n_psi}")
         if self.n < 1:
@@ -156,36 +160,11 @@ class ScanConfig:
         """The deterministic equispaced grid (half-open, endpoint excluded)."""
         return np.arange(self.n_psi) * (self.n * math.pi / self.n_psi)
 
-    @functools.cached_property
-    def grid(self) -> np.ndarray:
-        """``phase_grid()``, computed once per config; read-only, because
-        every scan drawn on this config shares it."""
-        return _read_only(self.phase_grid())
-
-    @functools.cached_property
-    def harmonics(self) -> np.ndarray:
-        """``grid_harmonics(grid)``, computed once per config and read-only.
-
-        The estimators take these rows for any scan whose phases are
-        ``grid``, so every scan of a sweep or a track shares one set.
-        """
-        return _read_only(grid_harmonics(self.grid))
-
-    def __getstate__(self):
-        # pickle the fields only: a copy rebuilds its own read-only cache
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
 
 @dataclass(frozen=True)
 class HomodyneScan:
     phases: np.ndarray
     samples: np.ndarray
-    meta: ScanConfig | None = None
 
     def __post_init__(self):
         if len(self.phases) != len(self.samples):
@@ -213,11 +192,9 @@ def sample_homodyne_scan(
     trial: int = 0,
 ) -> HomodyneScan:
     """Draw one phase scan: q_j ~ N(0, V(psi_j)) independently per phase."""
-    cfg = config or ScanConfig()
     # unpacking runs the generator to its end: no suspended frame to close
-    [(phases, _, q)] = sample_scan_blocks(params, cfg, seed, [range(trial, trial + 1)])
-    return HomodyneScan(phases=phases if phases is cfg.grid else phases[0],
-                        samples=q[0], meta=cfg)
+    [(phases, _, q)] = sample_scan_blocks(params, config, seed, [range(trial, trial + 1)])
+    return HomodyneScan(phases=phases if phases.ndim == 1 else phases[0], samples=q[0])
 
 
 def _scan_coefficients(truth: StateParams) -> tuple:
@@ -233,12 +210,13 @@ def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
     ``params`` is one StateParams shared by every trial, or one truth per
     trial, looked up as ``params[trial]``.  ``samples`` has one row per
     trial, drawn from that trial's stream exactly as a separate
-    ``sample_homodyne_scan`` call would draw it.  ``phases`` is the
-    config's shared grid (N,) for equispaced scans, and ``harmonics`` the
-    config's cached rows (1, cos 2psi, sin 2psi), (3, N); with random
-    spacing ``phases`` (B, N) has one row per trial, drawn first from the
-    trial's stream, and ``harmonics`` (B, 3, N) are one ``grid_harmonics``
-    call over them, to be handed on to ``ScanBlock.of``.
+    ``sample_homodyne_scan`` call would draw it.  For equispaced scans
+    ``phases`` is the config's ``phase_grid()`` (N,) and ``harmonics`` its
+    rows (1, cos 2psi, sin 2psi), (3, N), both computed once per call and
+    shared by every block; with random spacing ``phases`` (B, N) has one
+    row per trial, drawn first from the trial's stream, and ``harmonics``
+    (B, 3, N) are one ``grid_harmonics`` call over them.  Either is handed
+    on to ``ScanBlock.of``.
 
     Each sample's variance is the product of its truth's
     ``variance_coefficients`` with the harmonics: computed once per call
@@ -250,18 +228,21 @@ def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
     random = cfg.spacing == "random"
     shared = isinstance(params, StateParams)
     coefs = _scan_coefficients(params) if shared else None
-    sigma = np.sqrt(np.dot(coefs, cfg.harmonics)) if shared and not random else None
+    # one equispaced grid and its harmonics serve every block of the call
+    grid = None if random else cfg.phase_grid()
+    grid_rows = None if random else grid_harmonics(grid)
+    sigma = np.sqrt(np.dot(coefs, grid_rows)) if shared and not random else None
     blocks = list(blocks)
     streams = _keyed_streams(seed, (_STREAM_SCAN,), blocks)
     for trials in blocks:
         q = np.empty((len(trials), cfg.n_psi))
-        phases = np.empty_like(q) if random else cfg.grid
+        phases = np.empty_like(q) if random else grid
         for i, rng in enumerate(itertools.islice(streams, len(trials))):
             if random:
                 # the phases come first in the trial's stream, then the samples
                 phases[i] = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
             rng.standard_normal(out=q[i])
-        harmonics = grid_harmonics(phases) if random else cfg.harmonics
+        harmonics = grid_harmonics(phases) if random else grid_rows
         if sigma is not None:
             q *= sigma
         else:
@@ -401,10 +382,10 @@ def mode_weights(mode: TemporalMode) -> np.ndarray:
 
 
 def default_temporal_mode(
-    n_psi: int = 900,
+    n_psi: int = ScanConfig.n_psi,
     scan_duration: float = 500e-6,
-    sample_rate_hz: float = 1e8,
-    fwhm_hz: float = 6e6,
+    sample_rate_hz: float = TemporalMode.sample_rate_hz,
+    fwhm_hz: float = TemporalMode.fwhm_hz,
 ) -> tuple[TemporalMode, int]:
     """Experiment-shaped geometry: returns (mode, total trace length).
 
@@ -516,7 +497,7 @@ def _trace_grid(cfg: ScanConfig) -> np.ndarray:
     if cfg.spacing != "equispaced":
         raise ValueError(f"a trace's windows carry no phases, so a trace is equispaced; "
                          f"got spacing={cfg.spacing!r}")
-    return cfg.grid
+    return cfg.phase_grid()
 
 
 def scan_from_trace(trace, mode: TemporalMode, config: ScanConfig | None = None) -> HomodyneScan:
@@ -525,4 +506,4 @@ def scan_from_trace(trace, mode: TemporalMode, config: ScanConfig | None = None)
     cfg = config or ScanConfig()
     grid = _trace_grid(cfg)
     samples = apply_temporal_mode(trace, mode, n_windows=cfg.n_psi)
-    return HomodyneScan(phases=grid, samples=samples, meta=cfg)
+    return HomodyneScan(phases=grid, samples=samples)

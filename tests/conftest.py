@@ -38,7 +38,7 @@ def moment_matched_scan(params, n_psi=900, n=2):
     cfg = ScanConfig(n_psi=n_psi, n=n)
     phases = cfg.phase_grid()
     samples = np.sqrt(eval_variance(params, phases))
-    return HomodyneScan(phases=phases, samples=samples, meta=None)
+    return HomodyneScan(phases=phases, samples=samples)
 
 
 def fit_moments(scan):

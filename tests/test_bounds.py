@@ -176,7 +176,7 @@ def state_and_grid(draw):
                     draw(st.floats(-10.0, 10.0)))
     n_psi = draw(st.sampled_from((5, 60, 900)))
     if draw(st.booleans()):
-        phases = ScanConfig(n_psi=n_psi).grid
+        phases = ScanConfig(n_psi=n_psi).phase_grid()
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         phases = np.sort(rng.uniform(0.0, 2.0 * math.pi, n_psi))
@@ -185,7 +185,7 @@ def state_and_grid(draw):
 
 @settings(max_examples=300)
 @given(state_and_grid())
-@example((StateParams(1.0, 2.5, 0.9), ScanConfig(n_psi=60).grid))
+@example((StateParams(1.0, 2.5, 0.9), ScanConfig(n_psi=60).phase_grid()))
 @example((StateParams(1.0, 1.0, 0.0), np.linspace(0.0, 2.0, 5)))
 def test_discrete_fisher_matches_trig_form(case):
     """The harmonic-rotation kernel against eval_variance and variance_partials.
@@ -227,7 +227,7 @@ def test_discrete_fisher_keeps_the_expression_bits(log_s, log_kappa, phi, n_psi,
     if spacing == "random":
         phases = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_psi))
     else:
-        phases = ScanConfig(n_psi=n_psi).grid
+        phases = ScanConfig(n_psi=n_psi).phase_grid()
     upper = np.triu_indices(3)
     want = _fisher_expression(p, grid_harmonics(phases))[upper]
     got = fisher_homodyne_discrete(p, phases).as_array()[upper]

@@ -49,16 +49,22 @@ from squeezelab.cli import (
 
 
 def test_scan_csv_round_trip_bit_exact(tmp_path):
-    """repr floats survive the file system without losing a single bit."""
-    scan = sample_homodyne_scan(
-        StateParams(0.3, 1.7, 0.9), ScanConfig(n_psi=64, spacing="random"), seed=12
-    )
-    path = tmp_path / "scan.csv"
-    sio.write_scan_csv(path, scan, config_json={"seed": 12})
-    back = sio.read_scan_csv(path)
-    assert np.array_equal(back.phases, scan.phases)
-    assert np.array_equal(back.samples, scan.samples)
-    assert path.read_text().startswith('# config: {"seed": 12}\npsi_rad,q\n')
+    """repr floats survive the file system without losing a single bit, so
+    a scan read back estimates to the bytes of the scan as drawn."""
+    for spacing in ("random", "equispaced"):
+        scan = sample_homodyne_scan(
+            StateParams(0.3, 1.7, 0.9), ScanConfig(n_psi=64, spacing=spacing), seed=12
+        )
+        path = tmp_path / f"{spacing}.csv"
+        sio.write_scan_csv(path, scan, config_json={"seed": 12})
+        back = sio.read_scan_csv(path)
+        assert np.array_equal(back.phases, scan.phases)
+        assert np.array_equal(back.samples, scan.samples)
+        assert path.read_text().startswith('# config: {"seed": 12}\npsi_rad,q\n')
+        for estimate in (fit_estimate, mom_estimate):
+            drawn, read = estimate(scan), estimate(back)
+            assert drawn.predicted_cov is not None
+            assert repr(read) == repr(drawn) and read.flags == drawn.flags
 
 
 def test_dhd_csv_round_trip_bit_exact(tmp_path):
@@ -520,6 +526,13 @@ def test_every_run_config_field_is_a_config_key_echoed_back(tmp_path, capsys):
     cfg.write_text(json.dumps(want))
     assert main(["bounds", "--config", str(cfg)]) == 0
     assert _echo_config(capsys) == want
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    cfg = RunConfig()
+    assert cfg.scan_config() == ScanConfig()
+    assert cfg.drift_model() == DriftModel()
+    assert cfg.temporal_mode() == default_temporal_mode()
 
 
 @pytest.mark.parametrize("settings_file", [

@@ -25,6 +25,7 @@ from squeezelab import (
     empirical_family,
     eval_variance,
     fit_estimate,
+    grid_harmonics,
     mom_estimate,
     sample_dhd,
     sample_homodyne_scan,
@@ -52,7 +53,7 @@ RNG = np.random.default_rng(42)
 
 def test_fourier_components_single_sample_arithmetic():
     scan = HomodyneScan(
-        phases=np.array([0.0, 0.0, 0.0]), samples=np.array([2.0, 2.0, 2.0]), meta=None
+        phases=np.array([0.0, 0.0, 0.0]), samples=np.array([2.0, 2.0, 2.0])
     )
     c0, c2 = fit_moments(scan)
     assert c0 == pytest.approx(4.0, rel=1e-15)
@@ -60,7 +61,7 @@ def test_fourier_components_single_sample_arithmetic():
 
 
 def test_fourier_components_requires_three():
-    scan = HomodyneScan(phases=np.zeros(2), samples=np.ones(2), meta=None)
+    scan = HomodyneScan(phases=np.zeros(2), samples=np.ones(2))
     for estimate in (fit_estimate, mom_estimate):
         with pytest.raises(ValueError, match="need at least 3 samples"):
             estimate(scan)
@@ -97,7 +98,7 @@ def test_fit_vacuum_degenerate():
     scans = [moment_matched_scan(StateParams(1.0, 1.0, 0.0))]
     # q = 1 leaves a second harmonic of 0 to ~1e-16 of C0, by grid and summation order
     for n_psi in (300, 301, 600, 900, 1000, 1200):
-        scans.append(HomodyneScan(phases=ScanConfig(n_psi=n_psi).grid, samples=np.ones(n_psi)))
+        scans.append(HomodyneScan(phases=ScanConfig(n_psi=n_psi).phase_grid(), samples=np.ones(n_psi)))
     for scan in scans:
         r = fit_estimate(scan)
         assert r.params.s == pytest.approx(1.0, abs=1e-12)
@@ -112,7 +113,7 @@ def test_fit_nonphysical_flagged_not_clamped():
     cfg = ScanConfig(n_psi=720, n=2)
     psi = cfg.phase_grid()
     scan = HomodyneScan(
-        phases=psi, samples=np.sqrt(1.0 + np.cos(2 * psi)), meta=None
+        phases=psi, samples=np.sqrt(1.0 + np.cos(2 * psi))
     )
     r = fit_estimate(scan)
     assert not r.physical
@@ -127,7 +128,7 @@ def test_fit_equivariance_under_phase_shift():
     base = fit_estimate(scan)
     for delta in (0.3, 1.0, 2.2):
         shifted = HomodyneScan(
-            phases=scan.phases + delta, samples=scan.samples, meta=None
+            phases=scan.phases + delta, samples=scan.samples
         )
         r = fit_estimate(shifted)
         assert r.params.s == pytest.approx(base.params.s, abs=1e-12)
@@ -141,7 +142,7 @@ def test_fit_scaling_covariance():
     base = fit_estimate(scan)
     for g in (0.5, 2.0, 7.0):
         r = fit_estimate(
-            HomodyneScan(phases=scan.phases, samples=g * scan.samples, meta=None)
+            HomodyneScan(phases=scan.phases, samples=g * scan.samples)
         )
         assert r.params.s == pytest.approx(base.params.s, rel=1e-12)
         assert r.params.kappa == pytest.approx(g * g * base.params.kappa, rel=1e-12)
@@ -249,7 +250,7 @@ def test_prior_beyond_the_kappa_bound_is_rejected(s):
                 x2 = (scaled.samples**2)[None]
                 for kappa in (limit, 1.0 / limit):
                     coefs = variance_coefficients(s, kappa, 0.3)[0]
-                    [m] = estimators._mom_reducer(cfg.harmonics, x2)([coefs])
+                    [m] = estimators._mom_reducer(grid_harmonics(cfg.phase_grid()), x2)([coefs])
                     assert 0.0 < m[0] < math.inf
                     mom_estimate(scaled, prior=StateParams(s, kappa, 0.3))
 
@@ -288,7 +289,7 @@ def test_mom_estimate_auto_seed_matches_explicit_fit_seed():
 def test_mom_estimate_vacuum_data():
     cfg = ScanConfig()
     for scan in (moment_matched_scan(StateParams(1.0, 1.0, 0.0)),
-                 HomodyneScan(phases=cfg.grid, samples=np.ones(cfg.n_psi), meta=cfg)):
+                 HomodyneScan(phases=cfg.phase_grid(), samples=np.ones(cfg.n_psi))):
         r = mom_estimate(scan)
         assert r.params.s == pytest.approx(1.0, abs=1e-9)
         assert r.params.kappa == pytest.approx(1.0, abs=1e-9)
@@ -304,7 +305,7 @@ def test_mom_estimate_equivariance_with_rotated_prior():
     prior = StateParams(0.55, 1.7, 0.5)
     base = mom_estimate(scan, prior=prior)
     delta = 0.7
-    shifted = HomodyneScan(phases=scan.phases + delta, samples=scan.samples, meta=None)
+    shifted = HomodyneScan(phases=scan.phases + delta, samples=scan.samples)
     r = mom_estimate(
         shifted, prior=StateParams(prior.s, prior.kappa, prior.phi_s + delta)
     )
@@ -461,12 +462,12 @@ def test_tiny_samples_are_rejected(samples):
     estimated."""
     n = len(samples)
     cfg = ScanConfig(n_psi=n)
-    tiny = HomodyneScan(cfg.grid, np.array(samples), meta=cfg)
+    tiny = HomodyneScan(cfg.phase_grid(), np.array(samples))
     for estimate in (fit_estimate, mom_estimate,
                      lambda sc: mom_estimate(sc, prior=StateParams(0.5, 2.0, 0.3))):
         with pytest.raises(ValueError, match="mean square of 0 or at least 1e-100"):
             estimate(tiny)
-    zeros = HomodyneScan(cfg.grid, np.zeros(n), meta=cfg)
+    zeros = HomodyneScan(cfg.phase_grid(), np.zeros(n))
     assert FLAG_SEED_FALLBACK in mom_estimate(zeros).flags
 
 
@@ -508,7 +509,7 @@ def test_any_finite_scan_gives_an_estimate_or_value_error(n, rows, spacing, log_
         phases = np.sort(data.draw(arrays(np.float64, (rows, n), elements=st.floats(
             allow_nan=False, allow_infinity=False))), axis=1)
     else:
-        phases = cfg.grid
+        phases = cfg.phase_grid()
     prior = StateParams(10.0**log_s, 10.0**log_kappa, phi)
     calls = [
         lambda: fit_rows(ScanBlock.of(phases, q), compute_cov=True),
@@ -516,7 +517,7 @@ def test_any_finite_scan_gives_an_estimate_or_value_error(n, rows, spacing, log_
         lambda: mom_rows(ScanBlock.of(phases, q), priors=[prior] * rows, compute_cov=True),
     ]
     for i in range(rows):
-        scan = HomodyneScan(phases if phases.ndim == 1 else phases[i], q[i], meta=cfg)
+        scan = HomodyneScan(phases if phases.ndim == 1 else phases[i], q[i])
         calls += [lambda scan=scan: [fit_estimate(scan)], lambda scan=scan: [mom_estimate(scan)],
                   lambda scan=scan: [mom_estimate(scan, prior=prior)]]
     with warnings.catch_warnings():
@@ -536,10 +537,11 @@ def test_block_estimators_check_every_row(bad):
     truth = StateParams(0.5, 2.0, 0.3)
     cfg = ScanConfig(n_psi=64)
     q = np.stack([sample_homodyne_scan(truth, cfg, seed=0, trial=t).samples for t in range(5)])
-    assert len(fit_rows(ScanBlock.of(cfg.grid, q, cfg.harmonics))) == 5
+    grid = cfg.phase_grid()
+    assert len(fit_rows(ScanBlock.of(grid, q, grid_harmonics(grid)))) == 5
     q[3, 7] = bad
     with pytest.raises(ValueError, match="samples must be finite"):
-        ScanBlock.of(cfg.grid, q, cfg.harmonics)
+        ScanBlock.of(grid, q, grid_harmonics(grid))
 
     batches = [sample_dhd(truth, 64, seed=0, trial=t) for t in range(5)]
     q1 = np.stack([b.q1 for b in batches])
@@ -567,7 +569,7 @@ def test_block_moments_equal_per_scan_means(rows, n, seed, spacing):
     if spacing == "random":
         phases = np.sort(rng.uniform(0.0, 2.0 * math.pi, (rows, n)), axis=1)
     else:
-        phases = cfg.grid
+        phases = cfg.phase_grid()
     for i, got in enumerate(fit_rows(ScanBlock.of(phases, q))):
         psi = phases if phases.ndim == 1 else phases[i]
         x2 = q[i] * q[i]
@@ -629,10 +631,10 @@ def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, see
         at = data.draw(st.integers(0, len(scans)))
         q = np.ones(n) if kind == "vacuum" else np.zeros(n)
         scans.insert(at, HomodyneScan(scans[0].phases if spacing == "equispaced" else
-                                      np.sort(rng.uniform(0.0, 2.0 * math.pi, n)), q, meta=cfg))
+                                      np.sort(rng.uniform(0.0, 2.0 * math.pi, n)), q))
     rows = len(scans)
     q = np.stack([scan.samples for scan in scans])
-    phases = cfg.grid if spacing == "equispaced" else np.stack([scan.phases for scan in scans])
+    phases = cfg.phase_grid() if spacing == "equispaced" else np.stack([scan.phases for scan in scans])
     fits = fit_rows(ScanBlock.of(phases, q)) if seeding == "fits" else None
     priors = ([StateParams(rng.uniform(0.05, 2.0), rng.uniform(0.5, 4.0), rng.uniform(0.0, 4.0))
                for _ in range(rows)] if seeding == "priors" else None)
@@ -672,7 +674,7 @@ def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, see
             pb[bad] = StateParams(math.nan if what == "prior-nan" else 0.0, 2.0, 0.3)
         ph = phases[..., :qb.shape[1]]
         fits_b = None if fits is None or pb is not None else fits
-        one = HomodyneScan(ph if ph.ndim == 1 else ph[bad], qb[bad], meta=None)
+        one = HomodyneScan(ph if ph.ndim == 1 else ph[bad], qb[bad])
         want_err = _mom_errors(lambda: mom_estimate(
             one, max_iter=max_iter, prior=None if pb is None else pb[bad],
             fit=None if fits_b is None else fits_b[bad]))
@@ -717,7 +719,7 @@ def test_mom_covariance_follows_rescaled_samples(scale):
     guard must not read the change of units as a singular matrix."""
     scan = sample_homodyne_scan(StateParams(0.5, 1.5, 0.3), ScanConfig(), seed=0)
     base = mom_estimate(scan).predicted_cov.as_array()
-    r = mom_estimate(HomodyneScan(scan.phases, scan.samples * scale, meta=scan.meta))
+    r = mom_estimate(HomodyneScan(scan.phases, scan.samples * scale))
     assert r.predicted_cov is not None, r.flags
     d = np.diag([1.0, scale**2, 1.0])
     got = r.predicted_cov.as_array()
@@ -741,7 +743,7 @@ def test_mom_covariance_rejected_on_vacuum():
     """On an exact vacuum scan MoM lands on s = 1, where the angle carries
     no information: flagged, no covariance."""
     cfg = ScanConfig()
-    r = mom_estimate(HomodyneScan(phases=cfg.grid, samples=np.ones(cfg.n_psi), meta=cfg))
+    r = mom_estimate(HomodyneScan(phases=cfg.phase_grid(), samples=np.ones(cfg.n_psi)))
     assert r.params.s == 1.0
     assert r.predicted_cov is None
     assert FLAG_SINGULAR_INFORMATION in r.flags
@@ -760,7 +762,7 @@ def _pinned_results():
                 out += [fit_estimate(scan), mom_estimate(scan),
                         mom_rows(ScanBlock.of(scan.phases, scan.samples))[0],
                         mom_estimate(scan, prior=prior)]
-            phases = cfg.grid if cfg.spacing == "equispaced" else np.stack(
+            phases = cfg.phase_grid() if cfg.spacing == "equispaced" else np.stack(
                 [scan.phases for scan in scans])
             out += fit_rows(ScanBlock.of(phases, np.stack([scan.samples for scan in scans])),
                             compute_cov=True)
@@ -770,7 +772,7 @@ def _pinned_results():
                 out += dhd_rows(np.stack([b.q1 for b in batches]),
                                 np.stack([b.p2 for b in batches]), compute_cov=True)
     cfg = ScanConfig()
-    vacuum = HomodyneScan(cfg.grid, np.ones(cfg.n_psi), meta=cfg)
+    vacuum = HomodyneScan(cfg.phase_grid(), np.ones(cfg.n_psi))
     out += [fit_estimate(vacuum), mom_estimate(vacuum)]
     return out
 

@@ -53,7 +53,6 @@ from squeezelab.estimators import (
     FLAG_SINGULAR_INFORMATION,
     FLAG_SINGULAR_PRIOR,
     _mom_reducer,
-    _scan_block,
     _seed_prior,
 )
 from squeezelab.model import S_FLOOR, SingularMatrixError
@@ -184,7 +183,7 @@ def _stepwise_estimate(scan, prior, max_iter):
     """``mom_estimate(scan, prior=prior, max_iter=max_iter)`` as a loop of
     ``_step_moments`` and ``_step_update`` on the kernel's reducer sums.
     Returns (params, iterations, flags)."""
-    block = _scan_block(scan)
+    block = ScanBlock.of(scan.phases, scan.samples)
     reduce = _mom_reducer(block.harmonics, block.x2)
     s0, k0, p0 = _mirrored(prior.s, prior.kappa, prior.phi_s)
     step_flags = set()
@@ -293,12 +292,13 @@ def test_mom_estimate_matches_trig_reference():
     """Same iterations, flags and estimates as the iterated trig update,
     2000 scans: mom_rows on blocks of them and mom_estimate on each."""
     cfg = ScanConfig()
+    grid = cfg.phase_grid()
     for s in (0.21, 0.3, 0.5, 0.7, 0.9):
         scans = [sample_homodyne_scan(empirical_family(s, 0.4), cfg, seed=3, trial=t)
                  for t in range(400)]
         block = np.stack([scan.samples for scan in scans])
         blocks = [r for b in range(0, 400, 25)
-                  for r in mom_rows(ScanBlock.of(cfg.grid, block[b:b + 25], cfg.harmonics))]
+                  for r in mom_rows(ScanBlock.of(grid, block[b:b + 25], grid_harmonics(grid)))]
         for scan, in_block in zip(scans, blocks):
             alone = mom_estimate(scan)
             prior, seed_flags = _seed_prior(fit_estimate(scan))

@@ -49,6 +49,21 @@ def test_wrap_half_pi_range():
     assert np.all(grid > -math.pi / 2) and np.all(grid <= math.pi / 2 + 1e-15)
 
 
+def test_wrap_half_pi_takes_a_scalar():
+    """A Python float, a numpy scalar and a 0-d array wrap to the bits of
+    the array path's element, which are those of a masked subtraction."""
+    x = np.concatenate([np.linspace(-10.0, 10.0, 401),
+                        [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, 1e300, -1e-300]])
+    got = wrap_half_pi(x)
+    want = np.mod(x, math.pi)
+    want[want > math.pi / 2] -= math.pi
+    assert got.tobytes() == want.tobytes()
+    for v, w in zip(x.tolist(), got):
+        for arg in (v, np.float64(v), np.array(v)):
+            one = wrap_half_pi(arg)
+            assert np.ndim(one) == 0 and np.float64(one).tobytes() == w.tobytes()
+
+
 def test_method_bound_dispatch():
     p = StateParams(0.4, 1.6, 0.2)
     assert method_bound("fit", p, 900).as_tuple() == crb_homodyne(p, 900).as_tuple()
@@ -305,11 +320,13 @@ def test_block_collection_equals_per_trial_loop(s, kappa, phi, n_psi, mu, spacin
             assert got.tobytes() == w[k].tobytes()
 
 
-def test_grid_harmonics_computed_once_per_scan_config(monkeypatch):
-    """Every scan of a sweep or a track, and fit, MoM and the Fisher matrix
-    on it, share the config's harmonics: one computation per ScanConfig.
+def test_grid_harmonics_computed_once_per_sampler_call(monkeypatch):
+    """Every scan a sampler call draws on the equispaced grid, and fit, MoM
+    and the Fisher matrix on it, share one set of harmonics: one
+    computation per call, so one per truth of a sweep and one per track.
     With random spacing each drawn block gets one computation over all its
-    rows, shared by the fit, MoM and the Fisher matrix."""
+    rows, shared by the fit, MoM and the Fisher matrix.  A one-scan fit or
+    MoM estimate, with its covariance, computes them once."""
     calls = []
 
     def counting(phases):
@@ -319,12 +336,20 @@ def test_grid_harmonics_computed_once_per_scan_config(monkeypatch):
     for module in (bounds, estimators, simulate):
         monkeypatch.setattr(module, "grid_harmonics", counting)
     sweep_family((0.3, 0.5), ("fit", "mom"), 10, seed=2, scan_config=ScanConfig(n_psi=64))
-    assert calls == [64]
+    assert calls == [64, 64]
     calls.clear()
     res = track_angle(DriftModel(), empirical_family(0.5), ScanConfig(n_psi=48),
                       duration=0.01, seed=2)
     assert np.isfinite(res.half_width).any()  # the Fisher matrix ran
     assert calls == [48]
+
+    for spacing in ("equispaced", "random"):
+        scan = sample_homodyne_scan(StateParams(0.5, 3.0, 0.3),
+                                    ScanConfig(n_psi=200, spacing=spacing), seed=2)
+        for estimate in (fit_estimate, mom_estimate):
+            calls.clear()
+            assert estimate(scan).predicted_cov is not None  # the covariance ran
+            assert calls == [200]
 
     random = ScanConfig(n_psi=64, spacing="random")
     calls.clear()

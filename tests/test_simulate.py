@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -58,7 +59,6 @@ def test_scan_grid_and_meta():
     cfg = ScanConfig(n_psi=8, n=2)
     scan = sample_homodyne_scan(StateParams(0.5, 1.0, 0.0), cfg, seed=0)
     assert np.allclose(scan.phases, np.arange(8) * (2 * math.pi / 8))
-    assert scan.meta == cfg
     assert scan.samples.shape == (8,)
 
 
@@ -101,6 +101,33 @@ def test_scan_config_validation():
         ScanConfig(n=0)
     with pytest.raises(ValueError):
         ScanConfig(spacing="jittered")
+
+
+@pytest.mark.parametrize("field, value", [("n_psi", 10.5), ("n_psi", 64.0), ("n", 2.5),
+                                          ("n", np.float64(2.0))])
+def test_scan_config_refuses_a_non_integer_geometry(field, value):
+    """A float sample count or span raises, naming the field, when the config
+    is built, so before any draw; numpy integers are accepted and draw the
+    bytes of Python ints."""
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        ScanConfig(**{field: value})
+    truth = StateParams(0.5, 1.4, 0.2)
+    want = sample_homodyne_scan(truth, ScanConfig(n_psi=64, n=3), seed=4)
+    got = sample_homodyne_scan(truth, ScanConfig(n_psi=np.int64(64), n=np.int32(3)), seed=4)
+    assert got.phases.tobytes() == want.phases.tobytes()
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+def test_a_pickled_scan_config_draws_the_same_bytes(spacing):
+    cfg = ScanConfig(n_psi=48, n=3, spacing=spacing)
+    truth = StateParams(0.4, 1.8, 0.7)
+    want = sample_homodyne_scan(truth, cfg, seed=9, trial=2)
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and copy is not cfg
+    got = sample_homodyne_scan(truth, copy, seed=9, trial=2)
+    assert got.phases.tobytes() == want.phases.tobytes()
+    assert got.samples.tobytes() == want.samples.tobytes()
 
 
 # Unit roundoff of float64: eps = 2u.
@@ -152,7 +179,7 @@ def test_sampled_variance_within_its_rounding_bound(log_s, log_kappa, phi, n_psi
     bound = 18.0 * (2.0 * _U) * kappa * max(s, 1.0 / s)
     for i in range(rows):
         rng = keyed_generator(seed, _STREAM_SCAN, t0 + i)
-        psi = phases if phases is cfg.grid else phases[i]
+        psi = phases if phases.ndim == 1 else phases[i]
         if spacing == "random":
             rng.uniform(size=n_psi)
         z = rng.standard_normal(n_psi)
@@ -570,7 +597,7 @@ def test_block_rows_with_a_truth_per_trial(seed, t0, sizes, n_psi, spacing, pool
     trials = range(edges[0], edges[-1])
     truths = {t: pool[t % len(pool)] for t in trials}
     rows = [
-        (phases if phases is cfg.grid else phases[i], q[i])
+        (phases if phases.ndim == 1 else phases[i], q[i])
         for phases, _, q in sample_scan_blocks(truths, cfg, seed, blocks)
         for i in range(len(q))
     ]
@@ -616,7 +643,7 @@ def test_every_stream_replays_its_fresh_keyed_generator(params, seed, start, ste
     edges = np.cumsum([0] + sizes).tolist()
     blocks = [range(start + a * step, start + b * step, step) for a, b in zip(edges, edges[1:])]
     trials = range(start, start + edges[-1] * step, step)
-    scans = [(phases if phases is cfg.grid else phases[i], q[i])
+    scans = [(phases if phases.ndim == 1 else phases[i], q[i])
              for phases, _, q in sample_scan_blocks(params, cfg, seed, blocks)
              for i in range(len(q))]
     pairs = [qp for block in sample_dhd_blocks(params, mu, seed, blocks) for qp in block]
@@ -644,7 +671,9 @@ def test_an_empty_trial_range_yields_an_empty_block(spacing):
         if spacing == "random":
             assert phases.shape == (0, 8) and harmonics.shape == (0, 3, 8)
         else:
-            assert phases is cfg.grid and harmonics is cfg.harmonics
+            grid = cfg.phase_grid()
+            assert np.array_equal(phases, grid)
+            assert np.array_equal(harmonics, grid_harmonics(grid))
     [pairs] = sample_dhd_blocks(truth, 8, 0, [range(3, 3)])
     assert pairs.shape == (0, 8, 2)
 
