@@ -92,6 +92,8 @@ FLAG_SINGULAR_INFORMATION = "singular-information"
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 20
+# fewest samples per scan or DHD batch: three moments for three parameters
+MIN_SAMPLES = 3
 FALLBACK_PRIOR = StateParams(s=0.5, kappa=2.0, phi_s=0.0)
 
 # Largest mean square of a scan's samples, and largest DHD second moment,
@@ -175,13 +177,17 @@ class ScanBlock:
 
         ``harmonics`` are the rows ``grid_harmonics(phases)`` when the
         caller has them, as the scan sampler yields them; else they are
-        computed here, in one call over all the phases.  Fewer than 3
-        samples, or a row whose mean square fails ``_check_mean_square`` or
-        is positive but below 1 / MAX_MEAN_SQUARE, raise ValueError.
+        computed here, in one call over all the phases.  Fewer than
+        MIN_SAMPLES samples, phases of neither shape (N,) nor (B, N), or a
+        row whose mean square fails ``_check_mean_square`` or is positive
+        but below 1 / MAX_MEAN_SQUARE, raise ValueError.
         """
         q = np.atleast_2d(np.asarray(samples, dtype=float))
-        if q.shape[-1] < 3:
-            raise ValueError(f"need at least 3 samples, got {q.shape[-1]}")
+        if q.shape[-1] < MIN_SAMPLES:
+            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {q.shape[-1]}")
+        phases = np.asarray(phases, dtype=float)
+        if phases.shape not in ((q.shape[1],), q.shape):
+            raise ValueError(f"phases {phases.shape} fit neither (N,) nor (B, N) of {q.shape}")
         # an overflowing square makes the row's mean square inf or nan: both are caught
         with np.errstate(over="ignore"):
             x2 = q * q
@@ -192,7 +198,6 @@ class ScanBlock:
                 raise ValueError(f"samples must have a mean square of 0 or at least "
                                  f"{1.0 / MAX_MEAN_SQUARE:g}; got {m0!r} (data far out of "
                                  "shot-noise units)")
-        phases = np.asarray(phases, dtype=float)
         return cls(phases, grid_harmonics(phases) if harmonics is None else harmonics, x2)
 
     def row(self, i: int) -> ScanBlock:
@@ -303,14 +308,6 @@ def _mom_cov(est: StateParams, block: ScanBlock, i: int) -> SymMatrix3:
     return fisher_homodyne_discrete(est, block.phases, harmonics=block.harmonics).inverse()
 
 
-def _mirror(s: float, kappa: float, phi: float) -> tuple[float, float, float]:
-    """Gauge identity of the variance model: (s,k,phi) and (1/s,k,phi+pi/2)
-    describe the same state.  Map onto the s <= 1 branch."""
-    if s > 1.0:
-        return 1.0 / s, kappa, canonical_angle(phi + 0.5 * math.pi)
-    return s, kappa, phi
-
-
 def _seed_prior(fit: EstimateResult) -> tuple[StateParams, tuple]:
     """Fit-based starting point, clamped into the iteration domain, and
     the flags that the choice raises."""
@@ -336,15 +333,18 @@ def _mom_row(prior: StateParams, seed_flags: tuple, n: int, tol: float, max_iter
     next prior until the relative change max(|ds|/s, |dk|/k, circ|dphi|
     (1-s)/s) drops below tol.  The last step's ``nonphysical`` and
     ``singular-prior`` outcomes are carried as two booleans and become
-    flags when the row finishes.  Every iterate is mirror-canonicalized
-    onto s <= 1 (exact gauge move, not a clamp); without this, poor priors
-    converge to the mirrored fixed point and never meet the tolerance.  No
-    mid-iteration clamping: forcing s back inside (0, 1] deadlocks at the
-    s = 1 boundary where the angle weight vanishes.
+    flags when the row finishes.  The prior and every iterate are mirrored
+    onto s <= 1, since (s, k, phi) and (1/s, k, phi + pi/2) are one state
+    (exact gauge move, not a clamp); without this, poor priors converge to
+    the mirrored fixed point and never meet the tolerance.  No clamping:
+    forcing s back inside (0, 1] deadlocks at the s = 1 boundary where the
+    angle weight vanishes.
     """
-    s0, k0, p0 = _mirror(prior.s, prior.kappa, prior.phi_s)
-    scale = 0.5 / n
+    s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
     half_pi = 0.5 * math.pi
+    if s0 > 1.0:  # the mirror, as for every iterate below
+        s0, p0 = 1.0 / s0, canonical_angle(p0 + half_pi)
+    scale = 0.5 / n
     nonphysical = singular = converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -389,7 +389,7 @@ def _mom_row(prior: StateParams, seed_flags: tuple, n: int, tol: float, max_iter
         # a prior at the isotropic boundary (or a dead y1) has no angle update
         singular = phi_den == 0.0 or abs(1.0 - ss) < 1e-8
         p1 = p0 if singular else canonical_angle(p0 - 2.0 * b * hs / phi_den)
-        if s1 > 1.0:  # the mirror, as for the prior
+        if s1 > 1.0:  # the mirror
             s1, p1 = 1.0 / s1, canonical_angle(p1 + half_pi)
         if math.isfinite(s1) and math.isfinite(k1) and s1 > 0.0 and k1 > 0.0:
             # circular angle step, wrapped into [-pi/2, pi/2] as model.angle_distance
@@ -438,7 +438,7 @@ def mom_estimate(
 
 def mom_rows(block: ScanBlock, fits=None, priors=None, tol: float = DEFAULT_TOL,
              max_iter: int = DEFAULT_MAX_ITER, compute_cov: bool = False) -> list[EstimateResult]:
-    """``mom_estimate`` of each row of the block.
+    """``mom_estimate`` of each row of the block; a ``max_iter`` below 1 raises ValueError.
 
     Each row starts from ``priors[i]`` when priors are given, else from
     the fit ``fits[i]`` of that row, else from a fresh ``fit_rows``.  Every
@@ -450,6 +450,8 @@ def mom_rows(block: ScanBlock, fits=None, priors=None, tol: float = DEFAULT_TOL,
     iteration costs three reductions and no trig.  The covariance is
     formed only when ``compute_cov`` is set.
     """
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
     x2, h = block.x2, block.harmonics
     given = fits if priors is None else priors
     if given is not None and len(given) != len(x2):
@@ -466,12 +468,8 @@ def mom_rows(block: ScanBlock, fits=None, priors=None, tol: float = DEFAULT_TOL,
     coefs = []  # the variance coefficients of each live row's current iterate
     for i, (prior, seed_flags) in enumerate(seeds):
         row = _mom_row(prior, seed_flags, x2.shape[1], tol, max_iter, compute_cov, (block, i))
-        try:
-            coefs.append(next(row))
-            live.append((i, row))
-        except StopIteration as stop:
-            out[i] = stop.value
-    # max_iter is shared, so every row is live here or none is
+        coefs.append(next(row))
+        live.append((i, row))
     reduce = _mom_reducer(h, x2)
     while live:
         left = 0
@@ -514,8 +512,8 @@ def dhd_estimate(batch) -> EstimateResult:
 def dhd_rows(q1, p2, compute_cov: bool = False) -> list[EstimateResult]:
     """``dhd_estimate`` of each row of the float arrays ``q1`` and ``p2`` (B, mu)."""
     mu = q1.shape[-1]
-    if mu < 3:
-        raise ValueError(f"need at least 3 repetitions, got {mu}")
+    if mu < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} repetitions, got {mu}")
     # overflowing products of mixed sign can sum to nan: both are caught
     # by the check in _dhd_result
     with np.errstate(over="ignore", invalid="ignore"):

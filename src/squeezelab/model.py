@@ -9,8 +9,9 @@ Conventions used throughout the package:
 * physical states satisfy 0 < s <= 1 and kappa >= 1, but none of the
   functions here hard-enforce that: estimators are allowed to produce
   out-of-domain values and still need variances, covariances and dB
-  conversions evaluated at them.  Call ``StateParams.validate`` at
-  user-input boundaries instead.
+  conversions evaluated at them.  Input is checked where it enters, by the
+  command line's ``RunConfig``, ``check_harmonic_state`` (scan truths and
+  MoM priors) and ``check_drawn_states`` (DHD and trace truths).
 """
 
 from __future__ import annotations
@@ -99,25 +100,11 @@ class StateParams:
         Estimates of a boundary state land within a few ulp of the edge
         (MoM on an exact vacuum scan returns kappa = 1 - 1.1e-16), so s up to
         1 + PHYSICAL_EDGE_TOL and kappa down to 1 - PHYSICAL_EDGE_TOL count
-        as physical.  ``validate`` checks user input and stays strict.
+        as physical.  It judges estimates, not input (see the module docstring).
         """
         return (0.0 < self.s <= 1.0 + PHYSICAL_EDGE_TOL
                 and self.kappa >= 1.0 - PHYSICAL_EDGE_TOL
                 and math.isfinite(self.s) and math.isfinite(self.kappa))
-
-    @property
-    def purity(self) -> float:
-        return 1.0 / self.kappa
-
-    def validate(self) -> "StateParams":
-        """Raise ValueError unless the triple describes a physical state."""
-        if not (math.isfinite(self.s) and math.isfinite(self.kappa)):
-            raise ValueError(f"state parameters must be finite, got s={self.s}, kappa={self.kappa}")
-        if not 0.0 < self.s <= 1.0:
-            raise ValueError(f"squeezing ratio must satisfy 0 < s <= 1, got s={self.s}")
-        if self.kappa < 1.0:
-            raise ValueError(f"thermal factor must satisfy kappa >= 1, got kappa={self.kappa}")
-        return self
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.s, self.kappa, self.phi_s)

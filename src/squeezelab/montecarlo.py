@@ -49,6 +49,7 @@ from .estimators import (
     METHOD_FIT,
     METHOD_MOM,
     METHODS,
+    MIN_SAMPLES,
     ScanBlock,
     dhd_rows,
     fit_rows,
@@ -180,6 +181,10 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
             raise ValueError(f"unknown method {m!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if (METHOD_FIT in methods or METHOD_MOM in methods) and cfg.n_psi < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples per scan, got n_psi={cfg.n_psi}")
+    if METHOD_DHD in methods and mu < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} repetitions per DHD batch, got mu={mu}")
     workers = worker_count(workers, trials)
     edges = np.linspace(0, trials, workers + 1).astype(int).tolist()
     jobs = [
@@ -347,8 +352,9 @@ def sweep_family(
     each trial's scan is drawn once and estimated by both fit and MoM, as
     in the source experiment, and MoM is seeded from that fit.  The
     reports equal those of separate run_trials calls; with several
-    workers, one process pool serves every s value.  Fewer than 2 trials
-    raise ValueError before any draw.
+    workers, one process pool serves every s value.  Fewer than 2 trials,
+    or scans or DHD batches of fewer than MIN_SAMPLES samples, raise
+    ValueError before any draw.
     """
     truths = [
         empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)
@@ -441,8 +447,8 @@ def track_angle(
     fit).  The reported half-width is the predicted angle standard
     error sqrt([F^-1]_pp) at the per-scan estimate; the correlation-time
     fit uses the mean squared half-width as its measurement-noise floor.
-    A duration of fewer than 3 scans, which that fit needs, raises
-    ValueError before any draw.
+    A duration of fewer than 3 scans, which that fit needs, or scans of
+    fewer than MIN_SAMPLES phases raise ValueError before any draw.
     """
     # the scan count simulate_phase_drift draws
     n = int(duration / drift.step_interval) if duration > 0.0 else 0
@@ -450,6 +456,8 @@ def track_angle(
         raise ValueError(f"duration {duration!r} covers {n} scans of step_interval "
                          f"{drift.step_interval!r}; tracking needs at least 3")
     cfg = scan_config or ScanConfig()
+    if cfg.n_psi < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples per scan, got n_psi={cfg.n_psi}")
     offsets = simulate_phase_drift(drift, duration, seed=seed)
     times = np.arange(n) * drift.step_interval
     phi_true = base.phi_s + offsets

@@ -996,6 +996,29 @@ def test_simulate_refuses_a_truth_whose_data_estimate_refuses(tmp_path, capsys, 
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, rule", [
+    (["simulate", "--kind", "dhd", "--n", "2"], "repetitions per DHD batch, got n_samples=2"),
+    (["simulate", "--kind", "scan", "--n-psi", "2"], "samples per scan, got n_psi=2"),
+    (["simulate", "--kind", "trace", "--n-psi", "2"], "samples per scan, got n_psi=2"),
+    (["benchmark", "--methods", "dhd", "--n", "2"], "repetitions per DHD batch, got mu=2"),
+    (["benchmark", "--n-psi", "2"], "samples per scan, got n_psi=2"),
+    (["track", "--n-psi", "2"], "samples per scan, got n_psi=2"),
+], ids=["simulate-dhd", "simulate-scan", "simulate-trace", "benchmark-dhd", "benchmark-scan",
+        "track"])
+def test_too_few_samples_exit_1_before_any_draw(tmp_path, capsys, monkeypatch, argv, rule):
+    """Data that estimate would refuse, fewer than 3 samples per scan or
+    repetitions per DHD batch, are refused with status 1 before any draw."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew data")
+
+    monkeypatch.setattr(squeezelab.simulate, "keyed_generator", no_draw)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"need at least 3 {rule}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_trace_commands_refuse_random_spacing(tmp_path, capsys):
     """A trace's windows carry no phases: simulate and estimate of a trace
     with --spacing random exit 1 and write nothing."""

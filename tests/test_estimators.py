@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -65,6 +66,26 @@ def test_fourier_components_requires_three():
     for estimate in (fit_estimate, mom_estimate):
         with pytest.raises(ValueError, match="need at least 3 samples"):
             estimate(scan)
+
+
+def test_scan_block_refuses_phases_that_fit_no_row():
+    """Phases must be (N,) or (B, N) of the samples; the error names both shapes."""
+    samples = np.ones((2, 12))
+    for phases in (np.linspace(0, 3, 10), np.zeros((3, 12)), np.zeros((2, 10)), np.zeros(24)):
+        with pytest.raises(ValueError, match=re.escape(f"{phases.shape} fit neither (N,) nor "
+                                                       "(B, N) of (2, 12)")):
+            ScanBlock.of(phases, samples)
+    for phases in (np.zeros(12), np.zeros((2, 12))):
+        assert ScanBlock.of(phases, samples).phases.shape == phases.shape
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_mom_refuses_fewer_than_one_iteration(max_iter):
+    scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), ScanConfig(n_psi=64), seed=5)
+    with pytest.raises(ValueError, match="max_iter"):
+        mom_estimate(scan, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        mom_rows(ScanBlock.of(scan.phases, scan.samples), max_iter=max_iter)
 
 
 def test_fourier_components_population_means():

@@ -59,14 +59,6 @@ def test_state_params_canonicalizes_phi():
     assert p.phi_s == pytest.approx(0.3, abs=1e-12)
 
 
-def test_state_params_validate():
-    StateParams(1.0, 1.0, 0.0).validate()
-    StateParams(0.3, 5.0, 1.0).validate()
-    for s, k in [(0.0, 2.0), (-0.2, 2.0), (1.2, 2.0), (0.5, 0.9)]:
-        with pytest.raises(ValueError):
-            StateParams(s, k, 0.0).validate()
-
-
 def test_is_physical_admits_rounding_at_the_edges():
     edge = PHYSICAL_EDGE_TOL
     assert StateParams(1.0 + edge, 2.0).is_physical
@@ -75,14 +67,6 @@ def test_is_physical_admits_rounding_at_the_edges():
     assert not StateParams(0.5, 1.0 - 2.0 * edge).is_physical
     assert not StateParams(0.0, 2.0).is_physical
     assert not StateParams(0.5, math.inf).is_physical
-    # input checks stay strict
-    with pytest.raises(ValueError):
-        StateParams(1.0 + edge, 2.0).validate()
-
-
-def test_purity():
-    assert StateParams(0.5, 2.0, 0.0).purity == pytest.approx(0.5)
-    assert StateParams(1.0, 1.0, 0.0).purity == 1.0
 
 
 def test_vacuum_variance_is_one_everywhere():
@@ -146,7 +130,7 @@ def test_variance_partials_match_finite_differences():
 def test_empirical_family_values():
     p = empirical_family(0.20893)
     assert p.kappa == pytest.approx(2.18776, abs=1e-5)
-    assert p.purity == pytest.approx(0.457, abs=5e-4)
+    assert 1 / p.kappa == pytest.approx(0.457, abs=5e-4)
     assert squeezing_db(empirical_family(0.49205)) == pytest.approx(-1.54, abs=5e-3)
     with pytest.raises(ValueError):
         empirical_family(0.0)

@@ -532,6 +532,33 @@ def test_track_refuses_fewer_than_3_scans_before_any_draw(monkeypatch):
             track_angle(DriftModel(), base, cfg, duration=duration, seed=3)
 
 
+def test_too_few_samples_are_refused_before_any_draw(monkeypatch):
+    """Scans of fewer than 3 phases for the fit or MoM, and DHD batches of
+    fewer than 3 repetitions, which the estimators refuse, raise before any
+    draw; 3 of each run, and a DHD sweep ignores n_psi."""
+    truth = StateParams(0.5, 2.0, 0.3)
+    collect_estimates(truth, "mom", 2, scan_config=ScanConfig(n_psi=3))
+    collect_estimates(truth, "dhd", 2, scan_config=ScanConfig(n_psi=2), mu=3)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a scan, a DHD batch or the drift")
+
+    for name in ("sample_scan_blocks", "sample_dhd_blocks", "simulate_phase_drift"):
+        monkeypatch.setattr(montecarlo, name, no_draw)
+    two = ScanConfig(n_psi=2)
+    for method in ("fit", "mom"):
+        with pytest.raises(ValueError, match="at least 3 samples per scan, got n_psi=2"):
+            collect_estimates(truth, method, 2, scan_config=two)
+        with pytest.raises(ValueError, match="at least 3 samples per scan, got n_psi=2"):
+            sweep_family((0.5,), ("dhd", method), 2, scan_config=two, mu=3)
+    for call in (lambda: collect_estimates(truth, "dhd", 2, mu=2),
+                 lambda: sweep_family((0.5,), ("dhd",), 2, mu=2)):
+        with pytest.raises(ValueError, match="at least 3 repetitions per DHD batch, got mu=2"):
+            call()
+    with pytest.raises(ValueError, match="at least 3 samples per scan, got n_psi=2"):
+        track_angle(DriftModel(), truth, two, duration=0.01)
+
+
 def test_outputs_do_not_depend_on_the_block_size(monkeypatch):
     """Sweep report CSVs (fit, MoM and DHD, both spacings) and every track
     array are the same bytes at BLOCK_TRIALS 1, 3 and 16.  At 1, every sweep
