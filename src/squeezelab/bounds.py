@@ -58,45 +58,48 @@ def fisher_homodyne_discrete(params: StateParams, phases, *, harmonics=None) -> 
     vanish identically and the matrix is singular; callers flag that.
 
     No trig on the grid: ``harmonics`` are the rows (1, cos 2psi, sin 2psi)
-    of ``phases``, (3, N) (``grid_harmonics``, computed here when not given).
-    With u = psi - phi_s, C = cos 2u and S = sin 2u are rotations of those
-    rows, and V = a + b C, with a, b, cos 2phi_s and sin 2phi_s taken from
-    ``model.variance_coefficients``; the partials are
+    of ``phases``, (3, N) (``grid_harmonics`` when not given; another shape
+    raises ValueError).  V and its partials are affine in those rows, so one
+    product T @ harmonics gives them per phase.  With (a, bc, bs), cos 2phi_s
+    and sin 2phi_s from ``model.variance_coefficients``, r = kappa / (2 s^2)
+    and q = kappa (s - 1)(s + 1) / s, T's rows are
 
-        dV/ds     = kappa ((s^2 - 1) + (s^2 + 1) C) / (2 s^2)
-        dV/dkappa = V / kappa
-        dV/dphi_s = 2 b S
+        dV/ds     = r (s^2 - 1, (s^2 + 1) cos 2phi_s, (s^2 + 1) sin 2phi_s)
+        V         = (a, bc, bs)
+        dV/dphi_s = q (0, -sin 2phi_s, cos 2phi_s)
 
-    F is summed from these per-phase g arrays.  Expanding it instead into
-    moments of 1/V^2 against C^2, C S and S^2 cancels badly at small s.
+    q is 2b formed without the cancellation of s - 1/s near s = 1, and 0 at
+    s = 1.  dV/dkappa = V / kappa: its 1/kappa is taken on F's kappa row and
+    column after the sum, so w V^2 with w = 1/(2 V^2) is 1/2 to a few ulp
+    and F_kappakappa = N / (2 kappa^2) to a few ulp for any phases; a row
+    of V's coefficients over kappa would be rounded apart from V.
+
+    The rows are rounded at the scale of a, so their relative error grows
+    as eps / s^2 on the squeezed axis (``model.check_harmonic_state``).
+    F is summed from them per phase: expanding it into moments of 1/V^2
+    against the harmonics' products instead cancels badly at small s.
     """
     psi = np.asarray(phases, dtype=float)
     if psi.size == 0:
         raise ValueError("phase list must be non-empty")
     if harmonics is None:
         harmonics = grid_harmonics(psi)
+    if harmonics.shape != (3, psi.size):
+        raise ValueError(f"harmonics of shape {harmonics.shape} do not fit {psi.size} phases: "
+                         f"expected shape {(3, psi.size)}")
     s, k = params.s, params.kappa
-    (a, _, _), b, c2p, s2p = variance_coefficients(s, k, params.phi_s)
-    # the rotations from two (2, N) products, then g's rows and 1/(2 V^2)
-    # formed in place, in the order of the formulas above (the same bits)
-    hc = harmonics[1:] * c2p
-    hs = harmonics[1:] * s2p
-    cos2u = np.add(hc[0], hs[1], out=hc[0])
-    sin2u = np.subtract(hc[1], hs[0], out=hc[1])
-    g = np.empty((3, psi.size))
-    np.multiply(cos2u, s * s + 1.0, out=g[0])
-    g[0] += s * s - 1.0
-    g[0] *= k
-    g[0] /= 2.0 * s * s
-    v = cos2u
-    v *= b
-    v += a
-    np.divide(v, k, out=g[1])
-    np.multiply(sin2u, 2.0 * b, out=g[2])
-    v *= v
-    np.divide(0.5, v, out=v)
-    (ss, sk, sp), (_, kk, kp), (_, _, pp) = ((g * v) @ g.T).tolist()
-    return SymMatrix3(ss=ss, sk=sk, sp=sp, kk=kk, kp=kp, pp=pp)
+    v, _, c2p, s2p = variance_coefficients(s, k, params.phi_s)
+    r = k / (2.0 * s * s)
+    q = k * ((s - 1.0) * (s + 1.0)) / s
+    g = np.array((
+        (r * (s * s - 1.0), r * ((s * s + 1.0) * c2p), r * ((s * s + 1.0) * s2p)),
+        v,
+        (0.0, -q * s2p, q * c2p),
+    )) @ harmonics
+    w = g[1] * g[1]
+    np.divide(0.5, w, out=w)
+    (ss, sv, sp), (_, vv, vp), (_, _, pp) = ((g * w) @ g.T).tolist()
+    return SymMatrix3(ss=ss, sk=sv / k, sp=sp, kk=vv / k / k, kp=vp / k, pp=pp)
 
 
 def phase_averaged_fisher(params: StateParams) -> SymMatrix3:

@@ -343,9 +343,15 @@ def simulate_phase_drift(model: DriftModel, duration: float, seed: int = 0) -> n
         return out
     rho = math.exp(-model.step_interval / model.correlation_time)
     innov = model.amplitude * math.sqrt(1.0 - rho * rho)
-    out[0] = model.amplitude * z[0]
-    for k in range(1, n):
-        out[k] = rho * out[k - 1] + innov * z[k]
+    # the recurrence over Python floats: the same IEEE arithmetic, without
+    # a numpy scalar per index
+    zs = z.tolist()
+    x = model.amplitude * zs[0]
+    path = [x]
+    for zk in zs[1:]:
+        x = rho * x + innov * zk
+        path.append(x)
+    out[:] = path
     return out
 
 

@@ -7,7 +7,9 @@ information is also held to the numeric trace loop it replaced and to
 exact rational arithmetic.
 """
 
+import decimal
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +37,7 @@ from squeezelab import (
     variance_coefficients,
     variance_partials,
 )
+from squeezelab.model import S_FLOOR
 
 RNG = np.random.default_rng(777)
 
@@ -206,16 +209,15 @@ def _fisher_expression(p, harmonics):
     """The discrete Fisher matrix as one expression over fresh temporaries:
     the reference that the in-place kernel must reproduce bit for bit."""
     s, k = p.s, p.kappa
-    (a, _, _), b, c2p, s2p = variance_coefficients(s, k, p.phi_s)
-    cos2u = harmonics[1] * c2p + harmonics[2] * s2p
-    sin2u = harmonics[2] * c2p - harmonics[1] * s2p
-    v = a + b * cos2u
-    g = np.array((
-        k * ((s * s - 1.0) + (s * s + 1.0) * cos2u) / (2.0 * s * s),
-        v / k,
-        2.0 * b * sin2u,
-    ))
-    return (g * (0.5 / (v * v))) @ g.T
+    (a, bc, bs), _, c2p, s2p = variance_coefficients(s, k, p.phi_s)
+    r = k / (2.0 * s * s)
+    q = k * ((s - 1.0) * (s + 1.0)) / s
+    t = np.array(((r * (s * s - 1.0), r * ((s * s + 1.0) * c2p), r * ((s * s + 1.0) * s2p)),
+                  (a, bc, bs),
+                  (0.0, -q * s2p, q * c2p)))
+    g = t @ harmonics
+    f = (g * (0.5 / (g[1] * g[1]))) @ g.T
+    return f / np.array((1.0, k, 1.0))[:, None] / np.array((1.0, k, 1.0))
 
 
 @settings(max_examples=300)
@@ -232,6 +234,86 @@ def test_discrete_fisher_keeps_the_expression_bits(log_s, log_kappa, phi, n_psi,
     want = _fisher_expression(p, grid_harmonics(phases))[upper]
     got = fisher_homodyne_discrete(p, phases).as_array()[upper]
     assert got.tobytes() == want.tobytes()
+
+
+def test_discrete_fisher_refuses_harmonics_of_another_shape():
+    # a (B, 3, N) stack or rows of other phases would be read as rows of these
+    p = StateParams(0.4, 1.7, 0.3)
+    phases = ScanConfig(n_psi=5).phase_grid()
+    for harmonics in (grid_harmonics(np.stack((phases, phases))), grid_harmonics(phases[:4])):
+        with pytest.raises(ValueError, match=re.escape(f"{harmonics.shape}") + ".*" + re.escape("(3, 5)")):
+            fisher_homodyne_discrete(p, phases, harmonics=harmonics)
+
+
+@settings(max_examples=200)
+@given(log_s=st.floats(math.log(S_FLOOR), 0.0), log_kappa=st.floats(-3.0, 5.0),
+       phi=st.floats(-10.0, 10.0), n_psi=st.integers(1, 999),
+       spacing=st.sampled_from(SPACINGS), seed=st.integers(0, 2**32 - 1))
+def test_discrete_fisher_kappa_entry_is_n_over_two_kappa_squared(log_s, log_kappa, phi, n_psi,
+                                                                 spacing, seed):
+    """dV/dkappa = V / kappa, so w (dV/dkappa)^2 = 1/(2 kappa^2) at every phase
+    and F_kappakappa = N / (2 kappa^2) for any phases and any s.  Bound: N + 8
+    ulp, the first-order rounding of four products per phase, a sum of N
+    terms and two divisions, with slack for the second order."""
+    p = StateParams(math.exp(log_s), math.exp(log_kappa), phi)
+    if spacing == "random":
+        phases = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_psi))
+    else:
+        phases = ScanConfig(n_psi=n_psi).phase_grid()
+    exact = Fraction(n_psi, 2) / Fraction(p.kappa) ** 2
+    got = fisher_homodyne_discrete(p, phases).kk
+    assert abs(Fraction(got) - exact) <= (n_psi + 8) * Fraction(math.ulp(float(exact)))
+
+
+def _decimal_fisher(p, harmonics):
+    """(F, sum_j |w g_a g_b|) at 60 digits from the kernel's float inputs: s,
+    kappa, cos 2phi_s and sin 2phi_s as ``variance_coefficients`` gives them,
+    and the harmonics, each read exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal
+        _, _, c2p, s2p = variance_coefficients(p.s, p.kappa, p.phi_s)
+        s, k, c2p, s2p = d(p.s), d(p.kappa), d(c2p), d(s2p)
+        a, b = k * (s + 1 / s) / 2, k * (s - 1 / s) / 2
+        f = [[d(0)] * 3 for _ in range(3)]
+        mag = [[d(0)] * 3 for _ in range(3)]
+        for _, h1, h2 in harmonics.T.tolist():
+            cos2u = c2p * d(h1) + s2p * d(h2)
+            sin2u = c2p * d(h2) - s2p * d(h1)
+            v = a + b * cos2u
+            g = (k * ((s * s - 1) + (s * s + 1) * cos2u) / (2 * s * s), v / k, 2 * b * sin2u)
+            w = 1 / (2 * v * v)
+            for i in range(3):
+                for j in range(3):
+                    f[i][j] += w * g[i] * g[j]
+                    mag[i][j] += abs(w * g[i] * g[j])
+    return f, mag
+
+
+@settings(max_examples=200)
+@given(log_s=st.floats(math.log(S_FLOOR), 0.0), log_kappa=st.floats(-3.0, 5.0),
+       phi=st.floats(-10.0, 10.0), n_psi=st.integers(3, 64),
+       spacing=st.sampled_from(SPACINGS), seed=st.integers(0, 2**32 - 1))
+@example(log_s=-6.103515625e-05, log_kappa=0.0, phi=0.0, n_psi=3, spacing="equispaced", seed=0)
+def test_discrete_fisher_against_decimal_arithmetic(log_s, log_kappa, phi, n_psi, spacing, seed):
+    """Each entry within 64 eps (1 + 1/s^2) of the sum of |w g_a g_b| it
+    adds: V and the partials are rounded at the scale of a, so their
+    relative error grows as eps / s^2 on the squeezed axis.  The example near
+    s = 1 fails for a dV/dphi_s built from b = kappa (s - 1/s) / 2, which
+    cancels there.  At least three phases: for one or two, an entry can be a
+    single term whose partial cancels to near 0, and its error is then not
+    bounded by its own size."""
+    p = StateParams(math.exp(log_s), math.exp(log_kappa), phi)
+    if spacing == "random":
+        phases = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n_psi))
+    else:
+        phases = ScanConfig(n_psi=n_psi).phase_grid()
+    harmonics = grid_harmonics(phases)
+    want, mag = _decimal_fisher(p, harmonics)
+    got = fisher_homodyne_discrete(p, phases, harmonics=harmonics).as_array()
+    tol = decimal.Decimal(64 * np.finfo(float).eps * (1.0 + 1.0 / (p.s * p.s)))
+    for i, j in zip(*np.triu_indices(3)):
+        assert abs(decimal.Decimal(got[i, j]) - want[i][j]) <= tol * mag[i][j], (i, j)
 
 
 def test_discrete_fisher_grid_matches_closed_form():

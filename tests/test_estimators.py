@@ -828,4 +828,4 @@ def test_estimates_pinned_at_full_precision():
         "singular-information"}
     assert any(r.predicted_cov is not None for r in results)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "63c1911bada7d59296eff5588866ef5824d099bcc4a61b403bcb98f5af464070"
+    assert digest == "71d5e11f94a6b476b96daf359cd0811849f2e45ac370380b092a3a080decc605"

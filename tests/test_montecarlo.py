@@ -433,6 +433,31 @@ def test_autocorrelation_time_noise_corrected():
     assert raw < tau
 
 
+def _indexed_drift(model, duration, seed):
+    """The AR(1) recurrence as an indexed loop over numpy scalars: the
+    reference that the drift's Python-float loop must match bit for bit."""
+    n = int(duration / model.step_interval)
+    z = simulate.keyed_generator(seed, simulate._STREAM_DRIFT, 0).standard_normal(n)
+    rho = math.exp(-model.step_interval / model.correlation_time)
+    innov = model.amplitude * math.sqrt(1.0 - rho * rho)
+    out = np.empty(n)
+    out[0] = model.amplitude * z[0]
+    for k in range(1, n):
+        out[k] = rho * out[k - 1] + innov * z[k]
+    return out
+
+
+@pytest.mark.parametrize("model, duration, seed", [
+    (DriftModel(), 0.3, 0),
+    (DriftModel(), 5e-4, 4),
+    (DriftModel(correlation_time=0.05, amplitude=0.02), 0.8, 7),
+    (DriftModel(correlation_time=2e-5, step_interval=1e-4, amplitude=-3.5), 0.05, 11),
+])
+def test_mean_reverting_drift_keeps_the_indexed_loop_bits(model, duration, seed):
+    got = simulate_phase_drift(model, duration, seed=seed)
+    assert got.tobytes() == _indexed_drift(model, duration, seed).tobytes()
+
+
 def test_autocorrelation_time_degenerate_inputs():
     alternating = np.tile([1.0, -1.0], 50)
     assert math.isnan(autocorrelation_time(alternating, 1e-3))
