@@ -20,14 +20,19 @@ Shared conventions:
   fit, the MoM iterations and the MoM covariance read the grid only
   through them.  MoM takes V as the product of the harmonics
   with ``model.variance_coefficients``, as the sampler does;
-* every estimate of every method is finished by ``_result``: the method
-  passes its own sign test and its covariance as a module-level function
-  with its arguments, and ``_result`` sets ``physical``, the
-  ``nonphysical`` and ``singular-information`` flags and the covariance;
-* every method estimates a block of scans or batches at once
-  (``fit_rows`` and ``mom_rows`` of a ``ScanBlock``, ``dhd_rows``), and
+* every method finishes each row of a block of scans or batches in Python
+  floats, as a tuple of that row's parameters, ``physical`` (the method's
+  own sign test and ``model.in_physical_domain``), iterations and flag
+  bools (see ``_columns``): the fit and DHD from the block's moments,
+  reduced at once (``_fit_row``, ``_dhd_row``), and MoM as each row's
+  iteration ends.  ``fit_columns``, ``mom_columns`` and ``dhd_columns``
+  hand a block's rows on as columns, an ``Estimates``, which a Monte-Carlo
+  sweep stores without building an object per row; ``fit_rows``,
+  ``mom_rows`` and ``dhd_rows`` build one ``EstimateResult`` per row in
+  ``_results``, which flags ``nonphysical`` and, when asked for, forms the
+  covariance of each physical row or flags ``singular-information``.
   ``fit_estimate``, ``mom_estimate`` and ``dhd_estimate`` are the one-row
-  case: the fit and DHD moments are row reductions over the block, and
+  case.  The fit and DHD moments are row reductions over the block, and
   each MoM iteration reduces the rows not yet converged at once and
   updates each row on its own, so a row gets the same bits in any block;
 * samples whose mean square (or a DHD second moment) is not finite or
@@ -38,8 +43,10 @@ Shared conventions:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,12 +59,14 @@ from .model import (
     canonical_angle,
     check_harmonic_state,
     grid_harmonics,
+    in_physical_domain,
     variance_coefficients,
 )
 from .bounds import fisher_homodyne_discrete, fisher_dhd, fit_variance_prediction
 
 __all__ = [
     "EstimateResult",
+    "Estimates",
     "ScanBlock",
     "METHOD_FIT",
     "METHOD_MOM",
@@ -71,10 +80,13 @@ __all__ = [
     "FLAG_SINGULAR_INFORMATION",
     "fit_estimate",
     "fit_rows",
+    "fit_columns",
     "mom_estimate",
     "mom_rows",
+    "mom_columns",
     "dhd_estimate",
     "dhd_rows",
+    "dhd_columns",
     "MAX_MEAN_SQUARE",
 ]
 
@@ -128,24 +140,61 @@ class EstimateResult:
         return tuple(math.sqrt(v) if v >= 0 else float("nan") for v in d)
 
 
-def _result(method: str, est: StateParams, sign_ok: bool, flags: set, compute_cov: bool,
-            cov_fn, cov_args: tuple, iterations: int = 0,
-            prior_used: StateParams | None = None) -> EstimateResult:
-    """Finish an estimate of any method: physical when the method's own
-    ``sign_ok`` holds and ``est`` lies in the physical domain, else flagged
-    ``nonphysical``; a physical estimate gets ``cov_fn(est, *cov_args)``
-    when ``compute_cov`` is set, or the ``singular-information`` flag."""
-    physical = sign_ok and est.is_physical
-    if not physical:
-        flags.add(FLAG_NONPHYSICAL)
-    cov = None
-    if physical and compute_cov:
-        try:
-            cov = cov_fn(est, *cov_args)
-        except SingularMatrixError:
-            flags.add(FLAG_SINGULAR_INFORMATION)
-    return EstimateResult(params=est, predicted_cov=cov, method=method, physical=physical,
-                          iterations=iterations, prior_used=prior_used, flags=frozenset(flags))
+class Estimates(NamedTuple):
+    """One method's estimates of a block of B scans or batches, as columns:
+    sequences of B Python values, one per row.
+
+    ``params`` holds each row's (s, kappa, phi_s), ``physical`` whether the
+    method's own sign test holds and the row lies in
+    ``model.in_physical_domain``, ``iterations`` the MoM iterations (0 for
+    the fit and DHD), and ``flags`` maps each flag the method raises to its
+    column of bools.  A row not physical is flagged ``nonphysical``;
+    ``singular-information`` arises only where ``_results`` forms a
+    covariance from the same finished rows.
+    """
+
+    params: Sequence
+    physical: Sequence
+    iterations: Sequence
+    flags: dict
+
+
+# the flags that each method's finished rows carry, in order (see _columns)
+_FIT_DHD_FLAGS = (FLAG_DEGENERATE,)
+_MOM_FLAGS = (FLAG_SINGULAR_PRIOR, FLAG_NO_CONVERGENCE, FLAG_SEED_FALLBACK)
+
+
+def _columns(names: tuple, rows: list) -> Estimates:
+    """The columns of a block's finished rows.  A finished row is a tuple
+    ((s, kappa, phi_s), physical, iterations, *raised), with one bool in
+    ``raised`` for each flag of ``names``."""
+    params, physical, iterations, *raised = zip(*rows) if rows else ((),) * (3 + len(names))
+    return Estimates(params, physical, iterations, dict(zip(names, raised)))
+
+
+def _results(method: str, names: tuple, rows: list, cov=None,
+             priors=None) -> list[EstimateResult]:
+    """Each finished row (see ``_columns``) as an EstimateResult, flagged
+    ``nonphysical`` where it is not physical.  With ``cov`` given, a
+    physical row i gets the covariance ``cov(params, i)``, or the
+    ``singular-information`` flag; ``priors`` are the rows' MoM priors."""
+    out = []
+    for i, (p, physical, iterations, *raised) in enumerate(rows):
+        params = StateParams(*p)
+        flags = set(compress(names, raised))
+        predicted = None
+        if not physical:
+            flags.add(FLAG_NONPHYSICAL)
+        elif cov is not None:
+            try:
+                predicted = cov(params, i)
+            except SingularMatrixError:
+                flags.add(FLAG_SINGULAR_INFORMATION)
+        out.append(EstimateResult(params=params, predicted_cov=predicted, method=method,
+                                  physical=physical, iterations=iterations,
+                                  prior_used=None if priors is None else priors[i],
+                                  flags=frozenset(flags)))
+    return out
 
 
 def _check_mean_square(value: float, what: str) -> None:
@@ -231,36 +280,41 @@ def fit_estimate(scan) -> EstimateResult:
 
 def fit_rows(block: ScanBlock, compute_cov: bool = False) -> list[EstimateResult]:
     """``fit_estimate`` of each row of the block; the covariance is formed
-    only when ``compute_cov`` is set.
+    only when ``compute_cov`` is set."""
+    n = block.x2.shape[-1]
+    return _results(METHOD_FIT, _FIT_DHD_FLAGS, _fit_finish(block),
+                    (lambda est, i: _fit_cov(est, n)) if compute_cov else None)
+
+
+def fit_columns(block: ScanBlock) -> Estimates:
+    """``fit_rows`` of the block as columns, without the covariance."""
+    return _columns(_FIT_DHD_FLAGS, _fit_finish(block))
+
+
+def _fit_finish(block: ScanBlock) -> list:
+    """The finished fit of each row of the block (see ``_columns``).
 
     The Fourier moments (mean q^2, mean q^2 cos 2psi, mean q^2 sin 2psi)
     are pairwise row sums (as np.mean), not a BLAS product, so the first
     is exactly the row's checked mean square.
     """
-    n = block.x2.shape[-1]
     moments = (block.harmonics * block.x2[:, None]).mean(axis=-1).tolist()
-    return [_fit_result(m0, mc, ms, n, compute_cov) for m0, mc, ms in moments]
+    return [_fit_row(c0, mc, ms) for c0, mc, ms in moments]
 
 
-def _fit_result(c0: float, mc: float, ms: float, n: int, compute_cov: bool) -> EstimateResult:
-    """Inversion, flags and covariance of one fit from its Fourier moments."""
+def _fit_row(c0: float, mc: float, ms: float) -> tuple:
+    """One fit's inversion of its Fourier moments, C2 = mc - i ms, as a
+    finished row (see ``_columns``)."""
     c2 = complex(mc, -ms)
     amp = abs(c2)
     m = c0 - 2.0 * amp
     big = c0 + 2.0 * amp
-
-    flags = set()
-    if amp <= _DEGENERATE_REL_C2 * c0:
-        # no second harmonic: the angle is undefined, s comes out 1
-        flags.add(FLAG_DEGENERATE)
-        phi = 0.0
-    else:
-        phi = canonical_angle(-0.5 * math.atan2(-c2.imag, -c2.real))
-
+    # no second harmonic: the angle is undefined, s comes out 1
+    degenerate = amp <= _DEGENERATE_REL_C2 * c0
+    phi = 0.0 if degenerate else canonical_angle(-0.5 * math.atan2(-c2.imag, -c2.real))
     s_hat = _signed_sqrt(m / big) if big != 0.0 else float("nan")
     k_hat = _signed_sqrt(m * big)
-    est = StateParams(s=s_hat, kappa=k_hat, phi_s=phi)
-    return _result(METHOD_FIT, est, m > 0.0, flags, compute_cov, _fit_cov, (n,))
+    return (s_hat, k_hat, phi), m > 0.0 and in_physical_domain(s_hat, k_hat), 0, degenerate
 
 
 def _fit_cov(est: StateParams, n: int) -> SymMatrix3:
@@ -308,39 +362,40 @@ def _mom_cov(est: StateParams, block: ScanBlock, i: int) -> SymMatrix3:
     return fisher_homodyne_discrete(est, block.phases, harmonics=block.harmonics).inverse()
 
 
-def _seed_prior(fit: EstimateResult) -> tuple[StateParams, tuple]:
-    """Fit-based starting point, clamped into the iteration domain, and
-    the flags that the choice raises."""
-    s, k = fit.params.s, fit.params.kappa
-    if not (math.isfinite(s) and math.isfinite(k)) or s <= 0.0 or k <= 0.0:
-        return FALLBACK_PRIOR, (FLAG_SEED_FALLBACK,)
-    return StateParams(
-        s=min(max(s, 0.01), 1.0),
-        kappa=min(max(k, 1.0), 100.0),
-        phi_s=fit.params.phi_s,
-    ), ()
+def _seed_priors(fits) -> tuple[list, list]:
+    """MoM's starting points from fits, one (s, kappa, phi_s) each: each
+    fit clamped into the iteration domain, s to [0.01, 1] and kappa to
+    [1, 100], or FALLBACK_PRIOR where its s or kappa is not finite and
+    positive; and the column of bools marking the rows that fell back."""
+    seeds, fallback = [], []
+    for s, k, phi in fits:
+        fell = not (math.isfinite(s) and math.isfinite(k)) or s <= 0.0 or k <= 0.0
+        seeds.append(FALLBACK_PRIOR.as_tuple() if fell
+                     else (min(max(s, 0.01), 1.0), min(max(k, 1.0), 100.0), phi))
+        fallback.append(fell)
+    return seeds, fallback
 
 
-def _mom_row(prior: StateParams, seed_flags: tuple, n: int, tol: float, max_iter: int,
-             compute_cov: bool, cov_args: tuple):
-    """One row's MoM estimate, as a generator: it yields the variance
-    coefficients of each iterate (see ``model.variance_coefficients``), is
-    sent the row's ``_mom_reducer`` sums back, and returns the finished
-    EstimateResult.
+def _mom_row(s0: float, k0: float, p0: float, n: int, tol: float, max_iter: int):
+    """One row's MoM estimate from the prior (s0, k0, p0), as a generator:
+    it yields the variance coefficients of each iterate (see
+    ``model.variance_coefficients``), is sent the row's ``_mom_reducer``
+    sums back, and returns ((s, kappa, phi_s), physical, iterations,
+    singular-prior, no-convergence), the start of its finished row.
 
     Each iteration takes the closed-form moment step from those sums in
     this frame, as derived in the comments below, and feeds it back as the
     next prior until the relative change max(|ds|/s, |dk|/k, circ|dphi|
     (1-s)/s) drops below tol.  The last step's ``nonphysical`` and
-    ``singular-prior`` outcomes are carried as two booleans and become
-    flags when the row finishes.  The prior and every iterate are mirrored
+    ``singular-prior`` outcomes are carried as two booleans; the estimate
+    is physical when the step was and it lies in
+    ``model.in_physical_domain``.  The prior and every iterate are mirrored
     onto s <= 1, since (s, k, phi) and (1/s, k, phi + pi/2) are one state
     (exact gauge move, not a clamp); without this, poor priors converge to
     the mirrored fixed point and never meet the tolerance.  No clamping:
     forcing s back inside (0, 1] deadlocks at the s = 1 boundary where the
     angle weight vanishes.
     """
-    s0, k0, p0 = prior.s, prior.kappa, prior.phi_s
     half_pi = 0.5 * math.pi
     if s0 > 1.0:  # the mirror, as for every iterate below
         s0, p0 = 1.0 / s0, canonical_angle(p0 + half_pi)
@@ -404,15 +459,8 @@ def _mom_row(prior: StateParams, seed_flags: tuple, n: int, tol: float, max_iter
                 converged = True
                 break
         s0, k0, p0 = s1, k1, p1
-    flags = set(seed_flags)
-    if nonphysical:
-        flags.add(FLAG_NONPHYSICAL)
-    if singular:
-        flags.add(FLAG_SINGULAR_PRIOR)
-    if not converged:
-        flags.add(FLAG_NO_CONVERGENCE)
-    return _result(METHOD_MOM, StateParams(s0, k0, p0), not nonphysical,
-                   flags, compute_cov, _mom_cov, cov_args, iterations, prior)
+    physical = not nonphysical and in_physical_domain(s0, k0)
+    return (s0, k0, p0), physical, iterations, singular, not converged
 
 
 def mom_estimate(
@@ -441,33 +489,55 @@ def mom_rows(block: ScanBlock, fits=None, priors=None, tol: float = DEFAULT_TOL,
     """``mom_estimate`` of each row of the block; a ``max_iter`` below 1 raises ValueError.
 
     Each row starts from ``priors[i]`` when priors are given, else from
-    the fit ``fits[i]`` of that row, else from a fresh ``fit_rows``.  Every
-    iteration does the O(N) work of all rows not yet converged at once
-    (``_mom_reducer``) and each row's scalar update on its own
-    (``_mom_row``); a row leaves the block when it converges, and it
-    takes the same steps and bits as it would alone.  The iterations and
-    the covariance read the grid only through the block's harmonics, so an
-    iteration costs three reductions and no trig.  The covariance is
-    formed only when ``compute_cov`` is set.
+    the fit ``fits[i]`` of that row, else from the row's fresh fit; the
+    rows are iterated as ``mom_columns`` iterates them.  The covariance is
+    formed only when ``compute_cov`` is set, from the block's harmonics.
     """
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-    x2, h = block.x2, block.harmonics
-    given = fits if priors is None else priors
-    if given is not None and len(given) != len(x2):
-        raise ValueError(f"need one prior or fit per row: {len(given)} for {len(x2)} rows")
     if priors is None:
-        seeds = map(_seed_prior, fit_rows(block) if fits is None else fits)
+        seeds, fallback = _seed_priors([row[0] for row in _fit_finish(block)] if fits is None
+                                       else [f.params.as_tuple() for f in fits])
+        priors = [StateParams(*p) for p in seeds]
     else:
         for prior in priors:  # checked, not replaced by the loop guards
             check_harmonic_state(prior, "prior")
-        seeds = zip(priors, repeat(()))
+        seeds = [p.as_tuple() for p in priors]
+        fallback = [False] * len(priors)
+    return _results(METHOD_MOM, _MOM_FLAGS, _mom_finish(block, seeds, fallback, tol, max_iter),
+                    (lambda est, i: _mom_cov(est, block, i)) if compute_cov else None, priors)
 
+
+def mom_columns(block: ScanBlock, fit: Estimates, tol: float = DEFAULT_TOL,
+                max_iter: int = DEFAULT_MAX_ITER) -> Estimates:
+    """MoM on each row of the block seeded from that row of its
+    ``fit_columns`` ``fit``, as columns, without the covariance; a
+    ``max_iter`` below 1 raises ValueError.
+
+    Every iteration does the O(N) work of all rows not yet converged at
+    once (``_mom_reducer``) and each row's scalar update on its own
+    (``_mom_row``); a row leaves the block when it converges, and it takes
+    the same steps and bits as it would alone.  The iterations read the
+    grid only through the block's harmonics, so an iteration costs three
+    reductions and no trig.
+    """
+    return _columns(_MOM_FLAGS, _mom_finish(block, *_seed_priors(fit.params), tol, max_iter))
+
+
+def _mom_finish(block: ScanBlock, seeds: list, fallback: list, tol: float,
+                max_iter: int) -> list:
+    """The finished MoM estimate of each row of the block (see
+    ``_columns``) from the rows' priors ``seeds``, one (s, kappa, phi_s)
+    each, of which the bools ``fallback`` mark those flagged
+    ``seed-fallback``; a ``max_iter`` below 1 raises ValueError."""
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    x2, h = block.x2, block.harmonics
+    if len(seeds) != len(x2):
+        raise ValueError(f"need one prior or fit per row: {len(seeds)} for {len(x2)} rows")
     out = [None] * len(x2)
     live = []  # (row, its estimate) of each row still iterating
     coefs = []  # the variance coefficients of each live row's current iterate
-    for i, (prior, seed_flags) in enumerate(seeds):
-        row = _mom_row(prior, seed_flags, x2.shape[1], tol, max_iter, compute_cov, (block, i))
+    for i, seed in enumerate(seeds):
+        row = _mom_row(*seed, x2.shape[1], tol, max_iter)
         coefs.append(next(row))
         live.append((i, row))
     reduce = _mom_reducer(h, x2)
@@ -477,7 +547,8 @@ def mom_rows(block: ScanBlock, fits=None, priors=None, tol: float = DEFAULT_TOL,
             try:
                 coefs[k] = live[k][1].send(m)
             except StopIteration as stop:
-                out[live[k][0]] = stop.value
+                done = live[k][0]
+                out[done] = (*stop.value, fallback[done])
                 coefs[k] = None
                 left += 1
         if left:
@@ -512,40 +583,46 @@ def dhd_estimate(batch) -> EstimateResult:
 def dhd_rows(q1, p2, compute_cov: bool = False) -> list[EstimateResult]:
     """``dhd_estimate`` of each row of the float arrays ``q1`` and ``p2`` (B, mu)."""
     mu = q1.shape[-1]
-    if mu < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} repetitions, got {mu}")
+    return _results(METHOD_DHD, _FIT_DHD_FLAGS, _dhd_finish(q1, p2),
+                    (lambda est, i: _dhd_cov(est, mu)) if compute_cov else None)
+
+
+def dhd_columns(q1, p2) -> Estimates:
+    """``dhd_rows`` of ``q1`` and ``p2`` as columns, without the covariance."""
+    return _columns(_FIT_DHD_FLAGS, _dhd_finish(q1, p2))
+
+
+def _dhd_finish(q1, p2) -> list:
+    """The finished DHD estimate of each row of ``q1`` and ``p2`` (see ``_columns``)."""
+    if q1.shape[-1] < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} repetitions, got {q1.shape[-1]}")
     # overflowing products of mixed sign can sum to nan: both are caught
-    # by the check in _dhd_result
+    # by the check in _dhd_row
     with np.errstate(over="ignore", invalid="ignore"):
         xx = (q1 * q1).mean(axis=1).tolist()
         xp = (q1 * p2).mean(axis=1).tolist()
         pp = (p2 * p2).mean(axis=1).tolist()
-    return [_dhd_result(*m, mu, compute_cov) for m in zip(xx, xp, pp)]
+    return [_dhd_row(*m) for m in zip(xx, xp, pp)]
 
 
-def _dhd_result(xx: float, xp: float, pp: float, mu: int, compute_cov: bool) -> EstimateResult:
-    """Eigensystem, flags and covariance of one DHD estimate from its moments.
+def _dhd_row(xx: float, xp: float, pp: float) -> tuple:
+    """One DHD estimate's eigensystem from its second moments, as a
+    finished row (see ``_columns``).
 
     Finite xx and pp within the limit bound every q1 and p2 and hence xp.
     """
     _check_mean_square(xx, "q1")
     _check_mean_square(pp, "p2")
-    gamma = SymMatrix2(xx=xx - 1.0, xp=xp, pp=pp - 1.0)
-    lam_min, lam_max, angle = gamma.eigensystem()
-
-    flags = set()
+    lam_min, lam_max, angle = SymMatrix2(xx=xx - 1.0, xp=xp, pp=pp - 1.0).eigensystem()
     scale = max(abs(lam_min), abs(lam_max), 1e-300)
-    if (lam_max - lam_min) <= _DEGENERATE_REL_GAP * scale:
-        flags.add(FLAG_DEGENERATE)
-        angle = 0.0
-
+    degenerate = (lam_max - lam_min) <= _DEGENERATE_REL_GAP * scale
     # both roots carry the sign of lam_min: with lam_max < 0 the ratio and
     # the product are positive, and a plain signed root would look physical
     s_hat = (math.copysign(math.sqrt(abs(lam_min / lam_max)), lam_min)
              if lam_max != 0.0 else float("nan"))
     k_hat = math.copysign(math.sqrt(abs(lam_min * lam_max)), lam_min)
-    est = StateParams(s=s_hat, kappa=k_hat, phi_s=angle)
-    return _result(METHOD_DHD, est, lam_min > 0.0, flags, compute_cov, _dhd_cov, (mu,))
+    return ((s_hat, k_hat, 0.0 if degenerate else angle),
+            lam_min > 0.0 and in_physical_domain(s_hat, k_hat), 0, degenerate)
 
 
 def _dhd_cov(est: StateParams, mu: int) -> SymMatrix3:

@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "PHYSICAL_EDGE_TOL",
+    "in_physical_domain",
     "S_FLOOR",
     "KAPPA_LIMIT",
     "MAX_DRAW_VARIANCE",
@@ -69,9 +70,23 @@ def angle_distance(a: float, b: float) -> float:
     return abs(d)
 
 
-# rounding slack on the s <= 1 and kappa >= 1 edges of StateParams.is_physical:
+# rounding slack on the s <= 1 and kappa >= 1 edges of in_physical_domain:
 # four ulp of 1, a few roundings of the estimators' last arithmetic steps
 PHYSICAL_EDGE_TOL = 4.0 * math.ulp(1.0)
+
+
+def in_physical_domain(s, kappa):
+    """0 < s <= 1 and 1 <= kappa < inf, each edge of 1 widened by PHYSICAL_EDGE_TOL.
+
+    Estimates of a boundary state land within a few ulp of the edge (MoM on
+    an exact vacuum scan returns kappa = 1 - 1.1e-16), so s up to
+    1 + PHYSICAL_EDGE_TOL and kappa down to 1 - PHYSICAL_EDGE_TOL count as
+    physical; nan fails every test.  Floats give a bool, arrays an
+    elementwise bool array.  It judges estimates, not input (see the module
+    docstring).
+    """
+    return ((0.0 < s) & (s <= 1.0 + PHYSICAL_EDGE_TOL)
+            & (kappa >= 1.0 - PHYSICAL_EDGE_TOL) & (kappa < math.inf))
 
 
 @dataclass(frozen=True)
@@ -95,16 +110,8 @@ class StateParams:
 
     @property
     def is_physical(self) -> bool:
-        """0 < s <= 1 and kappa >= 1, each edge widened by PHYSICAL_EDGE_TOL.
-
-        Estimates of a boundary state land within a few ulp of the edge
-        (MoM on an exact vacuum scan returns kappa = 1 - 1.1e-16), so s up to
-        1 + PHYSICAL_EDGE_TOL and kappa down to 1 - PHYSICAL_EDGE_TOL count
-        as physical.  It judges estimates, not input (see the module docstring).
-        """
-        return (0.0 < self.s <= 1.0 + PHYSICAL_EDGE_TOL
-                and self.kappa >= 1.0 - PHYSICAL_EDGE_TOL
-                and math.isfinite(self.s) and math.isfinite(self.kappa))
+        """``in_physical_domain(s, kappa)``."""
+        return in_physical_domain(self.s, self.kappa)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.s, self.kappa, self.phi_s)

@@ -12,11 +12,13 @@ BLOCK_TRIALS: the sampler does the per-truth work once and draws each
 trial's row from that trial's own stream, each scan block is prepared once
 (``ScanBlock.of``: the sampler's harmonics and the checked squares) for the
 fit and MoM, the fit and DHD reduce the whole block at once, and MoM
-iterates the block from the block's fits, reducing the rows not yet
-converged together and updating each row on its own.
-One loop over the DHD blocks and one over the scan blocks write each
-block's estimates straight into the chunk's preallocated per-method
-arrays, and the chunks are merged the same way for one worker or many.
+iterates the block seeded from the block's fit columns, reducing the rows
+not yet converged together and updating each row on its own.
+Each method hands a block on as columns (``estimators.Estimates``), and
+one loop over the DHD blocks and one over the scan blocks store them by
+slice in the chunk's preallocated per-method arrays, so a sweep builds no
+result object per trial; the chunks are merged the same way for one worker
+or many.
 Every row is computed as in a separate single-trial call, so the
 estimates do not depend on the block size or on where a chunk starts, and
 the constant block size caps the memory a block takes.
@@ -51,8 +53,9 @@ from .estimators import (
     METHODS,
     MIN_SAMPLES,
     ScanBlock,
-    dhd_rows,
-    fit_rows,
+    dhd_columns,
+    fit_columns,
+    mom_columns,
     mom_rows,
 )
 from .simulate import (
@@ -137,7 +140,8 @@ def _collect_range(args):
     """Worker entry point (picklable args): per-method (params, physical,
     iterations) arrays for trials [t0, t1), in blocks of BLOCK_TRIALS.
     Methods of one data kind share each trial's draw, and MoM is seeded
-    from the fit of that scan (the same fit when fit is among the methods).
+    from the fit columns of that scan block (the same fit when fit is among
+    the methods).
     """
     (truth, methods, scan_cfg, mu, seed, t0, t1, tol, max_iter) = args
     count = t1 - t0
@@ -147,25 +151,23 @@ def _collect_range(args):
     }
     blocks = [range(b, min(b + BLOCK_TRIALS, t1)) for b in range(t0, t1, BLOCK_TRIALS)]
 
-    def store(method, trials, results):
-        est, physical, iters = parts[method]
+    def store(method, trials, est):
+        params, physical, iterations = parts[method]
         rows = slice(trials.start - t0, trials.stop - t0)
-        est[rows] = [r.params.as_tuple() for r in results]
-        physical[rows] = [r.physical for r in results]
-        iters[rows] = [r.iterations for r in results]
+        params[rows], physical[rows], iterations[rows] = est.params, est.physical, est.iterations
 
     if METHOD_DHD in methods:
         for trials, qp in zip(blocks, sample_dhd_blocks(truth, mu, seed, blocks)):
-            store(METHOD_DHD, trials, dhd_rows(qp[..., 0], qp[..., 1]))
+            store(METHOD_DHD, trials, dhd_columns(qp[..., 0], qp[..., 1]))
     if METHOD_FIT in methods or METHOD_MOM in methods:
         drawn = sample_scan_blocks(truth, scan_cfg, seed, blocks)
         for trials, (phases, harmonics, q) in zip(blocks, drawn):
             block = ScanBlock.of(phases, q, harmonics)
-            fits = fit_rows(block)
+            fit = fit_columns(block)
             if METHOD_FIT in methods:
-                store(METHOD_FIT, trials, fits)
+                store(METHOD_FIT, trials, fit)
             if METHOD_MOM in methods:
-                store(METHOD_MOM, trials, mom_rows(block, fits=fits, tol=tol, max_iter=max_iter))
+                store(METHOD_MOM, trials, mom_columns(block, fit, tol, max_iter))
     return [parts[m] for m in methods]
 
 

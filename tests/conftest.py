@@ -7,7 +7,7 @@ population moments to machine precision, which turns estimator
 inversion identities into exact tests.
 
 fit_moments reads the Fourier moments (C0, C2) that fit_estimate forms,
-as its call to ``estimators._fit_result`` receives them.
+as its call to ``estimators._fit_row`` receives them.
 
 Every property test runs under one Hypothesis profile: deterministic
 examples, no example database and no per-example deadline, so a test's
@@ -43,9 +43,9 @@ def moment_matched_scan(params, n_psi=900, n=2):
 
 def fit_moments(scan):
     """(C0, C2) = (mean q^2, mean q^2 exp(-2i psi)) as ``fit_estimate`` forms them."""
-    with mock.patch.object(estimators, "_fit_result", wraps=estimators._fit_result) as finish:
+    with mock.patch.object(estimators, "_fit_row", wraps=estimators._fit_row) as finish:
         fit_estimate(scan)
-    c0, mc, ms = finish.call_args.args[:3]
+    c0, mc, ms = finish.call_args.args
     return c0, complex(mc, -ms)
 
 

@@ -115,6 +115,40 @@ def test_fit_inversion_exact_on_grid():
         assert r.physical
 
 
+# Each Fourier moment of a moment-matched scan is rounded at the scale of C0:
+# a squared root of V, one harmonic and a pairwise mean of at most 1200 terms
+# give at most about 16 eps C0; the bound takes four times that.
+MOMENT_ROUNDING = 64.0 * np.finfo(float).eps
+
+
+@settings(max_examples=300)
+@given(
+    s=st.floats(0.05, 0.99),
+    kappa=st.floats(1.0, 4.0),
+    phi=st.floats(-4.0, 4.0),
+    n=st.integers(1, 4),
+    data=st.data(),
+)
+def test_fit_inverts_moment_matched_scans(s, kappa, phi, n, data):
+    """On a noiseless scan over n whole periods of N > 2n equispaced phases
+    the Fourier sums are the population moments up to rounding, so
+    fit_estimate returns the truth, physical off the kappa = 1 edge.  With
+    C0 and |C2| each off by at most e = MOMENT_ROUNDING C0, m = C0 - 2|C2|
+    = kappa s and M = C0 + 2|C2| are off by 3e, so s and kappa are off by
+    at most 3e / m relatively and the angle by e / |C2|."""
+    truth = StateParams(s, kappa, phi)
+    n_psi = data.draw(st.integers(2 * n + 1, 1200), label="n_psi")
+    r = fit_estimate(moment_matched_scan(truth, n_psi=n_psi, n=n))
+    err = MOMENT_ROUNDING * kappa * (1.0 + s * s) / (2.0 * s)
+    assert abs(r.params.s - s) <= 3.0 * err / kappa
+    assert abs(r.params.kappa - kappa) <= 3.0 * err / s
+    assert angle_distance(r.params.phi_s, truth.phi_s) <= err * 4.0 * s / (kappa * (1.0 - s * s))
+    # physical wherever that error cannot reach the kappa = 1 edge; at the
+    # edge the rounding lands on either side of it (ROADMAP item 6)
+    if kappa - 3.0 * err / s > 1.0:
+        assert r.physical
+
+
 def test_fit_vacuum_degenerate():
     scans = [moment_matched_scan(StateParams(1.0, 1.0, 0.0))]
     # q = 1 leaves a second harmonic of 0 to ~1e-16 of C0, by grid and summation order
@@ -573,6 +607,11 @@ def test_block_estimators_check_every_row(bad):
         dhd_rows(q1, p2)
 
 
+def _finished(method, row) -> estimators.EstimateResult:
+    """The EstimateResult of one finished row, as the block finish builds it."""
+    return estimators._results(method, estimators._FIT_DHD_FLAGS, [row])[0]
+
+
 @settings(max_examples=40)
 @given(
     rows=st.integers(1, 20),
@@ -595,12 +634,12 @@ def test_block_moments_equal_per_scan_means(rows, n, seed, spacing):
         psi = phases if phases.ndim == 1 else phases[i]
         x2 = q[i] * q[i]
         moments = [float(np.mean(w * x2)) for w in (1.0, np.cos(2.0 * psi), np.sin(2.0 * psi))]
-        assert got == estimators._fit_result(*moments, n, False)
+        assert got == _finished("fit", estimators._fit_row(*moments))
 
     q1, p2 = rng.standard_normal((2, rows, n)) * rng.uniform(0.5, 3.0, (2, rows, 1))
     for i, got in enumerate(dhd_rows(q1, p2)):
         moments = [float(np.mean(a[i] * b[i])) for a, b in ((q1, q1), (q1, p2), (p2, p2))]
-        assert got == estimators._dhd_result(*moments, n, False)
+        assert got == _finished("dhd", estimators._dhd_row(*moments))
 
 
 def _result_bits(r) -> str:

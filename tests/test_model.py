@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 from squeezelab import (
@@ -21,7 +22,7 @@ from squeezelab import (
     state_covariance,
     variance_partials,
 )
-from squeezelab.model import MAX_PHASE, PHYSICAL_EDGE_TOL, grid_harmonics
+from squeezelab.model import MAX_PHASE, PHYSICAL_EDGE_TOL, grid_harmonics, in_physical_domain
 
 RNG = np.random.default_rng(1234)
 
@@ -67,6 +68,39 @@ def test_is_physical_admits_rounding_at_the_edges():
     assert not StateParams(0.5, 1.0 - 2.0 * edge).is_physical
     assert not StateParams(0.0, 2.0).is_physical
     assert not StateParams(0.5, math.inf).is_physical
+
+
+def _ulps_around(x: float, count: int = 3) -> list[float]:
+    """x and the ``count`` floats on either side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(count):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+# nan, the infinities, both zeros and a few ulp either side of every edge
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, *_ulps_around(0.0),
+               *_ulps_around(1.0 + PHYSICAL_EDGE_TOL), *_ulps_around(1.0 - PHYSICAL_EDGE_TOL)]
+
+
+@settings(max_examples=200)
+@given(arrays(np.float64, st.tuples(st.just(2), st.integers(1, 30)),
+              elements=st.sampled_from(EDGE_VALUES) | st.floats()))
+def test_physical_domain_of_arrays_is_that_of_each_state(sk):
+    """in_physical_domain of arrays judges each (s, kappa) as
+    StateParams.is_physical judges that state, and both follow the rule
+    as written out: 0 < s <= 1 + tol, kappa >= 1 - tol, both finite."""
+    s, kappa = sk
+    got = in_physical_domain(s, kappa)
+    assert got.dtype == bool and got.shape == s.shape
+    want = [StateParams(a, b).is_physical for a, b in zip(s.tolist(), kappa.tolist())]
+    assert got.tolist() == want
+    assert want == [0.0 < a <= 1.0 + PHYSICAL_EDGE_TOL and b >= 1.0 - PHYSICAL_EDGE_TOL
+                    and math.isfinite(a) and math.isfinite(b)
+                    for a, b in zip(s.tolist(), kappa.tolist())]
+    assert all(type(w) is bool for w in want)
 
 
 def test_vacuum_variance_is_one_everywhere():

@@ -52,8 +52,9 @@ from squeezelab.estimators import (
     FLAG_NONPHYSICAL,
     FLAG_SINGULAR_INFORMATION,
     FLAG_SINGULAR_PRIOR,
+    FLAG_SEED_FALLBACK,
     _mom_reducer,
-    _seed_prior,
+    _seed_priors,
 )
 from squeezelab.model import S_FLOOR, SingularMatrixError
 
@@ -301,7 +302,9 @@ def test_mom_estimate_matches_trig_reference():
                   for r in mom_rows(ScanBlock.of(grid, block[b:b + 25], grid_harmonics(grid)))]
         for scan, in_block in zip(scans, blocks):
             alone = mom_estimate(scan)
-            prior, seed_flags = _seed_prior(fit_estimate(scan))
+            seeds, fallback = _seed_priors([fit_estimate(scan).params.as_tuple()])
+            prior = StateParams(*seeds[0])
+            seed_flags = (FLAG_SEED_FALLBACK,) if fallback[0] else ()
             s0, k0, p0, iterations, flags, physical = _reference_estimate(scan, prior)
             flags |= frozenset(seed_flags)
             for g in (in_block, alone):

@@ -288,7 +288,7 @@ def _per_trial_arrays(methods, truth, cfg, mu, seed, trials, tol, max_iter):
 @settings(max_examples=40)
 @given(
     s=st.floats(0.05, 1.0),
-    kappa=st.floats(1.0, 4.0),
+    kappa=st.floats(0.5, 4.0),
     phi=st.floats(-4.0, 4.0),
     n_psi=st.integers(3, 80),
     mu=st.integers(3, 80),
@@ -302,7 +302,9 @@ def _per_trial_arrays(methods, truth, cfg, mu, seed, trials, tol, max_iter):
 def test_block_collection_equals_per_trial_loop(s, kappa, phi, n_psi, mu, spacing, methods,
                                                 seed, t0, count, data):
     """_collect_range, split at any point, gives byte for byte the arrays of
-    a per-trial loop of sample_* and *_estimate calls."""
+    a per-trial loop of sample_* and *_estimate calls.  Truths down to
+    kappa = 0.5 bring nonphysical fits and rows that fall back to MoM's
+    fallback seed into the compared columns."""
     truth = StateParams(s, kappa, phi)
     cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
     t1 = t0 + count
