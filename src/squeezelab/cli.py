@@ -48,6 +48,7 @@ from .estimators import (
     METHOD_MOM,
     METHODS,
     MIN_SAMPLES,
+    ScanBlock,
     dhd_estimate,
     fit_estimate,
     mom_estimate,
@@ -382,10 +383,11 @@ def cmd_estimate(args, cfg: RunConfig, echo: str) -> list[str]:
             # the rate used, which the config's rate_hz need not match
             payload["trace_rate_hz"] = rate_hz
         prior = cfg.prior()
-        # one fit serves as the fit result and as MoM's seed
-        fit = fit_estimate(scan) if METHOD_FIT in methods or prior is None else None
+        # the scan is prepared once, and one fit serves as the fit result and as MoM's seed
+        block = ScanBlock.of(scan.phases, scan.samples)
+        fit = fit_estimate(block) if METHOD_FIT in methods or prior is None else None
         results = [fit if method == METHOD_FIT else
-                   mom_estimate(scan, prior=prior, max_iter=cfg.max_iter, tol=cfg.tol, fit=fit)
+                   mom_estimate(block, prior=prior, max_iter=cfg.max_iter, tol=cfg.tol, fit=fit)
                    for method in methods]
 
     payload["estimates"] = [_estimate_result_dict(r) for r in results]

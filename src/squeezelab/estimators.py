@@ -10,7 +10,7 @@ Shared conventions:
 * ``predicted_cov`` is the model covariance evaluated at the estimate and
   is only computed for physical estimates (the information matrix means
   nothing at an unphysical point); the one-scan calls always compute it,
-  the ``*_rows`` block calls only when ``compute_cov`` is set;
+  the column calls never;
 * a block of scans is prepared once, as a ``ScanBlock``: its phases, their
   harmonics (1, cos 2psi, sin 2psi) and its squared samples, each row's
   mean square checked.  The harmonics are the rows the scan sampler drew
@@ -27,14 +27,13 @@ Shared conventions:
   reduced at once (``_fit_row``, ``_dhd_row``), and MoM as each row's
   iteration ends.  ``fit_columns``, ``mom_columns`` and ``dhd_columns``
   hand a block's rows on as columns, an ``Estimates``, which a Monte-Carlo
-  sweep stores without building an object per row; ``fit_rows``,
-  ``mom_rows`` and ``dhd_rows`` build one ``EstimateResult`` per row in
-  ``_results``, which flags ``nonphysical`` and, when asked for, forms the
-  covariance of each physical row or flags ``singular-information``.
-  ``fit_estimate``, ``mom_estimate`` and ``dhd_estimate`` are the one-row
-  case.  The fit and DHD moments are row reductions over the block, and
-  each MoM iteration reduces the rows not yet converged at once and
-  updates each row on its own, so a row gets the same bits in any block;
+  sweep stores without building an object per row.  ``fit_estimate``,
+  ``mom_estimate`` and ``dhd_estimate`` build the ``EstimateResult`` of
+  one row in ``_result``, which flags ``nonphysical`` and forms the
+  covariance of a physical row or flags ``singular-information``.  The fit
+  and DHD moments are row reductions over the block, and each MoM
+  iteration reduces the rows not yet converged at once and updates each
+  row on its own, so a row gets the same bits in any block;
 * samples whose mean square (or a DHD second moment) is not finite or
   exceeds ``MAX_MEAN_SQUARE`` raise ValueError, and so do samples whose
   mean square is positive but below 1 / ``MAX_MEAN_SQUARE``.
@@ -54,12 +53,12 @@ from .model import (
     S_FLOOR,
     SingularMatrixError,
     StateParams,
-    SymMatrix2,
     SymMatrix3,
     canonical_angle,
     check_harmonic_state,
     grid_harmonics,
     in_physical_domain,
+    sym2_eigensystem,
     variance_coefficients,
 )
 from .bounds import fisher_homodyne_discrete, fisher_dhd, fit_variance_prediction
@@ -79,13 +78,10 @@ __all__ = [
     "FLAG_SEED_FALLBACK",
     "FLAG_SINGULAR_INFORMATION",
     "fit_estimate",
-    "fit_rows",
     "fit_columns",
     "mom_estimate",
-    "mom_rows",
     "mom_columns",
     "dhd_estimate",
-    "dhd_rows",
     "dhd_columns",
     "MAX_MEAN_SQUARE",
 ]
@@ -149,8 +145,8 @@ class Estimates(NamedTuple):
     ``model.in_physical_domain``, ``iterations`` the MoM iterations (0 for
     the fit and DHD), and ``flags`` maps each flag the method raises to its
     column of bools.  A row not physical is flagged ``nonphysical``;
-    ``singular-information`` arises only where ``_results`` forms a
-    covariance from the same finished rows.
+    ``singular-information`` arises only where ``_result`` forms a
+    covariance from the same finished row.
     """
 
     params: Sequence
@@ -172,29 +168,25 @@ def _columns(names: tuple, rows: list) -> Estimates:
     return Estimates(params, physical, iterations, dict(zip(names, raised)))
 
 
-def _results(method: str, names: tuple, rows: list, cov=None,
-             priors=None) -> list[EstimateResult]:
-    """Each finished row (see ``_columns``) as an EstimateResult, flagged
-    ``nonphysical`` where it is not physical.  With ``cov`` given, a
-    physical row i gets the covariance ``cov(params, i)``, or the
-    ``singular-information`` flag; ``priors`` are the rows' MoM priors."""
-    out = []
-    for i, (p, physical, iterations, *raised) in enumerate(rows):
-        params = StateParams(*p)
-        flags = set(compress(names, raised))
-        predicted = None
-        if not physical:
-            flags.add(FLAG_NONPHYSICAL)
-        elif cov is not None:
-            try:
-                predicted = cov(params, i)
-            except SingularMatrixError:
-                flags.add(FLAG_SINGULAR_INFORMATION)
-        out.append(EstimateResult(params=params, predicted_cov=predicted, method=method,
-                                  physical=physical, iterations=iterations,
-                                  prior_used=None if priors is None else priors[i],
-                                  flags=frozenset(flags)))
-    return out
+def _result(method: str, names: tuple, row: tuple, cov, prior=None) -> EstimateResult:
+    """A finished row (see ``_columns``) as an EstimateResult, flagged
+    ``nonphysical`` if it is not physical.  A physical row gets the
+    covariance ``cov(params)``, or the ``singular-information`` flag when
+    that raises SingularMatrixError; ``prior`` is MoM's prior."""
+    p, physical, iterations, *raised = row
+    params = StateParams(*p)
+    flags = set(compress(names, raised))
+    predicted = None
+    if not physical:
+        flags.add(FLAG_NONPHYSICAL)
+    else:
+        try:
+            predicted = cov(params)
+        except SingularMatrixError:
+            flags.add(FLAG_SINGULAR_INFORMATION)
+    return EstimateResult(params=params, predicted_cov=predicted, method=method,
+                          physical=physical, iterations=iterations, prior_used=prior,
+                          flags=frozenset(flags))
 
 
 def _check_mean_square(value: float, what: str) -> None:
@@ -208,7 +200,7 @@ def _check_mean_square(value: float, what: str) -> None:
 
 @dataclass(frozen=True)
 class ScanBlock:
-    """B scans of N samples, prepared once for ``fit_rows`` and ``mom_rows``.
+    """B scans of N samples, prepared once for the fit and MoM.
 
     ``phases`` is the rows' shared grid (N,) or has one row per scan
     (B, N); ``harmonics`` are its ``grid_harmonics``, (3, N) or (B, 3, N);
@@ -274,20 +266,27 @@ def fit_estimate(scan) -> EstimateResult:
     anti-squeezed axis, which breaks the exact round-trip on expected
     moments.  A second harmonic of at most 1e-12 C0 flags ``degenerate``
     and sets the angle to 0.
+
+    ``scan`` has ``phases`` and ``samples``, or is a one-row ``ScanBlock``
+    that the caller prepared once for the fit and MoM.
     """
-    return fit_rows(ScanBlock.of(scan.phases, scan.samples), compute_cov=True)[0]
-
-
-def fit_rows(block: ScanBlock, compute_cov: bool = False) -> list[EstimateResult]:
-    """``fit_estimate`` of each row of the block; the covariance is formed
-    only when ``compute_cov`` is set."""
+    block = _one_row(scan)
     n = block.x2.shape[-1]
-    return _results(METHOD_FIT, _FIT_DHD_FLAGS, _fit_finish(block),
-                    (lambda est, i: _fit_cov(est, n)) if compute_cov else None)
+    return _result(METHOD_FIT, _FIT_DHD_FLAGS, _fit_finish(block)[0],
+                   lambda est: _fit_cov(est, n))
+
+
+def _one_row(scan) -> ScanBlock:
+    """A scan's one-row block; any other row count raises ValueError."""
+    block = scan if isinstance(scan, ScanBlock) else ScanBlock.of(scan.phases, scan.samples)
+    if len(block.x2) != 1:
+        raise ValueError(f"a one-scan estimate takes one row, got {len(block.x2)}")
+    return block
 
 
 def fit_columns(block: ScanBlock) -> Estimates:
-    """``fit_rows`` of the block as columns, without the covariance."""
+    """``fit_estimate`` of each row of the block as columns, without the
+    covariance."""
     return _columns(_FIT_DHD_FLAGS, _fit_finish(block))
 
 
@@ -331,17 +330,18 @@ def _mom_reducer(harmonics: np.ndarray, x2: np.ndarray):
     as A lists.
 
     ``harmonics`` is (3, N), shared by the rows, or (A, 3, N).  A block
-    takes three stacked numpy calls; one row takes the 2-D products, which
-    are cheaper to dispatch.  Both reproduce a single row's np.dot bit for
-    bit, so a row's sums do not depend on the rows reduced with it.
+    takes three stacked numpy calls; one row takes the 2-D products as
+    ``ndarray.dot``, np.dot's routine without its dispatcher.  Both
+    reproduce a single row's np.dot bit for bit, so a row's sums do not
+    depend on the rows reduced with it.
     """
     if len(x2) == 1:
         h, x = harmonics if harmonics.ndim == 2 else harmonics[0], x2[0]
 
         def reduce(coefs):
-            v = np.dot(coefs[0], h)
+            v = np.array(coefs[0]).dot(h)
             v *= v
-            return [np.dot(h, np.divide(x, v, v)).tolist()]
+            return [h.dot(np.divide(x, v, v)).tolist()]
     else:
         w_shape = (len(x2), x2.shape[1], 1)
         x = x2[:, None, :]
@@ -352,14 +352,6 @@ def _mom_reducer(harmonics: np.ndarray, x2: np.ndarray):
             w = np.divide(x, v, v).reshape(w_shape)
             return np.matmul(harmonics, w).reshape(-1, 3).tolist()
     return reduce
-
-
-def _mom_cov(est: StateParams, block: ScanBlock, i: int) -> SymMatrix3:
-    """Inverse discrete Fisher matrix of row i's phases at the estimate; a
-    shared grid, as of a one-row block, is read without building the row."""
-    if block.phases.ndim == 2:
-        block = block.row(i)
-    return fisher_homodyne_discrete(est, block.phases, harmonics=block.harmonics).inverse()
 
 
 def _seed_priors(fits) -> tuple[list, list]:
@@ -470,40 +462,37 @@ def mom_estimate(
     tol: float = DEFAULT_TOL,
     fit: EstimateResult | None = None,
 ) -> EstimateResult:
-    """Iterated moment-based estimator: ``mom_rows`` of the one scan,
-    with its covariance.
+    """Iterated moment-based estimator of one scan, with its covariance:
+    the row that ``mom_columns`` would finish, from the prior below.
 
-    Without a prior the iteration is seeded from ``fit``, the
-    ``fit_estimate`` of this scan when the caller already has it, or
-    else from a fresh fit; a given prior that
+    ``scan`` is as for ``fit_estimate``.  Without a prior the iteration is
+    seeded from ``fit``, the ``fit_estimate`` of this scan when the caller
+    already has it, or else from a fresh fit; a given prior that
     ``model.check_harmonic_state`` refuses (s outside [1e-6, 1e6], kappa
-    outside [1e-90, 1e90], or a non-finite angle) raises ValueError.
+    outside [1e-90, 1e90], or a non-finite angle) raises ValueError, and so
+    does a ``max_iter`` below 1.
     """
-    return mom_rows(ScanBlock.of(scan.phases, scan.samples),
-                    None if fit is None else [fit], None if prior is None else [prior], tol,
-                    max_iter, compute_cov=True)[0]
+    block = _one_row(scan)
+    row, seed = _mom_seeded(block, prior, tol, max_iter,
+                            None if fit is None else fit.params.as_tuple())
+    return _result(METHOD_MOM, _MOM_FLAGS, row,
+                   lambda est: fisher_homodyne_discrete(est, block.phases,
+                                                        harmonics=block.harmonics).inverse(),
+                   StateParams(*seed) if prior is None else prior)
 
 
-def mom_rows(block: ScanBlock, fits=None, priors=None, tol: float = DEFAULT_TOL,
-             max_iter: int = DEFAULT_MAX_ITER, compute_cov: bool = False) -> list[EstimateResult]:
-    """``mom_estimate`` of each row of the block; a ``max_iter`` below 1 raises ValueError.
-
-    Each row starts from ``priors[i]`` when priors are given, else from
-    the fit ``fits[i]`` of that row, else from the row's fresh fit; the
-    rows are iterated as ``mom_columns`` iterates them.  The covariance is
-    formed only when ``compute_cov`` is set, from the block's harmonics.
-    """
-    if priors is None:
-        seeds, fallback = _seed_priors([row[0] for row in _fit_finish(block)] if fits is None
-                                       else [f.params.as_tuple() for f in fits])
-        priors = [StateParams(*p) for p in seeds]
+def _mom_seeded(block: ScanBlock, prior: StateParams | None, tol: float, max_iter: int,
+                fit: tuple | None = None) -> tuple:
+    """MoM's finished row of the one-row block (see ``_columns``) and the
+    (s, kappa, phi_s) it started from: ``prior``, checked by
+    ``model.check_harmonic_state`` (not replaced by the loop guards), or
+    else the fit's, ``fit`` or the row's fresh fit, through ``_seed_priors``."""
+    if prior is None:
+        (seed,), fallback = _seed_priors([_fit_finish(block)[0][0] if fit is None else fit])
     else:
-        for prior in priors:  # checked, not replaced by the loop guards
-            check_harmonic_state(prior, "prior")
-        seeds = [p.as_tuple() for p in priors]
-        fallback = [False] * len(priors)
-    return _results(METHOD_MOM, _MOM_FLAGS, _mom_finish(block, seeds, fallback, tol, max_iter),
-                    (lambda est, i: _mom_cov(est, block, i)) if compute_cov else None, priors)
+        check_harmonic_state(prior, "prior")
+        seed, fallback = prior.as_tuple(), [False]
+    return _mom_finish(block, [seed], fallback, tol, max_iter)[0], seed
 
 
 def mom_columns(block: ScanBlock, fit: Estimates, tol: float = DEFAULT_TOL,
@@ -577,18 +566,14 @@ def dhd_estimate(batch) -> EstimateResult:
     """
     q1 = np.asarray(batch.q1, dtype=float)
     p2 = np.asarray(batch.p2, dtype=float)
-    return dhd_rows(q1[None], p2[None], compute_cov=True)[0]
-
-
-def dhd_rows(q1, p2, compute_cov: bool = False) -> list[EstimateResult]:
-    """``dhd_estimate`` of each row of the float arrays ``q1`` and ``p2`` (B, mu)."""
     mu = q1.shape[-1]
-    return _results(METHOD_DHD, _FIT_DHD_FLAGS, _dhd_finish(q1, p2),
-                    (lambda est, i: _dhd_cov(est, mu)) if compute_cov else None)
+    return _result(METHOD_DHD, _FIT_DHD_FLAGS, _dhd_finish(q1[None], p2[None])[0],
+                   lambda est: _dhd_cov(est, mu))
 
 
 def dhd_columns(q1, p2) -> Estimates:
-    """``dhd_rows`` of ``q1`` and ``p2`` as columns, without the covariance."""
+    """``dhd_estimate`` of each row of the float arrays ``q1`` and ``p2``
+    (B, mu) as columns, without the covariance."""
     return _columns(_FIT_DHD_FLAGS, _dhd_finish(q1, p2))
 
 
@@ -613,7 +598,7 @@ def _dhd_row(xx: float, xp: float, pp: float) -> tuple:
     """
     _check_mean_square(xx, "q1")
     _check_mean_square(pp, "p2")
-    lam_min, lam_max, angle = SymMatrix2(xx=xx - 1.0, xp=xp, pp=pp - 1.0).eigensystem()
+    lam_min, lam_max, angle = sym2_eigensystem(xx - 1.0, xp, pp - 1.0)
     scale = max(abs(lam_min), abs(lam_max), 1e-300)
     degenerate = (lam_max - lam_min) <= _DEGENERATE_REL_GAP * scale
     # both roots carry the sign of lam_min: with lam_max < 0 the ratio and

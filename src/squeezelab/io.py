@@ -312,16 +312,17 @@ def dump_json(obj, path=None) -> str:
     return text
 
 
-# (column, TrackResult field, formatter) of the track CSV, one row per scan
+# (column, TrackResult field, %-format) of the track CSV, one row per scan
 _TRACK_COLUMNS = (
-    ("t_s", "times", fmt12),
-    ("phi_true_rad", "phi_true", fmt12),
-    ("phi_est_rad", "phi_est", fmt12),
-    ("half_width_rad", "half_width", fmt12),
-    ("s_est", "s_est", fmt12),
-    ("kappa_est", "kappa_est", fmt12),
-    ("iterations", "iterations", lambda v: str(int(v))),
+    ("t_s", "times", "%.12g"),
+    ("phi_true_rad", "phi_true", "%.12g"),
+    ("phi_est_rad", "phi_est", "%.12g"),
+    ("half_width_rad", "half_width", "%.12g"),
+    ("s_est", "s_est", "%.12g"),
+    ("kappa_est", "kappa_est", "%.12g"),
+    ("iterations", "iterations", "%d"),
 )
+_TRACK_ROW = ",".join(spec for _, _, spec in _TRACK_COLUMNS)
 
 
 def track_csv_lines(result: TrackResult, config_json=None) -> list[str]:
@@ -329,8 +330,8 @@ def track_csv_lines(result: TrackResult, config_json=None) -> list[str]:
     lines.append(f"# tau_est_s: {fmt12(result.tau_est)}")
     lines.append(f"# noise_floor_rad2: {fmt12(result.noise_floor)}")
     lines.append(_header(_TRACK_COLUMNS))
-    columns = [map(fmt, getattr(result, field).tolist()) for _, field, fmt in _TRACK_COLUMNS]
-    lines.extend(map(",".join, zip(*columns)))
+    columns = [getattr(result, field).tolist() for _, field, _ in _TRACK_COLUMNS]
+    lines.extend(_TRACK_ROW % row for row in zip(*columns))
     return lines
 
 

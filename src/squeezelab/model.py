@@ -31,6 +31,7 @@ __all__ = [
     "MAX_PHASE",
     "StateParams",
     "SymMatrix2",
+    "sym2_eigensystem",
     "SymMatrix3",
     "SingularMatrixError",
     "canonical_angle",
@@ -271,6 +272,25 @@ class SingularMatrixError(ValueError):
     """Raised when a matrix inversion is rejected as numerically singular."""
 
 
+def sym2_eigensystem(xx: float, xp: float, pp: float) -> tuple[float, float, float]:
+    """(lam_min, lam_max, angle of the lam_min eigenvector mod pi) of the
+    symmetric 2x2 matrix (xx, xp, pp), in floats.
+
+    Closed form: lam = mid +- r with mid = (xx+pp)/2 and
+    r = hypot((xx-pp)/2, xp).  The major-axis angle is
+    (1/2) atan2(2 xp, xx - pp), which stays well conditioned as long as
+    the eigenvalues differ; the minor axis sits a quarter turn away.  When
+    xp = 0 the axes are the eigenvectors directly and the angle is 0 or pi/2.
+    """
+    mid = 0.5 * (xx + pp)
+    r = math.hypot(0.5 * (xx - pp), xp)
+    if xp == 0.0:
+        angle = 0.0 if xx <= pp else 0.5 * math.pi
+    else:
+        angle = canonical_angle(0.5 * math.atan2(2.0 * xp, xx - pp) + 0.5 * math.pi)
+    return mid - r, mid + r, angle
+
+
 @dataclass(frozen=True)
 class SymMatrix2:
     """Symmetric 2x2 matrix (xx, xp, pp), shot-noise units."""
@@ -286,25 +306,8 @@ class SymMatrix2:
         return SymMatrix2(self.xx + 1.0, self.xp, self.pp + 1.0)
 
     def eigensystem(self) -> tuple[float, float, float]:
-        """Return (lam_min, lam_max, angle of the lam_min eigenvector mod pi).
-
-        Closed form: lam = mid +- r with mid = (xx+pp)/2 and
-        r = hypot((xx-pp)/2, xp).  The major-axis angle is
-        (1/2) atan2(2 xp, xx - pp), which stays well conditioned as long
-        as the eigenvalues differ; the minor axis sits a quarter turn
-        away.  When xp = 0 the axes are the eigenvectors directly and
-        the angle is 0 or pi/2.
-        """
-        mid = 0.5 * (self.xx + self.pp)
-        r = math.hypot(0.5 * (self.xx - self.pp), self.xp)
-        lam_min = mid - r
-        lam_max = mid + r
-        if self.xp == 0.0:
-            angle = 0.0 if self.xx <= self.pp else 0.5 * math.pi
-        else:
-            major = 0.5 * math.atan2(2.0 * self.xp, self.xx - self.pp)
-            angle = canonical_angle(major + 0.5 * math.pi)
-        return lam_min, lam_max, angle
+        """``sym2_eigensystem`` of the matrix."""
+        return sym2_eigensystem(self.xx, self.xp, self.pp)
 
     @staticmethod
     def from_eigensystem(lam_a: float, lam_b: float, angle: float) -> "SymMatrix2":

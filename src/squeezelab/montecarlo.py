@@ -21,7 +21,9 @@ result object per trial; the chunks are merged the same way for one worker
 or many.
 Every row is computed as in a separate single-trial call, so the
 estimates do not depend on the block size or on where a chunk starts, and
-the constant block size caps the memory a block takes.
+the constant block size caps the memory a block takes.  ``track_angle``
+estimates its rows in order, each from MoM's finished row, with no result
+object per scan.
 
 Angle statistics are circular modulo pi: means via the doubled-angle
 resultant, residuals wrapped to (-pi/2, pi/2].
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .model import StateParams, SymMatrix3, empirical_family
+from .model import SingularMatrixError, StateParams, SymMatrix3, empirical_family
 from .bounds import (
     BoundVector,
     crb_dhd,
@@ -53,10 +55,10 @@ from .estimators import (
     METHODS,
     MIN_SAMPLES,
     ScanBlock,
+    _mom_seeded,
     dhd_columns,
     fit_columns,
     mom_columns,
-    mom_rows,
 )
 from .simulate import (
     DriftModel,
@@ -444,11 +446,12 @@ def track_angle(
 
     One scan per drift step, at that step's angle; the scans are drawn in
     blocks of BLOCK_TRIALS, each block is prepared once (``ScanBlock.of``)
-    and its rows are estimated one by one, because each scan's estimate
-    seeds the next scan's prior (the first scan seeds itself from the
-    fit).  The reported half-width is the predicted angle standard
-    error sqrt([F^-1]_pp) at the per-scan estimate; the correlation-time
-    fit uses the mean squared half-width as its measurement-noise floor.
+    and its rows are estimated one by one, because each scan's physical
+    estimate seeds the next scan's prior (else the scan's own fit does).
+    The reported half-width is the predicted angle standard error
+    sqrt([F^-1]_pp) at a physical estimate, else nan, as for a singular F;
+    the correlation-time fit uses the mean squared half-width as its
+    measurement-noise floor.
     A duration of fewer than 3 scans, which that fit needs, or scans of
     fewer than MIN_SAMPLES phases raise ValueError before any draw.
     """
@@ -466,23 +469,25 @@ def track_angle(
 
     truths = [StateParams(base.s, base.kappa, phi) for phi in phi_true]
     blocks = [range(b, min(b + BLOCK_TRIALS, n)) for b in range(0, n, BLOCK_TRIALS)]
-    results = []
+    scans = []  # (params, iterations, half-width) of each scan
     prior = None
     drawn = sample_scan_blocks(truths, cfg, seed, blocks)
     for trials, (phases, harmonics, q) in zip(blocks, drawn):
         block = ScanBlock.of(phases, q, harmonics)
         for i in range(len(trials)):
-            r = mom_rows(block.row(i), priors=None if prior is None else [prior], tol=tol,
-                         max_iter=max_iter, compute_cov=True)[0]
-            results.append(r)
-            prior = r.params if r.physical else None
-    s_est, kappa_est, phi_est = np.array([r.params.as_tuple() for r in results]).T.copy()
-    iters = np.array([r.iterations for r in results], dtype=np.int64)
-    half_width = np.array([
-        math.sqrt(r.predicted_cov.pp)
-        if r.predicted_cov is not None and r.predicted_cov.pp > 0 else float("nan")
-        for r in results
-    ])
+            row = block.row(i)
+            (p, physical, iterations, *_), _ = _mom_seeded(row, prior, tol, max_iter)
+            prior = StateParams(*p) if physical else None
+            try:
+                pp = (bounds.fisher_homodyne_discrete(prior, row.phases, harmonics=row.harmonics)
+                      .inverse().pp if physical else math.nan)
+            except SingularMatrixError:
+                pp = math.nan
+            scans.append((p, iterations, math.sqrt(pp) if pp > 0 else math.nan))
+    params, iters, half_width = zip(*scans)
+    s_est, kappa_est, phi_est = np.array(params).T.copy()
+    iters = np.array(iters, dtype=np.int64)
+    half_width = np.array(half_width)
 
     # angle residuals about the circular mean; drift stays well inside
     # the +-pi/2 wrap window for any sane amplitude

@@ -9,6 +9,9 @@ inversion identities into exact tests.
 fit_moments reads the Fourier moments (C0, C2) that fit_estimate forms,
 as its call to ``estimators._fit_row`` receives them.
 
+column_rows and column_results read the rows of an ``estimators.Estimates``
+back as finished rows and as the EstimateResults a one-row finish builds.
+
 Every property test runs under one Hypothesis profile: deterministic
 examples, no example database and no per-example deadline, so a test's
 ``@settings`` gives only its example count.
@@ -47,6 +50,22 @@ def fit_moments(scan):
         fit_estimate(scan)
     c0, mc, ms = finish.call_args.args
     return c0, complex(mc, -ms)
+
+
+def column_rows(est) -> list:
+    """Each row of an Estimates as the finished-row tuple it came from."""
+    flags = list(est.flags.values())
+    return [(p, physical, iterations, *(col[i] for col in flags))
+            for i, (p, physical, iterations) in enumerate(zip(*est[:3]))]
+
+
+def column_results(method, est, cov=lambda params, i: None, priors=None) -> list:
+    """Each row i of an Estimates as the EstimateResult a one-row finish
+    builds of it (``estimators._result``): with the covariance
+    ``cov(params, i)``, none by default, and ``priors`` as MoM's priors."""
+    return [estimators._result(method, tuple(est.flags), row, lambda p, i=i: cov(p, i),
+                               None if priors is None else priors[i])
+            for i, row in enumerate(column_rows(est))]
 
 
 def grid_points():

@@ -32,7 +32,7 @@ from squeezelab import (
     synthesize_trace,
     track_angle,
 )
-from squeezelab import estimators
+from squeezelab import bounds, estimators, model, simulate
 from squeezelab import io as sio
 from squeezelab.cli import (
     ConfigError,
@@ -1073,20 +1073,25 @@ def test_echo_keeps_every_digit(tmp_path, capsys):
 
 @pytest.mark.parametrize("method", ["fit,mom", "mom,fit"])
 def test_estimate_fits_the_scan_once(tmp_path, capsys, monkeypatch, method):
-    """Without a prior, the fit result is also MoM's seed: one fit per scan."""
+    """Without a prior, the fit result is also MoM's seed: one fit per scan,
+    on the scan prepared once, so its harmonics are computed once."""
     path = tmp_path / "scan.csv"
     assert main(["simulate", "--n-psi", "64", "--out", str(path)]) == 0
-    calls = []
-    fit_rows = estimators.fit_rows
+    calls = {"_fit_finish": 0, "grid_harmonics": 0}
 
-    def counting_fit_rows(*args, **kwargs):
-        calls.append(args)
-        return fit_rows(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(estimators, "fit_rows", counting_fit_rows)
+    for module in (model, bounds, estimators, simulate):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert main(["estimate", "--input", str(path), "--method", method, "--n-psi", "64"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert calls == {"_fit_finish": 1, "grid_harmonics": 1}
 
 
 def test_simulate_requires_out(capsys):

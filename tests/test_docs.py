@@ -23,3 +23,13 @@ def test_readme_module_references_resolve():
         if name != "py" and not hasattr(target, name):
             missing.append(f"{module}.{name}")
     assert not missing
+
+
+def test_readme_python_blocks_run():
+    """Every python block of README.md runs, in order, in one namespace, as
+    a reader would paste them one after another."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from conftest import exact_moment_batch, fit_moments, grid_points, moment_matched_scan
+from conftest import (column_results, column_rows, exact_moment_batch, fit_moments, grid_points,
+                      moment_matched_scan)
 from test_mom_kernel import mom_weights
 
 from squeezelab import (
@@ -25,6 +26,7 @@ from squeezelab import (
     DhdBatch,
     empirical_family,
     eval_variance,
+    fisher_homodyne_discrete,
     fit_estimate,
     grid_harmonics,
     mom_estimate,
@@ -44,9 +46,9 @@ from squeezelab.estimators import (
     FLAG_SEED_FALLBACK,
     MAX_MEAN_SQUARE,
     ScanBlock,
-    dhd_rows,
-    fit_rows,
-    mom_rows,
+    dhd_columns,
+    fit_columns,
+    mom_columns,
 )
 
 RNG = np.random.default_rng(42)
@@ -79,13 +81,30 @@ def test_scan_block_refuses_phases_that_fit_no_row():
         assert ScanBlock.of(phases, samples).phases.shape == phases.shape
 
 
+def test_one_scan_estimates_take_a_prepared_one_row_block():
+    """fit_estimate and mom_estimate of a scan's one-row ScanBlock are those
+    of the scan, bit for bit; a block of two rows raises."""
+    for spacing in ("equispaced", "random"):
+        cfg = ScanConfig(n_psi=64, spacing=spacing)
+        scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), cfg, seed=5)
+        block = ScanBlock.of(scan.phases, scan.samples)
+        fit = fit_estimate(scan)
+        assert repr(fit_estimate(block)) == repr(fit)
+        assert repr(mom_estimate(block, fit=fit)) == repr(mom_estimate(scan))
+        two = ScanBlock.of(scan.phases, np.stack([scan.samples] * 2))
+        for estimate in (fit_estimate, mom_estimate):
+            with pytest.raises(ValueError, match="one row, got 2"):
+                estimate(two)
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_mom_refuses_fewer_than_one_iteration(max_iter):
     scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), ScanConfig(n_psi=64), seed=5)
     with pytest.raises(ValueError, match="max_iter"):
         mom_estimate(scan, max_iter=max_iter)
+    block = ScanBlock.of(scan.phases, scan.samples)
     with pytest.raises(ValueError, match="max_iter"):
-        mom_rows(ScanBlock.of(scan.phases, scan.samples), max_iter=max_iter)
+        mom_columns(block, fit_columns(block), max_iter=max_iter)
 
 
 def test_fourier_components_population_means():
@@ -566,11 +585,13 @@ def test_any_finite_scan_gives_an_estimate_or_value_error(n, rows, spacing, log_
     else:
         phases = cfg.phase_grid()
     prior = StateParams(10.0**log_s, 10.0**log_kappa, phi)
-    calls = [
-        lambda: fit_rows(ScanBlock.of(phases, q), compute_cov=True),
-        lambda: mom_rows(ScanBlock.of(phases, q), compute_cov=True),
-        lambda: mom_rows(ScanBlock.of(phases, q), priors=[prior] * rows, compute_cov=True),
-    ]
+
+    def block_calls():
+        block = ScanBlock.of(phases, q)
+        fit = fit_columns(block)
+        return [fit, mom_columns(block, fit)]
+
+    calls = [block_calls]
     for i in range(rows):
         scan = HomodyneScan(phases if phases.ndim == 1 else phases[i], q[i])
         calls += [lambda scan=scan: [fit_estimate(scan)], lambda scan=scan: [mom_estimate(scan)],
@@ -582,18 +603,19 @@ def test_any_finite_scan_gives_an_estimate_or_value_error(n, rows, spacing, log_
                 results = call()
             except ValueError:
                 continue
-            assert all(isinstance(r, estimators.EstimateResult) for r in results)
+            assert all(isinstance(r, (estimators.EstimateResult, estimators.Estimates))
+                       for r in results)
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1e60])
 def test_block_estimators_check_every_row(bad):
-    """A scan block and dhd_rows raise when one sample of one row is nan or
+    """A scan block and dhd_columns raise when one sample of one row is nan or
     puts that row's mean square beyond the limit."""
     truth = StateParams(0.5, 2.0, 0.3)
     cfg = ScanConfig(n_psi=64)
     q = np.stack([sample_homodyne_scan(truth, cfg, seed=0, trial=t).samples for t in range(5)])
     grid = cfg.phase_grid()
-    assert len(fit_rows(ScanBlock.of(grid, q, grid_harmonics(grid)))) == 5
+    assert len(fit_columns(ScanBlock.of(grid, q, grid_harmonics(grid))).params) == 5
     q[3, 7] = bad
     with pytest.raises(ValueError, match="samples must be finite"):
         ScanBlock.of(grid, q, grid_harmonics(grid))
@@ -601,15 +623,10 @@ def test_block_estimators_check_every_row(bad):
     batches = [sample_dhd(truth, 64, seed=0, trial=t) for t in range(5)]
     q1 = np.stack([b.q1 for b in batches])
     p2 = np.stack([b.p2 for b in batches])
-    assert len(dhd_rows(q1, p2)) == 5
+    assert len(dhd_columns(q1, p2).params) == 5
     p2[2, 7] = bad
     with pytest.raises(ValueError, match="p2 must be finite"):
-        dhd_rows(q1, p2)
-
-
-def _finished(method, row) -> estimators.EstimateResult:
-    """The EstimateResult of one finished row, as the block finish builds it."""
-    return estimators._results(method, estimators._FIT_DHD_FLAGS, [row])[0]
+        dhd_columns(q1, p2)
 
 
 @settings(max_examples=40)
@@ -620,9 +637,9 @@ def _finished(method, row) -> estimators.EstimateResult:
     spacing=st.sampled_from(["equispaced", "random"]),
 )
 def test_block_moments_equal_per_scan_means(rows, n, seed, spacing):
-    """fit_rows and dhd_rows reduce each row of a block as np.mean reduces a
-    single scan or batch (pairwise sums), so each row's estimate equals the
-    one finished from per-scan np.mean moments, bit for bit."""
+    """fit_columns and dhd_columns reduce each row of a block as np.mean
+    reduces a single scan or batch (pairwise sums), so each row's estimate
+    equals the one finished from per-scan np.mean moments, bit for bit."""
     rng = np.random.default_rng(seed)
     cfg = ScanConfig(n_psi=n, spacing=spacing)
     q = rng.standard_normal((rows, n)) * rng.uniform(0.5, 3.0, (rows, 1))
@@ -630,16 +647,16 @@ def test_block_moments_equal_per_scan_means(rows, n, seed, spacing):
         phases = np.sort(rng.uniform(0.0, 2.0 * math.pi, (rows, n)), axis=1)
     else:
         phases = cfg.phase_grid()
-    for i, got in enumerate(fit_rows(ScanBlock.of(phases, q))):
+    for i, got in enumerate(column_rows(fit_columns(ScanBlock.of(phases, q)))):
         psi = phases if phases.ndim == 1 else phases[i]
         x2 = q[i] * q[i]
         moments = [float(np.mean(w * x2)) for w in (1.0, np.cos(2.0 * psi), np.sin(2.0 * psi))]
-        assert got == _finished("fit", estimators._fit_row(*moments))
+        assert got == estimators._fit_row(*moments)
 
     q1, p2 = rng.standard_normal((2, rows, n)) * rng.uniform(0.5, 3.0, (2, rows, 1))
-    for i, got in enumerate(dhd_rows(q1, p2)):
+    for i, got in enumerate(column_rows(dhd_columns(q1, p2))):
         moments = [float(np.mean(a[i] * b[i])) for a, b in ((q1, q1), (q1, p2), (p2, p2))]
-        assert got == _finished("dhd", estimators._dhd_row(*moments))
+        assert got == estimators._dhd_row(*moments)
 
 
 def _result_bits(r) -> str:
@@ -662,6 +679,35 @@ def _mom_errors(estimate) -> str | None:
     return None
 
 
+def _mom_block_results(phases, q, max_iter, fit=None, priors=None) -> list:
+    """MoM on each row of the block (phases, q), finished as mom_estimate
+    finishes one row: the rows of mom_columns seeded from the fit columns
+    ``fit`` (the block's own by default), or of the block iteration
+    ``estimators._mom_finish`` from ``priors``, each with its row's
+    covariance and its prior."""
+    block = ScanBlock.of(phases, q)
+    if priors is None:
+        fit = fit_columns(block) if fit is None else fit
+        est = mom_columns(block, fit, max_iter=max_iter)
+        priors = [StateParams(*p) for p in estimators._seed_priors(fit.params)[0]]
+    else:
+        seeds = [p.as_tuple() for p in priors]
+        est = estimators._columns(estimators._MOM_FLAGS, estimators._mom_finish(
+            block, seeds, [False] * len(seeds), estimators.DEFAULT_TOL, max_iter))
+
+    def cov(params, i):
+        one = block.row(i)
+        return fisher_homodyne_discrete(params, one.phases, harmonics=one.harmonics).inverse()
+
+    return column_results("mom", est, cov, priors)
+
+
+def _fit_slice(fit, lo, hi):
+    """Rows [lo, hi) of fit columns."""
+    return estimators.Estimates(fit.params[lo:hi], fit.physical[lo:hi], fit.iterations[lo:hi],
+                                {k: v[lo:hi] for k, v in fit.flags.items()})
+
+
 @settings(max_examples=100)
 @given(
     rows=st.integers(1, 40),
@@ -673,10 +719,11 @@ def _mom_errors(estimate) -> str | None:
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, seeding, specials,
-                                                 seed, data):
-    """Each row of a mom_rows block is, bit for bit, mom_estimate of that
-    row alone: params, iterations, flags, physical, prior and covariance.
+def test_mom_columns_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, seeding,
+                                                    specials, seed, data):
+    """Each row of a MoM block (mom_columns from the fit columns, or the
+    block iteration from priors) is, bit for bit, mom_estimate of that row
+    alone: params, iterations, flags, physical, prior and covariance.
     An exact vacuum row and an all-zero row (whose fit forces the
     seed-fallback) may be mixed in; max_iter 1 and 3 leave rows
     unconverged, so the block shrinks unevenly.  Splitting the block
@@ -695,19 +742,19 @@ def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, see
     rows = len(scans)
     q = np.stack([scan.samples for scan in scans])
     phases = cfg.phase_grid() if spacing == "equispaced" else np.stack([scan.phases for scan in scans])
-    fits = fit_rows(ScanBlock.of(phases, q)) if seeding == "fits" else None
+    fits = fit_columns(ScanBlock.of(phases, q)) if seeding == "fits" else None
     priors = ([StateParams(rng.uniform(0.05, 2.0), rng.uniform(0.5, 4.0), rng.uniform(0.0, 4.0))
                for _ in range(rows)] if seeding == "priors" else None)
 
     def block(lo, hi):
-        return mom_rows(ScanBlock.of(phases if phases.ndim == 1 else phases[lo:hi], q[lo:hi]),
-                        fits=None if fits is None else fits[lo:hi],
-                        priors=None if priors is None else priors[lo:hi],
-                        max_iter=max_iter, compute_cov=True)
+        return _mom_block_results(phases if phases.ndim == 1 else phases[lo:hi], q[lo:hi],
+                                  max_iter, fit=None if fits is None else _fit_slice(fits, lo, hi),
+                                  priors=None if priors is None else priors[lo:hi])
 
     got = [_result_bits(r) for r in block(0, rows)]
+    fit_results = None if fits is None else column_results("fit", fits)
     want = [_result_bits(mom_estimate(
-        scan, max_iter=max_iter, fit=None if fits is None else fits[i],
+        scan, max_iter=max_iter, fit=None if fits is None else fit_results[i],
         prior=None if priors is None else priors[i])) for i, scan in enumerate(scans)]
     assert got == want
     if "zeros" in specials and seeding != "priors":
@@ -716,8 +763,9 @@ def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, see
     assert [_result_bits(r) for r in block(0, cut) + block(cut, rows)] == got
     if seeding != "fit":
         with pytest.raises(ValueError, match="one prior or fit per row"):
-            mom_rows(ScanBlock.of(phases, q), fits=None if fits is None else fits[1:],
-                     priors=None if priors is None else priors[1:])
+            _mom_block_results(phases, q, max_iter,
+                               fit=None if fits is None else _fit_slice(fits, 1, rows),
+                               priors=None if priors is None else priors[1:])
 
     bad = data.draw(st.integers(0, rows - 1))
     for what in ("nan", "huge", "short", "prior-nan", "prior-s"):
@@ -737,10 +785,16 @@ def test_mom_rows_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, see
         one = HomodyneScan(ph if ph.ndim == 1 else ph[bad], qb[bad])
         want_err = _mom_errors(lambda: mom_estimate(
             one, max_iter=max_iter, prior=None if pb is None else pb[bad],
-            fit=None if fits_b is None else fits_b[bad]))
+            fit=None if fits_b is None else column_results("fit", fits_b)[bad]))
         assert want_err is not None
-        assert _mom_errors(lambda: mom_rows(ScanBlock.of(ph, qb), fits=fits_b, priors=pb,
-                                            max_iter=max_iter)) == want_err
+        if what.startswith("prior"):
+            # a prior is checked where one row of a block is seeded from it, as in track_angle
+            got_err = _mom_errors(lambda: estimators._mom_seeded(
+                ScanBlock.of(ph, qb).row(bad), pb[bad], estimators.DEFAULT_TOL, max_iter))
+        else:
+            got_err = _mom_errors(lambda: _mom_block_results(ph, qb, max_iter, fit=fits_b,
+                                                             priors=pb))
+        assert got_err == want_err
 
 
 def test_predicted_cov_positive_when_physical():
@@ -819,18 +873,25 @@ def _pinned_results():
             truth = empirical_family(s, 2.9)
             scans = [sample_homodyne_scan(truth, cfg, seed=seed) for seed in range(3)]
             for scan in scans:
+                block = ScanBlock.of(scan.phases, scan.samples)
+                fit = fit_columns(block)
+                seeds = estimators._seed_priors(fit.params)[0]
                 out += [fit_estimate(scan), mom_estimate(scan),
-                        mom_rows(ScanBlock.of(scan.phases, scan.samples))[0],
+                        column_results("mom", mom_columns(block, fit),
+                                        priors=[StateParams(*p) for p in seeds])[0],
                         mom_estimate(scan, prior=prior)]
             phases = cfg.phase_grid() if cfg.spacing == "equispaced" else np.stack(
                 [scan.phases for scan in scans])
-            out += fit_rows(ScanBlock.of(phases, np.stack([scan.samples for scan in scans])),
-                            compute_cov=True)
+            block = ScanBlock.of(phases, np.stack([scan.samples for scan in scans]))
+            out += column_results("fit", fit_columns(block),
+                                  lambda p, i: estimators._fit_cov(p, cfg.n_psi))
             for mu in (64, 900):
                 batches = [sample_dhd(truth, mu, seed=seed) for seed in range(3)]
                 out += [dhd_estimate(batch) for batch in batches]
-                out += dhd_rows(np.stack([b.q1 for b in batches]),
-                                np.stack([b.p2 for b in batches]), compute_cov=True)
+                out += column_results(
+                    "dhd", dhd_columns(np.stack([b.q1 for b in batches]),
+                                       np.stack([b.p2 for b in batches])),
+                    lambda p, i, mu=mu: estimators._dhd_cov(p, mu))
     cfg = ScanConfig()
     vacuum = HomodyneScan(cfg.phase_grid(), np.ones(cfg.n_psi))
     out += [fit_estimate(vacuum), mom_estimate(vacuum)]

@@ -25,7 +25,7 @@ same tolerance on their outputs.
 import math
 
 import numpy as np
-from conftest import fit_moments
+from conftest import column_results, fit_moments
 from hypothesis import example, given, settings, strategies as st
 
 from squeezelab import (
@@ -37,10 +37,11 @@ from squeezelab import (
     empirical_family,
     eval_variance,
     fisher_homodyne_discrete,
+    fit_columns,
     fit_estimate,
     grid_harmonics,
+    mom_columns,
     mom_estimate,
-    mom_rows,
     sample_homodyne_scan,
     variance_coefficients,
     variance_partials,
@@ -291,15 +292,17 @@ def test_fourier_components_match_complex_exponential(case):
 
 def test_mom_estimate_matches_trig_reference():
     """Same iterations, flags and estimates as the iterated trig update,
-    2000 scans: mom_rows on blocks of them and mom_estimate on each."""
+    2000 scans: mom_columns on blocks of them and mom_estimate on each."""
     cfg = ScanConfig()
     grid = cfg.phase_grid()
     for s in (0.21, 0.3, 0.5, 0.7, 0.9):
         scans = [sample_homodyne_scan(empirical_family(s, 0.4), cfg, seed=3, trial=t)
                  for t in range(400)]
         block = np.stack([scan.samples for scan in scans])
-        blocks = [r for b in range(0, 400, 25)
-                  for r in mom_rows(ScanBlock.of(grid, block[b:b + 25], grid_harmonics(grid)))]
+        blocks = []
+        for b in range(0, 400, 25):
+            rows = ScanBlock.of(grid, block[b:b + 25], grid_harmonics(grid))
+            blocks += column_results("mom", mom_columns(rows, fit_columns(rows)))
         for scan, in_block in zip(scans, blocks):
             alone = mom_estimate(scan)
             seeds, fallback = _seed_priors([fit_estimate(scan).params.as_tuple()])

@@ -2,10 +2,11 @@
 
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from squeezelab import (
     DriftModel,
@@ -495,12 +496,14 @@ def test_track_quasi_static_rms():
 def _reference_track(drift, base, cfg, duration, seed):
     """The loop track_angle replaced: a fresh single draw per scan, then
     MoM warm-started from the previous physical estimate, then the
-    half-width; (per-scan fields, tau_est, noise_floor)."""
+    half-width; (per-scan fields, tau_est, noise_floor, the count of each
+    flag over the scans)."""
     offsets = simulate_phase_drift(drift, duration, seed=seed)
     n = len(offsets)
     phi_true = base.phi_s + offsets
     cols = {f: np.empty(n) for f in ("phi_est", "half_width", "s_est", "kappa_est")}
     cols["iterations"] = np.empty(n, dtype=np.int64)
+    flags = Counter()
     prior = None
     for k in range(n):
         truth = StateParams(base.s, base.kappa, phi_true[k])
@@ -510,13 +513,30 @@ def _reference_track(drift, base, cfg, duration, seed):
         cols["iterations"][k] = r.iterations
         pp = None if r.predicted_cov is None else r.predicted_cov.pp
         cols["half_width"][k] = math.sqrt(pp) if pp is not None and pp > 0 else math.nan
+        flags.update(r.flags)
         prior = r.params if r.physical else None
     cols["times"] = np.arange(n) * drift.step_interval
     cols["phi_true"] = phi_true
     resid = wrap_half_pi(cols["phi_est"] - circular_mean_pi(cols["phi_est"]))
     hw = cols["half_width"][np.isfinite(cols["half_width"])]
     noise_floor = float(np.mean(hw**2)) if hw.size else 0.0
-    return cols, autocorrelation_time(resid, drift.step_interval, noise_floor), noise_floor
+    return (cols, autocorrelation_time(resid, drift.step_interval, noise_floor), noise_floor,
+            flags)
+
+
+def _track_matches_reference(drift, base, cfg, duration, seed):
+    """Assert that every field of track_angle's result, its correlation
+    time and its noise floor equal the per-scan reference's bit for bit;
+    return the result."""
+    got = track_angle(drift, base, cfg, duration=duration, seed=seed)
+    cols, tau, floor, _ = _reference_track(drift, base, cfg, duration, seed)
+    assert len(got.times) == len(cols["times"])
+    for field, want in cols.items():
+        have = getattr(got, field)
+        assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), field
+    for have, want in ((got.tau_est, tau), (got.noise_floor, floor)):
+        assert np.float64(have).tobytes() == np.float64(want).tobytes()
+    return got
 
 
 @pytest.mark.parametrize("spacing", ["equispaced", "random"])
@@ -530,14 +550,62 @@ def test_track_matches_per_scan_reference(spacing, n_psi, kind):
     drift = DriftModel(kind=kind)
     base = empirical_family(0.5, 0.2)
     for seed in (0, 7, 123):
-        got = track_angle(drift, base, cfg, duration=0.025, seed=seed)
-        cols, tau, floor = _reference_track(drift, base, cfg, 0.025, seed)
+        got = _track_matches_reference(drift, base, cfg, 0.025, seed)
         assert len(got.times) == 50
-        for field, want in cols.items():
-            have = getattr(got, field)
-            assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), field
-        for have, want in ((got.tau_est, tau), (got.noise_floor, floor)):
-            assert np.float64(have).tobytes() == np.float64(want).tobytes()
+
+
+# tracks whose scans turn non-physical, re-seed from the fit mid-track,
+# stop at max_iter and (at N = 4) meet a singular information matrix, as
+# (base, N, spacing, scans, nan half-widths, max_iter stops) at seed 0
+_TRACKS_THAT_RESEED = (
+    (StateParams(0.999, 1.0, 0.3), 16, "equispaced", 600, 480, 338),
+    (empirical_family(0.21, 1.0), 16, "random", 600, 457, 559),
+    (StateParams(0.999, 1.0, 0.3), 4, "equispaced", 100, 90, 100),
+)
+
+
+@settings(max_examples=40)
+@given(
+    s=st.floats(0.05, 1.0),
+    pure=st.booleans(),
+    phi=st.floats(0.0, math.pi, exclude_max=True),
+    n_psi=st.integers(3, 900),
+    spacing=st.sampled_from(("equispaced", "random")),
+    kind=st.sampled_from(("mean-reverting", "random-walk")),
+    scans=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(s=0.999, pure=True, phi=0.3, n_psi=16, spacing="equispaced", kind="mean-reverting",
+         scans=600, seed=0)
+@example(s=0.21, pure=False, phi=1.0, n_psi=16, spacing="random", kind="mean-reverting",
+         scans=600, seed=0)
+@example(s=0.999, pure=True, phi=0.3, n_psi=4, spacing="equispaced", kind="mean-reverting",
+         scans=100, seed=0)
+def test_track_matches_per_scan_reference_on_any_state(s, pure, phi, n_psi, spacing, kind,
+                                                       scans, seed):
+    """The per-scan reference holds bit for bit for any s in [0.05, 1], kappa
+    1 or 1/sqrt(s), N in [3, 900], both spacings and both drift kinds.  The
+    explicit examples are ``_TRACKS_THAT_RESEED``."""
+    base = StateParams(s, 1.0, phi) if pure else empirical_family(s, phi)
+    drift = DriftModel(kind=kind)
+    _track_matches_reference(drift, base, ScanConfig(n_psi=n_psi, spacing=spacing),
+                             (scans + 0.5) * drift.step_interval, seed)
+
+
+def test_tracks_that_reseed_reach_every_scan_outcome():
+    """``_TRACKS_THAT_RESEED`` give their counts of nan half-widths and
+    max_iter stops, and between them every MoM outcome but a singular prior."""
+    flags = Counter()
+    for base, n_psi, spacing, scans, nan_widths, stops in _TRACKS_THAT_RESEED:
+        cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
+        duration = (scans + 0.5) * DriftModel().step_interval
+        got = track_angle(DriftModel(), base, cfg, duration=duration)
+        assert len(got.times) == scans
+        assert int(np.isnan(got.half_width).sum()) == nan_widths
+        assert int((got.iterations == estimators.DEFAULT_MAX_ITER).sum()) == stops
+        flags += _reference_track(DriftModel(), base, cfg, duration, 0)[3]
+    assert set(flags) == {"nonphysical", "no-convergence", "seed-fallback",
+                          "singular-information"}
 
 
 def test_track_refuses_fewer_than_3_scans_before_any_draw(monkeypatch):
