@@ -16,13 +16,14 @@ to the command.  Option precedence, lowest to highest: built-in defaults,
 JSON config file (--config), explicit command line flags; the environment
 sets none.  Every command echoes the resolved run configuration, floats at
 full precision, as a single `config: {...}` line on stderr; file outputs
-embed the same JSON in a leading `# config:` comment.  The options --config,
---out, --input, --method (echoed as ``methods``), --format, --kind,
---workers and --json are execution details, not run configuration, so they
-are not echoed; this is what makes benchmark output byte-identical across
---workers.  `estimate` reads a trace's sample rate from the file header, not
-from ``rate_hz``, and records it in its JSON as ``trace_rate_hz``.  A
-negative number, exponent or not, may follow its flag after a space.
+embed the same JSON in a leading `# config:` comment.  `estimate`'s --method
+sets the ``methods`` field and is echoed as it.  The options --config,
+--out, --input, --format, --kind, --workers and --json are execution
+details, not run configuration, so they are not echoed; this is what makes
+benchmark output byte-identical across --workers.  `estimate` reads a
+trace's sample rate from the file header, not from ``rate_hz``, and records
+it in its JSON as ``trace_rate_hz``.  A negative number, exponent or not,
+may follow its flag after a space.
 
 Exit status: 0 on success, including estimates that carry quality flags;
 1 on configuration, I/O, or parse errors; 2 on a malformed command line.

@@ -25,8 +25,10 @@ from itertools import repeat
 
 import numpy as np
 
+from . import bounds
 from .bounds import BoundVector
-from .montecarlo import THEORY_CURVES, TrialReport, TrackResult, theory_curves
+from .model import StateParams
+from .montecarlo import TrialReport, TrackResult
 from .simulate import DhdBatch, HomodyneScan
 
 __all__ = [
@@ -99,8 +101,10 @@ def _read_pair_csv(path, header):
     in order, to name the first bad one.
     """
     # universal newlines leave "\n" the only line end; str.splitlines would
-    # also split at form feeds and other separators a file line can hold
-    with open(path) as fh:
+    # also split at form feeds and other separators a file line can hold.
+    # An undecodable byte reads as U+FFFD, so a binary file fails the header
+    # check and a bad byte in a row fails as that row's value, with file:line
+    with open(path, errors="replace") as fh:
         lines = fh.read().split("\n")
     for start, line in enumerate(map(str.strip, lines)):
         if line and line[0] != "#":
@@ -197,6 +201,23 @@ _PARAM_NAMES = ("s", "kappa", "phi_s")
 _BOUND_VARS = tuple(f.name for f in fields(BoundVector) if f.name.startswith("var_"))
 
 
+# The theoretical variance curves, each declared once as (report column,
+# bounds-CSV prefix, function of ``bounds`` taking (truth, n_samples)).  The
+# function is looked up on the module at every call, so that a wrapper
+# installed there (a profiler's, say) sees the calls made through this table.
+_THEORY_CURVES = (
+    ("crb_homodyne", "crb", "crb_homodyne"),
+    ("fit_prediction", "fit", "fit_variance_prediction"),
+    ("crb_dhd", "dhd", "crb_dhd"),
+    ("crb_quantum", "qcrb", "crb_quantum"),
+)
+
+
+def _theory_curves(truth: StateParams, n_samples: int) -> dict[str, BoundVector]:
+    """Every theoretical variance curve at one parameter point, by report column."""
+    return {col: getattr(bounds, fn)(truth, n_samples) for col, _, fn in _THEORY_CURVES}
+
+
 def _header(columns) -> str:
     """The CSV header of a schema whose entries start with the column name."""
     return ",".join(entry[0] for entry in columns)
@@ -233,14 +254,14 @@ _REPORT_COLUMNS = (
     ("nonphysical_rate", lambda r, c, i: fmt12(r.nonphysical_rate)),
     ("n_physical", lambda r, c, i: str(r.n_physical)),
     ("mean_iterations", lambda r, c, i: fmt12(r.mean_iterations)),
-) + tuple((col, lambda r, c, i, col=col: _at(c[col], i)) for col, _, _ in THEORY_CURVES)
+) + tuple((col, lambda r, c, i, col=col: _at(c[col], i)) for col, _, _ in _THEORY_CURVES)
 
 REPORT_HEADER = _header(_REPORT_COLUMNS)
 
 
 def report_rows(report: TrialReport) -> list[str]:
     """One CSV row per parameter, carrying all four theory curves."""
-    curves = theory_curves(report.truth, report.n_samples)
+    curves = _theory_curves(report.truth, report.n_samples)
     return [",".join(cell(report, curves, i) for _, cell in _REPORT_COLUMNS)
             for i in range(len(_PARAM_NAMES))]
 
@@ -274,7 +295,7 @@ _BOUNDS_COLUMNS = (
     ("n_samples", lambda t, n, c: str(n)),
 ) + tuple(
     (f"{prefix}_{var}", lambda t, n, c, col=col, var=var: fmt12(getattr(c[col], var)))
-    for col, prefix, _ in THEORY_CURVES
+    for col, prefix, _ in _THEORY_CURVES
     for var in _BOUND_VARS
 )
 
@@ -284,7 +305,7 @@ def bounds_csv_lines(truths, n_samples: int, config_json=None) -> list[str]:
     lines = _config_comment(config_json)
     lines.append(_header(_BOUNDS_COLUMNS))
     for t in truths:
-        curves = theory_curves(t, n_samples)
+        curves = _theory_curves(t, n_samples)
         lines.append(",".join(cell(t, n_samples, curves) for _, cell in _BOUNDS_COLUMNS))
     return lines
 

@@ -6,19 +6,22 @@ Conventions used throughout the package:
   model evaluates to 1 at s = kappa = 1 for every phase);
 * the squeezing angle phi_s lives on [0, pi) because the variance model
   is pi-periodic in it;
-* physical states satisfy 0 < s <= 1 and kappa >= 1, but none of the
-  functions here hard-enforce that: estimators are allowed to produce
-  out-of-domain values and still need variances, covariances and dB
-  conversions evaluated at them.  Input is checked where it enters, by the
-  command line's ``RunConfig``, ``check_harmonic_state`` (scan truths and
-  MoM priors) and ``check_drawn_states`` (DHD and trace truths).
+* physical states satisfy 0 < s <= 1 and kappa >= 1, a rule stated once,
+  in ``in_physical_domain``; but none of the functions here hard-enforce
+  it: estimators are allowed to produce out-of-domain values and still
+  need variances, covariances and dB conversions evaluated at them.  Input
+  is checked where it enters, by the command line's ``RunConfig``,
+  ``check_harmonic_state`` (scan truths and MoM priors) and
+  ``check_drawn_states`` (DHD and trace truths);
+* ``state_covariance`` is a plain (2, 2) array; ``SymMatrix3`` holds the
+  (s, kappa, phi_s) information and covariance matrices.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,6 @@ __all__ = [
     "MAX_DRAW_VARIANCE",
     "MAX_PHASE",
     "StateParams",
-    "SymMatrix2",
     "sym2_eigensystem",
     "SymMatrix3",
     "SingularMatrixError",
@@ -108,11 +110,6 @@ class StateParams:
         object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "kappa", float(self.kappa))
         object.__setattr__(self, "phi_s", canonical_angle(self.phi_s))
-
-    @property
-    def is_physical(self) -> bool:
-        """``in_physical_domain(s, kappa)``."""
-        return in_physical_domain(self.s, self.kappa)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.s, self.kappa, self.phi_s)
@@ -291,36 +288,6 @@ def sym2_eigensystem(xx: float, xp: float, pp: float) -> tuple[float, float, flo
     return mid - r, mid + r, angle
 
 
-@dataclass(frozen=True)
-class SymMatrix2:
-    """Symmetric 2x2 matrix (xx, xp, pp), shot-noise units."""
-
-    xx: float
-    xp: float
-    pp: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.xx, self.xp], [self.xp, self.pp]], dtype=float)
-
-    def add_identity(self) -> "SymMatrix2":
-        return SymMatrix2(self.xx + 1.0, self.xp, self.pp + 1.0)
-
-    def eigensystem(self) -> tuple[float, float, float]:
-        """``sym2_eigensystem`` of the matrix."""
-        return sym2_eigensystem(self.xx, self.xp, self.pp)
-
-    @staticmethod
-    def from_eigensystem(lam_a: float, lam_b: float, angle: float) -> "SymMatrix2":
-        """Build R(angle) diag(lam_a, lam_b) R(angle)^T."""
-        c = math.cos(angle)
-        sn = math.sin(angle)
-        return SymMatrix2(
-            xx=lam_a * c * c + lam_b * sn * sn,
-            xp=(lam_a - lam_b) * c * sn,
-            pp=lam_a * sn * sn + lam_b * c * c,
-        )
-
-
 # relative determinant below which the adjugate inverse is rejected
 _SINGULAR_REL_DET = 1e-12
 
@@ -366,13 +333,6 @@ class SymMatrix3:
     def diag(self) -> tuple[float, float, float]:
         return (self.ss, self.kk, self.pp)
 
-    def det(self) -> float:
-        return (
-            self.ss * (self.kk * self.pp - self.kp * self.kp)
-            - self.sk * (self.sk * self.pp - self.kp * self.sp)
-            + self.sp * (self.sk * self.kp - self.kk * self.sp)
-        )
-
     def inverse(self) -> "SymMatrix3":
         """Adjugate-formula inverse with a conditioning guard.
 
@@ -382,12 +342,13 @@ class SymMatrix3:
         a zero determinant is rejected.  A rank-deficient information matrix
         must surface as a flag upstream, never as garbage variances.
         """
-        d = self.det()
-        if not math.isfinite(d) or abs(d) <= _SINGULAR_REL_DET * abs(self.ss * self.kk * self.pp):
-            raise SingularMatrixError(f"matrix is singular at working precision (det={d!r})")
         c_ss = self.kk * self.pp - self.kp * self.kp
         c_sk = -(self.sk * self.pp - self.kp * self.sp)
         c_sp = self.sk * self.kp - self.kk * self.sp
+        # the determinant, expanded along the first row
+        d = self.ss * c_ss + self.sk * c_sk + self.sp * c_sp
+        if not math.isfinite(d) or abs(d) <= _SINGULAR_REL_DET * abs(self.ss * self.kk * self.pp):
+            raise SingularMatrixError(f"matrix is singular at working precision (det={d!r})")
         c_kk = self.ss * self.pp - self.sp * self.sp
         c_kp = -(self.ss * self.kp - self.sk * self.sp)
         c_pp = self.ss * self.kk - self.sk * self.sk
@@ -397,11 +358,16 @@ class SymMatrix3:
         )
 
 
-def state_covariance(params: StateParams) -> SymMatrix2:
-    """Quadrature covariance of the state: R(phi_s) diag(kappa s, kappa/s) R^T."""
-    return SymMatrix2.from_eigensystem(
-        params.kappa * params.s, params.kappa / params.s, params.phi_s
-    )
+def state_covariance(params: StateParams) -> np.ndarray:
+    """Quadrature covariance of the state, the (2, 2) array
+    R(phi_s) diag(kappa s, kappa/s) R(phi_s)^T in (x, p) order."""
+    lam_a = params.kappa * params.s
+    lam_b = params.kappa / params.s
+    c = math.cos(params.phi_s)
+    sn = math.sin(params.phi_s)
+    xp = (lam_a - lam_b) * c * sn
+    return np.array([[lam_a * c * c + lam_b * sn * sn, xp],
+                     [xp, lam_a * sn * sn + lam_b * c * c]])
 
 
 def squeezing_db(params: StateParams) -> float:

@@ -79,8 +79,6 @@ __all__ = [
     "aggregate_estimates",
     "run_trials",
     "sweep_family",
-    "THEORY_CURVES",
-    "theory_curves",
     "track_angle",
     "autocorrelation_time",
 ]
@@ -378,23 +376,6 @@ def sweep_family(
         for truth, parts in zip(truths, all_parts)
         for method, (est, physical, iters) in zip(methods, parts)
     ]
-
-
-# The theoretical variance curves, each declared once as (report column,
-# bounds-CSV prefix, function of ``bounds`` taking (truth, n_samples)).  The
-# function is looked up on the module at every call, so that a wrapper
-# installed there (a profiler's, say) sees the calls made through this table.
-THEORY_CURVES = (
-    ("crb_homodyne", "crb", "crb_homodyne"),
-    ("fit_prediction", "fit", "fit_variance_prediction"),
-    ("crb_dhd", "dhd", "crb_dhd"),
-    ("crb_quantum", "qcrb", "crb_quantum"),
-)
-
-
-def theory_curves(truth: StateParams, n_samples: int) -> dict[str, BoundVector]:
-    """Every theoretical variance curve at one parameter point, by report column."""
-    return {col: getattr(bounds, fn)(truth, n_samples) for col, _, fn in THEORY_CURVES}
 
 
 @dataclass(frozen=True)

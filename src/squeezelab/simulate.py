@@ -277,7 +277,10 @@ def sample_dhd_blocks(params: StateParams, mu: int, seed: int, blocks):
     if mu < 1:
         raise ValueError(f"mu must be >= 1, got {mu}")
     check_drawn_states(params.s, params.kappa, params.phi_s)
-    gamma = state_covariance(params).add_identity().as_array()
+    # the identity goes on the diagonal only, so that the -0.0 off-diagonal
+    # of a state at phi_s = 0 stays -0.0
+    gamma = state_covariance(params)
+    gamma[[0, 1], [0, 1]] += 1.0
     chol_t = np.linalg.cholesky(gamma).T
     if mu > 1:
         # in C order z @ chol_t takes a path about 3x faster, with the same

@@ -84,6 +84,6 @@ def exact_moment_batch(params, mu=4000, seed=9):
     z = rng.normal(size=(mu, 2))
     raw = z.T @ z / mu
     white = z @ np.linalg.inv(np.linalg.cholesky(raw)).T
-    target = state_covariance(params).add_identity().as_array()
+    target = state_covariance(params) + np.eye(2)
     data = white @ np.linalg.cholesky(target).T
     return DhdBatch(q1=data[:, 0], p2=data[:, 1])

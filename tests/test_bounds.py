@@ -358,15 +358,13 @@ def test_fisher_dhd_matches_finite_differences():
     for _ in range(5):
         p = random_params(RNG)
         got = fisher_dhd(p).as_array()
-        g = state_covariance(p).add_identity().as_array()
+        g = state_covariance(p) + np.eye(2)
         gi = np.linalg.inv(g)
         parts = []
         for dp in [(h, 0, 0), (0, h, 0), (0, 0, h)]:
             hi = StateParams(p.s + dp[0], p.kappa + dp[1], p.phi_s + dp[2])
             lo = StateParams(p.s - dp[0], p.kappa - dp[1], p.phi_s - dp[2])
-            d = (
-                state_covariance(hi).as_array() - state_covariance(lo).as_array()
-            ) / (2 * h)
+            d = (state_covariance(hi) - state_covariance(lo)) / (2 * h)
             parts.append(d)
         want = np.empty((3, 3))
         for a in range(3):
@@ -387,7 +385,7 @@ def trace_loop_fisher_dhd(p):
     parts = (r @ np.diag([k, -k / (s * s)]) @ r.T,
              r @ np.diag([s, 1.0 / s]) @ r.T,
              dr @ d @ r.T + r @ d @ dr.T)
-    gi = np.linalg.inv(state_covariance(p).add_identity().as_array())
+    gi = np.linalg.inv(state_covariance(p) + np.eye(2))
     return np.array([[0.5 * np.trace(gi @ a @ gi @ b) for b in parts] for a in parts])
 
 

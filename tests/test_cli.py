@@ -113,6 +113,27 @@ def test_csv_parse_errors_cite_lines(tmp_path):
         sio.read_dhd_csv(dhd_not_finite)
 
 
+def test_csv_readers_name_the_file_of_a_binary_input(tmp_path, capsys):
+    """A trace given to a CSV reader fails at its header, naming file:1 and
+    the expected header, however the payload decodes; an undecodable byte
+    in a data row fails at that row.  The CLI reports the same and exits 1."""
+    path = tmp_path / "trace.dat"
+    assert main(["simulate", "--kind", "trace", "--s", "0.5", "--phi-s", "0.3",
+                 "--out", str(path)]) == 0
+    for read, header in ((sio.read_scan_csv, "psi_rad,q"), (sio.read_dhd_csv, "q1,p2")):
+        with pytest.raises(ValueError, match=rf"trace\.dat:1: expected header '{header}', "
+                                             r"got 'squeezelab-trace v1, rate_hz="):
+            read(path)
+    capsys.readouterr()
+    assert main(["estimate", "--input", str(path), "--method", "fit"]) == 1
+    assert "trace.dat:1: expected header 'psi_rad,q'" in capsys.readouterr().err
+
+    bad_byte = tmp_path / "h.csv"
+    bad_byte.write_bytes(b"psi_rad,q\n0.1,0.2\n0.3,\xd3\n")
+    with pytest.raises(ValueError, match=r"h\.csv:3: non-numeric value"):
+        sio.read_scan_csv(bad_byte)
+
+
 # every finite float64 a data file must carry, the edges drawn often
 _edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                                 1.7e308, -1.7e308, 1.7976931348623157e308])

@@ -5,6 +5,7 @@ import pathlib
 import re
 
 import squeezelab
+from squeezelab.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE = pathlib.Path(squeezelab.__file__).parent
@@ -33,3 +34,18 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every `squeezelab ...` line of the README's command-line block, with
+    its backslash continuations joined, exits 0 when run through
+    ``cli.main`` in order in one directory, so the files one example
+    writes are there for the next."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, flags=re.S).group(1)
+    commands = [line.split() for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("squeezelab ")]
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, (" ".join(argv), capsys.readouterr().err)

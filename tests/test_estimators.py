@@ -823,7 +823,7 @@ def test_physical_iff_no_nonphysical_flag(s, kappa, phi, n, seed):
     batch = sample_dhd(truth, n, seed=seed)
     for res in (fit_estimate(scan), mom_estimate(scan), dhd_estimate(batch)):
         assert res.physical == (FLAG_NONPHYSICAL not in res.flags), res
-        assert not res.physical or res.params.is_physical, res
+        assert not res.physical or model.in_physical_domain(res.params.s, res.params.kappa), res
 
 
 @pytest.mark.parametrize("scale", [1e3, 1e6])

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from squeezelab import (
     SingularMatrixError,
     StateParams,
-    SymMatrix2,
     SymMatrix3,
     angle_distance,
     canonical_angle,
@@ -22,7 +21,13 @@ from squeezelab import (
     state_covariance,
     variance_partials,
 )
-from squeezelab.model import MAX_PHASE, PHYSICAL_EDGE_TOL, grid_harmonics, in_physical_domain
+from squeezelab.model import (
+    MAX_PHASE,
+    PHYSICAL_EDGE_TOL,
+    grid_harmonics,
+    in_physical_domain,
+    sym2_eigensystem,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -62,12 +67,12 @@ def test_state_params_canonicalizes_phi():
 
 def test_is_physical_admits_rounding_at_the_edges():
     edge = PHYSICAL_EDGE_TOL
-    assert StateParams(1.0 + edge, 2.0).is_physical
-    assert StateParams(0.5, 1.0 - edge).is_physical
-    assert not StateParams(1.0 + 2.0 * edge, 2.0).is_physical
-    assert not StateParams(0.5, 1.0 - 2.0 * edge).is_physical
-    assert not StateParams(0.0, 2.0).is_physical
-    assert not StateParams(0.5, math.inf).is_physical
+    assert in_physical_domain(1.0 + edge, 2.0)
+    assert in_physical_domain(0.5, 1.0 - edge)
+    assert not in_physical_domain(1.0 + 2.0 * edge, 2.0)
+    assert not in_physical_domain(0.5, 1.0 - 2.0 * edge)
+    assert not in_physical_domain(0.0, 2.0)
+    assert not in_physical_domain(0.5, math.inf)
 
 
 def _ulps_around(x: float, count: int = 3) -> list[float]:
@@ -89,13 +94,13 @@ EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, *_ulps_around(0.0),
 @given(arrays(np.float64, st.tuples(st.just(2), st.integers(1, 30)),
               elements=st.sampled_from(EDGE_VALUES) | st.floats()))
 def test_physical_domain_of_arrays_is_that_of_each_state(sk):
-    """in_physical_domain of arrays judges each (s, kappa) as
-    StateParams.is_physical judges that state, and both follow the rule
-    as written out: 0 < s <= 1 + tol, kappa >= 1 - tol, both finite."""
+    """in_physical_domain of arrays judges each (s, kappa) as it judges
+    that pair of floats, and both follow the rule as written out:
+    0 < s <= 1 + tol, kappa >= 1 - tol, both finite."""
     s, kappa = sk
     got = in_physical_domain(s, kappa)
     assert got.dtype == bool and got.shape == s.shape
-    want = [StateParams(a, b).is_physical for a, b in zip(s.tolist(), kappa.tolist())]
+    want = [in_physical_domain(a, b) for a, b in zip(s.tolist(), kappa.tolist())]
     assert got.tolist() == want
     assert want == [0.0 < a <= 1.0 + PHYSICAL_EDGE_TOL and b >= 1.0 - PHYSICAL_EDGE_TOL
                     and math.isfinite(a) and math.isfinite(b)
@@ -206,7 +211,7 @@ def test_squeezing_db_error_matches_finite_difference_propagation():
 def test_state_covariance_shape_and_det():
     for _ in range(10):
         p = random_params(RNG)
-        g = state_covariance(p).as_array()
+        g = state_covariance(p)
         assert np.linalg.det(g) == pytest.approx(p.kappa**2, rel=1e-12)
         assert np.trace(g) == pytest.approx(p.kappa * p.s + p.kappa / p.s, rel=1e-12)
 
@@ -214,31 +219,30 @@ def test_state_covariance_shape_and_det():
 def test_covariance_eigen_round_trip():
     for _ in range(20):
         p = random_params(RNG, s_hi=0.98)
-        lam_min, lam_max, angle = state_covariance(p).eigensystem()
+        g = state_covariance(p)
+        lam_min, lam_max, angle = sym2_eigensystem(g[0, 0], g[0, 1], g[1, 1])
         assert lam_min == pytest.approx(p.kappa * p.s, rel=1e-12)
         assert lam_max == pytest.approx(p.kappa / p.s, rel=1e-12)
         assert angle_distance(angle, p.phi_s) < 1e-12
 
 
 def test_eigensystem_axis_aligned():
-    m = SymMatrix2(xx=0.5, xp=0.0, pp=2.0)
-    lam_min, lam_max, angle = m.eigensystem()
+    lam_min, lam_max, angle = sym2_eigensystem(0.5, 0.0, 2.0)
     assert (lam_min, lam_max, angle) == (0.5, 2.0, 0.0)
-    m = SymMatrix2(xx=2.0, xp=0.0, pp=0.5)
-    assert m.eigensystem()[2] == pytest.approx(math.pi / 2)
+    assert sym2_eigensystem(2.0, 0.0, 0.5)[2] == pytest.approx(math.pi / 2)
 
 
 def test_eigensystem_matches_numpy():
     for _ in range(20):
         a = RNG.normal(size=(2, 2))
         sym = a @ a.T + 0.1 * np.eye(2)
-        m = SymMatrix2(xx=sym[0, 0], xp=sym[0, 1], pp=sym[1, 1])
-        lam_min, lam_max, angle = m.eigensystem()
+        lam_min, lam_max, angle = sym2_eigensystem(sym[0, 0], sym[0, 1], sym[1, 1])
         w = np.linalg.eigvalsh(sym)
         assert lam_min == pytest.approx(w[0], rel=1e-10)
         assert lam_max == pytest.approx(w[1], rel=1e-10)
-        rebuilt = SymMatrix2.from_eigensystem(lam_min, lam_max, angle)
-        np.testing.assert_allclose(rebuilt.as_array(), sym, atol=1e-10)
+        rebuilt = state_covariance(StateParams(math.sqrt(lam_min / lam_max),
+                                               math.sqrt(lam_min * lam_max), angle))
+        np.testing.assert_allclose(rebuilt, sym, atol=1e-10)
 
 
 def test_sym3_inverse_matches_numpy():

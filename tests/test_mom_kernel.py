@@ -57,7 +57,7 @@ from squeezelab.estimators import (
     _mom_reducer,
     _seed_priors,
 )
-from squeezelab.model import S_FLOOR, SingularMatrixError
+from squeezelab.model import S_FLOOR, SingularMatrixError, in_physical_domain
 
 RTOL = 1e-12
 ANGLE_TOL = 1e-12
@@ -114,7 +114,7 @@ def _reference_estimate(scan, prior):
     flags = set(step_flags)
     if not done:
         flags.add(FLAG_NO_CONVERGENCE)
-    physical = FLAG_NONPHYSICAL not in step_flags and StateParams(s0, k0, p0).is_physical
+    physical = FLAG_NONPHYSICAL not in step_flags and in_physical_domain(s0, k0)
     if not physical:
         flags.add(FLAG_NONPHYSICAL)
     return s0, k0, p0, iterations, frozenset(flags), physical
@@ -217,7 +217,7 @@ def _stepwise_estimate(scan, prior, max_iter):
     flags = set(step_flags)
     if not converged:
         flags.add(FLAG_NO_CONVERGENCE)
-    if FLAG_NONPHYSICAL in step_flags or not est.is_physical:
+    if FLAG_NONPHYSICAL in step_flags or not in_physical_domain(est.s, est.kappa):
         flags.add(FLAG_NONPHYSICAL)
     else:
         try:

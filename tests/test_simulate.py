@@ -536,7 +536,10 @@ def _scan_reference(params, cfg, seed, trial):
 
 
 def _dhd_reference(params, mu, seed, trial):
-    chol = np.linalg.cholesky(state_covariance(params).add_identity().as_array())
+    gamma = state_covariance(params)
+    gamma[0, 0] += 1.0
+    gamma[1, 1] += 1.0
+    chol = np.linalg.cholesky(gamma)
     return keyed_generator(seed, _STREAM_DHD, trial).standard_normal((mu, 2)) @ chol.T
 
 
@@ -720,17 +723,21 @@ def test_simulated_trace_file_is_pinned(tmp_path, capsys):
     ("scan", "13eedcf7cf7213d6e4721fedb3ba6e9701311c15c68b7a4632c10eebcb3f5792"),
     ("scan-random", "61cde68264d79a7de21181daaf4b1a1d364321eaf808b58b19d4bb22ed79b2bd"),
     ("dhd", "09fddc37e8fb65e285042ff7decc8ea03a74d3dfc9af567891c105e13da9064b"),
+    ("dhd-axis", "e39c8ac7e5006b835f34e5da6b19326471f705a4533460f04b0c872134e7692a"),
 ])
 def test_simulated_csv_file_is_pinned(tmp_path, capsys, kind, digest):
     """File bytes of a scan on each spacing and a DHD CSV at the default
     geometry: any change to the draws or to the repr formatting of the rows
     shows here.  The files start with the config echo, so a new RunConfig
-    field changes the digests while every data row stays put."""
+    field changes the digests while every data row stays put.  The DHD file
+    on the axis, phi_s = 0, draws from a covariance whose off-diagonal is
+    -0.0, which adding the identity must keep."""
     out = tmp_path / f"{kind}.csv"
-    data, _, spacing = kind.partition("-")
-    assert main(["simulate", "--kind", data, "--s", "0.5", "--phi-s", "0.3",
-                 "--seed", "3", "--trial", "2", "--out", str(out),
-                 *(["--spacing", spacing] if spacing else [])]) == 0
+    data, _, variant = kind.partition("-")
+    phi_s = "0" if variant == "axis" else "0.3"
+    spacing = ["--spacing", variant] if variant == "random" else []
+    assert main(["simulate", "--kind", data, "--s", "0.5", "--phi-s", phi_s,
+                 "--seed", "3", "--trial", "2", "--out", str(out), *spacing]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
