@@ -2,9 +2,9 @@
 
 All bounds come in two flavors: the discrete Fisher sum over an explicit
 phase list, and closed-form per-sample expressions divided by the sample
-count.  Reports should state which one they used; for equispaced phases
-over [0, n pi) the two agree to machine precision because the variance
-model is a low-order trigonometric polynomial.  The discrete sum works on
+count.  Reports should state which one they used; on equispaced phases
+over [0, n pi) the two agree to rounding where ``phase_average_is_exact``
+says the grid's aliasing error is below it.  The discrete sum works on
 the grid harmonics (``model.grid_harmonics``) and does no trig on the grid
 when a caller that already holds them, as MoM does, passes them in.
 
@@ -16,6 +16,7 @@ by overflow): var_phi at s = 1, and the quantum kappa bound collapsing to
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "fisher_homodyne_discrete",
     "phase_averaged_fisher",
     "crb_homodyne",
+    "phase_average_is_exact",
     "fit_variance_prediction",
     "fisher_dhd",
     "crb_dhd",
@@ -128,7 +130,11 @@ def phase_averaged_fisher(params: StateParams) -> SymMatrix3:
 def crb_homodyne(params: StateParams, n_samples: int) -> BoundVector:
     """Cramer-Rao bound for a uniform homodyne phase scan of n samples.
 
-    (var_s, var_kappa, var_phi) = (s(1+s)^2, kappa^2(1+s^2)/s, s/(1-s)^2) / n.
+    (var_s, var_kappa, var_phi) = (s(1+s)^2, kappa^2(1+s^2)/s, s/(1-s)^2) / n,
+    the diagonal of (n ``phase_averaged_fisher``)^-1.  On an equispaced grid
+    of n phases where ``phase_average_is_exact`` holds, var_phi is
+    [F^-1]_phiphi of ``fisher_homodyne_discrete`` to rounding (var_s and
+    var_kappa are not checked against it).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -137,6 +143,27 @@ def crb_homodyne(params: StateParams, n_samples: int) -> BoundVector:
     var_k = k * k * (1.0 + s * s) / (s * n_samples)
     var_p = INF if s == 1.0 else s / ((1.0 - s) ** 2 * n_samples)
     return BoundVector(var_s, var_k, var_p, n_samples)
+
+
+def phase_average_is_exact(s: float, m: int) -> bool:
+    """Whether an m-point equispaced sum of the homodyne Fisher summand is
+    its phase average to rounding.
+
+    An equispaced grid of n_psi phases over [0, n pi) visits
+    m = n_psi / gcd(n_psi, n) distinct doubled angles 2 psi, each equally
+    often.  In theta = 2(psi - phi_s), 1/V has Fourier coefficients
+    proportional to rho^|k| with rho = (1 - s)/(1 + s), so the summand
+    (1/2V^2) dV/da dV/db, 1/V^2 times a trig polynomial of degree 2, has
+    coefficients of order |k| rho^(|k|-2).  The m-point sum aliases exactly
+    the coefficients at the nonzero multiples of m onto the mean, so
+
+        F_grid = n_psi F_avg (1 + O(m |rho|^(m-2)))
+
+    (Trefethen & Weideman, SIAM Review 56, 2014).  True iff m >= 3 and
+    m |rho|^(m-2) <= DBL_EPSILON; at s = 1, rho = 0 and it holds for every
+    m >= 3.
+    """
+    return m >= 3 and m * abs((1.0 - s) / (1.0 + s)) ** (m - 2) <= sys.float_info.epsilon
 
 
 def fit_variance_prediction(params: StateParams, n_samples: int) -> BoundVector:

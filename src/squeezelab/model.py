@@ -60,7 +60,8 @@ def canonical_angle(phi: float) -> float:
     # fmod can return exactly pi after the shift when phi is a tiny negative
     if out >= math.pi:
         out -= math.pi
-    return out
+    # fmod keeps the sign of a zero remainder (phi = -0.0, -pi, ...): + 0.0 clears it
+    return out + 0.0
 
 
 def angle_distance(a: float, b: float) -> float:

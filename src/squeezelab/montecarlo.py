@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +196,9 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
     if workers == 1:
         chunks = [_collect_range(job) for job in jobs]
     else:
+        # imported here: it loads multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_collect_range, jobs))
     # a truth's chunks are consecutive; join each method's arrays across them
@@ -430,9 +432,13 @@ def track_angle(
     and its rows are estimated one by one, because each scan's physical
     estimate seeds the next scan's prior (else the scan's own fit does).
     The reported half-width is the predicted angle standard error
-    sqrt([F^-1]_pp) at a physical estimate, else nan, as for a singular F;
-    the correlation-time fit uses the mean squared half-width as its
-    measurement-noise floor.
+    sqrt([F^-1]_pp) at a physical estimate, else nan, as for a singular F
+    (s = 1).  On an equispaced grid where ``bounds.phase_average_is_exact``
+    holds at the estimate, [F^-1]_pp is ``bounds.crb_homodyne``'s var_phi,
+    the grid's F to rounding; elsewhere (random phases, coarse grids, small
+    s) it is the inverse of ``bounds.fisher_homodyne_discrete`` on the
+    scan's phases.  The correlation-time fit uses the mean squared
+    half-width as its measurement-noise floor.
     A duration of fewer than 3 scans, which that fit needs, or scans of
     fewer than MIN_SAMPLES phases raise ValueError before any draw.
     """
@@ -450,6 +456,8 @@ def track_angle(
 
     truths = [StateParams(base.s, base.kappa, phi) for phi in phi_true]
     blocks = [range(b, min(b + BLOCK_TRIALS, n)) for b in range(0, n, BLOCK_TRIALS)]
+    # distinct doubled angles of the equispaced grid (bounds.phase_average_is_exact)
+    m = cfg.n_psi // math.gcd(cfg.n_psi, cfg.n) if cfg.spacing == "equispaced" else None
     scans = []  # (params, iterations, half-width) of each scan
     prior = None
     drawn = sample_scan_blocks(truths, cfg, seed, blocks)
@@ -459,12 +467,17 @@ def track_angle(
             row = block.row(i)
             (p, physical, iterations, *_), _ = _mom_seeded(row, prior, tol, max_iter)
             prior = StateParams(*p) if physical else None
-            try:
-                pp = (bounds.fisher_homodyne_discrete(prior, row.phases, harmonics=row.harmonics)
-                      .inverse().pp if physical else math.nan)
-            except SingularMatrixError:
+            if not physical:
                 pp = math.nan
-            scans.append((p, iterations, math.sqrt(pp) if pp > 0 else math.nan))
+            elif m is not None and bounds.phase_average_is_exact(prior.s, m):
+                pp = bounds.crb_homodyne(prior, cfg.n_psi).var_phi
+            else:
+                try:
+                    pp = bounds.fisher_homodyne_discrete(
+                        prior, row.phases, harmonics=row.harmonics).inverse().pp
+                except SingularMatrixError:
+                    pp = math.nan
+            scans.append((p, iterations, math.sqrt(pp) if 0.0 < pp < math.inf else math.nan))
     params, iters, half_width = zip(*scans)
     s_est, kappa_est, phi_est = np.array(params).T.copy()
     iters = np.array(iters, dtype=np.int64)

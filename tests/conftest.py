@@ -9,6 +9,10 @@ inversion identities into exact tests.
 fit_moments reads the Fourier moments (C0, C2) that fit_estimate forms,
 as its call to ``estimators._fit_row`` receives them.
 
+closed_form_half_width_tol bounds the relative gap between the closed-form
+and the discrete angle half-width where ``bounds.phase_average_is_exact``
+holds.
+
 column_rows and column_results read the rows of an ``estimators.Estimates``
 back as finished rows and as the EstimateResults a one-row finish builds.
 
@@ -50,6 +54,14 @@ def fit_moments(scan):
         fit_estimate(scan)
     c0, mc, ms = finish.call_args.args
     return c0, complex(mc, -ms)
+
+
+def closed_form_half_width_tol(s):
+    """4 eps (1 + 1/s^2), the discrete Fisher kernel's rounding (its rows lose
+    eps / s^2 on the squeezed axis), plus the aliasing bound, at most eps
+    where ``bounds.phase_average_is_exact`` holds."""
+    eps = np.finfo(float).eps
+    return 4.0 * eps * (1.0 + 1.0 / (s * s)) + eps
 
 
 def column_rows(est) -> list:

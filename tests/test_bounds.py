@@ -14,12 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import closed_form_half_width_tol
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from squeezelab import (
     SPACINGS,
     ScanConfig,
+    SingularMatrixError,
     StateParams,
     SymMatrix3,
     crb_dhd,
@@ -31,6 +33,7 @@ from squeezelab import (
     fisher_homodyne_discrete,
     fit_variance_prediction,
     grid_harmonics,
+    phase_average_is_exact,
     phase_averaged_fisher,
     qfi_matrix,
     state_covariance,
@@ -323,6 +326,55 @@ def test_discrete_fisher_grid_matches_closed_form():
     f = fisher_homodyne_discrete(p, phases).as_array()
     fbar = phase_averaged_fisher(p).as_array()
     np.testing.assert_allclose(f / 900, fbar, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=300)
+@given(n_psi=st.integers(3, 2000), n=st.integers(1, 4), s=st.floats(1e-3, 1.0),
+       kappa=st.floats(1.0, 10.0), phi=st.floats(0.0, math.pi, exclude_max=True))
+@example(n_psi=16, n=2, s=0.21, kappa=1.0, phi=0.0)
+@example(n_psi=900, n=2, s=1.0, kappa=2.0, phi=0.3)
+@example(n_psi=900, n=2, s=0.05, kappa=1.0 / math.sqrt(0.05), phi=1.0)
+def test_closed_form_half_width_where_the_phase_average_is_exact(n_psi, n, s, kappa, phi):
+    """Where ``phase_average_is_exact`` holds for the grid's m distinct
+    doubled angles, crb_homodyne's angle half-width meets the discrete
+    sqrt([F^-1]_pp) within ``closed_form_half_width_tol``, and both are nan
+    at s = 1; off the rule (N = 16, n = 2, s = 0.21, m = 8) they differ by
+    14%, so the predicate carries the result."""
+    p = StateParams(s, kappa, phi)
+    m = n_psi // math.gcd(n_psi, n)
+    try:
+        pp = fisher_homodyne_discrete(p, ScanConfig(n_psi=n_psi, n=n).phase_grid()).inverse().pp
+    except SingularMatrixError:
+        pp = math.nan
+    discrete = math.sqrt(pp) if 0.0 < pp < math.inf else math.nan
+    var = crb_homodyne(p, n_psi).var_phi
+    closed = math.sqrt(var) if var < math.inf else math.nan
+    if (n_psi, n, s) == (16, 2, 0.21):
+        assert not phase_average_is_exact(s, m)
+        assert abs(closed - discrete) > 0.1 * discrete
+    if m < 3:
+        assert not phase_average_is_exact(s, m)
+    if not phase_average_is_exact(s, m):
+        return
+    if s == 1.0:
+        assert math.isnan(closed) and math.isnan(discrete)
+    else:
+        assert abs(closed - discrete) <= closed_form_half_width_tol(s) * discrete
+
+
+@pytest.mark.parametrize("m", [8, 32, 450, 2000])
+def test_phase_average_is_exact_flips_where_the_aliasing_bound_meets_eps(m):
+    """The rule m |rho|^(m-2) <= eps holds just above the s where it is an
+    equality and fails just below; it fails for m <= 2 whatever s, and holds
+    at s = 1 (rho = 0) for m >= 3."""
+    rho = (np.finfo(float).eps / m) ** (1.0 / (m - 2))
+    edge = (1.0 - rho) / (1.0 + rho)
+    assert phase_average_is_exact(edge * (1.0 + 1e-6), m)
+    assert not phase_average_is_exact(edge * (1.0 - 1e-6), m)
+    assert phase_average_is_exact(1.0, m)
+    for few in (1, 2):
+        assert not phase_average_is_exact(1.0, few)
+        assert not phase_average_is_exact(0.5, few)
 
 
 def test_fit_prediction_equals_crb_at_s_one():

@@ -754,6 +754,22 @@ def test_help_text_matches_a_fresh_process(monkeypatch, tmp_path, capsys):
         assert here.startswith("usage: squeezelab")
 
 
+def test_cli_import_loads_no_process_pool():
+    """Importing the CLI in a fresh interpreter loads neither
+    concurrent.futures nor multiprocessing: only a sweep of more than one
+    worker opens a process pool, and it imports them then."""
+    env = dict(os.environ)
+    # the subprocess must import the squeezelab under test, not an installed one
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(squeezelab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    code = ("import sys, squeezelab.cli; "
+            "print(*(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=60)
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == ""
+
+
 # ------------------------------------------------------------ cli: commands
 
 

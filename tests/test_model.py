@@ -1,10 +1,11 @@
 """Core state model: variance curve, angles, covariance round trips."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
@@ -40,13 +41,28 @@ def random_params(rng, s_lo=0.05, s_hi=0.999, k_hi=4.0):
     )
 
 
-def test_canonical_angle_range():
-    for phi in (-0.1, 0.0, 1.0, math.pi, math.pi + 0.3, 7.0, -9.5):
-        c = canonical_angle(phi)
-        assert 0.0 <= c < math.pi
-        # same angle modulo pi
-        assert math.isclose(math.cos(2 * c), math.cos(2 * phi), abs_tol=1e-12)
-        assert math.isclose(math.sin(2 * c), math.sin(2 * phi), abs_tol=1e-12)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.1)
+@example(0.0)
+@example(1.0)
+@example(math.pi)
+@example(math.pi + 0.3)
+@example(7.0)
+@example(-9.5)
+@example(-0.0)
+@example(-math.pi)
+@example(-1e-300)
+@example(1e300)
+@example(-1e300)
+def test_canonical_angle_range(phi):
+    """canonical_angle lands in [0, pi) with a clear sign bit (never -0.0)
+    and differs from phi by a whole multiple of pi, up to the half ulp of
+    pi that the shift of a negative remainder rounds."""
+    c = canonical_angle(phi)
+    assert math.copysign(1.0, c) == 1.0 and c < math.pi
+    diff = Fraction(phi) - Fraction(c)
+    turns = round(diff / Fraction(math.pi))
+    assert abs(diff - turns * Fraction(math.pi)) <= Fraction(math.ulp(math.pi)) / 2
 
 
 def test_angle_distance_wraps():

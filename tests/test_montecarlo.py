@@ -1,11 +1,13 @@
 """Trial harness checks: determinism, aggregation, bias, tracking."""
 
+import concurrent.futures
 import math
 import os
 from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import closed_form_half_width_tol
 from hypothesis import example, given, settings, strategies as st
 
 from squeezelab import (
@@ -248,12 +250,12 @@ def test_sweep_opens_one_process_pool(monkeypatch):
     pool, and its reports equal the single-worker ones."""
     pools = []
 
-    class CountingPool(montecarlo.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs["max_workers"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
     kwargs = dict(seed=3, scan_config=ScanConfig(n_psi=64), mu=64)
     parallel = sweep_family((0.21, 0.5, 0.9), ("fit", "dhd"), 20, workers=2, **kwargs)
@@ -493,16 +495,26 @@ def test_track_quasi_static_rms():
     assert float(np.nanmean(res.half_width)) == pytest.approx(sd_crb, rel=0.2)
 
 
+def _half_width(pp):
+    return math.sqrt(pp) if pp is not None and 0.0 < pp < math.inf else math.nan
+
+
 def _reference_track(drift, base, cfg, duration, seed):
     """The loop track_angle replaced: a fresh single draw per scan, then
     MoM warm-started from the previous physical estimate, then the
-    half-width; (per-scan fields, tau_est, noise_floor, the count of each
-    flag over the scans)."""
+    half-width: ``crb_homodyne``'s on an equispaced grid where
+    ``phase_average_is_exact`` holds at a physical estimate, else
+    ``mom_estimate``'s discrete one; (per-scan fields, tau_est,
+    noise_floor, the count of each flag over the scans, the discrete
+    half-widths, the mask of closed-form scans)."""
     offsets = simulate_phase_drift(drift, duration, seed=seed)
     n = len(offsets)
     phi_true = base.phi_s + offsets
+    m = cfg.n_psi // math.gcd(cfg.n_psi, cfg.n)
     cols = {f: np.empty(n) for f in ("phi_est", "half_width", "s_est", "kappa_est")}
     cols["iterations"] = np.empty(n, dtype=np.int64)
+    discrete = np.empty(n)
+    closed = np.zeros(n, dtype=bool)
     flags = Counter()
     prior = None
     for k in range(n):
@@ -511,8 +523,11 @@ def _reference_track(drift, base, cfg, duration, seed):
         cols["phi_est"][k], cols["s_est"][k], cols["kappa_est"][k] = (
             r.params.phi_s, r.params.s, r.params.kappa)
         cols["iterations"][k] = r.iterations
-        pp = None if r.predicted_cov is None else r.predicted_cov.pp
-        cols["half_width"][k] = math.sqrt(pp) if pp is not None and pp > 0 else math.nan
+        discrete[k] = _half_width(None if r.predicted_cov is None else r.predicted_cov.pp)
+        closed[k] = (cfg.spacing == "equispaced" and r.physical
+                     and bounds.phase_average_is_exact(r.params.s, m))
+        cols["half_width"][k] = (_half_width(crb_homodyne(r.params, cfg.n_psi).var_phi)
+                                 if closed[k] else discrete[k])
         flags.update(r.flags)
         prior = r.params if r.physical else None
     cols["times"] = np.arange(n) * drift.step_interval
@@ -521,22 +536,29 @@ def _reference_track(drift, base, cfg, duration, seed):
     hw = cols["half_width"][np.isfinite(cols["half_width"])]
     noise_floor = float(np.mean(hw**2)) if hw.size else 0.0
     return (cols, autocorrelation_time(resid, drift.step_interval, noise_floor), noise_floor,
-            flags)
+            flags, discrete, closed)
 
 
 def _track_matches_reference(drift, base, cfg, duration, seed):
     """Assert that every field of track_angle's result, its correlation
-    time and its noise floor equal the per-scan reference's bit for bit;
-    return the result."""
+    time and its noise floor equal the per-scan reference's bit for bit,
+    and that each closed-form half-width lies within
+    ``closed_form_half_width_tol`` of the discrete one (both nan where F is
+    singular, at s = 1); return the result and the mask of closed-form
+    scans."""
     got = track_angle(drift, base, cfg, duration=duration, seed=seed)
-    cols, tau, floor, _ = _reference_track(drift, base, cfg, duration, seed)
+    cols, tau, floor, _, discrete, closed = _reference_track(drift, base, cfg, duration, seed)
     assert len(got.times) == len(cols["times"])
     for field, want in cols.items():
         have = getattr(got, field)
         assert have.dtype == want.dtype and have.tobytes() == want.tobytes(), field
     for have, want in ((got.tau_est, tau), (got.noise_floor, floor)):
         assert np.float64(have).tobytes() == np.float64(want).tobytes()
-    return got
+    hw, ref, s = got.half_width[closed], discrete[closed], got.s_est[closed]
+    assert np.array_equal(np.isnan(hw), np.isnan(ref))
+    finite = np.isfinite(ref)
+    assert np.all(np.abs(hw - ref)[finite] <= closed_form_half_width_tol(s[finite]) * ref[finite])
+    return got, closed
 
 
 @pytest.mark.parametrize("spacing", ["equispaced", "random"])
@@ -545,13 +567,19 @@ def _track_matches_reference(drift, base, cfg, duration, seed):
 def test_track_matches_per_scan_reference(spacing, n_psi, kind):
     """Drawing the scans in blocks leaves every field of the track, the
     correlation time and the noise floor bit for bit as drawn scan by scan,
-    across block edges (50 scans: three full blocks and two scans)."""
+    across block edges (50 scans: three full blocks and two scans).  Every
+    scan of the 900-point grid takes the closed-form half-width, and no
+    scan of random phases does."""
     cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
     drift = DriftModel(kind=kind)
     base = empirical_family(0.5, 0.2)
     for seed in (0, 7, 123):
-        got = _track_matches_reference(drift, base, cfg, 0.025, seed)
+        got, closed = _track_matches_reference(drift, base, cfg, 0.025, seed)
         assert len(got.times) == 50
+        if spacing == "random":
+            assert not closed.any()
+        elif n_psi == 900:
+            assert closed.all()
 
 
 # tracks whose scans turn non-physical, re-seed from the fit mid-track,
@@ -590,6 +618,25 @@ def test_track_matches_per_scan_reference_on_any_state(s, pure, phi, n_psi, spac
     drift = DriftModel(kind=kind)
     _track_matches_reference(drift, base, ScanConfig(n_psi=n_psi, spacing=spacing),
                              (scans + 0.5) * drift.step_interval, seed)
+
+
+def test_track_half_width_is_nan_at_s_one_on_either_path(monkeypatch):
+    """An estimate at s = 1 carries no angle information: its half-width is
+    nan where crb_homodyne's var_phi is inf (the closed form, on the 900-point
+    grid) and where the discrete F is singular (random phases), and the
+    noise floor then has no half-width to average."""
+    seeded = montecarlo._mom_seeded
+
+    def at_s_one(*args, **kwargs):
+        (p, *rest), seed = seeded(*args, **kwargs)
+        return ((1.0, *p[1:]), *rest), seed
+
+    monkeypatch.setattr(montecarlo, "_mom_seeded", at_s_one)
+    for spacing in ("equispaced", "random"):
+        got = track_angle(DriftModel(), empirical_family(0.5, 0.2),
+                          ScanConfig(n_psi=900, spacing=spacing), duration=0.01, seed=1)
+        assert (got.s_est == 1.0).all()
+        assert np.isnan(got.half_width).all() and got.noise_floor == 0.0
 
 
 def test_tracks_that_reseed_reach_every_scan_outcome():
