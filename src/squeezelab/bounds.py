@@ -132,9 +132,8 @@ def crb_homodyne(params: StateParams, n_samples: int) -> BoundVector:
 
     (var_s, var_kappa, var_phi) = (s(1+s)^2, kappa^2(1+s^2)/s, s/(1-s)^2) / n,
     the diagonal of (n ``phase_averaged_fisher``)^-1.  On an equispaced grid
-    of n phases where ``phase_average_is_exact`` holds, var_phi is
-    [F^-1]_phiphi of ``fisher_homodyne_discrete`` to rounding (var_s and
-    var_kappa are not checked against it).
+    of n phases where ``phase_average_is_exact`` holds, it is the diagonal
+    of ``fisher_homodyne_discrete``'s F^-1 to rounding.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

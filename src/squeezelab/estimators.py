@@ -329,29 +329,32 @@ def _mom_reducer(harmonics: np.ndarray, x2: np.ndarray):
     row's three sums m = sum_j q_j^2 / V_j^2 (1, cos 2psi_j, sin 2psi_j),
     as A lists.
 
-    ``harmonics`` is (3, N), shared by the rows, or (A, 3, N).  A block
-    takes three stacked numpy calls; one row takes the 2-D products as
-    ``ndarray.dot``, np.dot's routine without its dispatcher.  Both
-    reproduce a single row's np.dot bit for bit, so a row's sums do not
-    depend on the rows reduced with it.
+    ``harmonics`` is (3, N), shared by the rows, or (A, 3, N).  The three
+    stacked numpy calls reproduce a single row's products in ``_mom_drive``
+    bit for bit, so a row's sums do not depend on the rows reduced with it.
     """
-    if len(x2) == 1:
-        h, x = harmonics if harmonics.ndim == 2 else harmonics[0], x2[0]
+    w_shape = (len(x2), x2.shape[1], 1)
+    x = x2[:, None, :]
 
-        def reduce(coefs):
-            v = np.array(coefs[0]).dot(h)
-            v *= v
-            return [h.dot(np.divide(x, v, v)).tolist()]
-    else:
-        w_shape = (len(x2), x2.shape[1], 1)
-        x = x2[:, None, :]
-
-        def reduce(coefs):
-            v = np.matmul(np.array(coefs)[:, None, :], harmonics)
-            v *= v
-            w = np.divide(x, v, v).reshape(w_shape)
-            return np.matmul(harmonics, w).reshape(-1, 3).tolist()
+    def reduce(coefs):
+        v = np.matmul(np.array(coefs)[:, None, :], harmonics)
+        v *= v
+        w = np.divide(x, v, v).reshape(w_shape)
+        return np.matmul(harmonics, w).reshape(-1, 3).tolist()
     return reduce
+
+
+def _mom_drive(row, coefs, h: np.ndarray, x: np.ndarray) -> tuple:
+    """The value of ``_mom_row``'s generator ``row`` at iterate ``coefs``,
+    run alone on its row's harmonics h (3, N) and squares x (N,), whose
+    sums it takes as ``ndarray.dot``, np.dot's routine without dispatch."""
+    try:
+        while True:
+            v = np.array(coefs).dot(h)
+            v *= v
+            coefs = row.send(h.dot(np.divide(x, v, v)).tolist())
+    except StopIteration as stop:
+        return stop.value
 
 
 def _seed_priors(fits) -> tuple[list, list]:
@@ -455,6 +458,15 @@ def _mom_row(s0: float, k0: float, p0: float, n: int, tol: float, max_iter: int)
     return (s0, k0, p0), physical, iterations, singular, not converged
 
 
+def _check_iteration(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless MoM's ``tol`` is finite and > 0 and its
+    ``max_iter`` at least 1."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
 def mom_estimate(
     scan,
     prior: StateParams | None = None,
@@ -470,8 +482,9 @@ def mom_estimate(
     already has it, or else from a fresh fit; a given prior that
     ``model.check_harmonic_state`` refuses (s outside [1e-6, 1e6], kappa
     outside [1e-90, 1e90], or a non-finite angle) raises ValueError, and so
-    does a ``max_iter`` below 1.
+    do a ``tol`` that is not finite and > 0 and a ``max_iter`` below 1.
     """
+    _check_iteration(tol, max_iter)
     block = _one_row(scan)
     row, seed = _mom_seeded(block, prior, tol, max_iter,
                             None if fit is None else fit.params.as_tuple())
@@ -482,31 +495,35 @@ def mom_estimate(
 
 
 def _mom_seeded(block: ScanBlock, prior: StateParams | None, tol: float, max_iter: int,
-                fit: tuple | None = None) -> tuple:
-    """MoM's finished row of the one-row block (see ``_columns``) and the
-    (s, kappa, phi_s) it started from: ``prior``, checked by
+                fit: tuple | None = None, i: int = 0) -> tuple:
+    """MoM's finished row of row i of the block (see ``_columns``), iterated
+    alone, and the (s, kappa, phi_s) it started from: ``prior``, checked by
     ``model.check_harmonic_state`` (not replaced by the loop guards), or
-    else the fit's, ``fit`` or the row's fresh fit, through ``_seed_priors``."""
+    else the fit's, ``fit`` or the row's fresh fit, through ``_seed_priors``.
+    The caller checks ``tol`` and ``max_iter`` (``_check_iteration``)."""
+    h, x = block.harmonics if block.harmonics.ndim == 2 else block.harmonics[i], block.x2[i]
     if prior is None:
-        (seed,), fallback = _seed_priors([_fit_finish(block)[0][0] if fit is None else fit])
+        (seed,), (fell,) = _seed_priors(
+            [_fit_row(*(h * x).mean(axis=-1).tolist())[0] if fit is None else fit])
     else:
         check_harmonic_state(prior, "prior")
-        seed, fallback = prior.as_tuple(), [False]
-    return _mom_finish(block, [seed], fallback, tol, max_iter)[0], seed
+        seed, fell = prior.as_tuple(), False
+    row = _mom_row(*seed, len(x), tol, max_iter)
+    return (*_mom_drive(row, next(row), h, x), fell), seed
 
 
 def mom_columns(block: ScanBlock, fit: Estimates, tol: float = DEFAULT_TOL,
                 max_iter: int = DEFAULT_MAX_ITER) -> Estimates:
     """MoM on each row of the block seeded from that row of its
-    ``fit_columns`` ``fit``, as columns, without the covariance; a
-    ``max_iter`` below 1 raises ValueError.
+    ``fit_columns`` ``fit``, as columns, without the covariance; a ``tol``
+    that is not finite and > 0, or a ``max_iter`` below 1, raises ValueError.
 
     Every iteration does the O(N) work of all rows not yet converged at
     once (``_mom_reducer``) and each row's scalar update on its own
-    (``_mom_row``); a row leaves the block when it converges, and it takes
-    the same steps and bits as it would alone.  The iterations read the
-    grid only through the block's harmonics, so an iteration costs three
-    reductions and no trig.
+    (``_mom_row``); a row leaves the block when it converges, the last one
+    iterates alone (``_mom_drive``), and each takes the same steps and bits
+    as it would alone.  The iterations read the grid only through the
+    block's harmonics, so an iteration costs three reductions and no trig.
     """
     return _columns(_MOM_FLAGS, _mom_finish(block, *_seed_priors(fit.params), tol, max_iter))
 
@@ -516,9 +533,9 @@ def _mom_finish(block: ScanBlock, seeds: list, fallback: list, tol: float,
     """The finished MoM estimate of each row of the block (see
     ``_columns``) from the rows' priors ``seeds``, one (s, kappa, phi_s)
     each, of which the bools ``fallback`` mark those flagged
-    ``seed-fallback``; a ``max_iter`` below 1 raises ValueError."""
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    ``seed-fallback``; ``tol`` and ``max_iter`` as ``_check_iteration``
+    requires."""
+    _check_iteration(tol, max_iter)
     x2, h = block.x2, block.harmonics
     if len(seeds) != len(x2):
         raise ValueError(f"need one prior or fit per row: {len(seeds)} for {len(x2)} rows")
@@ -530,7 +547,7 @@ def _mom_finish(block: ScanBlock, seeds: list, fallback: list, tol: float,
         coefs.append(next(row))
         live.append((i, row))
     reduce = _mom_reducer(h, x2)
-    while live:
+    while len(live) > 1:
         left = 0
         for k, m in enumerate(reduce(coefs)):
             try:
@@ -541,13 +558,15 @@ def _mom_finish(block: ScanBlock, seeds: list, fallback: list, tol: float,
                 coefs[k] = None
                 left += 1
         if left:
-            if left == len(live):
-                break
-            # reduce only the rows still iterating
             live = [r for r, c in zip(live, coefs) if c is not None]
             coefs = [c for c in coefs if c is not None]
-            idx = [i for i, _ in live]
-            reduce = _mom_reducer(h if h.ndim == 2 else h[idx], x2[idx])
+            if len(live) > 1:
+                # reduce only the rows still iterating
+                idx = [i for i, _ in live]
+                reduce = _mom_reducer(h if h.ndim == 2 else h[idx], x2[idx])
+    # the last row left, or a one-row block's only row, iterates alone
+    for (i, row), c in zip(live, coefs):
+        out[i] = (*_mom_drive(row, c, h if h.ndim == 2 else h[i], x2[i]), fallback[i])
     return out
 
 

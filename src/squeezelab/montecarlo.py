@@ -54,6 +54,7 @@ from .estimators import (
     METHODS,
     MIN_SAMPLES,
     ScanBlock,
+    _check_iteration,
     _mom_seeded,
     dhd_columns,
     fit_columns,
@@ -182,6 +183,7 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
             raise ValueError(f"unknown method {m!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_iteration(tol, max_iter)
     if (METHOD_FIT in methods or METHOD_MOM in methods) and cfg.n_psi < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples per scan, got n_psi={cfg.n_psi}")
     if METHOD_DHD in methods and mu < MIN_SAMPLES:
@@ -357,8 +359,8 @@ def sweep_family(
     in the source experiment, and MoM is seeded from that fit.  The
     reports equal those of separate run_trials calls; with several
     workers, one process pool serves every s value.  Fewer than 2 trials,
-    or scans or DHD batches of fewer than MIN_SAMPLES samples, raise
-    ValueError before any draw.
+    scans or DHD batches of fewer than MIN_SAMPLES samples, or a tol or
+    max_iter that MoM refuses raise ValueError before any draw.
     """
     truths = [
         empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)
@@ -439,9 +441,13 @@ def track_angle(
     s) it is the inverse of ``bounds.fisher_homodyne_discrete`` on the
     scan's phases.  The correlation-time fit uses the mean squared
     half-width as its measurement-noise floor.
-    A duration of fewer than 3 scans, which that fit needs, or scans of
-    fewer than MIN_SAMPLES phases raise ValueError before any draw.
+    A duration that is not finite or covers fewer than 3 scans, which
+    that fit needs, scans of fewer than MIN_SAMPLES phases, or a tol or
+    max_iter that MoM refuses raise ValueError before any draw.
     """
+    _check_iteration(tol, max_iter)
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration!r}")
     # the scan count simulate_phase_drift draws
     n = int(duration / drift.step_interval) if duration > 0.0 else 0
     if n < 3:
@@ -464,14 +470,14 @@ def track_angle(
     for trials, (phases, harmonics, q) in zip(blocks, drawn):
         block = ScanBlock.of(phases, q, harmonics)
         for i in range(len(trials)):
-            row = block.row(i)
-            (p, physical, iterations, *_), _ = _mom_seeded(row, prior, tol, max_iter)
+            (p, physical, iterations, *_), _ = _mom_seeded(block, prior, tol, max_iter, i=i)
             prior = StateParams(*p) if physical else None
             if not physical:
                 pp = math.nan
             elif m is not None and bounds.phase_average_is_exact(prior.s, m):
                 pp = bounds.crb_homodyne(prior, cfg.n_psi).var_phi
             else:
+                row = block.row(i)
                 try:
                     pp = bounds.fisher_homodyne_discrete(
                         prior, row.phases, harmonics=row.harmonics).inverse().pp

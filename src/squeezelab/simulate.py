@@ -326,10 +326,11 @@ def simulate_phase_drift(model: DriftModel, duration: float, seed: int = 0) -> n
 
     Returns floor(duration / step_interval) offsets around 0.  The
     mean-reverting kind starts in its stationary distribution; the
-    random walk starts at 0.
+    random walk starts at 0.  A duration that is not finite and > 0, or
+    shorter than one step_interval, raises ValueError before the draw.
     """
-    if duration <= 0.0:
-        raise ValueError("duration must be > 0")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
     n = int(duration / model.step_interval)
     if n < 1:
         raise ValueError("duration shorter than one step_interval")

@@ -339,15 +339,20 @@ def test_closed_form_half_width_where_the_phase_average_is_exact(n_psi, n, s, ka
     doubled angles, crb_homodyne's angle half-width meets the discrete
     sqrt([F^-1]_pp) within ``closed_form_half_width_tol``, and both are nan
     at s = 1; off the rule (N = 16, n = 2, s = 0.21, m = 8) they differ by
-    14%, so the predicate carries the result."""
+    14%, so the predicate carries the result.  Below s = 1 its s and kappa
+    half-widths, sqrt(var_s) and sqrt(var_kappa), meet sqrt([F^-1]_ss) and
+    sqrt([F^-1]_kk) within the same bound, so the whole diagonal is the
+    grid's to rounding."""
     p = StateParams(s, kappa, phi)
     m = n_psi // math.gcd(n_psi, n)
     try:
-        pp = fisher_homodyne_discrete(p, ScanConfig(n_psi=n_psi, n=n).phase_grid()).inverse().pp
+        inv = fisher_homodyne_discrete(p, ScanConfig(n_psi=n_psi, n=n).phase_grid()).inverse()
     except SingularMatrixError:
-        pp = math.nan
+        inv = None
+    pp = math.nan if inv is None else inv.pp
     discrete = math.sqrt(pp) if 0.0 < pp < math.inf else math.nan
-    var = crb_homodyne(p, n_psi).var_phi
+    crb = crb_homodyne(p, n_psi)
+    var = crb.var_phi
     closed = math.sqrt(var) if var < math.inf else math.nan
     if (n_psi, n, s) == (16, 2, 0.21):
         assert not phase_average_is_exact(s, m)
@@ -358,6 +363,9 @@ def test_closed_form_half_width_where_the_phase_average_is_exact(n_psi, n, s, ka
         assert math.isnan(closed) and math.isnan(discrete)
     else:
         assert abs(closed - discrete) <= closed_form_half_width_tol(s) * discrete
+        for var, grid in ((crb.var_s, inv.ss), (crb.var_kappa, inv.kk)):
+            width = math.sqrt(grid)
+            assert abs(math.sqrt(var) - width) <= closed_form_half_width_tol(s) * width
 
 
 @pytest.mark.parametrize("m", [8, 32, 450, 2000])

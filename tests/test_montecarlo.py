@@ -499,10 +499,11 @@ def _half_width(pp):
     return math.sqrt(pp) if pp is not None and 0.0 < pp < math.inf else math.nan
 
 
-def _reference_track(drift, base, cfg, duration, seed):
+def _reference_track(drift, base, cfg, duration, seed, tol=estimators.DEFAULT_TOL,
+                     max_iter=estimators.DEFAULT_MAX_ITER):
     """The loop track_angle replaced: a fresh single draw per scan, then
-    MoM warm-started from the previous physical estimate, then the
-    half-width: ``crb_homodyne``'s on an equispaced grid where
+    MoM at ``tol`` and ``max_iter``, warm-started from the previous physical
+    estimate, then the half-width: ``crb_homodyne``'s on an equispaced grid where
     ``phase_average_is_exact`` holds at a physical estimate, else
     ``mom_estimate``'s discrete one; (per-scan fields, tau_est,
     noise_floor, the count of each flag over the scans, the discrete
@@ -519,7 +520,8 @@ def _reference_track(drift, base, cfg, duration, seed):
     prior = None
     for k in range(n):
         truth = StateParams(base.s, base.kappa, phi_true[k])
-        r = mom_estimate(sample_homodyne_scan(truth, cfg, seed=seed, trial=k), prior=prior)
+        r = mom_estimate(sample_homodyne_scan(truth, cfg, seed=seed, trial=k), prior=prior,
+                         max_iter=max_iter, tol=tol)
         cols["phi_est"][k], cols["s_est"][k], cols["kappa_est"][k] = (
             r.params.phi_s, r.params.s, r.params.kappa)
         cols["iterations"][k] = r.iterations
@@ -539,15 +541,17 @@ def _reference_track(drift, base, cfg, duration, seed):
             flags, discrete, closed)
 
 
-def _track_matches_reference(drift, base, cfg, duration, seed):
+def _track_matches_reference(drift, base, cfg, duration, seed, tol=estimators.DEFAULT_TOL,
+                             max_iter=estimators.DEFAULT_MAX_ITER):
     """Assert that every field of track_angle's result, its correlation
     time and its noise floor equal the per-scan reference's bit for bit,
-    and that each closed-form half-width lies within
+    both at ``tol`` and ``max_iter``, and that each closed-form half-width lies within
     ``closed_form_half_width_tol`` of the discrete one (both nan where F is
     singular, at s = 1); return the result and the mask of closed-form
     scans."""
-    got = track_angle(drift, base, cfg, duration=duration, seed=seed)
-    cols, tau, floor, _, discrete, closed = _reference_track(drift, base, cfg, duration, seed)
+    got = track_angle(drift, base, cfg, duration=duration, seed=seed, tol=tol, max_iter=max_iter)
+    cols, tau, floor, _, discrete, closed = _reference_track(drift, base, cfg, duration, seed,
+                                                             tol, max_iter)
     assert len(got.times) == len(cols["times"])
     for field, want in cols.items():
         have = getattr(got, field)
@@ -602,22 +606,26 @@ _TRACKS_THAT_RESEED = (
     kind=st.sampled_from(("mean-reverting", "random-walk")),
     scans=st.integers(3, 40),
     seed=st.integers(0, 2**32 - 1),
+    max_iter=st.sampled_from((1, 2, 3, 20)),
+    tol=st.sampled_from((1e-3, 1e-6, 1e-10)),
 )
 @example(s=0.999, pure=True, phi=0.3, n_psi=16, spacing="equispaced", kind="mean-reverting",
-         scans=600, seed=0)
+         scans=600, seed=0, max_iter=20, tol=1e-6)
 @example(s=0.21, pure=False, phi=1.0, n_psi=16, spacing="random", kind="mean-reverting",
-         scans=600, seed=0)
+         scans=600, seed=0, max_iter=20, tol=1e-6)
 @example(s=0.999, pure=True, phi=0.3, n_psi=4, spacing="equispaced", kind="mean-reverting",
-         scans=100, seed=0)
+         scans=100, seed=0, max_iter=20, tol=1e-6)
 def test_track_matches_per_scan_reference_on_any_state(s, pure, phi, n_psi, spacing, kind,
-                                                       scans, seed):
+                                                       scans, seed, max_iter, tol):
     """The per-scan reference holds bit for bit for any s in [0.05, 1], kappa
-    1 or 1/sqrt(s), N in [3, 900], both spacings and both drift kinds.  The
+    1 or 1/sqrt(s), N in [3, 900], both spacings, both drift kinds, and
+    a max_iter of 1, 2, 3 or 20 at a tol of 1e-3, 1e-6 or 1e-10, so scans
+    that stop early or reseed from the fit are compared too.  The
     explicit examples are ``_TRACKS_THAT_RESEED``."""
     base = StateParams(s, 1.0, phi) if pure else empirical_family(s, phi)
     drift = DriftModel(kind=kind)
     _track_matches_reference(drift, base, ScanConfig(n_psi=n_psi, spacing=spacing),
-                             (scans + 0.5) * drift.step_interval, seed)
+                             (scans + 0.5) * drift.step_interval, seed, tol, max_iter)
 
 
 def test_track_half_width_is_nan_at_s_one_on_either_path(monkeypatch):
@@ -672,6 +680,49 @@ def test_track_refuses_fewer_than_3_scans_before_any_draw(monkeypatch):
     for duration in (0.001, 0.0005, 1e-9, 0.0, -1.0):
         with pytest.raises(ValueError, match="needs at least 3"):
             track_angle(DriftModel(), base, cfg, duration=duration, seed=3)
+
+
+@pytest.mark.parametrize("duration", [math.inf, -math.inf, math.nan])
+def test_non_finite_duration_is_refused_before_any_draw(monkeypatch, duration):
+    """simulate_phase_drift and track_angle refuse an infinite or nan
+    duration with a ValueError that names it, before the drift or a scan
+    is drawn."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a scan or the drift")
+
+    monkeypatch.setattr(simulate, "keyed_generator", no_draw)
+    monkeypatch.setattr(montecarlo, "sample_scan_blocks", no_draw)
+    with pytest.raises(ValueError, match="duration"):
+        simulate_phase_drift(DriftModel(), duration)
+    with pytest.raises(ValueError, match="duration"):
+        track_angle(DriftModel(), empirical_family(0.5, 0.2), duration=duration)
+
+
+def test_bad_tol_or_max_iter_is_refused_before_any_draw(monkeypatch):
+    """A tol that is not finite and > 0 (the CLI's rule), or a max_iter
+    below 1, raises ValueError in mom_estimate, mom_columns, every sweep
+    and track_angle; the sweeps and the track raise before any draw."""
+    truth = StateParams(0.5, 2.0, 0.3)
+    cfg = ScanConfig(n_psi=16)
+    scan = sample_homodyne_scan(truth, cfg, seed=1)
+    block = estimators.ScanBlock.of(scan.phases, scan.samples)
+    fit = estimators.fit_columns(block)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a scan, a DHD batch or the drift")
+
+    for name in ("sample_scan_blocks", "sample_dhd_blocks", "simulate_phase_drift"):
+        monkeypatch.setattr(montecarlo, name, no_draw)
+    bad = [{"tol": t} for t in (math.nan, math.inf, -math.inf, 0.0, -1e-6)]
+    for kw in bad + [{"max_iter": m} for m in (0, -1)]:
+        match = "tol must be finite and > 0" if "tol" in kw else "max_iter must be at least 1"
+        for call in (lambda: mom_estimate(scan, **kw),
+                     lambda: estimators.mom_columns(block, fit, **kw),
+                     lambda: collect_estimates(truth, "mom", 2, scan_config=cfg, **kw),
+                     lambda: sweep_family((0.5,), ("dhd",), 2, mu=16, **kw),
+                     lambda: track_angle(DriftModel(), truth, cfg, duration=0.01, **kw)):
+            with pytest.raises(ValueError, match=match):
+                call()
 
 
 def test_too_few_samples_are_refused_before_any_draw(monkeypatch):
