@@ -149,6 +149,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name}={value} must be > 0")
             if choices and value not in choices:
                 raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
+        if not self.s:
+            raise ConfigError("empty s list")
         for s in self.s:
             if not 0.0 < s <= 1.0:
                 raise ConfigError(f"s={s} outside (0, 1]")
@@ -218,9 +220,11 @@ def parse_methods(text) -> tuple[str, ...]:
         items = [v.strip() for v in str(text).split(",") if v.strip()]
     if not items:
         raise ConfigError("empty method list")
-    for m in items:
+    for k, m in enumerate(items):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}, expected one of {METHODS}")
+        if m in items[:k]:
+            raise ConfigError(f"method {m!r} is listed twice")
     return tuple(items)
 
 
@@ -384,11 +388,10 @@ def cmd_estimate(args, cfg: RunConfig, echo: str) -> list[str]:
             # the rate used, which the config's rate_hz need not match
             payload["trace_rate_hz"] = rate_hz
         prior = cfg.prior()
-        # the scan is prepared once, and one fit serves as the fit result and as MoM's seed
+        # the scan is prepared once for every method
         block = ScanBlock.of(scan.phases, scan.samples)
-        fit = fit_estimate(block) if METHOD_FIT in methods or prior is None else None
-        results = [fit if method == METHOD_FIT else
-                   mom_estimate(block, prior=prior, max_iter=cfg.max_iter, tol=cfg.tol, fit=fit)
+        results = [fit_estimate(block) if method == METHOD_FIT else
+                   mom_estimate(block, prior=prior, max_iter=cfg.max_iter, tol=cfg.tol)
                    for method in methods]
 
     payload["estimates"] = [_estimate_result_dict(r) for r in results]

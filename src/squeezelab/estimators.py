@@ -18,7 +18,10 @@ Shared conventions:
   whole block, so the trig is computed once per sampler call (equispaced)
   or per block (random), and once per one-scan estimate; the sampler, the
   fit, the MoM iterations and the MoM covariance read the grid only
-  through them.  MoM takes V as the product of the harmonics
+  through them.  Only ``ScanBlock.row`` reads whether a block's phases
+  are shared or per row: it hands out one row's arrays, or the stacked
+  rows MoM still iterates, so a one-row block of either layout is a
+  scan.  MoM takes V as the product of the harmonics
   with ``model.variance_coefficients``, as the sampler does;
 * every method finishes each row of a block of scans or batches in Python
   floats, as a tuple of that row's parameters, ``physical`` (the method's
@@ -205,7 +208,8 @@ class ScanBlock:
     ``phases`` is the rows' shared grid (N,) or has one row per scan
     (B, N); ``harmonics`` are its ``grid_harmonics``, (3, N) or (B, 3, N);
     ``x2`` holds the squared samples (B, N).  Build it with
-    ``ScanBlock.of``, which checks each row's mean square.
+    ``ScanBlock.of``, which checks each row's mean square, and read its
+    rows with ``row``, the one place that tells the two layouts apart.
     """
 
     phases: np.ndarray
@@ -241,11 +245,17 @@ class ScanBlock:
                                  "shot-noise units)")
         return cls(phases, grid_harmonics(phases) if harmonics is None else harmonics, x2)
 
-    def row(self, i: int) -> ScanBlock:
-        """Row i alone, as a one-row block."""
+    def row(self, i):
+        """Row i's phases (N,), harmonics (3, N) and squares (N,), as views
+        of the block's arrays, in either layout.  Given a list of rows
+        instead, their harmonics and squares as a block of those rows holds
+        them: the shared (3, N) or the rows' (len(i), 3, N), and (len(i), N),
+        copied by numpy's indexing; their phases are not taken."""
         shared = self.phases.ndim == 1
-        return ScanBlock(self.phases if shared else self.phases[i],
-                         self.harmonics if shared else self.harmonics[i], self.x2[i:i + 1])
+        h, x = self.harmonics if shared else self.harmonics[i], self.x2[i]
+        if isinstance(i, list):
+            return h, x
+        return self.phases if shared else self.phases[i], h, x
 
 
 # |C2| / C0 at or below which the fit finds no second harmonic.  A vacuum
@@ -291,14 +301,17 @@ def fit_columns(block: ScanBlock) -> Estimates:
 
 
 def _fit_finish(block: ScanBlock) -> list:
-    """The finished fit of each row of the block (see ``_columns``).
+    """The finished fit of each row of the block (see ``_columns``)."""
+    return [_fit_row(*m) for m in _fit_moments(block.harmonics, block.x2)]
 
-    The Fourier moments (mean q^2, mean q^2 cos 2psi, mean q^2 sin 2psi)
-    are pairwise row sums (as np.mean), not a BLAS product, so the first
-    is exactly the row's checked mean square.
-    """
-    moments = (block.harmonics * block.x2[:, None]).mean(axis=-1).tolist()
-    return [_fit_row(c0, mc, ms) for c0, mc, ms in moments]
+
+def _fit_moments(h: np.ndarray, x2: np.ndarray) -> list:
+    """The Fourier moments (mean q^2, mean q^2 cos 2psi, mean q^2 sin 2psi)
+    of one row's squares x2 (N,), or of each of a block's (B, N), against
+    their harmonics h: pairwise row sums (as np.mean), not a BLAS product,
+    so the first is exactly the row's checked mean square, and a row's
+    moments are the same alone as in its block."""
+    return (h * x2[..., None, :]).mean(axis=-1).tolist()
 
 
 def _fit_row(c0: float, mc: float, ms: float) -> tuple:
@@ -472,39 +485,38 @@ def mom_estimate(
     prior: StateParams | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
-    fit: EstimateResult | None = None,
 ) -> EstimateResult:
     """Iterated moment-based estimator of one scan, with its covariance:
     the row that ``mom_columns`` would finish, from the prior below.
 
-    ``scan`` is as for ``fit_estimate``.  Without a prior the iteration is
-    seeded from ``fit``, the ``fit_estimate`` of this scan when the caller
-    already has it, or else from a fresh fit; a given prior that
+    ``scan`` is as for ``fit_estimate``, a one-row block of either layout
+    included.  Without a prior the iteration is seeded from the scan's own
+    fit, the ``fit_estimate`` of the scan to the bit (see ``_mom_seeded``);
+    a given prior that
     ``model.check_harmonic_state`` refuses (s outside [1e-6, 1e6], kappa
     outside [1e-90, 1e90], or a non-finite angle) raises ValueError, and so
     do a ``tol`` that is not finite and > 0 and a ``max_iter`` below 1.
     """
     _check_iteration(tol, max_iter)
     block = _one_row(scan)
-    row, seed = _mom_seeded(block, prior, tol, max_iter,
-                            None if fit is None else fit.params.as_tuple())
+    phases, h, _ = block.row(0)
+    row, seed = _mom_seeded(block, prior, tol, max_iter)
     return _result(METHOD_MOM, _MOM_FLAGS, row,
-                   lambda est: fisher_homodyne_discrete(est, block.phases,
-                                                        harmonics=block.harmonics).inverse(),
+                   lambda est: fisher_homodyne_discrete(est, phases, harmonics=h).inverse(),
                    StateParams(*seed) if prior is None else prior)
 
 
 def _mom_seeded(block: ScanBlock, prior: StateParams | None, tol: float, max_iter: int,
-                fit: tuple | None = None, i: int = 0) -> tuple:
+                i: int = 0) -> tuple:
     """MoM's finished row of row i of the block (see ``_columns``), iterated
     alone, and the (s, kappa, phi_s) it started from: ``prior``, checked by
     ``model.check_harmonic_state`` (not replaced by the loop guards), or
-    else the fit's, ``fit`` or the row's fresh fit, through ``_seed_priors``.
-    The caller checks ``tol`` and ``max_iter`` (``_check_iteration``)."""
-    h, x = block.harmonics if block.harmonics.ndim == 2 else block.harmonics[i], block.x2[i]
+    else the row's own fit, from the fit's moments (``_fit_moments``)
+    through ``_seed_priors``.  The caller checks ``tol`` and ``max_iter``
+    (``_check_iteration``)."""
+    _, h, x = block.row(i)
     if prior is None:
-        (seed,), (fell,) = _seed_priors(
-            [_fit_row(*(h * x).mean(axis=-1).tolist())[0] if fit is None else fit])
+        (seed,), (fell,) = _seed_priors([_fit_row(*_fit_moments(h, x))[0]])
     else:
         check_harmonic_state(prior, "prior")
         seed, fell = prior.as_tuple(), False
@@ -536,7 +548,7 @@ def _mom_finish(block: ScanBlock, seeds: list, fallback: list, tol: float,
     ``seed-fallback``; ``tol`` and ``max_iter`` as ``_check_iteration``
     requires."""
     _check_iteration(tol, max_iter)
-    x2, h = block.x2, block.harmonics
+    x2 = block.x2
     if len(seeds) != len(x2):
         raise ValueError(f"need one prior or fit per row: {len(seeds)} for {len(x2)} rows")
     out = [None] * len(x2)
@@ -546,7 +558,7 @@ def _mom_finish(block: ScanBlock, seeds: list, fallback: list, tol: float,
         row = _mom_row(*seed, x2.shape[1], tol, max_iter)
         coefs.append(next(row))
         live.append((i, row))
-    reduce = _mom_reducer(h, x2)
+    reduce = _mom_reducer(block.harmonics, x2)
     while len(live) > 1:
         left = 0
         for k, m in enumerate(reduce(coefs)):
@@ -562,11 +574,11 @@ def _mom_finish(block: ScanBlock, seeds: list, fallback: list, tol: float,
             coefs = [c for c in coefs if c is not None]
             if len(live) > 1:
                 # reduce only the rows still iterating
-                idx = [i for i, _ in live]
-                reduce = _mom_reducer(h if h.ndim == 2 else h[idx], x2[idx])
+                reduce = _mom_reducer(*block.row([i for i, _ in live]))
     # the last row left, or a one-row block's only row, iterates alone
     for (i, row), c in zip(live, coefs):
-        out[i] = (*_mom_drive(row, c, h if h.ndim == 2 else h[i], x2[i]), fallback[i])
+        _, h, x = block.row(i)
+        out[i] = (*_mom_drive(row, c, h, x), fallback[i])
     return out
 
 

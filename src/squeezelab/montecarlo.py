@@ -477,10 +477,9 @@ def track_angle(
             elif m is not None and bounds.phase_average_is_exact(prior.s, m):
                 pp = bounds.crb_homodyne(prior, cfg.n_psi).var_phi
             else:
-                row = block.row(i)
+                psi, h, _ = block.row(i)
                 try:
-                    pp = bounds.fisher_homodyne_discrete(
-                        prior, row.phases, harmonics=row.harmonics).inverse().pp
+                    pp = bounds.fisher_homodyne_discrete(prior, psi, harmonics=h).inverse().pp
                 except SingularMatrixError:
                     pp = math.nan
             scans.append((p, iterations, math.sqrt(pp) if 0.0 < pp < math.inf else math.nan))

@@ -437,6 +437,24 @@ def test_parse_methods():
         parse_methods("")
 
 
+def test_repeated_method_exits_1(capsys):
+    """A method listed twice is refused by name, rather than run twice."""
+    assert main(["benchmark", "--s", "0.5", "--methods", "fit,fit", "--trials", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert "method 'fit' is listed twice" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["bounds", "benchmark"])
+def test_config_file_empty_s_exits_1(tmp_path, capsys, command):
+    """A config file whose s list is empty is refused, as an empty method
+    list is, instead of a report with no rows; no --s overrides it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s": [], "trials": 4}))
+    assert main([command, "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert "error: empty s list" in err and out == ""
+
+
 def _echo_config(capsys):
     err = capsys.readouterr().err
     for line in err.splitlines():
@@ -512,7 +530,7 @@ _POSITIVE = ("n_samples", "trials", "tol", "max_iter", "duration", "rate_hz", "f
     ("step_interval", math.nan), ("amplitude", math.inf), ("duration", math.inf),
     ("rate_hz", math.inf), ("rate_hz", 1e8 + 0.5), ("fwhm_hz", math.nan),
     ("scan_duration", -math.inf), ("prior_s", math.nan), ("prior_kappa", math.inf),
-    ("prior_phi", math.nan), ("max_iter", -1),
+    ("prior_phi", math.nan), ("max_iter", -1), ("methods", ["fit", "fit"]),
     # tol and max_iter have their cases at 0 above
     *((key, value) for key in _POSITIVE if key not in ("tol", "max_iter") for value in (0, -1)),
 ])

@@ -32,6 +32,7 @@ from squeezelab import (
     mom_estimate,
     sample_dhd,
     sample_homodyne_scan,
+    sample_scan_blocks,
     state_covariance,
     variance_coefficients,
     variance_partials,
@@ -82,19 +83,46 @@ def test_scan_block_refuses_phases_that_fit_no_row():
 
 
 def test_one_scan_estimates_take_a_prepared_one_row_block():
-    """fit_estimate and mom_estimate of a scan's one-row ScanBlock are those
-    of the scan, bit for bit; a block of two rows raises."""
+    """fit_estimate and mom_estimate of a scan's one-row ScanBlock, and of
+    the sampler's own one-row block in either layout, are those of the
+    scan, bit for bit, covariance included, with or without a prior; a
+    block of two rows raises.  ScanBlock.row reads a row, or a list of
+    rows, as ScanBlock.of prepares those rows alone."""
+    truth = StateParams(0.5, 2.0, 0.3)
     for spacing in ("equispaced", "random"):
         cfg = ScanConfig(n_psi=64, spacing=spacing)
-        scan = sample_homodyne_scan(StateParams(0.5, 2.0, 0.3), cfg, seed=5)
+        scan = sample_homodyne_scan(truth, cfg, seed=5)
         block = ScanBlock.of(scan.phases, scan.samples)
-        fit = fit_estimate(scan)
-        assert repr(fit_estimate(block)) == repr(fit)
-        assert repr(mom_estimate(block, fit=fit)) == repr(mom_estimate(scan))
+        assert repr(fit_estimate(block)) == repr(fit_estimate(scan))
+        assert repr(mom_estimate(block)) == repr(mom_estimate(scan))
         two = ScanBlock.of(scan.phases, np.stack([scan.samples] * 2))
         for estimate in (fit_estimate, mom_estimate):
             with pytest.raises(ValueError, match="one row, got 2"):
                 estimate(two)
+
+        for t in (0, 3):
+            [(phases, harmonics, q)] = sample_scan_blocks(truth, cfg, 5, [range(t, t + 1)])
+            one = ScanBlock.of(phases, q, harmonics)
+            scan = HomodyneScan(phases if phases.ndim == 1 else phases[0], q[0])
+            assert repr(fit_estimate(one)) == repr(fit_estimate(scan))
+            for prior in (None, StateParams(0.4, 1.8, 0.1)):
+                got = mom_estimate(one, prior=prior)
+                assert got.predicted_cov is not None
+                assert repr(got) == repr(mom_estimate(scan, prior=prior))
+
+        [(phases, harmonics, q)] = sample_scan_blocks(truth, cfg, 5, [range(4)])
+        block = ScanBlock.of(phases, q, harmonics)
+        for i in range(4):
+            alone = ScanBlock.of(phases if phases.ndim == 1 else phases[i], q[i])
+            got = block.row(i)
+            assert [a.shape for a in got] == [(64,), (3, 64), (64,)]
+            for a, b in zip(got, (alone.phases, alone.harmonics, alone.x2[0])):
+                assert a.tobytes() == b.tobytes()
+        rows = [0, 2, 3]
+        alone = ScanBlock.of(phases if phases.ndim == 1 else phases[rows], q[rows])
+        h, x2 = block.row(rows)
+        assert h.shape == ((3, 64) if spacing == "equispaced" else (3, 3, 64))
+        assert h.tobytes() == alone.harmonics.tobytes() and x2.tobytes() == alone.x2.tobytes()
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
@@ -696,8 +724,8 @@ def _mom_block_results(phases, q, max_iter, fit=None, priors=None) -> list:
             block, seeds, [False] * len(seeds), estimators.DEFAULT_TOL, max_iter))
 
     def cov(params, i):
-        one = block.row(i)
-        return fisher_homodyne_discrete(params, one.phases, harmonics=one.harmonics).inverse()
+        psi, h, _ = block.row(i)
+        return fisher_homodyne_discrete(params, psi, harmonics=h).inverse()
 
     return column_results("mom", est, cov, priors)
 
@@ -752,10 +780,9 @@ def test_mom_columns_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, 
                                   priors=None if priors is None else priors[lo:hi])
 
     got = [_result_bits(r) for r in block(0, rows)]
-    fit_results = None if fits is None else column_results("fit", fits)
     want = [_result_bits(mom_estimate(
-        scan, max_iter=max_iter, fit=None if fits is None else fit_results[i],
-        prior=None if priors is None else priors[i])) for i, scan in enumerate(scans)]
+        scan, max_iter=max_iter, prior=None if priors is None else priors[i]))
+        for i, scan in enumerate(scans)]
     assert got == want
     if "zeros" in specials and seeding != "priors":
         assert any(FLAG_SEED_FALLBACK in line for line in got)
@@ -784,13 +811,12 @@ def test_mom_columns_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, 
         fits_b = None if fits is None or pb is not None else fits
         one = HomodyneScan(ph if ph.ndim == 1 else ph[bad], qb[bad])
         want_err = _mom_errors(lambda: mom_estimate(
-            one, max_iter=max_iter, prior=None if pb is None else pb[bad],
-            fit=None if fits_b is None else column_results("fit", fits_b)[bad]))
+            one, max_iter=max_iter, prior=None if pb is None else pb[bad]))
         assert want_err is not None
         if what.startswith("prior"):
             # a prior is checked where one row of a block is seeded from it, as in track_angle
             got_err = _mom_errors(lambda: estimators._mom_seeded(
-                ScanBlock.of(ph, qb).row(bad), pb[bad], estimators.DEFAULT_TOL, max_iter))
+                ScanBlock.of(ph, qb), pb[bad], estimators.DEFAULT_TOL, max_iter, i=bad))
         else:
             got_err = _mom_errors(lambda: _mom_block_results(ph, qb, max_iter, fit=fits_b,
                                                              priors=pb))

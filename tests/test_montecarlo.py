@@ -275,11 +275,10 @@ def _per_trial_arrays(methods, truth, cfg, mu, seed, trials, tol, max_iter):
             results["dhd"].append(dhd_estimate(batch))
         if "fit" in methods or "mom" in methods:
             scan = sample_homodyne_scan(truth, cfg, seed=seed, trial=trial)
-            fit = fit_estimate(scan)
             if "fit" in methods:
-                results["fit"].append(fit)
+                results["fit"].append(fit_estimate(scan))
             if "mom" in methods:
-                results["mom"].append(mom_estimate(scan, tol=tol, max_iter=max_iter, fit=fit))
+                results["mom"].append(mom_estimate(scan, tol=tol, max_iter=max_iter))
     return [
         (np.array([r.params.as_tuple() for r in results[m]]).reshape(-1, 3),
          np.array([r.physical for r in results[m]], dtype=bool),
