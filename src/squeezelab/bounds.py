@@ -133,15 +133,20 @@ def crb_homodyne(params: StateParams, n_samples: int) -> BoundVector:
     (var_s, var_kappa, var_phi) = (s(1+s)^2, kappa^2(1+s^2)/s, s/(1-s)^2) / n,
     the diagonal of (n ``phase_averaged_fisher``)^-1.  On an equispaced grid
     of n phases where ``phase_average_is_exact`` holds, it is the diagonal
-    of ``fisher_homodyne_discrete``'s F^-1 to rounding.
+    of ``fisher_homodyne_discrete``'s F^-1 to rounding.  var_phi is the
+    float function ``_crb_var_phi``, which a tracked scan calls alone.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     s, k = params.s, params.kappa
     var_s = s * (1.0 + s) ** 2 / n_samples
     var_k = k * k * (1.0 + s * s) / (s * n_samples)
-    var_p = INF if s == 1.0 else s / ((1.0 - s) ** 2 * n_samples)
-    return BoundVector(var_s, var_k, var_p, n_samples)
+    return BoundVector(var_s, var_k, _crb_var_phi(s, n_samples), n_samples)
+
+
+def _crb_var_phi(s: float, n_samples: int) -> float:
+    """``crb_homodyne``'s var_phi at the floats s and n >= 1; +inf at s = 1."""
+    return INF if s == 1.0 else s / ((1.0 - s) ** 2 * n_samples)
 
 
 def phase_average_is_exact(s: float, m: int) -> bool:

@@ -48,8 +48,8 @@ from .estimators import (
     METHOD_FIT,
     METHOD_MOM,
     METHODS,
-    MIN_SAMPLES,
     ScanBlock,
+    _check_min_samples,
     dhd_estimate,
     fit_estimate,
     mom_estimate,
@@ -316,10 +316,10 @@ def cmd_simulate(args, cfg: RunConfig, echo: str) -> None:
     if args.out is None:
         raise ConfigError(f"simulate --kind {args.kind} needs --out")
     # refused before the draw, as estimate would refuse the file
-    what, count = (("repetitions per DHD batch, got n_samples", cfg.n_samples)
-                   if args.kind == "dhd" else ("samples per scan, got n_psi", cfg.n_psi))
-    if count < MIN_SAMPLES:
-        raise ConfigError(f"need at least {MIN_SAMPLES} {what}={count}")
+    if args.kind == "dhd":
+        _check_min_samples(cfg.n_samples, "n_samples", dhd=True)
+    else:
+        _check_min_samples(cfg.n_psi, "n_psi")
     if args.kind == "scan":
         scan = sample_homodyne_scan(truth, cfg.scan_config(), seed=cfg.seed, trial=cfg.trial)
         sio.write_scan_csv(args.out, scan, config_json=echo)

@@ -12,17 +12,14 @@ Shared conventions:
   nothing at an unphysical point); the one-scan calls always compute it,
   the column calls never;
 * a block of scans is prepared once, as a ``ScanBlock``: its phases, their
-  harmonics (1, cos 2psi, sin 2psi) and its squared samples, each row's
-  mean square checked.  The harmonics are the rows the scan sampler drew
-  the block's samples from, else one ``grid_harmonics`` call over the
-  whole block, so the trig is computed once per sampler call (equispaced)
-  or per block (random), and once per one-scan estimate; the sampler, the
-  fit, the MoM iterations and the MoM covariance read the grid only
-  through them.  Only ``ScanBlock.row`` reads whether a block's phases
-  are shared or per row: it hands out one row's arrays, or the stacked
-  rows MoM still iterates, so a one-row block of either layout is a
-  scan.  MoM takes V as the product of the harmonics
-  with ``model.variance_coefficients``, as the sampler does;
+  harmonics (1, cos 2psi, sin 2psi), which are the sampler's rows when it
+  drew the block, and its squared samples, each row's mean square checked.
+  The sampler, the fit, the MoM iterations and the MoM covariance read the
+  grid only through the harmonics; MoM takes V as their product with
+  ``model.variance_coefficients``, as the sampler does.  Only
+  ``ScanBlock.row`` reads whether a block's phases are shared or per row,
+  so a one-row block of either layout is a scan, and one scan's MoM
+  (``_mom_seeded``) takes a row's harmonics and squares;
 * every method finishes each row of a block of scans or batches in Python
   floats, as a tuple of that row's parameters, ``physical`` (the method's
   own sign test and ``model.in_physical_domain``), iterations and flag
@@ -30,13 +27,11 @@ Shared conventions:
   reduced at once (``_fit_row``, ``_dhd_row``), and MoM as each row's
   iteration ends.  ``fit_columns``, ``mom_columns`` and ``dhd_columns``
   hand a block's rows on as columns, an ``Estimates``, which a Monte-Carlo
-  sweep stores without building an object per row.  ``fit_estimate``,
-  ``mom_estimate`` and ``dhd_estimate`` build the ``EstimateResult`` of
-  one row in ``_result``, which flags ``nonphysical`` and forms the
-  covariance of a physical row or flags ``singular-information``.  The fit
-  and DHD moments are row reductions over the block, and each MoM
-  iteration reduces the rows not yet converged at once and updates each
-  row on its own, so a row gets the same bits in any block;
+  sweep stores without building an object per row; the one-scan calls
+  build an ``EstimateResult`` in ``_result``.  The fit and DHD moments
+  are row reductions over the block, and each MoM iteration reduces the
+  rows not yet converged at once and updates each row on its own, so a
+  row gets the same bits in any block;
 * samples whose mean square (or a DHD second moment) is not finite or
   exceeds ``MAX_MEAN_SQUARE`` raise ValueError, and so do samples whose
   mean square is positive but below 1 / ``MAX_MEAN_SQUARE``.
@@ -57,6 +52,7 @@ from .model import (
     SingularMatrixError,
     StateParams,
     SymMatrix3,
+    angle_distance,
     canonical_angle,
     check_harmonic_state,
     grid_harmonics,
@@ -115,6 +111,15 @@ FALLBACK_PRIOR = StateParams(s=0.5, kappa=2.0, phi_s=0.0)
 # than 0, is rejected too: MoM's iterates shrink with the data, and their
 # squared model variance underflows to 0 near 1e-162.
 MAX_MEAN_SQUARE = 1e100
+
+
+def _check_min_samples(count: int, name: str, dhd: bool = False) -> None:
+    """Raise ValueError, before any draw, unless ``count``, the setting ``name``,
+    gives MIN_SAMPLES or more samples per scan, or repetitions per DHD batch
+    if ``dhd``."""
+    if count < MIN_SAMPLES:
+        unit = "repetitions per DHD batch" if dhd else "samples per scan"
+        raise ValueError(f"need at least {MIN_SAMPLES} {unit}, got {name}={count}")
 
 
 def _signed_sqrt(x: float) -> float:
@@ -223,8 +228,9 @@ class ScanBlock:
         ``harmonics`` are the rows ``grid_harmonics(phases)`` when the
         caller has them, as the scan sampler yields them; else they are
         computed here, in one call over all the phases.  Fewer than
-        MIN_SAMPLES samples, phases of neither shape (N,) nor (B, N), or a
-        row whose mean square fails ``_check_mean_square`` or is positive
+        MIN_SAMPLES samples, phases of neither shape (N,) nor (B, N), given
+        harmonics of another shape than the phases' (3, N) or (B, 3, N), or
+        a row whose mean square fails ``_check_mean_square`` or is positive
         but below 1 / MAX_MEAN_SQUARE, raise ValueError.
         """
         q = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -233,6 +239,9 @@ class ScanBlock:
         phases = np.asarray(phases, dtype=float)
         if phases.shape not in ((q.shape[1],), q.shape):
             raise ValueError(f"phases {phases.shape} fit neither (N,) nor (B, N) of {q.shape}")
+        if harmonics is not None and harmonics.shape != phases.shape[:-1] + (3, q.shape[1]):
+            raise ValueError(f"harmonics {harmonics.shape} do not fit phases {phases.shape}: "
+                             f"expected {phases.shape[:-1] + (3, q.shape[1])}")
         # an overflowing square makes the row's mean square inf or nan: both are caught
         with np.errstate(over="ignore"):
             x2 = q * q
@@ -455,14 +464,8 @@ def _mom_row(s0: float, k0: float, p0: float, n: int, tol: float, max_iter: int)
         if s1 > 1.0:  # the mirror
             s1, p1 = 1.0 / s1, canonical_angle(p1 + half_pi)
         if math.isfinite(s1) and math.isfinite(k1) and s1 > 0.0 and k1 > 0.0:
-            # circular angle step, wrapped into [-pi/2, pi/2] as model.angle_distance
-            dp = math.fmod(p1 - p0, math.pi)
-            if dp < -half_pi:
-                dp += math.pi
-            elif dp > half_pi:
-                dp -= math.pi
             if max(abs(s1 - s0) / s1, abs(k1 - k0) / k1,
-                   abs(dp) * (1.0 - s1) / max(s1, 1e-6)) < tol:
+                   angle_distance(p1, p0) * (1.0 - s1) / max(s1, 1e-6)) < tol:
                 s0, k0, p0 = s1, k1, p1
                 converged = True
                 break
@@ -491,35 +494,33 @@ def mom_estimate(
 
     ``scan`` is as for ``fit_estimate``, a one-row block of either layout
     included.  Without a prior the iteration is seeded from the scan's own
-    fit, the ``fit_estimate`` of the scan to the bit (see ``_mom_seeded``);
-    a given prior that
-    ``model.check_harmonic_state`` refuses (s outside [1e-6, 1e6], kappa
-    outside [1e-90, 1e90], or a non-finite angle) raises ValueError, and so
-    do a ``tol`` that is not finite and > 0 and a ``max_iter`` below 1.
+    fit, the ``fit_estimate`` of the scan to the bit, and a given prior
+    goes in as ``prior.as_tuple()`` (see ``_mom_seeded``).  A prior that
+    ``model.check_harmonic_state`` refuses, a ``tol`` that is not finite
+    and > 0, or a ``max_iter`` below 1 raises ValueError.
     """
     _check_iteration(tol, max_iter)
-    block = _one_row(scan)
-    phases, h, _ = block.row(0)
-    row, seed = _mom_seeded(block, prior, tol, max_iter)
+    phases, h, x = _one_row(scan).row(0)
+    row, seed = _mom_seeded(h, x, None if prior is None else prior.as_tuple(), tol, max_iter)
     return _result(METHOD_MOM, _MOM_FLAGS, row,
                    lambda est: fisher_homodyne_discrete(est, phases, harmonics=h).inverse(),
                    StateParams(*seed) if prior is None else prior)
 
 
-def _mom_seeded(block: ScanBlock, prior: StateParams | None, tol: float, max_iter: int,
-                i: int = 0) -> tuple:
-    """MoM's finished row of row i of the block (see ``_columns``), iterated
-    alone, and the (s, kappa, phi_s) it started from: ``prior``, checked by
+def _mom_seeded(h: np.ndarray, x: np.ndarray, prior: tuple | None, tol: float,
+                max_iter: int) -> tuple:
+    """MoM's finished row (see ``_columns``) of one scan's harmonics h
+    (3, N) and squares x (N,), a ``ScanBlock.row``, iterated alone, and the
+    (s, kappa, phi_s) it started from: ``prior``, a float triple checked by
     ``model.check_harmonic_state`` (not replaced by the loop guards), or
     else the row's own fit, from the fit's moments (``_fit_moments``)
     through ``_seed_priors``.  The caller checks ``tol`` and ``max_iter``
     (``_check_iteration``)."""
-    _, h, x = block.row(i)
     if prior is None:
         (seed,), (fell,) = _seed_priors([_fit_row(*_fit_moments(h, x))[0]])
     else:
-        check_harmonic_state(prior, "prior")
-        seed, fell = prior.as_tuple(), False
+        check_harmonic_state(*prior, "prior")
+        seed, fell = prior, False
     row = _mom_row(*seed, len(x), tol, max_iter)
     return (*_mom_drive(row, next(row), h, x), fell), seed
 

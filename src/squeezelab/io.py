@@ -114,7 +114,9 @@ def _read_pair_csv(path, header):
     if line != header:
         raise ValueError(f"{path}:{start + 1}: expected header {header!r}, got {line!r}")
     rows = [row for row in map(str.strip, lines[start + 1:]) if row and row[0] != "#"]
-    fields = ",".join(rows).split(",") if rows else []
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    fields = ",".join(rows).split(",")
     try:
         values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
     except ValueError:
@@ -123,8 +125,7 @@ def _read_pair_csv(path, header):
     if (values is None or not set(map(str.count, rows, repeat(","))) <= {1}
             or not np.isfinite(values).all()):
         _raise_at_first_bad_row(path, lines, start + 1)
-    col_a, col_b = values.reshape(-1, 2).T.copy()
-    return col_a, col_b
+    return tuple(values.reshape(-1, 2).T.copy())
 
 
 def _raise_at_first_bad_row(path, lines, first):
@@ -150,8 +151,6 @@ def write_scan_csv(path, scan: HomodyneScan, config_json=None) -> None:
 
 def read_scan_csv(path) -> HomodyneScan:
     psi, q = _read_pair_csv(path, SCAN_HEADER)
-    if psi.size == 0:
-        raise ValueError(f"{path}: no data rows")
     return HomodyneScan(phases=psi, samples=q)
 
 
@@ -161,8 +160,6 @@ def write_dhd_csv(path, batch: DhdBatch, config_json=None) -> None:
 
 def read_dhd_csv(path) -> DhdBatch:
     q1, p2 = _read_pair_csv(path, DHD_HEADER)
-    if q1.size == 0:
-        raise ValueError(f"{path}: no data rows")
     return DhdBatch(q1=q1, p2=p2)
 
 

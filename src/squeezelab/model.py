@@ -211,20 +211,22 @@ def variance_coefficients(s: float, kappa: float, phi_s: float) -> tuple:
     return (0.5 * kappa * (s + 1.0 / s), b * c2p, b * s2p), b, c2p, s2p
 
 
-def check_harmonic_state(params: StateParams, what: str) -> None:
-    """Raise ValueError naming the rule unless the variance of ``params`` may
-    be taken on the harmonics: a finite phi_s, min(s, 1/s) >= S_FLOOR and
-    1 / KAPPA_LIMIT <= kappa <= KAPPA_LIMIT.  The scan sampler checks each
-    truth and MoM each given prior; ``what`` names the state."""
-    s, kappa = params.s, params.kappa
+def check_harmonic_state(s: float, kappa: float, phi_s: float, what: str) -> None:
+    """Raise ValueError naming the rule unless the variance of the float state
+    (s, kappa, phi_s) may be taken on the harmonics: a finite phi_s, min(s, 1/s)
+    >= S_FLOOR and 1 / KAPPA_LIMIT <= kappa <= KAPPA_LIMIT.  The scan sampler
+    checks each truth and MoM each given prior; ``what`` names the state."""
     if not (s > 0.0 and min(s, 1.0 / s) >= S_FLOOR):
-        raise ValueError(f"{what} {params} needs {S_FLOOR:g} <= s <= {1.0 / S_FLOOR:g}: "
-                         f"min(s, 1/s) >= S_FLOOR = {S_FLOOR:g} (the harmonics' precision)")
-    if not 1.0 / KAPPA_LIMIT <= kappa <= KAPPA_LIMIT:
-        raise ValueError(f"{what} {params} needs {1.0 / KAPPA_LIMIT:g} <= kappa <= "
-                         f"{KAPPA_LIMIT:g} = KAPPA_LIMIT (beyond it V^2 overflows or underflows)")
-    if not math.isfinite(params.phi_s):
-        raise ValueError(f"{what} {params} needs a finite phi_s")
+        rule = (f"{S_FLOOR:g} <= s <= {1.0 / S_FLOOR:g}: "
+                f"min(s, 1/s) >= S_FLOOR = {S_FLOOR:g} (the harmonics' precision)")
+    elif not 1.0 / KAPPA_LIMIT <= kappa <= KAPPA_LIMIT:
+        rule = (f"{1.0 / KAPPA_LIMIT:g} <= kappa <= {KAPPA_LIMIT:g} = KAPPA_LIMIT "
+                "(beyond it V^2 overflows or underflows)")
+    elif not math.isfinite(phi_s):
+        rule = "a finite phi_s"
+    else:
+        return
+    raise ValueError(f"{what} (s={s!r}, kappa={kappa!r}, phi_s={phi_s!r}) needs {rule}")
 
 
 def check_drawn_states(s, kappa, phi_s) -> None:

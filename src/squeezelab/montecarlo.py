@@ -8,22 +8,15 @@ merge of the per-worker chunks; a sweep hands the chunks of all its
 truths to one process pool.
 
 Within a chunk the trials are drawn and estimated in blocks of
-BLOCK_TRIALS: the sampler does the per-truth work once and draws each
-trial's row from that trial's own stream, each scan block is prepared once
-(``ScanBlock.of``: the sampler's harmonics and the checked squares) for the
-fit and MoM, the fit and DHD reduce the whole block at once, and MoM
-iterates the block seeded from the block's fit columns, reducing the rows
-not yet converged together and updating each row on its own.
-Each method hands a block on as columns (``estimators.Estimates``), and
-one loop over the DHD blocks and one over the scan blocks store them by
-slice in the chunk's preallocated per-method arrays, so a sweep builds no
-result object per trial; the chunks are merged the same way for one worker
-or many.
-Every row is computed as in a separate single-trial call, so the
+BLOCK_TRIALS: each scan block is prepared once (``ScanBlock.of``) for the
+fit and MoM, which is seeded from the block's fit columns.  Each method
+hands a block on as columns (``estimators.Estimates``), stored by slice in
+the chunk's per-method arrays, so a sweep builds no result object per
+trial.  Every row is computed as in a separate single-trial call, so the
 estimates do not depend on the block size or on where a chunk starts, and
 the constant block size caps the memory a block takes.  ``track_angle``
-estimates its rows in order, each from MoM's finished row, with no result
-object per scan.
+takes its rows in order through one per-scan step, ``_track_step``, which
+hands on floats: no result object per scan.
 
 Angle statistics are circular modulo pi: means via the doubled-angle
 resultant, residuals wrapped to (-pi/2, pi/2].
@@ -52,9 +45,9 @@ from .estimators import (
     METHOD_FIT,
     METHOD_MOM,
     METHODS,
-    MIN_SAMPLES,
     ScanBlock,
     _check_iteration,
+    _check_min_samples,
     _mom_seeded,
     dhd_columns,
     fit_columns,
@@ -184,10 +177,10 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_iteration(tol, max_iter)
-    if (METHOD_FIT in methods or METHOD_MOM in methods) and cfg.n_psi < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples per scan, got n_psi={cfg.n_psi}")
-    if METHOD_DHD in methods and mu < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} repetitions per DHD batch, got mu={mu}")
+    if METHOD_FIT in methods or METHOD_MOM in methods:
+        _check_min_samples(cfg.n_psi, "n_psi")
+    if METHOD_DHD in methods:
+        _check_min_samples(mu, "mu", dhd=True)
     workers = worker_count(workers, trials)
     edges = np.linspace(0, trials, workers + 1).astype(int).tolist()
     jobs = [
@@ -418,6 +411,35 @@ def autocorrelation_time(series, step_interval: float, noise_floor: float = 0.0)
     return -step_interval / math.log(rho)
 
 
+def _track_step(row, prior, cfg: ScanConfig, tol: float, max_iter: int) -> tuple:
+    """One tracked scan's estimate from its ``ScanBlock.row`` under ``cfg``
+    and the previous physical estimate ``prior``, a float triple or None:
+    ((s, kappa, phi_s), physical, iterations, half-width).  MoM starts from
+    the prior, else from the scan's own fit (``estimators._mom_seeded``).
+
+    The half-width is the predicted angle standard error sqrt([F^-1]_pp) at
+    a physical estimate, else nan, as for a singular F (s = 1).  On an
+    equispaced grid where ``bounds.phase_average_is_exact`` holds at the
+    estimate, [F^-1]_pp is ``bounds.crb_homodyne``'s var_phi, the grid's F
+    to rounding; elsewhere (random phases, coarse grids, small s) it is the
+    inverse of ``bounds.fisher_homodyne_discrete`` on the scan's phases.
+    """
+    psi, h, x = row
+    (p, physical, iterations, *_), _ = _mom_seeded(h, x, prior, tol, max_iter)
+    # m: the distinct doubled angles of the equispaced grid
+    m = cfg.n_psi // math.gcd(cfg.n_psi, cfg.n)
+    if not physical:
+        pp = math.nan
+    elif cfg.spacing == "equispaced" and bounds.phase_average_is_exact(p[0], m):
+        pp = bounds._crb_var_phi(p[0], cfg.n_psi)
+    else:
+        try:
+            pp = bounds.fisher_homodyne_discrete(StateParams(*p), psi, harmonics=h).inverse().pp
+        except SingularMatrixError:
+            pp = math.nan
+    return p, physical, iterations, math.sqrt(pp) if 0.0 < pp < math.inf else math.nan
+
+
 def track_angle(
     drift: DriftModel,
     base: StateParams,
@@ -429,18 +451,11 @@ def track_angle(
 ) -> TrackResult:
     """Scan-by-scan MoM tracking of a drifting squeezing angle.
 
-    One scan per drift step, at that step's angle; the scans are drawn in
-    blocks of BLOCK_TRIALS, each block is prepared once (``ScanBlock.of``)
-    and its rows are estimated one by one, because each scan's physical
-    estimate seeds the next scan's prior (else the scan's own fit does).
-    The reported half-width is the predicted angle standard error
-    sqrt([F^-1]_pp) at a physical estimate, else nan, as for a singular F
-    (s = 1).  On an equispaced grid where ``bounds.phase_average_is_exact``
-    holds at the estimate, [F^-1]_pp is ``bounds.crb_homodyne``'s var_phi,
-    the grid's F to rounding; elsewhere (random phases, coarse grids, small
-    s) it is the inverse of ``bounds.fisher_homodyne_discrete`` on the
-    scan's phases.  The correlation-time fit uses the mean squared
-    half-width as its measurement-noise floor.
+    One scan per drift step, at that step's angle, drawn in blocks of
+    BLOCK_TRIALS; each block is prepared once (``ScanBlock.of``) and its
+    rows go in order through ``_track_step``, each seeded from the previous
+    physical estimate.  The correlation-time fit takes the mean squared
+    finite half-width as its measurement-noise floor.
     A duration that is not finite or covers fewer than 3 scans, which
     that fit needs, scans of fewer than MIN_SAMPLES phases, or a tol or
     max_iter that MoM refuses raise ValueError before any draw.
@@ -454,36 +469,21 @@ def track_angle(
         raise ValueError(f"duration {duration!r} covers {n} scans of step_interval "
                          f"{drift.step_interval!r}; tracking needs at least 3")
     cfg = scan_config or ScanConfig()
-    if cfg.n_psi < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples per scan, got n_psi={cfg.n_psi}")
-    offsets = simulate_phase_drift(drift, duration, seed=seed)
-    times = np.arange(n) * drift.step_interval
-    phi_true = base.phi_s + offsets
+    _check_min_samples(cfg.n_psi, "n_psi")
+    phi_true = base.phi_s + simulate_phase_drift(drift, duration, seed=seed)
 
     truths = [StateParams(base.s, base.kappa, phi) for phi in phi_true]
     blocks = [range(b, min(b + BLOCK_TRIALS, n)) for b in range(0, n, BLOCK_TRIALS)]
-    # distinct doubled angles of the equispaced grid (bounds.phase_average_is_exact)
-    m = cfg.n_psi // math.gcd(cfg.n_psi, cfg.n) if cfg.spacing == "equispaced" else None
-    scans = []  # (params, iterations, half-width) of each scan
+    scans = []  # (params, physical, iterations, half-width) of each scan
     prior = None
     drawn = sample_scan_blocks(truths, cfg, seed, blocks)
     for trials, (phases, harmonics, q) in zip(blocks, drawn):
         block = ScanBlock.of(phases, q, harmonics)
         for i in range(len(trials)):
-            (p, physical, iterations, *_), _ = _mom_seeded(block, prior, tol, max_iter, i=i)
-            prior = StateParams(*p) if physical else None
-            if not physical:
-                pp = math.nan
-            elif m is not None and bounds.phase_average_is_exact(prior.s, m):
-                pp = bounds.crb_homodyne(prior, cfg.n_psi).var_phi
-            else:
-                psi, h, _ = block.row(i)
-                try:
-                    pp = bounds.fisher_homodyne_discrete(prior, psi, harmonics=h).inverse().pp
-                except SingularMatrixError:
-                    pp = math.nan
-            scans.append((p, iterations, math.sqrt(pp) if 0.0 < pp < math.inf else math.nan))
-    params, iters, half_width = zip(*scans)
+            scan = _track_step(block.row(i), prior, cfg, tol, max_iter)
+            prior = scan[0] if scan[1] else None
+            scans.append(scan)
+    params, _, iters, half_width = zip(*scans)
     s_est, kappa_est, phi_est = np.array(params).T.copy()
     iters = np.array(iters, dtype=np.int64)
     half_width = np.array(half_width)
@@ -494,14 +494,7 @@ def track_angle(
     finite_hw = half_width[np.isfinite(half_width)]
     noise_floor = float(np.mean(finite_hw**2)) if finite_hw.size else 0.0
     tau_est = autocorrelation_time(resid, drift.step_interval, noise_floor=noise_floor)
-    return TrackResult(
-        times=times,
-        phi_true=phi_true,
-        phi_est=phi_est,
-        half_width=half_width,
-        s_est=s_est,
-        kappa_est=kappa_est,
-        iterations=iters,
-        tau_est=tau_est,
-        noise_floor=noise_floor,
-    )
+    return TrackResult(times=np.arange(n) * drift.step_interval, phi_true=phi_true,
+                       phi_est=phi_est, half_width=half_width, s_est=s_est,
+                       kappa_est=kappa_est, iterations=iters, tau_est=tau_est,
+                       noise_floor=noise_floor)

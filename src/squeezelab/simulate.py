@@ -199,8 +199,8 @@ def sample_homodyne_scan(
 
 def _scan_coefficients(truth: StateParams) -> tuple:
     """The ``variance_coefficients`` of a truth that ``check_harmonic_state`` accepts."""
-    check_harmonic_state(truth, "truth")
-    return variance_coefficients(truth.s, truth.kappa, truth.phi_s)[0]
+    check_harmonic_state(*truth.as_tuple(), "truth")
+    return variance_coefficients(*truth.as_tuple())[0]
 
 
 def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):

@@ -82,6 +82,21 @@ def test_scan_block_refuses_phases_that_fit_no_row():
         assert ScanBlock.of(phases, samples).phases.shape == phases.shape
 
 
+def test_scan_block_refuses_harmonics_that_do_not_fit_the_phases():
+    """Given harmonics must be the phases' (3, N) or (B, 3, N): the random
+    sampler's (4, 64) block with row 0's (3, 64) harmonics is refused, and
+    the error names both shapes."""
+    cfg = ScanConfig(n_psi=64, spacing="random")
+    [(phases, harmonics, q)] = sample_scan_blocks(StateParams(0.5, 2.0, 0.3), cfg, 5, [range(4)])
+    with pytest.raises(ValueError, match=re.escape("harmonics (3, 64) do not fit phases "
+                                                   "(4, 64): expected (4, 3, 64)")):
+        ScanBlock.of(phases, q, harmonics[0])
+    with pytest.raises(ValueError, match=re.escape("harmonics (4, 3, 64) do not fit phases "
+                                                   "(64,): expected (3, 64)")):
+        ScanBlock.of(phases[0], q, harmonics)
+    assert ScanBlock.of(phases, q, harmonics).harmonics is harmonics
+
+
 def test_one_scan_estimates_take_a_prepared_one_row_block():
     """fit_estimate and mom_estimate of a scan's one-row ScanBlock, and of
     the sampler's own one-row block in either layout, are those of the
@@ -815,8 +830,9 @@ def test_mom_columns_equal_mom_estimate_bit_for_bit(rows, n, spacing, max_iter, 
         assert want_err is not None
         if what.startswith("prior"):
             # a prior is checked where one row of a block is seeded from it, as in track_angle
+            _, h, x = ScanBlock.of(ph, qb).row(bad)
             got_err = _mom_errors(lambda: estimators._mom_seeded(
-                ScanBlock.of(ph, qb), pb[bad], estimators.DEFAULT_TOL, max_iter, i=bad))
+                h, x, pb[bad].as_tuple(), estimators.DEFAULT_TOL, max_iter))
         else:
             got_err = _mom_errors(lambda: _mom_block_results(ph, qb, max_iter, fit=fits_b,
                                                              priors=pb))

@@ -627,6 +627,56 @@ def test_track_matches_per_scan_reference_on_any_state(s, pure, phi, n_psi, spac
                              (scans + 0.5) * drift.step_interval, seed, tol, max_iter)
 
 
+@settings(max_examples=40)
+@given(
+    s=st.floats(0.05, 1.0),
+    pure=st.booleans(),
+    phi=st.floats(0.0, math.pi, exclude_max=True),
+    n_psi=st.integers(3, 900),
+    spacing=st.sampled_from(("equispaced", "random")),
+    scans=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+    max_iter=st.sampled_from((1, 2, 3, 20)),
+)
+def test_track_is_its_step_chained_over_the_sampled_rows(s, pure, phi, n_psi, spacing, scans,
+                                                         seed, max_iter):
+    """track_angle is ``_track_step`` run by hand over the rows of one
+    sampler block of all the scans, each scan seeded from the previous
+    physical estimate: every field of the result equal bit for bit, for s
+    in [0.05, 1], N in [3, 900], both spacings and a max_iter of 1, 2, 3
+    or 20."""
+    base = StateParams(s, 1.0, phi) if pure else empirical_family(s, phi)
+    drift = DriftModel()
+    cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
+    duration = (scans + 0.5) * drift.step_interval
+    got = track_angle(drift, base, cfg, duration=duration, seed=seed, max_iter=max_iter)
+
+    phi_true = base.phi_s + simulate_phase_drift(drift, duration, seed=seed)
+    truths = [StateParams(base.s, base.kappa, p) for p in phi_true]
+    [(phases, harmonics, q)] = simulate.sample_scan_blocks(truths, cfg, seed, [range(scans)])
+    block = estimators.ScanBlock.of(phases, q, harmonics)
+    rows, prior = [], None
+    for i in range(scans):
+        p, physical, iterations, half_width = montecarlo._track_step(
+            block.row(i), prior, cfg, estimators.DEFAULT_TOL, max_iter)
+        prior = p if physical else None
+        rows.append((*p, iterations, half_width))
+    s_est, kappa_est, phi_est, iterations, half_width = map(np.array, zip(*rows))
+    hw = half_width[np.isfinite(half_width)]
+    noise_floor = float(np.mean(hw**2)) if hw.size else 0.0
+    want = {
+        "times": np.arange(scans) * drift.step_interval, "phi_true": phi_true,
+        "phi_est": phi_est, "half_width": half_width, "s_est": s_est, "kappa_est": kappa_est,
+        "iterations": iterations.astype(np.int64), "noise_floor": np.float64(noise_floor),
+        "tau_est": np.float64(autocorrelation_time(
+            wrap_half_pi(phi_est - circular_mean_pi(phi_est)), drift.step_interval,
+            noise_floor)),
+    }
+    for field, value in want.items():
+        have = np.asarray(getattr(got, field))
+        assert have.dtype == value.dtype and have.tobytes() == value.tobytes(), field
+
+
 def test_track_half_width_is_nan_at_s_one_on_either_path(monkeypatch):
     """An estimate at s = 1 carries no angle information: its half-width is
     nan where crb_homodyne's var_phi is inf (the closed form, on the 900-point
