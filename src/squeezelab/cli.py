@@ -188,7 +188,11 @@ class RunConfig:
 
 
 def parse_s_values(text) -> tuple[float, ...]:
-    """Accepts a float, 'a,b,c', or 'start:stop[:step]' (step 0.05)."""
+    """Accepts a float, 'a,b,c', or 'start:stop[:step]' (step 0.05).
+
+    A range is counted and stepped in exact decimal arithmetic, each value
+    rounded to a float once, so it lands on the decimals it names:
+    '0.1:1.0:0.3' gives (0.1, 0.4, 0.7, 1.0)."""
     if isinstance(text, (int, float)):
         return (_parse_float(text),)
     if isinstance(text, (list, tuple)):
@@ -198,15 +202,20 @@ def parse_s_values(text) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise ConfigError(f"bad s range {text!r}, expected start:stop[:step]")
+        # imported here: only a range needs it, and every import of the cli pays for it
+        from decimal import Decimal, InvalidOperation
+
         try:
-            start, stop = float(parts[0]), float(parts[1])
-            step = float(parts[2]) if len(parts) == 3 else 0.05
-        except ValueError:
+            start, stop, step = (Decimal(v) for v in (*parts, "0.05")[:3])
+            if not (start.is_finite() and stop.is_finite() and step.is_finite()):
+                raise ConfigError(f"bad s range {text!r}, need finite parts")
+            if step <= 0 or stop < start:
+                raise ConfigError(f"bad s range {text!r}, need stop >= start, step > 0")
+            # exact: a count too large for the decimal precision is refused
+            count = int((stop - start) // step) + 1
+        except InvalidOperation:
             raise ConfigError(f"bad s range {text!r}") from None
-        if step <= 0 or stop < start:
-            raise ConfigError(f"bad s range {text!r}, need stop >= start, step > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + k * step for k in range(count))
+        return tuple(float(start + k * step) for k in range(count))
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError:

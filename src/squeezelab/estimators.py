@@ -402,18 +402,18 @@ def _mom_row(s0: float, k0: float, p0: float, n: int, tol: float, max_iter: int)
 
     Each iteration takes the closed-form moment step from those sums in
     this frame, as derived in the comments below, and feeds it back as the
-    next prior until the relative change max(|ds|/s, |dk|/k, circ|dphi|
-    (1-s)/s) drops below tol.  The last step's ``nonphysical`` and
-    ``singular-prior`` outcomes are carried as two booleans; the estimate
-    is physical when the step was and it lies in
-    ``model.in_physical_domain``.  The prior and every iterate are mirrored
-    onto s <= 1, since (s, k, phi) and (1/s, k, phi + pi/2) are one state
-    (exact gauge move, not a clamp); without this, poor priors converge to
-    the mirrored fixed point and never meet the tolerance.  No clamping:
-    forcing s back inside (0, 1] deadlocks at the s = 1 boundary where the
-    angle weight vanishes.
+    next prior until a step to finite s, kappa > 0 passes the stop test term
+    by term: |ds|/s, |dk|/k, then circ|dphi| (1-s)/s, each below tol; the
+    angle term, formed last, fails when nan (no accepted scan makes one).
+    The last step's ``nonphysical`` and ``singular-prior`` outcomes are
+    carried as two booleans; the estimate is physical when the step was and
+    it lies in ``model.in_physical_domain``.  The prior and every iterate are
+    mirrored onto s <= 1, since (s, k, phi) and (1/s, k, phi + pi/2) are one
+    state (exact gauge move, not a clamp); without this, poor priors converge
+    to the mirrored fixed point and never meet the tolerance.  No clamping:
+    forcing s into (0, 1] deadlocks at s = 1, where the angle weight vanishes.
     """
-    half_pi = 0.5 * math.pi
+    half_pi, inf = 0.5 * math.pi, math.inf
     if s0 > 1.0:  # the mirror, as for every iterate below
         s0, p0 = 1.0 / s0, canonical_angle(p0 + half_pi)
     scale = 0.5 / n
@@ -421,11 +421,11 @@ def _mom_row(s0: float, k0: float, p0: float, n: int, tol: float, max_iter: int)
     iterations = 0
     for iterations in range(1, max_iter + 1):
         # guards: keep the iteration inside the domain where the update is defined
-        if not math.isfinite(s0) or s0 < S_FLOOR:
+        if not S_FLOOR <= s0 < inf:
             s0 = 0.01
         if s0 == 1.0:
             s0 = 1.0 - 1e-9
-        if not math.isfinite(k0) or k0 <= 0.0:
+        if not 0.0 < k0 < inf:
             k0 = 1.0
         coefs, b, c2p, s2p = variance_coefficients(s0, k0, p0)
         m0, mc, ms = yield coefs
@@ -455,7 +455,7 @@ def _mom_row(s0: float, k0: float, p0: float, n: int, tol: float, max_iter: int)
         num = y1 * s0 * (1.0 + s0) + y2 * k0
         den = y1 * (1.0 + s0) - y2 * k0
         nonphysical = not (num > 0.0 and den < 0.0)
-        s1 = math.sqrt(abs(num / den)) if den != 0.0 else math.inf
+        s1 = math.sqrt(abs(num / den)) if den != 0.0 else inf
         k1 = 2.0 * k0 * math.sqrt(abs(num * den))
         phi_den = 2.0 * y1 * (1.0 - ss)
         # a prior at the isotropic boundary (or a dead y1) has no angle update
@@ -463,12 +463,12 @@ def _mom_row(s0: float, k0: float, p0: float, n: int, tol: float, max_iter: int)
         p1 = p0 if singular else canonical_angle(p0 - 2.0 * b * hs / phi_den)
         if s1 > 1.0:  # the mirror
             s1, p1 = 1.0 / s1, canonical_angle(p1 + half_pi)
-        if math.isfinite(s1) and math.isfinite(k1) and s1 > 0.0 and k1 > 0.0:
-            if max(abs(s1 - s0) / s1, abs(k1 - k0) / k1,
-                   angle_distance(p1, p0) * (1.0 - s1) / max(s1, 1e-6)) < tol:
-                s0, k0, p0 = s1, k1, p1
-                converged = True
-                break
+        if (0.0 < s1 < inf and 0.0 < k1 < inf and abs(s1 - s0) / s1 < tol
+                and abs(k1 - k0) / k1 < tol
+                and angle_distance(p1, p0) * (1.0 - s1) / max(s1, 1e-6) < tol):
+            s0, k0, p0 = s1, k1, p1
+            converged = True
+            break
         s0, k0, p0 = s1, k1, p1
     physical = not nonphysical and in_physical_domain(s0, k0)
     return (s0, k0, p0), physical, iterations, singular, not converged

@@ -429,6 +429,18 @@ def test_parse_s_values():
         parse_s_values("a,b")
 
 
+def test_parse_s_range_lands_on_the_named_decimals():
+    """A range is stepped in exact decimals: its last value is the stop it
+    names, not 0.9999999999999999, and no value picks up a rounding tail."""
+    assert parse_s_values("0.1:1.0:0.3") == (0.1, 0.4, 0.7, 1.0)
+    assert parse_s_values("0.2:0.4:0.1") == (0.2, 0.3, 0.4)
+    assert parse_s_values("0.2:0.3") == (0.2, 0.25, 0.3)
+    assert parse_s_values("0:1:0.3") == (0.0, 0.3, 0.6, 0.9)
+    for bad in ("0.1:inf:0.1", "nan:1", "0.1:1:nan", "0.1:1:inf", "0:1e40:1e-20"):
+        with pytest.raises(ConfigError, match="bad s range"):
+            parse_s_values(bad)
+
+
 def test_parse_methods():
     assert parse_methods("fit,mom") == ("fit", "mom")
     with pytest.raises(ConfigError):

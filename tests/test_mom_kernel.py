@@ -10,7 +10,9 @@ The kernel must reproduce both to rounding, scan by scan and on blocks.
 functions, the moments y_a from the reducer's sums and the closed-form
 update; ``_stepwise_estimate`` loops them with the guards, the mirror and
 the convergence metric.  ``mom_estimate`` takes the same step in one frame,
-and must reproduce that loop bit for bit.
+and must reproduce that loop bit for bit.  A prior with s > 1 and its mirror
+(1/s, kappa, phi_s + pi/2) must give the same estimate to the bit, in one
+scan's MoM and in the tracker's per-scan step.
 
 Tolerances, fixed before the tests were written: rtol 1e-12, angles
 1e-12 rad.  One update is compared at the level of its moments y_a, each
@@ -23,6 +25,7 @@ same tolerance on their outputs.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 from conftest import column_results, fit_moments
@@ -57,7 +60,8 @@ from squeezelab.estimators import (
     _mom_reducer,
     _seed_priors,
 )
-from squeezelab.model import S_FLOOR, SingularMatrixError, in_physical_domain
+from squeezelab.montecarlo import _track_step
+from squeezelab.model import KAPPA_LIMIT, S_FLOOR, SingularMatrixError, in_physical_domain
 
 RTOL = 1e-12
 ANGLE_TOL = 1e-12
@@ -340,10 +344,24 @@ def scan_prior_and_cap(draw):
     return scan, prior, draw(st.sampled_from((1, 2, 20)))
 
 
+# priors on the edges of the loop guards and of check_harmonic_state: s at
+# S_FLOOR, s at 1 / S_FLOOR (mirrored onto the floor), and kappa at either limit
+GUARD_EDGE_PRIORS = (
+    StateParams(S_FLOOR, 2.0, 0.3),
+    StateParams(1.0 / S_FLOOR, 2.0, 0.3),
+    StateParams(0.5, 1.0 / KAPPA_LIMIT, 0.3),
+    StateParams(0.5, KAPPA_LIMIT, 0.3),
+)
+
+
 @settings(max_examples=300)
 @given(scan_prior_and_cap())
 @example((*SINGULAR_PRIOR_CASE, 1))
 @example((*SINGULAR_PRIOR_CASE, 20))
+@example((SINGULAR_PRIOR_CASE[0], GUARD_EDGE_PRIORS[0], 20))
+@example((SINGULAR_PRIOR_CASE[0], GUARD_EDGE_PRIORS[1], 20))
+@example((SINGULAR_PRIOR_CASE[0], GUARD_EDGE_PRIORS[2], 20))
+@example((SINGULAR_PRIOR_CASE[0], GUARD_EDGE_PRIORS[3], 20))
 def test_mom_estimate_is_the_stepwise_loop_bit_for_bit(case):
     """The step taken in one frame keeps every iterate's bits: params,
     iterations and flags equal those of the two-function loop."""
@@ -353,3 +371,43 @@ def test_mom_estimate_is_the_stepwise_loop_bit_for_bit(case):
     assert np.array(got.params.as_tuple()).tobytes() == np.array(est.as_tuple()).tobytes()
     assert got.iterations == iterations
     assert got.flags == flags
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@st.composite
+def mirrored_prior_pair(draw):
+    """A scan of 3-900 points on either spacing, drawn from a state on the
+    mirrored branch, s in (1, 1 / S_FLOOR], and its config and state."""
+    prior = StateParams(draw(st.floats(1.0, 1.0 / S_FLOOR, exclude_min=True)),
+                        draw(st.floats(1.0 / KAPPA_LIMIT, KAPPA_LIMIT)),
+                        draw(st.floats(-4.0, 4.0)))
+    cfg = ScanConfig(n_psi=draw(st.integers(3, 900)),
+                     spacing=draw(st.sampled_from(("equispaced", "random"))))
+    scan = sample_homodyne_scan(prior, cfg, seed=draw(st.integers(0, 2**32 - 1)))
+    return scan, cfg, prior
+
+
+@settings(max_examples=200)
+@given(mirrored_prior_pair())
+@example((SINGULAR_PRIOR_CASE[0], ScanConfig(n_psi=300), GUARD_EDGE_PRIORS[1]))
+def test_mom_takes_the_same_steps_from_either_gauge_of_a_prior(case):
+    """(s, kappa, phi_s) and (1/s, kappa, phi_s + pi/2) are one state, and
+    MoM mirrors a prior with s > 1 onto the second before its first step:
+    the one-scan estimate and the tracker's per-scan step come out the same
+    to the bit from either gauge, ``prior_used`` apart."""
+    scan, cfg, prior = case
+    mirror = StateParams(*_mirrored(*prior.as_tuple()))
+    a, b = (mom_estimate(scan, prior=p) for p in (prior, mirror))
+    assert _bits(a.params.as_tuple()) == _bits(b.params.as_tuple())
+    assert (a.predicted_cov is None) == (b.predicted_cov is None)
+    if a.predicted_cov is not None:
+        assert _bits(astuple(a.predicted_cov)) == _bits(astuple(b.predicted_cov))
+    assert (a.physical, a.iterations, a.flags) == (b.physical, b.iterations, b.flags)
+    row = ScanBlock.of(scan.phases, scan.samples).row(0)
+    (pa, *rest_a), (pb, *rest_b) = (
+        _track_step(row, p.as_tuple(), cfg, DEFAULT_TOL, DEFAULT_MAX_ITER) for p in (prior, mirror))
+    assert _bits(pa) == _bits(pb)
+    assert _bits(rest_a) == _bits(rest_b)
