@@ -26,7 +26,8 @@ it in its JSON as ``trace_rate_hz``.  A negative number, exponent or not,
 may follow its flag after a space.
 
 Exit status: 0 on success, including estimates that carry quality flags;
-1 on configuration, I/O, or parse errors; 2 on a malformed command line.
+1, with an ``error:`` line, on refused input (a flag, a config file or data:
+every refusal is a ValueError) or an I/O error; 2 on a malformed command line.
 """
 
 from __future__ import annotations
@@ -74,13 +75,9 @@ from .simulate import (
     synthesize_trace,
 )
 
-__all__ = ["RunConfig", "ConfigError", "main"]
+__all__ = ["RunConfig", "main"]
 
 _FILE_KINDS = ("scan", "dhd", "trace")
-
-
-class ConfigError(ValueError):
-    """Bad option value, config file, or option combination."""
 
 
 def _setting(default, help_text, *, flag=None, choices=None, positive=False):
@@ -144,24 +141,24 @@ class RunConfig:
         for f in dataclasses.fields(self):
             value, choices = getattr(self, f.name), f.metadata["choices"]
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name}={value} is not finite")
+                raise ValueError(f"{f.name}={value} is not finite")
             if f.metadata["positive"] and value is not None and value <= 0:
-                raise ConfigError(f"{f.name}={value} must be > 0")
+                raise ValueError(f"{f.name}={value} must be > 0")
             if choices and value not in choices:
-                raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
+                raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         if not self.s:
-            raise ConfigError("empty s list")
+            raise ValueError("empty s list")
         for s in self.s:
             if not 0.0 < s <= 1.0:
-                raise ConfigError(f"s={s} outside (0, 1]")
+                raise ValueError(f"s={s} outside (0, 1]")
         if self.trials < 2:
-            raise ConfigError(f"trials={self.trials} must be >= 2 to form variances")
+            raise ValueError(f"trials={self.trials} must be >= 2 to form variances")
         if self.kappa is not None and self.kappa < 1.0:
-            raise ConfigError(f"kappa={self.kappa} below the vacuum floor 1")
+            raise ValueError(f"kappa={self.kappa} below the vacuum floor 1")
         if self.rate_hz != int(self.rate_hz):
-            raise ConfigError(f"rate_hz={self.rate_hz} must be a whole number of Hz")
+            raise ValueError(f"rate_hz={self.rate_hz} must be a whole number of Hz")
         if (self.prior_s, self.prior_kappa, self.prior_phi).count(None) in (1, 2):
-            raise ConfigError("give all of --prior-s, --prior-kappa, --prior-phi or none")
+            raise ValueError("give all of --prior-s, --prior-kappa, --prior-phi or none")
         # the geometry and drift dataclasses check their own fields
         self.scan_config()
         self.drift_model()
@@ -188,7 +185,7 @@ class RunConfig:
 
 
 def parse_s_values(text) -> tuple[float, ...]:
-    """Accepts a float, 'a,b,c', or 'start:stop[:step]' (step 0.05).
+    """Accepts a number, a list, 'a,b,c', or 'start:stop[:step]' (step 0.05).
 
     A range is counted and stepped in exact decimal arithmetic, each value
     rounded to a float once, so it lands on the decimals it names:
@@ -197,29 +194,31 @@ def parse_s_values(text) -> tuple[float, ...]:
         return (_parse_float(text),)
     if isinstance(text, (list, tuple)):
         return tuple(_parse_float(v) for v in text)
+    if not isinstance(text, str):
+        raise ValueError(f"bad s value {text!r}")
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
-            raise ConfigError(f"bad s range {text!r}, expected start:stop[:step]")
+            raise ValueError(f"bad s range {text!r}, expected start:stop[:step]")
         # imported here: only a range needs it, and every import of the cli pays for it
         from decimal import Decimal, InvalidOperation
 
         try:
             start, stop, step = (Decimal(v) for v in (*parts, "0.05")[:3])
             if not (start.is_finite() and stop.is_finite() and step.is_finite()):
-                raise ConfigError(f"bad s range {text!r}, need finite parts")
+                raise ValueError(f"bad s range {text!r}, need finite parts")
             if step <= 0 or stop < start:
-                raise ConfigError(f"bad s range {text!r}, need stop >= start, step > 0")
+                raise ValueError(f"bad s range {text!r}, need stop >= start, step > 0")
             # exact: a count too large for the decimal precision is refused
             count = int((stop - start) // step) + 1
         except InvalidOperation:
-            raise ConfigError(f"bad s range {text!r}") from None
+            raise ValueError(f"bad s range {text!r}") from None
         return tuple(float(start + k * step) for k in range(count))
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise ConfigError(f"bad s value {text!r}") from None
+        raise ValueError(f"bad s value {text!r}") from None
 
 
 def parse_methods(text) -> tuple[str, ...]:
@@ -228,12 +227,12 @@ def parse_methods(text) -> tuple[str, ...]:
     else:
         items = [v.strip() for v in str(text).split(",") if v.strip()]
     if not items:
-        raise ConfigError("empty method list")
+        raise ValueError("empty method list")
     for k, m in enumerate(items):
         if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}, expected one of {METHODS}")
+            raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
         if m in items[:k]:
-            raise ConfigError(f"method {m!r} is listed twice")
+            raise ValueError(f"method {m!r} is listed twice")
     return tuple(items)
 
 
@@ -270,14 +269,14 @@ def _load_config_file(path) -> dict:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
-        raise ConfigError(f"config file {path} has unknown keys: {', '.join(unknown)}")
+        raise ValueError(f"config file {path} has unknown keys: {', '.join(unknown)}")
     return raw
 
 
@@ -296,7 +295,7 @@ def resolve_config(args) -> RunConfig:
         try:
             parsed[name] = _PARSERS[_FIELDS[name].type](value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {name}: {exc}") from None
+            raise ValueError(f"bad value for {name}: {exc}") from None
     return RunConfig(**parsed)
 
 
@@ -311,7 +310,7 @@ def _echo(cfg: RunConfig) -> str:
 
 def _single_s(cfg: RunConfig, command: str) -> float:
     if len(cfg.s) != 1:
-        raise ConfigError(f"{command} expects a single s value, got {len(cfg.s)}")
+        raise ValueError(f"{command} expects a single s value, got {len(cfg.s)}")
     return cfg.s[0]
 
 
@@ -323,7 +322,7 @@ def cmd_bounds(args, cfg: RunConfig, echo: str) -> list[str]:
 def cmd_simulate(args, cfg: RunConfig, echo: str) -> None:
     truth = cfg.state(_single_s(cfg, "simulate"))
     if args.out is None:
-        raise ConfigError(f"simulate --kind {args.kind} needs --out")
+        raise ValueError(f"simulate --kind {args.kind} needs --out")
     # refused before the draw, as estimate would refuse the file
     if args.kind == "dhd":
         _check_min_samples(cfg.n_samples, "n_samples", dhd=True)
@@ -382,11 +381,11 @@ def cmd_estimate(args, cfg: RunConfig, echo: str) -> list[str]:
         fmt = "dhd" if methods == (METHOD_DHD,) else "scan"
     if METHOD_DHD in methods:
         if len(methods) > 1:
-            raise ConfigError("dhd reads a different file layout; run it separately")
+            raise ValueError("dhd reads a different file layout; run it separately")
         if fmt != "dhd":
-            raise ConfigError("method dhd reads --format dhd files")
+            raise ValueError("method dhd reads --format dhd files")
     elif fmt == "dhd":
-        raise ConfigError(f"methods {','.join(methods)} read scan or trace files, not dhd")
+        raise ValueError(f"methods {','.join(methods)} read scan or trace files, not dhd")
 
     payload = {"config": json.loads(echo)}
     if methods == (METHOD_DHD,):
@@ -523,7 +522,7 @@ def main(argv=None) -> int:
         lines = args.func(args, cfg, _echo(cfg))
         if lines is not None:
             sio.write_lines(args.out, lines)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

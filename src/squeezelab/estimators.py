@@ -32,9 +32,9 @@ Shared conventions:
   are row reductions over the block, and each MoM iteration reduces the
   rows not yet converged at once and updates each row on its own, so a
   row gets the same bits in any block;
-* samples whose mean square (or a DHD second moment) is not finite or
-  exceeds ``MAX_MEAN_SQUARE`` raise ValueError, and so do samples whose
-  mean square is positive but below 1 / ``MAX_MEAN_SQUARE``.
+* fewer than MIN_SAMPLES samples or pairs (``_check_min_samples``), a mean
+  square or DHD second moment that is not finite or exceeds MAX_MEAN_SQUARE,
+  and a scan's positive mean square below 1 / MAX_MEAN_SQUARE raise ValueError.
 """
 
 from __future__ import annotations
@@ -114,9 +114,9 @@ MAX_MEAN_SQUARE = 1e100
 
 
 def _check_min_samples(count: int, name: str, dhd: bool = False) -> None:
-    """Raise ValueError, before any draw, unless ``count``, the setting ``name``,
-    gives MIN_SAMPLES or more samples per scan, or repetitions per DHD batch
-    if ``dhd``."""
+    """Raise ValueError unless ``count``, named ``name``, is MIN_SAMPLES or more
+    samples per scan, or repetitions per DHD batch if ``dhd``: the one floor,
+    for settings before any draw and for the data the estimators read."""
     if count < MIN_SAMPLES:
         unit = "repetitions per DHD batch" if dhd else "samples per scan"
         raise ValueError(f"need at least {MIN_SAMPLES} {unit}, got {name}={count}")
@@ -234,8 +234,7 @@ class ScanBlock:
         but below 1 / MAX_MEAN_SQUARE, raise ValueError.
         """
         q = np.atleast_2d(np.asarray(samples, dtype=float))
-        if q.shape[-1] < MIN_SAMPLES:
-            raise ValueError(f"need at least {MIN_SAMPLES} samples, got {q.shape[-1]}")
+        _check_min_samples(q.shape[-1], "N")
         phases = np.asarray(phases, dtype=float)
         if phases.shape not in ((q.shape[1],), q.shape):
             raise ValueError(f"phases {phases.shape} fit neither (N,) nor (B, N) of {q.shape}")
@@ -593,8 +592,8 @@ def dhd_estimate(batch) -> EstimateResult:
     Sample second moments of (q1, p2) give Gamma; subtracting the vacuum
     unit added by the beamsplitter leaves Gamma_theta, whose eigensystem
     is (kappa s, kappa / s, phi_s).  The result carries its covariance.
-    Non-finite data, and data with a second moment above MAX_MEAN_SQUARE,
-    raise ValueError.
+    Fewer than MIN_SAMPLES pairs, non-finite data, and data with a second
+    moment above MAX_MEAN_SQUARE raise ValueError.
     """
     q1 = np.asarray(batch.q1, dtype=float)
     p2 = np.asarray(batch.p2, dtype=float)
@@ -611,8 +610,7 @@ def dhd_columns(q1, p2) -> Estimates:
 
 def _dhd_finish(q1, p2) -> list:
     """The finished DHD estimate of each row of ``q1`` and ``p2`` (see ``_columns``)."""
-    if q1.shape[-1] < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} repetitions, got {q1.shape[-1]}")
+    _check_min_samples(q1.shape[-1], "mu", dhd=True)
     # overflowing products of mixed sign can sum to nan: both are caught
     # by the check in _dhd_row
     with np.errstate(over="ignore", invalid="ignore"):

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .model import SingularMatrixError, StateParams, SymMatrix3, empirical_family
+from .model import (SingularMatrixError, StateParams, SymMatrix3, check_drawn_states,
+                    check_harmonic_state, empirical_family)
 from .bounds import (
     BoundVector,
     crb_dhd,
@@ -168,8 +169,9 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
                     mu: int, tol: float, max_iter: int, workers: int) -> list:
     """``collect_estimates`` parts for each truth, in order.
 
-    With more than one worker every truth's trials are split into chunks
-    and the chunks of all truths go to one process pool.
+    Each truth is first checked by its samplers' rules, DHD's then the
+    scan's, before any draw.  With more than one worker every truth's trials
+    are split into chunks and the chunks of all truths go to one process pool.
     """
     for m in methods:
         if m not in METHODS:
@@ -181,6 +183,11 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
         _check_min_samples(cfg.n_psi, "n_psi")
     if METHOD_DHD in methods:
         _check_min_samples(mu, "mu", dhd=True)
+    for truth in truths:
+        if METHOD_DHD in methods:
+            check_drawn_states(*truth.as_tuple())
+        if METHOD_FIT in methods or METHOD_MOM in methods:
+            check_harmonic_state(*truth.as_tuple(), "truth")
     workers = worker_count(workers, trials)
     edges = np.linspace(0, trials, workers + 1).astype(int).tolist()
     jobs = [
@@ -250,6 +257,14 @@ def method_bound(method: str, truth: StateParams, n_samples: int) -> BoundVector
     return crb_homodyne(truth, n_samples)
 
 
+def _check_report(trials: int, policy: str) -> None:
+    """Raise ValueError unless a report has 2 or more trials and a known policy."""
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials to form variances, got {trials}")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+
+
 def aggregate_estimates(
     est: np.ndarray,
     physical: np.ndarray,
@@ -267,10 +282,7 @@ def aggregate_estimates(
     saturation ratio.
     """
     trials = len(est)
-    if trials < 2:
-        raise ValueError("need at least 2 trials to form variances")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
+    _check_report(trials, policy)
 
     bound = method_bound(method, truth, n_samples)
     prediction = fit_variance_prediction(truth, n_samples) if method == METHOD_FIT else None
@@ -351,17 +363,16 @@ def sweep_family(
     each trial's scan is drawn once and estimated by both fit and MoM, as
     in the source experiment, and MoM is seeded from that fit.  The
     reports equal those of separate run_trials calls; with several
-    workers, one process pool serves every s value.  Fewer than 2 trials,
-    scans or DHD batches of fewer than MIN_SAMPLES samples, or a tol or
-    max_iter that MoM refuses raise ValueError before any draw.
+    workers, one process pool serves every s value.  What a report, a
+    sampler or MoM would refuse, fewer than MIN_SAMPLES samples per scan or
+    DHD batch included, raises ValueError before any draw.
     """
     truths = [
         empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)
         for s in s_values
     ]
     methods = tuple(methods)
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials to form variances, got {trials}")
+    _check_report(trials, policy)
     cfg = scan_config or ScanConfig()
     all_parts = _collect_truths(truths, methods, trials, seed, cfg, mu, tol, max_iter,
                                 workers)
@@ -457,8 +468,8 @@ def track_angle(
     physical estimate.  The correlation-time fit takes the mean squared
     finite half-width as its measurement-noise floor.
     A duration that is not finite or covers fewer than 3 scans, which
-    that fit needs, scans of fewer than MIN_SAMPLES phases, or a tol or
-    max_iter that MoM refuses raise ValueError before any draw.
+    that fit needs, and what the scan sampler or MoM would refuse, fewer
+    than MIN_SAMPLES phases included, raise ValueError before any draw.
     """
     _check_iteration(tol, max_iter)
     if not math.isfinite(duration):
@@ -470,6 +481,7 @@ def track_angle(
                          f"{drift.step_interval!r}; tracking needs at least 3")
     cfg = scan_config or ScanConfig()
     _check_min_samples(cfg.n_psi, "n_psi")
+    check_harmonic_state(*base.as_tuple(), "truth")
     phi_true = base.phi_s + simulate_phase_drift(drift, duration, seed=seed)
 
     truths = [StateParams(base.s, base.kappa, phi) for phi in phi_true]

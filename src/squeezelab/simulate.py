@@ -26,7 +26,7 @@ pass ``model.check_harmonic_state``, as a MoM prior must.  DHD pairs take their
 covariance from ``state_covariance`` and a raw trace each window's variance
 from ``quadrature_variance``; their truths must pass
 ``model.check_drawn_states``.  A trace's windows carry no phases, so a trace
-is equispaced: a config with random spacing raises ValueError.
+is equispaced.  Every refusal here, a mismatched geometry too, is a ValueError.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .model import (
 )
 
 __all__ = [
-    "ConfigMismatchError",
     "SPACINGS",
     "DRIFT_KINDS",
     "ScanConfig",
@@ -69,10 +68,6 @@ __all__ = [
     "apply_temporal_mode",
     "scan_from_trace",
 ]
-
-
-class ConfigMismatchError(ValueError):
-    """Geometry described by the config does not fit the supplied data."""
 
 
 SPACINGS = ("equispaced", "random")
@@ -409,9 +404,8 @@ def default_temporal_mode(
     total = int(round(samples))
     wl = total // n_psi
     if wl < 1:
-        raise ConfigMismatchError(
-            f"scan_duration={scan_duration} at sample_rate_hz={sample_rate_hz} gives a trace "
-            f"of {total} samples, too short for n_psi={n_psi} windows")
+        raise ValueError(f"scan_duration={scan_duration} at sample_rate_hz={sample_rate_hz} "
+                         f"gives a trace of {total} samples, too short for n_psi={n_psi} windows")
     mode = TemporalMode(fwhm_hz=fwhm_hz, sample_rate_hz=sample_rate_hz, window_len=wl)
     return mode, total
 
@@ -443,16 +437,12 @@ def synthesize_trace(
     grid = _trace_grid(cfg)
     params_list = list(params_per_window)
     if len(params_list) != cfg.n_psi:
-        raise ConfigMismatchError(
-            f"got {len(params_list)} window params for a {cfg.n_psi}-window scan"
-        )
+        raise ValueError(f"got {len(params_list)} window params for a {cfg.n_psi}-window scan")
     wl = mode.window_len
     need = wl * cfg.n_psi
     total = need if total_len is None else int(total_len)
     if need > total:
-        raise ConfigMismatchError(
-            f"{cfg.n_psi} windows of {wl} samples need {need} > trace length {total}"
-        )
+        raise ValueError(f"{cfg.n_psi} windows of {wl} samples need {need} > trace length {total}")
     f = mode_weights(mode)
     states = (np.array([p.s for p in params_list]),
               np.array([p.kappa for p in params_list]),
@@ -497,7 +487,7 @@ def apply_temporal_mode(
     avail = x.size // wl
     n = avail if n_windows is None else int(n_windows)
     if n < 1 or n > avail:
-        raise ConfigMismatchError(f"requested {n} windows of {wl} samples, trace holds {avail}")
+        raise ValueError(f"requested {n} windows of {wl} samples, trace holds {avail}")
     return x[: n * wl].reshape(n, wl) @ mode_weights(mode)
 
 

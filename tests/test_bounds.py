@@ -108,6 +108,12 @@ def test_crb_homodyne_positive_and_scaling():
         assert v9 == pytest.approx(v1 / 9, rel=1e-12)
 
 
+@pytest.mark.parametrize("bound", [crb_homodyne, fit_variance_prediction, crb_dhd, crb_quantum])
+def test_bounds_refuse_fewer_than_one_sample(bound):
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        bound(StateParams(0.5, 2.0, 0.3), 0)
+
+
 def test_crb_phi_s_independent():
     s, k = 0.37, 1.9
     base = crb_homodyne(StateParams(s, k, 0.0), 900).as_tuple()

@@ -35,7 +35,6 @@ from squeezelab import (
 from squeezelab import bounds, estimators, model, simulate
 from squeezelab import io as sio
 from squeezelab.cli import (
-    ConfigError,
     RunConfig,
     build_parser,
     main,
@@ -261,6 +260,9 @@ def test_json_ready_rounds_and_converts():
     )
     assert out["a"] == 3.14159265359
     assert out["b"] == [1.5, 3] and isinstance(out["b"][1], int)
+    # a numpy float that is not a Python float, rounded like one
+    assert sio.json_ready(np.float32(0.1)) == 0.100000001490
+    assert type(sio.json_ready(np.float32(0.1))) is float
     assert math.isinf(out["c"])
     assert out["d"] == "x"
 
@@ -423,9 +425,9 @@ def test_parse_s_values():
     assert parse_s_values("0.2,0.5") == (0.2, 0.5)
     assert parse_s_values("0.2:0.4:0.1") == pytest.approx((0.2, 0.3, 0.4))
     assert parse_s_values("0.2:0.3") == pytest.approx((0.2, 0.25, 0.3))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="need stop >= start"):
         parse_s_values("0.5:0.2")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="bad s value 'a,b'"):
         parse_s_values("a,b")
 
 
@@ -436,16 +438,16 @@ def test_parse_s_range_lands_on_the_named_decimals():
     assert parse_s_values("0.2:0.4:0.1") == (0.2, 0.3, 0.4)
     assert parse_s_values("0.2:0.3") == (0.2, 0.25, 0.3)
     assert parse_s_values("0:1:0.3") == (0.0, 0.3, 0.6, 0.9)
-    for bad in ("0.1:inf:0.1", "nan:1", "0.1:1:nan", "0.1:1:inf", "0:1e40:1e-20"):
-        with pytest.raises(ConfigError, match="bad s range"):
+    for bad in ("0.1:inf:0.1", "nan:1", "0.1:1:nan", "0.1:1:inf", "0:1e40:1e-20", "0.1:0.5:0.1:1"):
+        with pytest.raises(ValueError, match="bad s range"):
             parse_s_values(bad)
 
 
 def test_parse_methods():
     assert parse_methods("fit,mom") == ("fit", "mom")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="unknown method 'magic'"):
         parse_methods("fit,magic")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="empty method list"):
         parse_methods("")
 
 
@@ -488,6 +490,19 @@ def test_precedence_env_file_flags(tmp_path, capsys):
     assert _echo_config(capsys)["seed"] == 4
 
 
+@pytest.mark.parametrize("text, error", [
+    (None, "cannot read config file"), ("{", "is not valid JSON"),
+    ("[1]", "must hold a JSON object"),
+], ids=["missing", "not-json", "list"])
+def test_config_file_unreadable_or_not_an_object_exits_1(tmp_path, capsys, text, error):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["bounds", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert "error: " in err and error in err and out == ""
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"seeds": 1}')
@@ -512,6 +527,8 @@ def test_config_validation_errors(capsys):
     ("n_psi", 100.7), ("trials", 2.9), ("seed", True), ("max_iter", False),
     ("phi_s", True), ("kappa", True), ("tol", False), ("s", True), ("s", [True]),
     ("trial", 1.5),
+    # s of a JSON type that is neither a number, a list nor a string
+    ("s", None), ("s", {"a": 1}),
 ])
 def test_config_file_rejects_bools_and_fractional_integers(tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -940,6 +957,8 @@ def test_estimate_rejects_bad_combinations(tmp_path, capsys):
                  "--prior-s", "0.5"]) == 1
     assert main(["estimate", "--input", str(path), "--method", "dhd"]) == 1
     capsys.readouterr()
+    assert main(["estimate", "--input", str(path), "--method", "dhd", "--format", "scan"]) == 1
+    assert "error: method dhd reads --format dhd files" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -1216,9 +1235,9 @@ def test_benchmark_rejects_workers_below_one(capsys):
 
 
 def test_benchmark_rejects_fewer_than_two_trials(capsys):
-    """A variance needs 2 trials: 1 is a ConfigError, exit 1, before any draw."""
+    """A variance needs 2 trials: 1 is a ValueError, exit 1, before any draw."""
     assert RunConfig(trials=2).trials == 2
-    with pytest.raises(ConfigError, match="trials=1 must be >= 2"):
+    with pytest.raises(ValueError, match="trials=1 must be >= 2"):
         RunConfig(trials=1)
     assert main(["benchmark", "--s", "0.5", "--trials", "1"]) == 1
     assert "error: trials=1 must be >= 2 to form variances" in capsys.readouterr().err

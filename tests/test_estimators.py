@@ -67,8 +67,16 @@ def test_fourier_components_single_sample_arithmetic():
 def test_fourier_components_requires_three():
     scan = HomodyneScan(phases=np.zeros(2), samples=np.ones(2))
     for estimate in (fit_estimate, mom_estimate):
-        with pytest.raises(ValueError, match="need at least 3 samples"):
+        with pytest.raises(ValueError, match="need at least 3 samples per scan, got N=2"):
             estimate(scan)
+
+
+def test_dhd_requires_three_pairs():
+    """A DHD batch of 2 pairs is refused in the floor's one message form."""
+    with pytest.raises(ValueError, match="need at least 3 repetitions per DHD batch, got mu=2"):
+        dhd_estimate(DhdBatch(q1=np.ones(2), p2=np.ones(2)))
+    with pytest.raises(ValueError, match="need at least 3 repetitions per DHD batch, got mu=2"):
+        estimators.dhd_columns(np.ones((4, 2)), np.ones((4, 2)))
 
 
 def test_scan_block_refuses_phases_that_fit_no_row():

@@ -271,6 +271,11 @@ def test_sym3_inverse_matches_numpy():
         )
 
 
+def test_sym3_from_array_refuses_another_shape():
+    with pytest.raises(ValueError, match=r"expected a 3x3 array, got shape \(2, 2\)"):
+        SymMatrix3.from_array(np.eye(2))
+
+
 def test_sym3_singular_rejected():
     m = SymMatrix3.from_array(np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]))
     with pytest.raises(SingularMatrixError):

@@ -3,6 +3,7 @@
 import concurrent.futures
 import math
 import os
+import re
 from collections import Counter
 
 import numpy as np
@@ -745,6 +746,36 @@ def test_non_finite_duration_is_refused_before_any_draw(monkeypatch, duration):
         simulate_phase_drift(DriftModel(), duration)
     with pytest.raises(ValueError, match="duration"):
         track_angle(DriftModel(), empirical_family(0.5, 0.2), duration=duration)
+
+
+def test_bad_policy_or_truth_is_refused_before_any_draw(monkeypatch):
+    """sweep_family, and so run_trials, refuse an unknown policy and a truth
+    that its sampler refuses, a later s value among them, and track_angle
+    a base that the scan sampler refuses, before anything is drawn; each
+    truth's message is its sampler's, DHD's first where both refuse it."""
+    scan_truth, dhd_truth = StateParams(1e-7, 2.0, 0.0), StateParams(1e-200, 2.0, 0.0)
+    samplers = {}
+    for truth, draw in ((scan_truth, lambda: sample_homodyne_scan(scan_truth)),
+                        (dhd_truth, lambda: sample_dhd(dhd_truth, 16))):
+        with pytest.raises(ValueError) as refused:
+            draw()
+        samplers[truth.s] = re.escape(str(refused.value))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a scan, a DHD batch or the drift")
+
+    monkeypatch.setattr(simulate, "keyed_generator", no_draw)
+    cfg = ScanConfig(n_psi=16)
+    with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+        sweep_family([0.5, 0.3], ("fit", "mom"), 3000, policy="bogus")
+    with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+        run_trials(StateParams(0.5, 2.0, 0.3), "dhd", 4, mu=16, policy="bogus")
+    for s, methods in ((1e-7, ("fit", "mom")), (1e-7, ("dhd", "mom")), (1e-200, ("dhd",)),
+                       (1e-200, ("fit", "dhd"))):
+        with pytest.raises(ValueError, match=samplers[s]):
+            sweep_family([0.5, 0.3, s], methods, 3000, scan_config=cfg, mu=16, kappa=2.0)
+    with pytest.raises(ValueError, match=samplers[1e-7]):
+        track_angle(DriftModel(), scan_truth, cfg, duration=0.01)
 
 
 def test_bad_tol_or_max_iter_is_refused_before_any_draw(monkeypatch):

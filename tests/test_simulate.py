@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from squeezelab import (
-    ConfigMismatchError,
     DhdBatch,
     DriftModel,
     SPACINGS,
@@ -377,7 +376,7 @@ def test_default_temporal_mode_geometry():
     mode, total = default_temporal_mode(n_psi=900, scan_duration=500e-6, sample_rate_hz=1e8)
     assert total == 50_000
     assert mode.window_len == 55
-    with pytest.raises(ConfigMismatchError):
+    with pytest.raises(ValueError, match="too short for n_psi=10000000 windows"):
         default_temporal_mode(n_psi=10**7, scan_duration=500e-6, sample_rate_hz=1e8)
 
 
@@ -794,12 +793,12 @@ def test_geometry_mismatches_rejected():
     cfg = ScanConfig(n_psi=16)
     mode = TemporalMode(window_len=9)
     states = [StateParams(0.5, 1.0, 0.0)] * 16
-    with pytest.raises(ConfigMismatchError):
+    with pytest.raises(ValueError, match="got 15 window params for a 16-window scan"):
         synthesize_trace(states[:-1], mode, cfg, seed=0)
-    with pytest.raises(ConfigMismatchError):
+    with pytest.raises(ValueError, match="16 windows of 9 samples need 144 > trace length 100"):
         synthesize_trace(states, mode, cfg, seed=0, total_len=100)
     trace = synthesize_trace(states, mode, cfg, seed=0)
-    with pytest.raises(ConfigMismatchError):
+    with pytest.raises(ValueError, match="requested 17 windows of 9 samples, trace holds 16"):
         apply_temporal_mode(trace, mode, n_windows=17)
-    with pytest.raises(ConfigMismatchError):
+    with pytest.raises(ValueError, match="requested 0 windows of 9 samples, trace holds 16"):
         apply_temporal_mode(trace, mode, n_windows=0)
