@@ -364,16 +364,6 @@ def _estimate_result_dict(res) -> dict:
     })
 
 
-def _load_scan_for_estimate(args, cfg: RunConfig, fmt: str):
-    """The scan to estimate from, and the sample rate of a trace's header
-    (None for a scan file)."""
-    if fmt == "scan":
-        return sio.read_scan_csv(args.input), None
-    trace, rate_hz = sio.read_trace(args.input)
-    mode, _ = dataclasses.replace(cfg, rate_hz=float(rate_hz)).temporal_mode()
-    return scan_from_trace(trace, mode, config=cfg.scan_config()), rate_hz
-
-
 def cmd_estimate(args, cfg: RunConfig, echo: str) -> list[str]:
     methods = cfg.methods
     fmt = args.format
@@ -391,10 +381,14 @@ def cmd_estimate(args, cfg: RunConfig, echo: str) -> list[str]:
     if methods == (METHOD_DHD,):
         results = [dhd_estimate(sio.read_dhd_csv(args.input))]
     else:
-        scan, rate_hz = _load_scan_for_estimate(args, cfg, fmt)
-        if rate_hz is not None:
-            # the rate used, which the config's rate_hz need not match
-            payload["trace_rate_hz"] = rate_hz
+        if fmt == "scan":
+            scan = sio.read_scan_csv(args.input)
+        else:
+            trace, rate = sio.read_trace(args.input)
+            # RunConfig.temporal_mode's geometry at the header's rate, not rate_hz
+            mode = default_temporal_mode(cfg.n_psi, cfg.scan_duration, float(rate), cfg.fwhm_hz)[0]
+            scan = scan_from_trace(trace, mode, config=cfg.scan_config())
+            payload["trace_rate_hz"] = rate
         prior = cfg.prior()
         # the scan is prepared once for every method
         block = ScanBlock.of(scan.phases, scan.samples)

@@ -173,7 +173,7 @@ def write_trace(path, trace, rate_hz: int) -> None:
 
 
 def read_trace(path) -> tuple[np.ndarray, int]:
-    """Returns (float32 samples, rate_hz); validates magic and count."""
+    """Returns (float32 samples, rate_hz); validates magic, count and rate."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         payload = fh.read()
@@ -185,6 +185,8 @@ def read_trace(path) -> tuple[np.ndarray, int]:
         count = int(parts[2].removeprefix("count="))
     except ValueError:
         raise ValueError(f"{path}:1: malformed header fields in {header!r}") from None
+    if not 0 < rate_hz <= 2**53:
+        raise ValueError(f"{path}:1: rate_hz={rate_hz} must be > 0 and at most 2**53")
     if len(payload) != 4 * count:
         raise ValueError(
             f"{path}: header promises {count} samples ({4 * count} bytes), "

@@ -131,6 +131,13 @@ def _keyed_streams(seed: int, prefix: tuple, blocks: list):
         yield rng
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a value that is not an integer raises ValueError naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Phase-scan geometry: n_psi samples over [0, n*pi)."""
@@ -142,8 +149,7 @@ class ScanConfig:
     def __post_init__(self):
         # a fractional n would scan part of a period of the pi-periodic variance
         for name in ("n_psi", "n"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            _integer(name, getattr(self, name))
         if self.n_psi < 1:
             raise ValueError(f"n_psi must be >= 1, got {self.n_psi}")
         if self.n < 1:
@@ -356,7 +362,7 @@ def simulate_phase_drift(model: DriftModel, duration: float, seed: int = 0) -> n
 
 @dataclass(frozen=True)
 class TemporalMode:
-    """Double-exponential temporal mode on a per-window sample grid.
+    """Double-exponential temporal mode on windows of window_len samples, an integer >= 1.
 
     Time profile exp(-|t|/tau_m) with tau_m = 1/(pi*fwhm) (Lorentzian
     spectral width), truncated at +-5 tau_m and normalized to unit energy
@@ -372,6 +378,7 @@ class TemporalMode:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name}={value} must be finite and > 0")
+        _integer("window_len", self.window_len)
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
 
@@ -428,9 +435,9 @@ def synthesize_trace(
     Window j draws q then w from the stream ``keyed_generator(seed,
     _STREAM_TRACE, trial, j)``, and the tail from window index n_psi.  The
     windows and the tail share one Philox that is re-keyed per stream, and the
-    arithmetic runs on the (n_psi, window_len) block, with one dot f.w per
-    window so the bits equal a loop over per-window generators.  A config
-    with random spacing, or a window's truth that
+    arithmetic runs on the (n_psi, window_len) block, with f.w from
+    ``apply_temporal_mode``: the bits of a loop over per-window generators.  A
+    random spacing, a non-integer total_len, or a window's truth that
     ``model.check_drawn_states`` refuses, raises ValueError.
     """
     cfg = config or ScanConfig()
@@ -440,7 +447,7 @@ def synthesize_trace(
         raise ValueError(f"got {len(params_list)} window params for a {cfg.n_psi}-window scan")
     wl = mode.window_len
     need = wl * cfg.n_psi
-    total = need if total_len is None else int(total_len)
+    total = need if total_len is None else _integer("total_len", total_len)
     if need > total:
         raise ValueError(f"{cfg.n_psi} windows of {wl} samples need {need} > trace length {total}")
     f = mode_weights(mode)
@@ -455,14 +462,9 @@ def synthesize_trace(
     for j, rng in enumerate(itertools.islice(streams, cfg.n_psi)):
         rng.standard_normal(out=z[j])
     w = z[:, 1:]
-    # f.w as a stack of (1, wl) @ (wl, 1) products: numpy runs each item
-    # through the dot kernel that the vector product f @ w[j] uses, on the
-    # same strides, so every window keeps the bits of its own dot.  A single
-    # matrix-vector product w @ f sums in another order and changes the
-    # last bits.
-    fw = np.matmul(f[None, None, :], w[:, :, None])[:, 0]
+    fw = apply_temporal_mode(w.reshape(-1), mode)
     # f*q + (w - f (f.w)), formed in place over w (addition commutes bit for bit)
-    w -= f * fw
+    w -= f * fw[:, None]
     w += f * (z[:, :1] * sigma[:, None])
     out = np.empty(total, dtype=np.float32)
     out[:need].reshape(cfg.n_psi, wl)[:] = w
@@ -476,19 +478,25 @@ def apply_temporal_mode(
     mode: TemporalMode,
     n_windows: int | None = None,
 ) -> np.ndarray:
-    """Project consecutive windows of the trace onto the mode function.
+    """Project consecutive windows of the trace onto the mode function; the
+    one projection, which ``synthesize_trace`` and ``scan_from_trace`` use.
 
-    q_j = sum_t f(t) x(j*window_len + t): the first window starts at the
-    first sample (slice the trace to start later).  Window count defaults
-    to as many complete windows as fit; the remainder is discarded.
+    q_j = sum_t f(t) x(j*window_len + t), with the bits of f @ x_j wherever
+    window j sits, so K scans in one trace project in one call to their
+    per-scan arrays.  The first window starts at the first sample.  Window
+    count defaults to all complete windows; a non-integer one raises ValueError.
     """
     x = np.asarray(trace, dtype=float)
     wl = mode.window_len
     avail = x.size // wl
-    n = avail if n_windows is None else int(n_windows)
+    n = avail if n_windows is None else _integer("n_windows", n_windows)
     if n < 1 or n > avail:
         raise ValueError(f"requested {n} windows of {wl} samples, trace holds {avail}")
-    return x[: n * wl].reshape(n, wl) @ mode_weights(mode)
+    # a stack of (1, wl) @ (wl, 1) products runs each item through the dot
+    # kernel of f @ x_j; one matrix-vector product would sum the windows in
+    # blocks, so that a window's last bits changed with its position
+    f = mode_weights(mode)
+    return np.matmul(f[None, None, :], x[: n * wl].reshape(n, wl, 1))[:, 0, 0]
 
 
 def _trace_grid(cfg: ScanConfig) -> np.ndarray:

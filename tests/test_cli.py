@@ -224,6 +224,13 @@ def test_trace_header_validation(tmp_path):
     with pytest.raises(ValueError, match="malformed header"):
         sio.read_trace(bad_field)
 
+    # a rate beyond 2**53 would not survive the float the trace mode is built from
+    for rate in (0, -5, 2**53 + 1, 10**400):
+        bad_rate = tmp_path / "z.bin"
+        bad_rate.write_bytes(b"squeezelab-trace v1, rate_hz=%d, count=1\n\x00\x00\x00\x00" % rate)
+        with pytest.raises(ValueError, match=rf"z\.bin:1: rate_hz={rate} must be > 0 and at most"):
+            sio.read_trace(bad_rate)
+
     truncated = tmp_path / "y.bin"
     truncated.write_bytes(b"squeezelab-trace v1, rate_hz=10, count=4\n\x00\x00\x00\x00")
     with pytest.raises(ValueError, match="payload"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from squeezelab import io as sio
 from squeezelab import (
     DhdBatch,
     DriftModel,
@@ -356,6 +357,8 @@ def test_mode_validation():
         TemporalMode(fwhm_hz=0.0)
     with pytest.raises(ValueError):
         TemporalMode(window_len=0)
+    with pytest.raises(ValueError, match="window_len must be an integer, got 2.5"):
+        TemporalMode(window_len=2.5)
 
 
 @pytest.mark.parametrize("make, name", [
@@ -519,6 +522,48 @@ def test_trace_matches_per_window_generators(seed, trial, n_psi, window_len, tai
     got = synthesize_trace(states, mode, cfg, seed=seed, trial=trial, total_len=total)
     want = _trace_reference(states, mode, cfg, seed, trial, total)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 120),
+    window_len=st.integers(1, 70),
+    offset=st.integers(0, 7),
+    fwhm_hz=st.sampled_from([6e6, 2e7]),
+)
+def test_each_window_is_its_own_dot(seed, n, window_len, offset, fwhm_hz):
+    """Every projected window has the bits of its own dot f @ x_j, wherever
+    it sits in the call and however the trace is sliced before it."""
+    mode = TemporalMode(fwhm_hz=fwhm_hz, window_len=window_len)
+    x = np.random.default_rng(seed).standard_normal(offset + n * window_len + 3)[offset:]
+    q = apply_temporal_mode(x, mode, n)
+    f = mode_weights(mode)
+    want = [f @ x[j * window_len : (j + 1) * window_len] for j in range(n)]
+    assert np.array_equal(q, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 9),
+    n_psi=st.integers(3, 70),
+    window_len=st.integers(1, 70),
+    state=_state,
+)
+def test_k_scans_in_one_file_project_to_their_own_scans(tmp_path_factory, seed, k, n_psi,
+                                                        window_len, state):
+    """K traces written as one file and projected by one call give each
+    scan's own scan_from_trace samples, bit for bit: a window's bits do
+    not depend on its position in the file."""
+    cfg = ScanConfig(n_psi=n_psi)
+    mode = TemporalMode(window_len=window_len)
+    scans = [synthesize_trace([state] * n_psi, mode, cfg, seed=seed, trial=t) for t in range(k)]
+    path = tmp_path_factory.mktemp("k_scans") / "trace.dat"
+    sio.write_trace(path, np.concatenate(scans), rate_hz=100_000_000)
+    trace, _ = sio.read_trace(path)
+    got = apply_temporal_mode(trace, mode, k * n_psi).reshape(k, n_psi)
+    assert np.array_equal(got, [scan_from_trace(x, mode, cfg).samples for x in scans])
 
 
 def _scan_reference(params, cfg, seed, trial):
@@ -802,3 +847,8 @@ def test_geometry_mismatches_rejected():
         apply_temporal_mode(trace, mode, n_windows=17)
     with pytest.raises(ValueError, match="requested 0 windows of 9 samples, trace holds 16"):
         apply_temporal_mode(trace, mode, n_windows=0)
+    # a fractional size is refused, not truncated
+    with pytest.raises(ValueError, match="n_windows must be an integer, got 2.5"):
+        apply_temporal_mode(trace, mode, n_windows=2.5)
+    with pytest.raises(ValueError, match="total_len must be an integer, got 400.7"):
+        synthesize_trace(states, mode, cfg, seed=0, total_len=400.7)
