@@ -52,6 +52,11 @@ class BoundVector:
         return (self.var_s, self.var_kappa, self.var_phi)
 
 
+def _check_n_samples(n_samples: int) -> None:
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+
+
 def fisher_homodyne_discrete(params: StateParams, phases, *, harmonics=None) -> SymMatrix3:
     """Fisher information of homodyne samples at the given phase list.
 
@@ -136,8 +141,7 @@ def crb_homodyne(params: StateParams, n_samples: int) -> BoundVector:
     of ``fisher_homodyne_discrete``'s F^-1 to rounding.  var_phi is the
     float function ``_crb_var_phi``, which a tracked scan calls alone.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_n_samples(n_samples)
     s, k = params.s, params.kappa
     var_s = s * (1.0 + s) ** 2 / n_samples
     var_k = k * k * (1.0 + s * s) / (s * n_samples)
@@ -180,8 +184,7 @@ def fit_variance_prediction(params: StateParams, n_samples: int) -> BoundVector:
     Exceeds the homodyne CRB for every s < 1; equals it at s = 1 in the
     s and kappa components.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_n_samples(n_samples)
     s, k = params.s, params.kappa
     s2 = s * s
     s4 = s2 * s2
@@ -237,8 +240,7 @@ def crb_dhd(params: StateParams, n_samples: int) -> BoundVector:
     var_kappa = (kappa^2 + s^2/2 + 1/(2 s^2) + kappa s + kappa/s) / mu
     var_phi   = s (kappa + s)(1 + kappa s) / (kappa^2 (1 - s^2)^2 mu)
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_n_samples(n_samples)
     s, k = params.s, params.kappa
     var_s = (s**4 + 2.0 * k * s**3 + 2.0 * k * k * s * s + 2.0 * k * s + 1.0) / (
         2.0 * k * k * n_samples
@@ -278,8 +280,7 @@ def crb_quantum(params: StateParams, n_samples: int) -> BoundVector:
     divergent information entry maps to a 0 bound; a vanishing one (the
     angle at s = 1) maps to +inf.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_n_samples(n_samples)
     q = qfi_matrix(params)
 
     def inv(x: float) -> float:

@@ -10,8 +10,8 @@ Commands:
 
 Every run setting, the trace geometry, the trial index and the MoM prior
 among them, is a ``RunConfig`` field that declares its own flag, help text,
-choices and sign; the subcommand parsers and the range checks read them
-from there.  ``main`` resolves the config once and hands it, with its echo,
+choices and sign; any rule the library states is checked by calling the
+library.  ``main`` resolves the config once and hands it, with its echo,
 to the command.  Option precedence, lowest to highest: built-in defaults,
 JSON config file (--config), explicit command line flags; the environment
 sets none.  Every command echoes the resolved run configuration, floats at
@@ -59,6 +59,7 @@ from .model import StateParams, empirical_family, squeezing_db, squeezing_db_err
 from .montecarlo import (
     POLICIES,
     POLICY_INCLUDE,
+    _check_report,
     sweep_family,
     track_angle,
 )
@@ -93,9 +94,9 @@ class RunConfig:
 
     A field's name is its config-file key, its annotation picks its parser,
     and its ``_setting`` metadata give its flag, help text and choices, and
-    whether a set value must be > 0; ``__post_init__`` checks the choices,
-    the sign and that every float is finite.  kappa=None means the
-    pure-state family value 1/sqrt(s) is used for each s.
+    whether a set value must be > 0; ``__post_init__`` checks the sign and
+    finiteness and calls the library's check of each other rule.  kappa=None
+    means the pure-state family value 1/sqrt(s) is used for each s.
     n_samples doubles as the homodyne sample count per scan and the pair
     count per joint-quadrature batch.  The prior_* triple is all None (MoM
     starts from the fit) or all set.
@@ -112,7 +113,7 @@ class RunConfig:
     spacing: str = _setting(ScanConfig.spacing, "phase grid layout", choices=SPACINGS)
     n_samples: int = _setting(900, "pairs per DHD batch, and the sample count bounds scale to",
                               flag="--n", positive=True)
-    trials: int = _setting(3000, "Monte Carlo trials per s value", positive=True)
+    trials: int = _setting(3000, "Monte Carlo trials per s value")
     methods: tuple[str, ...] = _setting((METHOD_FIT, METHOD_MOM),
                                         f"comma list from {', '.join(METHODS)}")
     policy: str = _setting(POLICY_INCLUDE, "variance over all trials or physical-only trials",
@@ -129,7 +130,7 @@ class RunConfig:
     duration: float = _setting(0.3, "total tracked time in seconds", positive=True)
     trial: int = _setting(0, "trial index in the seed stream")
     rate_hz: float = _setting(TemporalMode.sample_rate_hz,
-                              "trace sample rate in Hz, a whole number", positive=True)
+                              "trace sample rate in Hz, a whole number")
     fwhm_hz: float = _setting(TemporalMode.fwhm_hz, "temporal mode bandwidth in Hz", positive=True)
     scan_duration: float = _setting(500e-6, "wall time of one scan in seconds", positive=True)
     prior_s: float | None = _setting(
@@ -139,24 +140,20 @@ class RunConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value, choices = getattr(self, f.name), f.metadata["choices"]
+            value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name}={value} is not finite")
             if f.metadata["positive"] and value is not None and value <= 0:
                 raise ValueError(f"{f.name}={value} must be > 0")
-            if choices and value not in choices:
-                raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
         if not self.s:
             raise ValueError("empty s list")
         for s in self.s:
             if not 0.0 < s <= 1.0:
                 raise ValueError(f"s={s} outside (0, 1]")
-        if self.trials < 2:
-            raise ValueError(f"trials={self.trials} must be >= 2 to form variances")
+        _check_report(self.trials, self.policy)
         if self.kappa is not None and self.kappa < 1.0:
             raise ValueError(f"kappa={self.kappa} below the vacuum floor 1")
-        if self.rate_hz != int(self.rate_hz):
-            raise ValueError(f"rate_hz={self.rate_hz} must be a whole number of Hz")
+        sio._check_rate(self.rate_hz)
         if (self.prior_s, self.prior_kappa, self.prior_phi).count(None) in (1, 2):
             raise ValueError("give all of --prior-s, --prior-kappa, --prior-phi or none")
         # the geometry and drift dataclasses check their own fields
@@ -338,7 +335,7 @@ def cmd_simulate(args, cfg: RunConfig, echo: str) -> None:
         mode, total = cfg.temporal_mode()
         trace = synthesize_trace([truth] * cfg.n_psi, mode, config=cfg.scan_config(),
                                  seed=cfg.seed, trial=cfg.trial, total_len=total)
-        sio.write_trace(args.out, trace, rate_hz=int(cfg.rate_hz))
+        sio.write_trace(args.out, trace, rate_hz=cfg.rate_hz)
 
 
 def _estimate_result_dict(res) -> dict:
@@ -473,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = ("fwhm_hz", "scan_duration")
 
     p = sub.add_parser("bounds", help="tabulate variance bounds over s")
-    _add_run_opts(p, state + ("n_samples", "seed"))
+    _add_run_opts(p, state + ("n_samples",))
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="generate a data file")
@@ -488,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=_FILE_KINDS, default=None,
                    help="input layout (default: matches the method)")
     _add_run_opts(p, ("tol", "max_iter", "prior_s", "prior_kappa", "prior_phi")
-                  + scan + trace + ("seed",))
+                  + scan + trace)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("benchmark", help="Monte Carlo variance vs bound study")

@@ -163,10 +163,19 @@ def read_dhd_csv(path) -> DhdBatch:
     return DhdBatch(q1=q1, p2=p2)
 
 
-def write_trace(path, trace, rate_hz: int) -> None:
-    """Header line then raw float32 little-endian samples."""
+def _check_rate(rate_hz, where: str = "") -> int:
+    """``rate_hz`` as an int if it is a whole number of Hz in [1, 2**53], where
+    floats are exact, else ValueError led by ``where``: the one trace rate rule."""
+    if not 1 <= rate_hz <= 2**53 or rate_hz != int(rate_hz):
+        raise ValueError(f"{where}rate_hz={rate_hz} must be > 0 and at most 2**53, in whole Hz")
+    return int(rate_hz)
+
+
+def write_trace(path, trace, rate_hz: float) -> None:
+    """Header line then raw float32 little-endian samples.  A rate that
+    ``read_trace`` would refuse raises ValueError before the file is opened."""
     data = np.asarray(trace, dtype="<f4")
-    header = f"{TRACE_MAGIC}, rate_hz={int(rate_hz)}, count={data.size}\n"
+    header = f"{TRACE_MAGIC}, rate_hz={_check_rate(rate_hz)}, count={data.size}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(data.tobytes())
@@ -185,8 +194,7 @@ def read_trace(path) -> tuple[np.ndarray, int]:
         count = int(parts[2].removeprefix("count="))
     except ValueError:
         raise ValueError(f"{path}:1: malformed header fields in {header!r}") from None
-    if not 0 < rate_hz <= 2**53:
-        raise ValueError(f"{path}:1: rate_hz={rate_hz} must be > 0 and at most 2**53")
+    _check_rate(rate_hz, f"{path}:1: ")
     if len(payload) != 4 * count:
         raise ValueError(
             f"{path}: header promises {count} samples ({4 * count} bytes), "

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import squeezelab
 from squeezelab import (
@@ -235,6 +235,50 @@ def test_trace_header_validation(tmp_path):
     truncated.write_bytes(b"squeezelab-trace v1, rate_hz=10, count=4\n\x00\x00\x00\x00")
     with pytest.raises(ValueError, match="payload"):
         sio.read_trace(truncated)
+
+    # the writer refuses what the reader refuses, before it makes the file
+    for rate in (1.5, 0, 2**53 + 2):
+        unwritten = tmp_path / "unwritten.bin"
+        with pytest.raises(ValueError, match=rf"^rate_hz={rate} must be > 0 and at most 2\*\*53"):
+            sio.write_trace(unwritten, np.zeros(3, dtype=np.float32), rate_hz=rate)
+        assert not unwritten.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@example(rate=1e16)
+@example(rate=2**53 + 2)
+@example(rate=1.5)
+@example(rate=0)
+@example(rate=-5)
+@given(rate=st.integers(-3, 4) | st.floats(-3.0, 4.0) | st.integers(2**53 - 3, 2**53 + 3)
+       | st.floats(2.0**53 - 8, 2.0**55))
+def test_config_writer_and_reader_take_the_same_rates(tmp_path_factory, rate):
+    """RunConfig takes a rate exactly when write_trace writes a trace at it
+    that read_trace reads back at that rate; otherwise the config and the
+    writer refuse it in the one rule's words, no file is made, and the
+    reader refuses a header that carries it."""
+    path = tmp_path_factory.mktemp("rate") / "trace.dat"
+    refusals = []
+    for attempt in (lambda: RunConfig(rate_hz=rate),
+                    lambda: sio.write_trace(path, np.zeros(3, dtype=np.float32), rate_hz=rate)):
+        try:
+            attempt()
+        except ValueError as exc:
+            refusals.append(str(exc))
+    if not refusals:
+        trace, back = sio.read_trace(path)
+        assert back == rate and trace.size == 3
+        return
+    rule = f"rate_hz={rate} must be > 0 and at most 2**53"
+    assert len(refusals) == 2 and all(r.startswith(rule) for r in refusals), refusals
+    assert not path.exists()
+    whole = rate == int(rate)
+    path.write_bytes(b"squeezelab-trace v1, rate_hz=%s, count=0\n"
+                     % (str(int(rate)) if whole else repr(rate)).encode())
+    # a fractional rate is not an integer field, so the reader stops at its form
+    match = rf"rate_hz={int(rate)} must be > 0 and at most 2\*\*53" if whole else "malformed"
+    with pytest.raises(ValueError, match=match):
+        sio.read_trace(path)
 
 
 # ------------------------------------------------------------ io: reports
@@ -488,13 +532,32 @@ def test_precedence_env_file_flags(tmp_path, capsys):
     """The config file beats the defaults and the flags beat the file; the
     environment sets no option."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"seed": 7}')
+    cfg.write_text('{"n_samples": 7}')
 
     assert main(["bounds", "--s", "0.5", "--config", str(cfg)]) == 0
-    assert _echo_config(capsys)["seed"] == 7
+    assert _echo_config(capsys)["n_samples"] == 7
 
-    assert main(["bounds", "--s", "0.5", "--config", str(cfg), "--seed", "4"]) == 0
-    assert _echo_config(capsys)["seed"] == 4
+    assert main(["bounds", "--s", "0.5", "--config", str(cfg), "--n", "4"]) == 0
+    assert _echo_config(capsys)["n_samples"] == 4
+
+
+def test_bounds_and_estimate_take_no_seed_flag(tmp_path, capsys):
+    """Neither command draws, so neither has --seed; a config file's seed is
+    still a RunConfig field, accepted and echoed."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--seed", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 4" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 7}')
+    assert main(["bounds", "--s", "0.5", "--config", str(cfg)]) == 0
+    assert _echo_config(capsys)["seed"] == 7
+    scan = tmp_path / "scan.csv"
+    assert main(["simulate", "--n-psi", "64", "--out", str(scan)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--input", str(scan), "--method", "fit", "--n-psi", "64",
+                 "--config", str(cfg)]) == 0
+    assert _echo_config(capsys)["seed"] == 7
 
 
 @pytest.mark.parametrize("text, error", [
@@ -556,6 +619,8 @@ def test_config_file_accepts_integral_floats(tmp_path, capsys):
 # the settings that must be > 0 when set
 _POSITIVE = ("n_samples", "trials", "tol", "max_iter", "duration", "rate_hz", "fwhm_hz",
              "scan_duration", "prior_s", "prior_kappa")
+# the refusals the library words, where the others print the setting's key=value
+_LIBRARY_REFUSALS = {"trials": "error: need at least 2 trials to form variances, got "}
 
 
 @pytest.mark.parametrize("key, value", [
@@ -578,7 +643,7 @@ def test_config_file_bad_choice_or_range_exits_1(tmp_path, capsys, key, value):
     assert main(["bounds", "--s", "0.5", "--config", str(cfg)]) == 1
     out, err = capsys.readouterr()
     assert "error:" in err and out == ""
-    assert key not in _POSITIVE or f"error: {key}=" in err
+    assert key not in _POSITIVE or _LIBRARY_REFUSALS.get(key, f"error: {key}=") in err
 
 
 # a value other than its default for every RunConfig field
@@ -648,13 +713,15 @@ _SCAN = {
     ("--spacing", "spacing", ("equispaced", "random")),
 }
 _TRACE = {("--fwhm-hz", "fwhm_hz", None), ("--scan-duration", "scan_duration", None)}
-_COMMON = {("--seed", "seed", None), ("--config", "config", None), ("--out", "out", None)}
+_COMMON = {("--config", "config", None), ("--out", "out", None)}
+# only the commands that draw take a seed
+_SEED = {("--seed", "seed", None)}
 _ITER = {("--tol", "tol", None), ("--max-iter", "max_iter", None)}
 
 
 @pytest.mark.parametrize("command, want", [
     ("bounds", _STATE | _COMMON | {("--n", "n_samples", None)}),
-    ("simulate", _STATE | _SCAN | _TRACE | _COMMON | {
+    ("simulate", _STATE | _SCAN | _TRACE | _COMMON | _SEED | {
         ("--kind", "kind", ("scan", "dhd", "trace")), ("--n", "n_samples", None),
         ("--trial", "trial", None), ("--rate-hz", "rate_hz", None),
     }),
@@ -664,12 +731,12 @@ _ITER = {("--tol", "tol", None), ("--max-iter", "max_iter", None)}
         ("--prior-s", "prior_s", None), ("--prior-kappa", "prior_kappa", None),
         ("--prior-phi", "prior_phi", None),
     }),
-    ("benchmark", _STATE | _SCAN | _COMMON | {
+    ("benchmark", _STATE | _SCAN | _COMMON | _SEED | {
         ("--methods", "methods", None), ("--trials", "trials", None),
         ("--n", "n_samples", None), ("--policy", "policy", ("include", "exclude")),
         ("--workers", "workers", None), ("--json", "json", None),
     }),
-    ("track", _STATE | _SCAN | _COMMON | _ITER | {
+    ("track", _STATE | _SCAN | _COMMON | _SEED | _ITER | {
         ("--drift-kind", "drift_kind", ("mean-reverting", "random-walk")),
         ("--tau", "correlation_time", None), ("--step", "step_interval", None),
         ("--amplitude", "amplitude", None), ("--duration", "duration", None),
@@ -853,8 +920,7 @@ def test_simulate_estimate_matches_in_process(tmp_path, capsys):
         "--out", str(path),
     ]) == 0
     assert main([
-        "estimate", "--input", str(path), "--method", "fit,mom",
-        "--n-psi", "200", "--seed", "3",
+        "estimate", "--input", str(path), "--method", "fit,mom", "--n-psi", "200",
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [e["method"] for e in payload["estimates"]] == ["fit", "mom"]
@@ -1241,13 +1307,24 @@ def test_benchmark_rejects_workers_below_one(capsys):
         assert "workers must be >= 1" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_rate_estimate_would_refuse(tmp_path, capsys):
+    """A rate beyond 2**53 would make a trace estimate refuses at file:1, so
+    simulate exits 1 before the draw and makes no file."""
+    path = tmp_path / "big.dat"
+    assert main(["simulate", "--kind", "trace", "--s", "0.5", "--rate-hz", "1e16",
+                 "--scan-duration", "1e-13", "--n-psi", "3", "--out", str(path)]) == 1
+    assert "error: rate_hz=1e+16 must be > 0 and at most 2**53" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_benchmark_rejects_fewer_than_two_trials(capsys):
-    """A variance needs 2 trials: 1 is a ValueError, exit 1, before any draw."""
+    """A variance needs 2 trials: 1 is a ValueError, exit 1, before any draw,
+    in the words of the report's own check."""
     assert RunConfig(trials=2).trials == 2
-    with pytest.raises(ValueError, match="trials=1 must be >= 2"):
+    with pytest.raises(ValueError, match="need at least 2 trials to form variances, got 1"):
         RunConfig(trials=1)
     assert main(["benchmark", "--s", "0.5", "--trials", "1"]) == 1
-    assert "error: trials=1 must be >= 2 to form variances" in capsys.readouterr().err
+    assert "error: need at least 2 trials to form variances, got 1" in capsys.readouterr().err
 
 
 def test_benchmark_json_mirror(tmp_path, capsys):
