@@ -4,12 +4,14 @@ Trials are embarrassingly parallel and the per-trial RNG streams are
 keyed by (seed, trial index), so a report is a pure function of
 (config, seed): running on one worker or many, or permuting trial order,
 changes nothing.  Aggregation happens after a deterministic in-order
-merge of the per-worker chunks; a sweep hands the chunks of all its
-truths to one process pool.
+merge of the per-worker chunks; a sweep cuts its trials into one chunk per
+worker, each covering every truth, and hands them to one process pool.
 
 Within a chunk the trials are drawn and estimated in blocks of
-BLOCK_TRIALS: each scan block is prepared once (``ScanBlock.of``) for the
-fit and MoM, which is seeded from the block's fit columns.  Each method
+BLOCK_TRIALS.  The keys hold no truth, so each block is drawn once per
+data kind and coloured for every truth of the sweep in turn.  Each scan
+block is prepared once per truth (``ScanBlock.of``) for the fit and MoM,
+which is seeded from the block's fit columns.  Each method
 hands a block on as columns (``estimators.Estimates``), stored by slice in
 the chunk's per-method arrays, so a sweep builds no result object per
 trial.  Every row is computed as in a separate single-trial call, so the
@@ -24,6 +26,7 @@ resultant, residuals wrapped to (-pi/2, pi/2].
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -57,7 +60,8 @@ from .estimators import (
 from .simulate import (
     DriftModel,
     ScanConfig,
-    sample_dhd_blocks,
+    _sample_dhd_truths,
+    _sample_scan_truths,
     sample_scan_blocks,
     simulate_phase_drift,
 )
@@ -131,38 +135,45 @@ def worker_count(workers: int, trials: int) -> int:
 
 
 def _collect_range(args):
-    """Worker entry point (picklable args): per-method (params, physical,
-    iterations) arrays for trials [t0, t1), in blocks of BLOCK_TRIALS.
-    Methods of one data kind share each trial's draw, and MoM is seeded
-    from the fit columns of that scan block (the same fit when fit is among
-    the methods).
+    """Worker entry point (picklable args): for each truth, per-method
+    (params, physical, iterations) arrays for trials [t0, t1).
+
+    The trials are walked in blocks of BLOCK_TRIALS, each drawn once per
+    data kind and coloured for every truth in turn (``_sample_scan_truths``,
+    ``_sample_dhd_truths``), so a sweep draws each trial once whatever its
+    number of s values.  Methods of one data kind share each trial's draw,
+    and MoM is seeded from the fit columns of that scan block (the same fit
+    when fit is among the methods).
     """
-    (truth, methods, scan_cfg, mu, seed, t0, t1, tol, max_iter) = args
+    (truths, methods, scan_cfg, mu, seed, t0, t1, tol, max_iter) = args
     count = t1 - t0
-    parts = {
-        m: (np.empty((count, 3)), np.empty(count, dtype=bool), np.empty(count, dtype=np.int64))
-        for m in methods
-    }
+    parts = [
+        {m: (np.empty((count, 3)), np.empty(count, dtype=bool), np.empty(count, dtype=np.int64))
+         for m in methods}
+        for _ in truths
+    ]
     blocks = [range(b, min(b + BLOCK_TRIALS, t1)) for b in range(t0, t1, BLOCK_TRIALS)]
 
-    def store(method, trials, est):
-        params, physical, iterations = parts[method]
+    def store(part, method, trials, est):
+        params, physical, iterations = part[method]
         rows = slice(trials.start - t0, trials.stop - t0)
         params[rows], physical[rows], iterations[rows] = est.params, est.physical, est.iterations
 
+    # the samplers yield each block's truths in turn, as the product lists them
     if METHOD_DHD in methods:
-        for trials, qp in zip(blocks, sample_dhd_blocks(truth, mu, seed, blocks)):
-            store(METHOD_DHD, trials, dhd_columns(qp[..., 0], qp[..., 1]))
+        drawn = _sample_dhd_truths(truths, mu, seed, blocks)
+        for (trials, part), qp in zip(itertools.product(blocks, parts), drawn):
+            store(part, METHOD_DHD, trials, dhd_columns(qp[..., 0], qp[..., 1]))
     if METHOD_FIT in methods or METHOD_MOM in methods:
-        drawn = sample_scan_blocks(truth, scan_cfg, seed, blocks)
-        for trials, (phases, harmonics, q) in zip(blocks, drawn):
+        drawn = _sample_scan_truths(truths, scan_cfg, seed, blocks)
+        for (trials, part), (phases, harmonics, q) in zip(itertools.product(blocks, parts), drawn):
             block = ScanBlock.of(phases, q, harmonics)
             fit = fit_columns(block)
             if METHOD_FIT in methods:
-                store(METHOD_FIT, trials, fit)
+                store(part, METHOD_FIT, trials, fit)
             if METHOD_MOM in methods:
-                store(METHOD_MOM, trials, mom_columns(block, fit, tol, max_iter))
-    return [parts[m] for m in methods]
+                store(part, METHOD_MOM, trials, mom_columns(block, fit, tol, max_iter))
+    return [[part[m] for m in methods] for part in parts]
 
 
 def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanConfig,
@@ -170,8 +181,9 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
     """``collect_estimates`` parts for each truth, in order.
 
     Each truth is first checked by its samplers' rules, DHD's then the
-    scan's, before any draw.  With more than one worker every truth's trials
-    are split into chunks and the chunks of all truths go to one process pool.
+    scan's, before any draw.  The trials are cut into one chunk per worker,
+    each covering every truth, so each trial is drawn once per data kind;
+    with more than one worker the chunks go to one process pool.
     """
     for m in methods:
         if m not in METHODS:
@@ -190,11 +202,8 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
             check_harmonic_state(*truth.as_tuple(), "truth")
     workers = worker_count(workers, trials)
     edges = np.linspace(0, trials, workers + 1).astype(int).tolist()
-    jobs = [
-        (truth, methods, cfg, mu, seed, edges[i], edges[i + 1], tol, max_iter)
-        for truth in truths
-        for i in range(workers)
-    ]
+    jobs = [(truths, methods, cfg, mu, seed, edges[i], edges[i + 1], tol, max_iter)
+            for i in range(workers)]
     if workers == 1:
         chunks = [_collect_range(job) for job in jobs]
     else:
@@ -203,10 +212,10 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_collect_range, jobs))
-    # a truth's chunks are consecutive; join each method's arrays across them
+    # join each truth's method arrays across the chunks, in trial order
     return [
-        [tuple(map(np.concatenate, zip(*parts))) for parts in zip(*chunks[t:t + workers])]
-        for t in range(0, len(chunks), workers)
+        [tuple(map(np.concatenate, zip(*parts))) for parts in zip(*truth_parts)]
+        for truth_parts in zip(*chunks)
     ]
 
 
@@ -262,7 +271,7 @@ def _check_report(trials: int, policy: str) -> None:
     if trials < 2:
         raise ValueError(f"need at least 2 trials to form variances, got {trials}")
     if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
 
 
 def aggregate_estimates(
@@ -361,11 +370,13 @@ def sweep_family(
 
     Methods sharing a data kind at the same (seed, s) see identical data:
     each trial's scan is drawn once and estimated by both fit and MoM, as
-    in the source experiment, and MoM is seeded from that fit.  The
-    reports equal those of separate run_trials calls; with several
-    workers, one process pool serves every s value.  What a report, a
-    sampler or MoM would refuse, fewer than MIN_SAMPLES samples per scan or
-    DHD batch included, raises ValueError before any draw.
+    in the source experiment, and MoM is seeded from that fit.  Each trial
+    is drawn once per data kind for the whole sweep and coloured for every
+    s value.  The reports equal those of separate run_trials calls; with
+    several workers, one process pool takes one chunk of trials per
+    worker, each covering every s value.  What a report, a sampler or MoM
+    would refuse, fewer than MIN_SAMPLES samples per scan or DHD batch
+    included, raises ValueError before any draw.
     """
     truths = [
         empirical_family(s, phi_s) if kappa is None else StateParams(s, kappa, phi_s)

@@ -6,16 +6,20 @@ given (inputs, seed) pair produces identical data regardless of worker
 count, call order, or platform.  Stream paths: scans and DHD batches are
 keyed per (seed, trial); trace synthesis per (seed, trial, window).
 
-A Monte-Carlo sweep and a track draw their trials in blocks
-(``sample_scan_blocks``, ``sample_dhd_blocks``): the per-state work (the
-scan's standard deviations, the DHD Cholesky factor) is done once per call
-for a shared truth, or over a block's rows for a track's truth per scan.
-Each sampler call builds one Philox of its own and re-keys it for each
-trial, as a trace does for each window and its tail, rather than building
-a generator per trial; the keys of all its streams are mixed in one numpy
-pass.  Same key, same draws: a block row equals the single draw of
-``sample_homodyne_scan`` or ``sample_dhd``, which are the one-row case of
-the block samplers.  An empty range of trials gives an empty block.
+A Monte-Carlo sweep and a track draw their trials in blocks.  Each data
+kind has one draw loop, ``_sample_scan_truths`` and ``_sample_dhd_truths``,
+which draws a block's keyed standard normals once and colours them for
+each of its truths in turn; the block samplers ``sample_scan_blocks`` and
+``sample_dhd_blocks`` are its one-truth case.  A stream's key holds no
+truth, so every s value of a sweep colours the same draws.  The per-state
+work (the scan's standard deviations, the DHD Cholesky factor) is done once
+per call for a shared truth, or over a block's rows for a track's truth
+per scan.  Each sampler call builds one Philox of its own and re-keys it
+for each trial, as a trace does for each window and its tail, rather than
+building a generator per trial; the keys of all its streams are mixed in
+one numpy pass.  Same key, same draws: a block row equals the single draw
+of ``sample_homodyne_scan`` or ``sample_dhd``, which are the one-row case
+of the block samplers.  An empty range of trials gives an empty block.
 
 A scan's variance is taken on the harmonics (1, cos 2psi, sin 2psi) that
 the estimators read, V = ``variance_coefficients`` times the harmonics:
@@ -219,41 +223,62 @@ def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
     (B, 3, N) are one ``grid_harmonics`` call over them.  Either is handed
     on to ``ScanBlock.of``.
 
-    Each sample's variance is the product of its truth's
-    ``variance_coefficients`` with the harmonics: computed once per call
-    for a shared truth on the grid, else as one stacked product per block,
-    which gives each row the bits of that product on its own.  A truth
+    The draws are ``_sample_scan_truths``'s for the one truth, whose
+    samples are the block's standard normals coloured in place.  A truth
     that ``model.check_harmonic_state`` refuses raises ValueError.
     """
-    cfg = config or ScanConfig()
+    return _sample_scan_truths([params], config or ScanConfig(), seed, blocks)
+
+
+def _sample_scan_truths(truths: list, cfg: ScanConfig, seed: int, blocks):
+    """The one draw loop of scans: for each range of trials in ``blocks``,
+    draw the block once and yield (phases, harmonics, samples) for each
+    truth of ``truths`` in turn, each item as ``sample_scan_blocks`` takes
+    its ``params``.
+
+    The draw is truth-free, since a trial's stream key holds no truth: the
+    random phases if any, then the standard normals z (B, N), and the
+    harmonics of the block's phases.  A truth colours z by its standard
+    deviations, the square root of its ``variance_coefficients`` times the
+    harmonics: computed once per call for a shared truth on the grid, else
+    as one stacked product per block, which gives each row the bits of that
+    product on its own.  The last truth colours z in place and every earlier
+    one a new array, so one block of normals and one coloured block are
+    alive at a time.  Every shared truth is checked, and its coefficients
+    formed, before the first draw.
+    """
     random = cfg.spacing == "random"
-    shared = isinstance(params, StateParams)
-    coefs = _scan_coefficients(params) if shared else None
     # one equispaced grid and its harmonics serve every block of the call
     grid = None if random else cfg.phase_grid()
     grid_rows = None if random else grid_harmonics(grid)
-    sigma = np.sqrt(np.dot(coefs, grid_rows)) if shared and not random else None
+    # (truth, coefficients, grid sigma); the coefficients of a truth per trial
+    # are looked up per block
+    scales = []
+    for params in truths:
+        coefs = _scan_coefficients(params) if isinstance(params, StateParams) else None
+        sigma = None if random or coefs is None else np.sqrt(np.dot(coefs, grid_rows))
+        scales.append((params, coefs, sigma))
+    last = len(scales) - 1
     blocks = list(blocks)
     streams = _keyed_streams(seed, (_STREAM_SCAN,), blocks)
     for trials in blocks:
-        q = np.empty((len(trials), cfg.n_psi))
-        phases = np.empty_like(q) if random else grid
+        z = np.empty((len(trials), cfg.n_psi))
+        phases = np.empty_like(z) if random else grid
         for i, rng in enumerate(itertools.islice(streams, len(trials))):
             if random:
                 # the phases come first in the trial's stream, then the samples
                 phases[i] = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
-            rng.standard_normal(out=q[i])
+            rng.standard_normal(out=z[i])
         harmonics = grid_harmonics(phases) if random else grid_rows
-        if sigma is not None:
-            q *= sigma
-        else:
-            rows = [coefs] * len(trials) if shared else [_scan_coefficients(params[t])
-                                                          for t in trials]
-            # (B, 1, 3) @ (3, N) or (B, 3, N): each item is the vector-matrix
-            # product np.dot forms for one row, with the same bits
-            v = np.matmul(np.array(rows).reshape(-1, 1, 3), harmonics)
-            q *= np.sqrt(v, out=v)[:, 0]
-        yield phases, harmonics, q
+        for k, (params, coefs, sigma) in enumerate(scales):
+            if sigma is None:
+                rows = [coefs] * len(trials) if coefs is not None else [
+                    _scan_coefficients(params[t]) for t in trials]
+                # (B, 1, 3) @ (3, N) or (B, 3, N): each item is the vector-matrix
+                # product np.dot forms for one row, with the same bits
+                v = np.matmul(np.array(rows).reshape(-1, 1, 3), harmonics)
+                sigma = np.sqrt(v, out=v)[:, 0]
+            yield phases, harmonics, np.multiply(z, sigma, out=z if k == last else None)
 
 
 def sample_dhd(
@@ -272,11 +297,16 @@ def sample_dhd_blocks(params: StateParams, mu: int, seed: int, blocks):
     of trials in ``blocks``; row i is trial i's ``sample_dhd`` batch, and an
     empty range gives a (0, mu, 2) block.
 
-    The Cholesky factor of Gamma_theta + I is computed once per call.  A
-    truth that ``model.check_drawn_states`` refuses raises ValueError.
+    The draws are ``_sample_dhd_truths``'s for the one truth.  A truth that
+    ``model.check_drawn_states`` refuses raises ValueError.
     """
-    if mu < 1:
-        raise ValueError(f"mu must be >= 1, got {mu}")
+    return _sample_dhd_truths([params], mu, seed, blocks)
+
+
+def _dhd_factor(params: StateParams, mu: int) -> np.ndarray:
+    """The transposed Cholesky factor of Gamma_theta + I that colours a
+    truth's (mu, 2) standard normals; a truth that ``check_drawn_states``
+    refuses raises ValueError."""
     check_drawn_states(params.s, params.kappa, params.phi_s)
     # the identity goes on the diagonal only, so that the -0.0 off-diagonal
     # of a state at phi_s = 0 stays -0.0
@@ -288,13 +318,30 @@ def sample_dhd_blocks(params: StateParams, mu: int, seed: int, blocks):
         # bits; a single pair is multiplied as a vector, whose bits depend
         # on the factor's memory order, so it keeps the transposed view
         chol_t = np.ascontiguousarray(chol_t)
+    return chol_t
+
+
+def _sample_dhd_truths(truths: list, mu: int, seed: int, blocks):
+    """The one draw loop of DHD batches: for each range of trials in
+    ``blocks``, draw the block's standard normals z (B, mu, 2) once and
+    yield z @ chol_t for each truth of ``truths`` in turn.
+
+    Each truth's Cholesky factor is formed, and the truth checked, once per
+    call before the first draw.  Every truth's pairs are a new array, as a
+    matmul into z would first copy z; the block of normals and one coloured
+    block are alive at a time.
+    """
+    if mu < 1:
+        raise ValueError(f"mu must be >= 1, got {mu}")
+    factors = [_dhd_factor(params, mu) for params in truths]
     blocks = list(blocks)
     streams = _keyed_streams(seed, (_STREAM_DHD,), blocks)
     for trials in blocks:
         z = np.empty((len(trials), mu, 2))
         for i, rng in enumerate(itertools.islice(streams, len(trials))):
             rng.standard_normal(out=z[i])
-        yield z @ chol_t
+        for chol_t in factors:
+            yield z @ chol_t
 
 
 @dataclass(frozen=True)

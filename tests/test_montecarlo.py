@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import os
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -107,8 +108,8 @@ def test_one_trial_is_refused_before_any_draw(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew trials")
 
-    monkeypatch.setattr(montecarlo, "sample_scan_blocks", no_draw)
-    monkeypatch.setattr(montecarlo, "sample_dhd_blocks", no_draw)
+    monkeypatch.setattr(montecarlo, "_sample_scan_truths", no_draw)
+    monkeypatch.setattr(montecarlo, "_sample_dhd_truths", no_draw)
     for trials in (1, 0):
         with pytest.raises(ValueError, match="need at least 2 trials"):
             sweep_family((0.3, 0.5), ("fit", "mom", "dhd"), trials, scan_config=cfg)
@@ -222,28 +223,35 @@ def test_sweep_family_structure():
 
 
 def test_sweep_family_shares_each_scan(monkeypatch):
-    """One draw per (s, trial) serves fit and MoM; reports equal separate runs."""
-    cfg = ScanConfig(n_psi=64)
-    s_values, trials = (0.21, 0.5), 40
-    separate = [
-        run_trials(empirical_family(s), method, trials, seed=4, scan_config=cfg)
-        for s in s_values
-        for method in ("fit", "mom", "dhd")
-    ]
-    draws = []
+    """Each trial is drawn once per sweep and data kind, whatever the number
+    of s values: one scan serves fit and MoM at every s, one DHD batch every
+    s, on both spacings; the reports equal separate runs."""
+    s_values, trials = (0.21, 0.5, 0.9), 40
+    for spacing in ("equispaced", "random"):
+        cfg = ScanConfig(n_psi=64, spacing=spacing)
+        separate = [
+            run_trials(empirical_family(s), method, trials, seed=4, scan_config=cfg, mu=64)
+            for s in s_values
+            for method in ("fit", "mom", "dhd")
+        ]
+        draws = Counter()
+        keyed_streams = simulate._keyed_streams
 
-    def counting_blocks(params, config, seed, blocks):
-        # the rows each block really holds, tagged with the trials they stand for
-        for trials_drawn, (phases, harmonics, q) in zip(blocks, simulate.sample_scan_blocks(
-                params, config, seed, blocks)):
-            assert len(q) == len(trials_drawn)
-            draws.extend(trials_drawn)
-            yield phases, harmonics, q
+        def counting_streams(seed, prefix, blocks):
+            # each stream the sampler starts, tagged with its kind and trial
+            indices = (j for trials_drawn in blocks for j in trials_drawn)
+            for j, rng in zip(indices, keyed_streams(seed, prefix, blocks)):
+                draws[prefix[0], j] += 1
+                yield rng
 
-    monkeypatch.setattr(montecarlo, "sample_scan_blocks", counting_blocks)
-    shared = sweep_family(s_values, ("fit", "mom", "dhd"), trials, seed=4, scan_config=cfg)
-    assert shared == separate
-    assert sorted(draws) == sorted(list(range(trials)) * len(s_values))
+        monkeypatch.setattr(simulate, "_keyed_streams", counting_streams)
+        shared = sweep_family(s_values, ("fit", "mom", "dhd"), trials, seed=4, scan_config=cfg,
+                              mu=64)
+        monkeypatch.undo()
+        assert shared == separate
+        assert draws == Counter({(kind, t): 1 for kind in (simulate._STREAM_SCAN,
+                                                           simulate._STREAM_DHD)
+                                 for t in range(trials)})
 
 
 def test_sweep_opens_one_process_pool(monkeypatch):
@@ -290,48 +298,49 @@ def _per_trial_arrays(methods, truth, cfg, mu, seed, trials, tol, max_iter):
 
 @settings(max_examples=40)
 @given(
-    s=st.floats(0.05, 1.0),
-    kappa=st.floats(0.5, 4.0),
-    phi=st.floats(-4.0, 4.0),
+    truths=st.lists(st.builds(StateParams, st.floats(0.05, 1.0), st.floats(0.5, 4.0),
+                              st.floats(-4.0, 4.0)), min_size=1, max_size=4),
     n_psi=st.integers(3, 80),
     mu=st.integers(3, 80),
     spacing=st.sampled_from(["equispaced", "random"]),
-    methods=st.sampled_from([("dhd",), ("fit",), ("mom",), ("fit", "mom")]),
+    methods=st.sampled_from([("dhd",), ("fit",), ("mom",), ("fit", "mom"), ("fit", "mom", "dhd")]),
     seed=st.integers(-(2**63), 2**64 - 1),
     t0=st.integers(-40, 40),
     count=st.integers(1, 3 * montecarlo.BLOCK_TRIALS + 3),
     data=st.data(),
 )
-def test_block_collection_equals_per_trial_loop(s, kappa, phi, n_psi, mu, spacing, methods,
+def test_block_collection_equals_per_trial_loop(truths, n_psi, mu, spacing, methods,
                                                 seed, t0, count, data):
-    """_collect_range, split at any point, gives byte for byte the arrays of
-    a per-trial loop of sample_* and *_estimate calls.  Truths down to
-    kappa = 0.5 bring nonphysical fits and rows that fall back to MoM's
-    fallback seed into the compared columns."""
-    truth = StateParams(s, kappa, phi)
+    """_collect_range over 1-4 truths, split at any point, gives for every
+    truth byte for byte the arrays of a per-trial loop of sample_* and
+    *_estimate calls.  Truths down to kappa = 0.5 bring nonphysical fits and
+    rows that fall back to MoM's fallback seed into the compared columns."""
     cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
     t1 = t0 + count
     split = data.draw(st.integers(t0, t1))
     tol, max_iter = 1e-6, 20
     head, tail = (
-        montecarlo._collect_range((truth, methods, cfg, mu, seed, a, b, tol, max_iter))
+        montecarlo._collect_range((truths, methods, cfg, mu, seed, a, b, tol, max_iter))
         for a, b in ((t0, split), (split, t1))
     )
-    want = _per_trial_arrays(methods, truth, cfg, mu, seed, range(t0, t1), tol, max_iter)
-    for h, t, w in zip(head, tail, want):
-        for k in range(3):
-            got = np.concatenate([h[k], t[k]])
-            assert got.dtype == w[k].dtype and got.shape == w[k].shape
-            assert got.tobytes() == w[k].tobytes()
+    assert len(head) == len(tail) == len(truths)
+    for truth, head_parts, tail_parts in zip(truths, head, tail):
+        want = _per_trial_arrays(methods, truth, cfg, mu, seed, range(t0, t1), tol, max_iter)
+        for h, t, w in zip(head_parts, tail_parts, want, strict=True):
+            for k in range(3):
+                got = np.concatenate([h[k], t[k]])
+                assert got.dtype == w[k].dtype and got.shape == w[k].shape
+                assert got.tobytes() == w[k].tobytes()
 
 
 def test_grid_harmonics_computed_once_per_sampler_call(monkeypatch):
     """Every scan a sampler call draws on the equispaced grid, and fit, MoM
     and the Fisher matrix on it, share one set of harmonics: one
-    computation per call, so one per truth of a sweep and one per track.
-    With random spacing each drawn block gets one computation over all its
-    rows, shared by the fit, MoM and the Fisher matrix.  A one-scan fit or
-    MoM estimate, with its covariance, computes them once."""
+    computation per call, so one per sweep, whatever its number of truths,
+    and one per track.  With random spacing each drawn block gets one
+    computation over all its rows, shared by every truth of a sweep and by
+    the fit, MoM and the Fisher matrix.  A one-scan fit or MoM estimate,
+    with its covariance, computes them once."""
     calls = []
 
     def counting(phases):
@@ -341,7 +350,7 @@ def test_grid_harmonics_computed_once_per_sampler_call(monkeypatch):
     for module in (bounds, estimators, simulate):
         monkeypatch.setattr(module, "grid_harmonics", counting)
     sweep_family((0.3, 0.5), ("fit", "mom"), 10, seed=2, scan_config=ScanConfig(n_psi=64))
-    assert calls == [64, 64]
+    assert calls == [64]
     calls.clear()
     res = track_angle(DriftModel(), empirical_family(0.5), ScanConfig(n_psi=48),
                       duration=0.01, seed=2)
@@ -359,8 +368,8 @@ def test_grid_harmonics_computed_once_per_sampler_call(monkeypatch):
     random = ScanConfig(n_psi=64, spacing="random")
     calls.clear()
     sweep_family((0.3, 0.5), ("fit", "mom"), 32, seed=2, scan_config=random)
-    # one call per drawn (16, 64) block, of which each of the two truths has two
-    assert calls == [montecarlo.BLOCK_TRIALS] * 4
+    # one call per drawn (16, 64) block, which both truths share
+    assert calls == [montecarlo.BLOCK_TRIALS] * 2
     calls.clear()
     res = track_angle(DriftModel(), empirical_family(0.5), ScanConfig(n_psi=48, spacing="random"),
                       duration=0.02, seed=2)
@@ -768,8 +777,9 @@ def test_bad_policy_or_truth_is_refused_before_any_draw(monkeypatch):
     cfg = ScanConfig(n_psi=16)
     with pytest.raises(ValueError, match="unknown policy 'bogus'"):
         sweep_family([0.5, 0.3], ("fit", "mom"), 3000, policy="bogus")
-    with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+    with pytest.raises(ValueError, match="unknown policy 'bogus'") as refused:
         run_trials(StateParams(0.5, 2.0, 0.3), "dhd", 4, mu=16, policy="bogus")
+    assert str(refused.value) == "unknown policy 'bogus', expected one of ('include', 'exclude')"
     for s, methods in ((1e-7, ("fit", "mom")), (1e-7, ("dhd", "mom")), (1e-200, ("dhd",)),
                        (1e-200, ("fit", "dhd"))):
         with pytest.raises(ValueError, match=samplers[s]):
@@ -791,7 +801,8 @@ def test_bad_tol_or_max_iter_is_refused_before_any_draw(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a scan, a DHD batch or the drift")
 
-    for name in ("sample_scan_blocks", "sample_dhd_blocks", "simulate_phase_drift"):
+    for name in ("sample_scan_blocks", "_sample_scan_truths", "_sample_dhd_truths",
+                 "simulate_phase_drift"):
         monkeypatch.setattr(montecarlo, name, no_draw)
     bad = [{"tol": t} for t in (math.nan, math.inf, -math.inf, 0.0, -1e-6)]
     for kw in bad + [{"max_iter": m} for m in (0, -1)]:
@@ -816,7 +827,8 @@ def test_too_few_samples_are_refused_before_any_draw(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a scan, a DHD batch or the drift")
 
-    for name in ("sample_scan_blocks", "sample_dhd_blocks", "simulate_phase_drift"):
+    for name in ("sample_scan_blocks", "_sample_scan_truths", "_sample_dhd_truths",
+                 "simulate_phase_drift"):
         monkeypatch.setattr(montecarlo, name, no_draw)
     two = ScanConfig(n_psi=2)
     for method in ("fit", "mom"):
@@ -830,6 +842,22 @@ def test_too_few_samples_are_refused_before_any_draw(monkeypatch):
             call()
     with pytest.raises(ValueError, match="at least 3 samples per scan, got n_psi=2"):
         track_angle(DriftModel(), truth, two, duration=0.01)
+
+
+def test_sweep_memory_does_not_grow_with_the_trials():
+    """A sweep keeps one block of normals and one coloured block alive at a
+    time: a 3-s DHD sweep at mu = 900 peaks less than 1 MB higher at 640
+    trials than at 64, where drawing a whole chunk first would add 9 MB."""
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            sweep_family((0.21, 0.5, 0.9), ("dhd",), trials, seed=5, mu=900)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(64)  # warm: first-call allocations are not the sweep's
+    assert peak(640) - peak(64) < 1_000_000
 
 
 def test_outputs_do_not_depend_on_the_block_size(monkeypatch):
