@@ -12,7 +12,8 @@ Conventions used throughout the package:
   need variances, covariances and dB conversions evaluated at them.  Input
   is checked where it enters, by the command line's ``RunConfig``,
   ``check_harmonic_state`` (scan truths and MoM priors) and
-  ``check_drawn_states`` (DHD and trace truths);
+  ``check_drawn_states`` (DHD and trace truths), and ``_integer`` (counts,
+  seeds and stream indices);
 * ``state_covariance`` is a plain (2, 2) array; ``SymMatrix3`` holds the
   (s, kappa, phi_s) information and covariance matrices.
 """
@@ -20,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -246,6 +248,13 @@ def check_drawn_states(s, kappa, phi_s) -> None:
         raise ValueError(f"truth (s={float(s[j])!r}, kappa={float(kappa[j])!r}, "
                          f"phi_s={float(phi_s[j])!r}) needs s > 0, kappa > 0, a finite phi_s "
                          f"and kappa max(s, 1/s) <= MAX_DRAW_VARIANCE = {MAX_DRAW_VARIANCE:g}")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a value that is not an integer raises ValueError naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def grid_harmonics(phases) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .model import (SingularMatrixError, StateParams, SymMatrix3, check_drawn_states,
+from .model import (SingularMatrixError, StateParams, SymMatrix3, _integer, check_drawn_states,
                     check_harmonic_state, empirical_family)
 from .bounds import (
     BoundVector,
@@ -60,8 +60,7 @@ from .estimators import (
 from .simulate import (
     DriftModel,
     ScanConfig,
-    _sample_dhd_truths,
-    _sample_scan_truths,
+    sample_dhd_blocks,
     sample_scan_blocks,
     simulate_phase_drift,
 )
@@ -139,8 +138,8 @@ def _collect_range(args):
     (params, physical, iterations) arrays for trials [t0, t1).
 
     The trials are walked in blocks of BLOCK_TRIALS, each drawn once per
-    data kind and coloured for every truth in turn (``_sample_scan_truths``,
-    ``_sample_dhd_truths``), so a sweep draws each trial once whatever its
+    data kind and coloured for every truth in turn (``sample_scan_blocks``,
+    ``sample_dhd_blocks``), so a sweep draws each trial once whatever its
     number of s values.  Methods of one data kind share each trial's draw,
     and MoM is seeded from the fit columns of that scan block (the same fit
     when fit is among the methods).
@@ -161,11 +160,11 @@ def _collect_range(args):
 
     # the samplers yield each block's truths in turn, as the product lists them
     if METHOD_DHD in methods:
-        drawn = _sample_dhd_truths(truths, mu, seed, blocks)
+        drawn = sample_dhd_blocks(truths, mu, seed, blocks)
         for (trials, part), qp in zip(itertools.product(blocks, parts), drawn):
             store(part, METHOD_DHD, trials, dhd_columns(qp[..., 0], qp[..., 1]))
     if METHOD_FIT in methods or METHOD_MOM in methods:
-        drawn = _sample_scan_truths(truths, scan_cfg, seed, blocks)
+        drawn = sample_scan_blocks(truths, scan_cfg, seed, blocks)
         for (trials, part), (phases, harmonics, q) in zip(itertools.product(blocks, parts), drawn):
             block = ScanBlock.of(phases, q, harmonics)
             fit = fit_columns(block)
@@ -180,8 +179,8 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
                     mu: int, tol: float, max_iter: int, workers: int) -> list:
     """``collect_estimates`` parts for each truth, in order.
 
-    Each truth is first checked by its samplers' rules, DHD's then the
-    scan's, before any draw.  The trials are cut into one chunk per worker,
+    The seed, mu and truths are checked by the samplers' rules, DHD's
+    first, before any draw.  The trials are cut into one chunk per worker,
     each covering every truth, so each trial is drawn once per data kind;
     with more than one worker the chunks go to one process pool.
     """
@@ -191,10 +190,11 @@ def _collect_truths(truths, methods: tuple, trials: int, seed: int, cfg: ScanCon
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_iteration(tol, max_iter)
+    _integer("seed", seed)
     if METHOD_FIT in methods or METHOD_MOM in methods:
         _check_min_samples(cfg.n_psi, "n_psi")
     if METHOD_DHD in methods:
-        _check_min_samples(mu, "mu", dhd=True)
+        _check_min_samples(_integer("mu", mu), "mu", dhd=True)
     for truth in truths:
         if METHOD_DHD in methods:
             check_drawn_states(*truth.as_tuple())
@@ -473,12 +473,12 @@ def track_angle(
 ) -> TrackResult:
     """Scan-by-scan MoM tracking of a drifting squeezing angle.
 
-    One scan per drift step, at that step's angle, drawn in blocks of
-    BLOCK_TRIALS; each block is prepared once (``ScanBlock.of``) and its
-    rows go in order through ``_track_step``, each seeded from the previous
-    physical estimate.  The correlation-time fit takes the mean squared
-    finite half-width as its measurement-noise floor.
-    A duration that is not finite or covers fewer than 3 scans, which
+    One scan per drift step, at that step's angle (the sampler's truth per
+    scan), drawn in blocks of BLOCK_TRIALS; each block is prepared once
+    (``ScanBlock.of``) and its rows go in order through ``_track_step``,
+    each seeded from the previous physical estimate.  The correlation-time
+    fit takes the mean squared finite half-width as its measurement-noise
+    floor.  A duration that is not finite or covers fewer than 3 scans, which
     that fit needs, and what the scan sampler or MoM would refuse, fewer
     than MIN_SAMPLES phases included, raise ValueError before any draw.
     """
@@ -499,7 +499,7 @@ def track_angle(
     blocks = [range(b, min(b + BLOCK_TRIALS, n)) for b in range(0, n, BLOCK_TRIALS)]
     scans = []  # (params, physical, iterations, half-width) of each scan
     prior = None
-    drawn = sample_scan_blocks(truths, cfg, seed, blocks)
+    drawn = sample_scan_blocks([truths], cfg, seed, blocks)
     for trials, (phases, harmonics, q) in zip(blocks, drawn):
         block = ScanBlock.of(phases, q, harmonics)
         for i in range(len(trials)):

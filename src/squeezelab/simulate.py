@@ -7,19 +7,18 @@ count, call order, or platform.  Stream paths: scans and DHD batches are
 keyed per (seed, trial); trace synthesis per (seed, trial, window).
 
 A Monte-Carlo sweep and a track draw their trials in blocks.  Each data
-kind has one draw loop, ``_sample_scan_truths`` and ``_sample_dhd_truths``,
-which draws a block's keyed standard normals once and colours them for
-each of its truths in turn; the block samplers ``sample_scan_blocks`` and
-``sample_dhd_blocks`` are its one-truth case.  A stream's key holds no
-truth, so every s value of a sweep colours the same draws.  The per-state
-work (the scan's standard deviations, the DHD Cholesky factor) is done once
-per call for a shared truth, or over a block's rows for a track's truth
-per scan.  Each sampler call builds one Philox of its own and re-keys it
-for each trial, as a trace does for each window and its tail, rather than
-building a generator per trial; the keys of all its streams are mixed in
-one numpy pass.  Same key, same draws: a block row equals the single draw
-of ``sample_homodyne_scan`` or ``sample_dhd``, which are the one-row case
-of the block samplers.  An empty range of trials gives an empty block.
+kind has one draw loop, ``sample_scan_blocks`` and ``sample_dhd_blocks``,
+which takes a list of truths, draws a block's keyed standard normals once
+and colours them for each truth in turn: a stream's key holds no truth, so
+every s value of a sweep colours the same draws.  A truth is a StateParams
+shared by every trial or, for scans only, one StateParams per drawn trial
+given by position, as a track gives its drifting angle.  Every truth is
+checked, and its per-state work done, before the first draw.  Each call
+re-keys one Philox of its own for each trial, as a trace does for each
+window and its tail, and mixes the keys of all its streams in one numpy
+pass.  Same key, same draws: a block row equals the single draw of
+``sample_homodyne_scan`` or ``sample_dhd``, the samplers' one-row,
+one-truth case.  Seeds and trials are integers, numpy ones included.
 
 A scan's variance is taken on the harmonics (1, cos 2psi, sin 2psi) that
 the estimators read, V = ``variance_coefficients`` times the harmonics:
@@ -37,13 +36,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     StateParams,
+    _integer,
     check_drawn_states,
     check_harmonic_state,
     grid_harmonics,
@@ -99,13 +98,13 @@ def _splitmix64(x):
 def _mix_path(*path: int) -> int:
     h = 0
     for p in path:
-        h = _splitmix64(h ^ (int(p) & _MASK64))
+        h = _splitmix64(h ^ (_integer("stream path element", p) & _MASK64))
     return h
 
 
 def keyed_generator(seed: int, *path: int) -> np.random.Generator:
     """Philox generator for the stream identified by (seed, path)."""
-    key = np.array([int(seed) & _MASK64, _mix_path(*path)], dtype=np.uint64)
+    key = np.array([_integer("seed", seed) & _MASK64, _mix_path(*path)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -133,13 +132,6 @@ def _keyed_streams(seed: int, prefix: tuple, blocks: list):
         key[1] = k
         bitgen.state = state
         yield rng
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a value that is not an integer raises ValueError naming it."""
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -197,8 +189,9 @@ def sample_homodyne_scan(
     trial: int = 0,
 ) -> HomodyneScan:
     """Draw one phase scan: q_j ~ N(0, V(psi_j)) independently per phase."""
+    trial = _integer("trial", trial)
     # unpacking runs the generator to its end: no suspended frame to close
-    [(phases, _, q)] = sample_scan_blocks(params, config, seed, [range(trial, trial + 1)])
+    [(phases, _, q)] = sample_scan_blocks([params], config, seed, [range(trial, trial + 1)])
     return HomodyneScan(phases=phases if phases.ndim == 1 else phases[0], samples=q[0])
 
 
@@ -208,77 +201,72 @@ def _scan_coefficients(truth: StateParams) -> tuple:
     return variance_coefficients(*truth.as_tuple())[0]
 
 
-def sample_scan_blocks(params, config: ScanConfig | None, seed: int, blocks):
-    """Yield (phases, harmonics, samples) for each range of trials in ``blocks``;
-    an empty range gives an empty block, (0, N) samples.
-
-    ``params`` is one StateParams shared by every trial, or one truth per
-    trial, looked up as ``params[trial]``.  ``samples`` has one row per
-    trial, drawn from that trial's stream exactly as a separate
-    ``sample_homodyne_scan`` call would draw it.  For equispaced scans
-    ``phases`` is the config's ``phase_grid()`` (N,) and ``harmonics`` its
-    rows (1, cos 2psi, sin 2psi), (3, N), both computed once per call and
-    shared by every block; with random spacing ``phases`` (B, N) has one
-    row per trial, drawn first from the trial's stream, and ``harmonics``
-    (B, 3, N) are one ``grid_harmonics`` call over them.  Either is handed
-    on to ``ScanBlock.of``.
-
-    The draws are ``_sample_scan_truths``'s for the one truth, whose
-    samples are the block's standard normals coloured in place.  A truth
-    that ``model.check_harmonic_state`` refuses raises ValueError.
-    """
-    return _sample_scan_truths([params], config or ScanConfig(), seed, blocks)
-
-
-def _sample_scan_truths(truths: list, cfg: ScanConfig, seed: int, blocks):
+def sample_scan_blocks(truths, config: ScanConfig | None, seed: int, blocks):
     """The one draw loop of scans: for each range of trials in ``blocks``,
     draw the block once and yield (phases, harmonics, samples) for each
-    truth of ``truths`` in turn, each item as ``sample_scan_blocks`` takes
-    its ``params``.
+    truth of ``truths`` in turn.
 
-    The draw is truth-free, since a trial's stream key holds no truth: the
-    random phases if any, then the standard normals z (B, N), and the
-    harmonics of the block's phases.  A truth colours z by its standard
+    A truth is a StateParams shared by every trial, or a sequence of one
+    StateParams per drawn trial, in block order.  ``samples`` (B, N) holds
+    each trial's ``sample_homodyne_scan`` draw at its truth, and an empty
+    range gives (0, N).  For equispaced scans ``phases`` is the config's
+    ``phase_grid()`` (N,) and ``harmonics`` its rows (1, cos 2psi, sin 2psi),
+    (3, N), computed once per call; with random spacing ``phases`` (B, N)
+    are drawn first from each trial's stream and ``harmonics`` (B, 3, N) are
+    one ``grid_harmonics`` call over them.  Either is handed on to
+    ``ScanBlock.of``.
+
+    A truth colours the block's standard normals z by its standard
     deviations, the square root of its ``variance_coefficients`` times the
-    harmonics: computed once per call for a shared truth on the grid, else
-    as one stacked product per block, which gives each row the bits of that
-    product on its own.  The last truth colours z in place and every earlier
-    one a new array, so one block of normals and one coloured block are
-    alive at a time.  Every shared truth is checked, and its coefficients
-    formed, before the first draw.
+    harmonics: once per call for a shared truth on the grid, else as one
+    stacked product per block, which gives each row the bits of that
+    product on its own.  The last truth colours z in place, so one block of
+    normals and one coloured block are alive at a time.  A truth that
+    ``model.check_harmonic_state`` refuses, or a sequence whose length is
+    not the number of trials, raises ValueError before the first draw.
     """
+    cfg = config or ScanConfig()
     random = cfg.spacing == "random"
     # one equispaced grid and its harmonics serve every block of the call
     grid = None if random else cfg.phase_grid()
     grid_rows = None if random else grid_harmonics(grid)
-    # (truth, coefficients, grid sigma); the coefficients of a truth per trial
-    # are looked up per block
-    scales = []
-    for params in truths:
-        coefs = _scan_coefficients(params) if isinstance(params, StateParams) else None
-        sigma = None if random or coefs is None else np.sqrt(np.dot(coefs, grid_rows))
-        scales.append((params, coefs, sigma))
-    last = len(scales) - 1
     blocks = list(blocks)
+    count = sum(map(len, blocks))
+    # (coefficients, grid sigma) of each truth: a shared truth's (3,) row,
+    # with its sigma on an equispaced grid, or the (T, 3) rows of a truth per trial
+    scales = []
+    for truth in truths:
+        if isinstance(truth, StateParams):
+            coefs = np.array(_scan_coefficients(truth))
+            scales.append((coefs, None if random else np.sqrt(np.dot(coefs, grid_rows))))
+        else:
+            rows = np.array([_scan_coefficients(p) for p in truth]).reshape(-1, 3)
+            if len(rows) != count:
+                raise ValueError(f"a truth per trial needs one StateParams for each of the "
+                                 f"{count} trials drawn, got {len(rows)}")
+            scales.append((rows, None))
+    last = len(scales) - 1
+    start = 0  # the position of the block's first trial among the trials drawn
     streams = _keyed_streams(seed, (_STREAM_SCAN,), blocks)
     for trials in blocks:
-        z = np.empty((len(trials), cfg.n_psi))
+        size = len(trials)
+        z = np.empty((size, cfg.n_psi))
         phases = np.empty_like(z) if random else grid
-        for i, rng in enumerate(itertools.islice(streams, len(trials))):
+        for i, rng in enumerate(itertools.islice(streams, size)):
             if random:
                 # the phases come first in the trial's stream, then the samples
                 phases[i] = np.sort(rng.uniform(0.0, cfg.n * math.pi, cfg.n_psi))
             rng.standard_normal(out=z[i])
         harmonics = grid_harmonics(phases) if random else grid_rows
-        for k, (params, coefs, sigma) in enumerate(scales):
+        for k, (coefs, sigma) in enumerate(scales):
             if sigma is None:
-                rows = [coefs] * len(trials) if coefs is not None else [
-                    _scan_coefficients(params[t]) for t in trials]
+                rows = coefs[start:start + size] if coefs.ndim == 2 else np.array([coefs] * size)
                 # (B, 1, 3) @ (3, N) or (B, 3, N): each item is the vector-matrix
                 # product np.dot forms for one row, with the same bits
-                v = np.matmul(np.array(rows).reshape(-1, 1, 3), harmonics)
+                v = np.matmul(rows.reshape(-1, 1, 3), harmonics)
                 sigma = np.sqrt(v, out=v)[:, 0]
             yield phases, harmonics, np.multiply(z, sigma, out=z if k == last else None)
+        start += size
 
 
 def sample_dhd(
@@ -288,19 +276,9 @@ def sample_dhd(
     trial: int = 0,
 ) -> DhdBatch:
     """Draw mu (q1, p2) pairs with covariance Gamma_theta + I."""
-    [block] = sample_dhd_blocks(params, mu, seed, [range(trial, trial + 1)])
+    trial = _integer("trial", trial)
+    [block] = sample_dhd_blocks([params], mu, seed, [range(trial, trial + 1)])
     return DhdBatch(q1=block[0, :, 0], p2=block[0, :, 1])
-
-
-def sample_dhd_blocks(params: StateParams, mu: int, seed: int, blocks):
-    """Yield a (len(trials), mu, 2) array of (q1, p2) pairs for each range
-    of trials in ``blocks``; row i is trial i's ``sample_dhd`` batch, and an
-    empty range gives a (0, mu, 2) block.
-
-    The draws are ``_sample_dhd_truths``'s for the one truth.  A truth that
-    ``model.check_drawn_states`` refuses raises ValueError.
-    """
-    return _sample_dhd_truths([params], mu, seed, blocks)
 
 
 def _dhd_factor(params: StateParams, mu: int) -> np.ndarray:
@@ -321,17 +299,17 @@ def _dhd_factor(params: StateParams, mu: int) -> np.ndarray:
     return chol_t
 
 
-def _sample_dhd_truths(truths: list, mu: int, seed: int, blocks):
+def sample_dhd_blocks(truths, mu: int, seed: int, blocks):
     """The one draw loop of DHD batches: for each range of trials in
     ``blocks``, draw the block's standard normals z (B, mu, 2) once and
-    yield z @ chol_t for each truth of ``truths`` in turn.
-
-    Each truth's Cholesky factor is formed, and the truth checked, once per
-    call before the first draw.  Every truth's pairs are a new array, as a
-    matmul into z would first copy z; the block of normals and one coloured
-    block are alive at a time.
+    yield its (q1, p2) pairs z @ chol_t for each truth of ``truths`` in
+    turn, each a StateParams shared by every trial.  Row i is trial i's
+    ``sample_dhd`` batch; an empty range gives (0, mu, 2).  A mu that is not
+    an integer >= 1, or a truth that ``model.check_drawn_states`` refuses,
+    raises ValueError before the first draw.  Every truth's pairs are a new
+    array, as a matmul into z would first copy z.
     """
-    if mu < 1:
+    if _integer("mu", mu) < 1:
         raise ValueError(f"mu must be >= 1, got {mu}")
     factors = [_dhd_factor(params, mu) for params in truths]
     blocks = list(blocks)
@@ -505,7 +483,8 @@ def synthesize_trace(
     sigma = np.sqrt(quadrature_variance(*states, grid))
     z = np.empty((cfg.n_psi, wl + 1))
     # windows 0 .. n_psi - 1, then the tail's stream n_psi
-    streams = _keyed_streams(seed, (_STREAM_TRACE, trial), [range(cfg.n_psi + 1)])
+    streams = _keyed_streams(seed, (_STREAM_TRACE, _integer("trial", trial)),
+                             [range(cfg.n_psi + 1)])
     for j, rng in enumerate(itertools.islice(streams, cfg.n_psi)):
         rng.standard_normal(out=z[j])
     w = z[:, 1:]

@@ -13,6 +13,10 @@ closed_form_half_width_tol bounds the relative gap between the closed-form
 and the discrete angle half-width where ``bounds.phase_average_is_exact``
 holds.
 
+scan_nll is a scan's exact negative log-likelihood, and mle_oracle its
+minimum found by a generic optimiser (scipy's Nelder-Mead), a maximum-
+likelihood reference that shares no code with the estimators.
+
 column_rows and column_results read the rows of an ``estimators.Estimates``
 back as finished rows and as the EstimateResults a one-row finish builds.
 
@@ -21,6 +25,7 @@ examples, no example database and no per-example deadline, so a test's
 ``@settings`` gives only its example count.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -34,6 +39,7 @@ from squeezelab import (
     estimators,
     eval_variance,
     fit_estimate,
+    quadrature_variance,
     state_covariance,
 )
 
@@ -62,6 +68,30 @@ def closed_form_half_width_tol(s):
     where ``bounds.phase_average_is_exact`` holds."""
     eps = np.finfo(float).eps
     return 4.0 * eps * (1.0 + 1.0 / (s * s)) + eps
+
+
+def scan_nll(scan, s, kappa, phi_s):
+    """1/2 sum_j (ln V_j + q_j^2 / V_j) at (s, kappa, phi_s): the scan's
+    negative log-likelihood less its constant (N/2) ln 2pi."""
+    v = quadrature_variance(s, kappa, phi_s, scan.phases)
+    return 0.5 * float(np.sum(np.log(v) + scan.samples**2 / v))
+
+
+def mle_oracle(scan, start):
+    """The (s, kappa, phi_s) that minimises ``scan_nll``: Nelder-Mead over
+    (ln s, ln kappa, phi_s) from the StateParams ``start`` (s, kappa > 0),
+    with tight tolerances, mirrored onto s <= 1 (V is unchanged by s -> 1/s,
+    phi_s -> phi_s + pi/2)."""
+    from scipy.optimize import minimize
+
+    res = minimize(lambda x: scan_nll(scan, math.exp(x[0]), math.exp(x[1]), x[2]),
+                   [math.log(start.s), math.log(start.kappa), start.phi_s],
+                   method="Nelder-Mead",
+                   options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000})
+    s, kappa, phi_s = math.exp(res.x[0]), math.exp(res.x[1]), float(res.x[2])
+    if s > 1.0:
+        s, phi_s = 1.0 / s, phi_s + 0.5 * math.pi
+    return StateParams(s, kappa, phi_s)
 
 
 def column_rows(est) -> list:

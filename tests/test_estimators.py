@@ -9,10 +9,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from conftest import (column_results, column_rows, exact_moment_batch, fit_moments, grid_points,
-                      moment_matched_scan)
+                      mle_oracle, moment_matched_scan, scan_nll)
 from test_mom_kernel import mom_weights
 
 from squeezelab import (
@@ -37,7 +37,7 @@ from squeezelab import (
     variance_coefficients,
     variance_partials,
 )
-from squeezelab import estimators, model
+from squeezelab import bounds, estimators, model
 from squeezelab.estimators import (
     FLAG_DEGENERATE,
     FLAG_NONPHYSICAL,
@@ -95,7 +95,7 @@ def test_scan_block_refuses_harmonics_that_do_not_fit_the_phases():
     sampler's (4, 64) block with row 0's (3, 64) harmonics is refused, and
     the error names both shapes."""
     cfg = ScanConfig(n_psi=64, spacing="random")
-    [(phases, harmonics, q)] = sample_scan_blocks(StateParams(0.5, 2.0, 0.3), cfg, 5, [range(4)])
+    [(phases, harmonics, q)] = sample_scan_blocks([StateParams(0.5, 2.0, 0.3)], cfg, 5, [range(4)])
     with pytest.raises(ValueError, match=re.escape("harmonics (3, 64) do not fit phases "
                                                    "(4, 64): expected (4, 3, 64)")):
         ScanBlock.of(phases, q, harmonics[0])
@@ -124,7 +124,7 @@ def test_one_scan_estimates_take_a_prepared_one_row_block():
                 estimate(two)
 
         for t in (0, 3):
-            [(phases, harmonics, q)] = sample_scan_blocks(truth, cfg, 5, [range(t, t + 1)])
+            [(phases, harmonics, q)] = sample_scan_blocks([truth], cfg, 5, [range(t, t + 1)])
             one = ScanBlock.of(phases, q, harmonics)
             scan = HomodyneScan(phases if phases.ndim == 1 else phases[0], q[0])
             assert repr(fit_estimate(one)) == repr(fit_estimate(scan))
@@ -133,7 +133,7 @@ def test_one_scan_estimates_take_a_prepared_one_row_block():
                 assert got.predicted_cov is not None
                 assert repr(got) == repr(mom_estimate(scan, prior=prior))
 
-        [(phases, harmonics, q)] = sample_scan_blocks(truth, cfg, 5, [range(4)])
+        [(phases, harmonics, q)] = sample_scan_blocks([truth], cfg, 5, [range(4)])
         block = ScanBlock.of(phases, q, harmonics)
         for i in range(4):
             alone = ScanBlock.of(phases if phases.ndim == 1 else phases[i], q[i])
@@ -400,6 +400,34 @@ def test_mom_estimate_from_far_prior_converges():
     assert abs(r.params.s - truth.s) < 5 * math.sqrt(b.var_s)
     assert abs(r.params.kappa - truth.kappa) < 5 * math.sqrt(b.var_kappa)
     assert angle_distance(r.params.phi_s, truth.phi_s) < 5 * math.sqrt(b.var_phi)
+
+
+@settings(max_examples=20)
+@given(
+    n_psi=st.sampled_from([64, 900]),
+    s=st.floats(0.2, 0.95),
+    kappa=st.floats(1.0, 3.0),
+    phi=st.floats(0.0, math.pi, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mom_lands_on_an_independent_mle(n_psi, s, kappa, phi, seed):
+    """On an equispaced scan where ``bounds.phase_average_is_exact`` holds
+    at the estimate, a converged MoM estimate lies within 1e-5 relative in s
+    and kappa, and 1e-5 rad in phi_s, of the maximum-likelihood estimate of
+    a generic optimiser seeded with the fit (``mle_oracle``), and its
+    negative log-likelihood is at most 1e-6 nats above the optimiser's."""
+    cfg = ScanConfig(n_psi=n_psi)
+    scan = sample_homodyne_scan(StateParams(s, kappa, phi), cfg, seed=seed)
+    mom = mom_estimate(scan)
+    fit = fit_estimate(scan).params
+    m = n_psi // math.gcd(n_psi, cfg.n)
+    assume(FLAG_NO_CONVERGENCE not in mom.flags and fit.s > 0.0 and fit.kappa > 0.0
+           and bounds.phase_average_is_exact(mom.params.s, m))
+    oracle = mle_oracle(scan, fit)
+    assert abs(mom.params.s - oracle.s) <= 1e-5 * oracle.s
+    assert abs(mom.params.kappa - oracle.kappa) <= 1e-5 * oracle.kappa
+    assert angle_distance(mom.params.phi_s, oracle.phi_s) <= 1e-5
+    assert scan_nll(scan, *mom.params.as_tuple()) <= scan_nll(scan, *oracle.as_tuple()) + 1e-6
 
 
 def test_mom_estimate_auto_seed_matches_explicit_fit_seed():

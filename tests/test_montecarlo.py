@@ -108,8 +108,8 @@ def test_one_trial_is_refused_before_any_draw(monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew trials")
 
-    monkeypatch.setattr(montecarlo, "_sample_scan_truths", no_draw)
-    monkeypatch.setattr(montecarlo, "_sample_dhd_truths", no_draw)
+    monkeypatch.setattr(montecarlo, "sample_scan_blocks", no_draw)
+    monkeypatch.setattr(montecarlo, "sample_dhd_blocks", no_draw)
     for trials in (1, 0):
         with pytest.raises(ValueError, match="need at least 2 trials"):
             sweep_family((0.3, 0.5), ("fit", "mom", "dhd"), trials, scan_config=cfg)
@@ -663,7 +663,7 @@ def test_track_is_its_step_chained_over_the_sampled_rows(s, pure, phi, n_psi, sp
 
     phi_true = base.phi_s + simulate_phase_drift(drift, duration, seed=seed)
     truths = [StateParams(base.s, base.kappa, p) for p in phi_true]
-    [(phases, harmonics, q)] = simulate.sample_scan_blocks(truths, cfg, seed, [range(scans)])
+    [(phases, harmonics, q)] = simulate.sample_scan_blocks([truths], cfg, seed, [range(scans)])
     block = estimators.ScanBlock.of(phases, q, harmonics)
     rows, prior = [], None
     for i in range(scans):
@@ -801,8 +801,7 @@ def test_bad_tol_or_max_iter_is_refused_before_any_draw(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a scan, a DHD batch or the drift")
 
-    for name in ("sample_scan_blocks", "_sample_scan_truths", "_sample_dhd_truths",
-                 "simulate_phase_drift"):
+    for name in ("sample_scan_blocks", "sample_dhd_blocks", "simulate_phase_drift"):
         monkeypatch.setattr(montecarlo, name, no_draw)
     bad = [{"tol": t} for t in (math.nan, math.inf, -math.inf, 0.0, -1e-6)]
     for kw in bad + [{"max_iter": m} for m in (0, -1)]:
@@ -827,8 +826,7 @@ def test_too_few_samples_are_refused_before_any_draw(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a scan, a DHD batch or the drift")
 
-    for name in ("sample_scan_blocks", "_sample_scan_truths", "_sample_dhd_truths",
-                 "simulate_phase_drift"):
+    for name in ("sample_scan_blocks", "sample_dhd_blocks", "simulate_phase_drift"):
         monkeypatch.setattr(montecarlo, name, no_draw)
     two = ScanConfig(n_psi=2)
     for method in ("fit", "mom"):
@@ -840,8 +838,39 @@ def test_too_few_samples_are_refused_before_any_draw(monkeypatch):
                  lambda: sweep_family((0.5,), ("dhd",), 2, mu=2)):
         with pytest.raises(ValueError, match="at least 3 repetitions per DHD batch, got mu=2"):
             call()
+    # a mu that is not an integer, which np.empty once refused inside a worker
+    monkeypatch.setattr(simulate, "keyed_generator", no_draw)
+    for call in (lambda: sample_dhd(truth, 10.0),
+                 lambda: collect_estimates(truth, "dhd", 2, mu=10.5),
+                 lambda: sweep_family((0.5,), ("dhd",), 4, mu=10.5, workers=2)):
+        with pytest.raises(ValueError, match=r"mu must be an integer, got 10\.[05]"):
+            call()
     with pytest.raises(ValueError, match="at least 3 samples per scan, got n_psi=2"):
         track_angle(DriftModel(), truth, two, duration=0.01)
+
+
+def test_a_non_integer_seed_is_refused_before_any_draw(monkeypatch):
+    """A sweep and a track refuse a seed that is not an integer, which they
+    once truncated to the integer below, before any scan or DHD batch is
+    drawn; a numpy integer seed gives the report of its int."""
+    cfg = ScanConfig(n_psi=16)
+    want, got = (report_csv_lines(sweep_family((0.5, 0.3), ("mom", "dhd"), 4, seed=seed,
+                                               scan_config=cfg, mu=16))
+                 for seed in (3, np.int64(3)))
+    assert got == want
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a scan or a DHD batch")
+
+    for name in ("sample_scan_blocks", "sample_dhd_blocks"):
+        monkeypatch.setattr(montecarlo, name, no_draw)
+    for call in (lambda: sweep_family((0.5, 0.3), ("mom", "dhd"), 4, seed=3.7, scan_config=cfg,
+                                      mu=16, workers=2),
+                 lambda: run_trials(StateParams(0.5, 2.0, 0.3), "dhd", 4, seed=3.0, mu=16),
+                 lambda: track_angle(DriftModel(), StateParams(0.5, 2.0, 0.3), cfg,
+                                     duration=0.01, seed=2.9)):
+        with pytest.raises(ValueError, match="seed must be an integer, got"):
+            call()
 
 
 def test_sweep_memory_does_not_grow_with_the_trials():

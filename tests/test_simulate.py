@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from squeezelab import io as sio
 from squeezelab import (
@@ -87,6 +87,31 @@ def test_keyed_generator_path_mixing():
     c = keyed_generator(0, 1, 2).standard_normal(4)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+def test_a_non_integer_seed_or_trial_is_refused():
+    """A seed, trial or stream path element that is not an integer raises
+    ValueError naming it, where it was once truncated to the integer below;
+    numpy integers key the stream of their int."""
+    truth = StateParams(0.5, 2.0, 0.3)
+    cfg = ScanConfig(n_psi=8)
+    mode = TemporalMode(window_len=3)
+    for name, call in (
+        ("seed", lambda: sample_homodyne_scan(truth, cfg, seed=1.5)),
+        ("trial", lambda: sample_homodyne_scan(truth, cfg, trial=1.5)),
+        ("seed", lambda: sample_dhd(truth, 8, seed=1.5)),
+        ("trial", lambda: sample_dhd(truth, 8, trial=1.5)),
+        ("seed", lambda: list(sample_scan_blocks([truth], cfg, 1.0, [range(2)]))),
+        ("trial", lambda: synthesize_trace([truth] * 8, mode, cfg, trial=0.5)),
+        ("seed", lambda: simulate_phase_drift(DriftModel(), 0.01, seed=2.9)),
+        ("stream path element", lambda: keyed_generator(0, 1, 2.0)),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+    drawn = sample_homodyne_scan(truth, cfg, seed=np.int64(3), trial=np.uint8(2)).samples
+    assert drawn.tobytes() == sample_homodyne_scan(truth, cfg, seed=3, trial=2).samples.tobytes()
+    trace = synthesize_trace([truth] * 8, mode, cfg, seed=np.int32(3), trial=np.int16(2))
+    assert trace.tobytes() == synthesize_trace([truth] * 8, mode, cfg, seed=3, trial=2).tobytes()
 
 
 def test_scan_length_mismatch_rejected():
@@ -175,7 +200,7 @@ def test_sampled_variance_within_its_rounding_bound(log_s, log_kappa, phi, n_psi
     assume(min(s, 1.0 / s) >= S_FLOOR)
     truth = StateParams(s, kappa, phi)
     cfg = ScanConfig(n_psi=n_psi, n=span, spacing=spacing)
-    [(phases, _, q)] = sample_scan_blocks(truth, cfg, seed, [range(t0, t0 + rows)])
+    [(phases, _, q)] = sample_scan_blocks([truth], cfg, seed, [range(t0, t0 + rows)])
     bound = 18.0 * (2.0 * _U) * kappa * max(s, 1.0 / s)
     for i in range(rows):
         rng = keyed_generator(seed, _STREAM_SCAN, t0 + i)
@@ -216,7 +241,7 @@ def test_sampler_rejects_a_truth_beyond_the_s_floor(s, spacing):
     with pytest.raises(ValueError, match=floor):
         sample_homodyne_scan(beyond, cfg, seed=1)
     with pytest.raises(ValueError, match=floor):
-        list(sample_scan_blocks([at, beyond], cfg, 1, [range(0, 2)]))
+        list(sample_scan_blocks([[at, beyond]], cfg, 1, [range(0, 2)]))
     for bad in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match=floor):
             sample_homodyne_scan(StateParams(bad, 2.0, 0.3), cfg, seed=1)
@@ -242,7 +267,7 @@ def test_sampler_rejects_a_kappa_beyond_the_limit(spacing):
         with pytest.raises(ValueError, match=r"needs 1e-90 <= kappa <= 1e\+90"):
             sample_homodyne_scan(beyond, cfg, seed=1)
         with pytest.raises(ValueError, match=r"needs 1e-90 <= kappa <= 1e\+90"):
-            list(sample_scan_blocks([at, beyond], cfg, 1, [range(0, 2)]))
+            list(sample_scan_blocks([[at, beyond]], cfg, 1, [range(0, 2)]))
     with pytest.raises(ValueError, match="finite phi_s"):
         sample_homodyne_scan(StateParams(0.5, 2.0, math.nan), cfg, seed=1)
 
@@ -606,10 +631,10 @@ def test_block_rows_match_per_trial_generators(params, seed, t0, sizes, n_psi, m
     blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
     scan_rows = [
         (phases if phases.ndim == 1 else phases[i], q[i])
-        for phases, _, q in sample_scan_blocks(params, cfg, seed, blocks)
+        for phases, _, q in sample_scan_blocks([params], cfg, seed, blocks)
         for i in range(len(q))
     ]
-    dhd_rows = [qp for block in sample_dhd_blocks(params, mu, seed, blocks) for qp in block]
+    dhd_rows = [qp for block in sample_dhd_blocks([params], mu, seed, blocks) for qp in block]
     trials = range(edges[0], edges[-1])
     assert len(scan_rows) == len(dhd_rows) == len(trials)
     for trial, (phases, q), qp in zip(trials, scan_rows, dhd_rows):
@@ -634,31 +659,46 @@ def test_block_rows_match_per_trial_generators(params, seed, t0, sizes, n_psi, m
     pool=st.lists(_state, min_size=1, max_size=8),
     shared=_state,
 )
+# trials 5 and 6, one per block: a truth list read as params[trial] ran past its end
+@example(seed=3, t0=5, sizes=[1, 1], n_psi=8, spacing="random",
+         pool=[StateParams(0.3, 1.5, 0.2), StateParams(0.8, 2.5, 1.1)],
+         shared=StateParams(0.5, 2.0, 0.3))
 def test_block_rows_with_a_truth_per_trial(seed, t0, sizes, n_psi, spacing, pool, shared):
-    """With one truth per trial, every block row is the single draw of that
-    trial at its own truth, whatever the block split; identical truths
-    per trial give the bytes of the shared-truth call."""
+    """With one truth per trial, given by position in block order, every
+    block row is the single draw of that trial at its own truth, whatever
+    the trial indices and the block split; identical truths per trial give
+    the bytes of the shared-truth call, and a shared truth and a truth per
+    trial in one call yield, per block, what each call yields alone.  A
+    list one truth short or one long, or one with a refused truth in its
+    last block, raises ValueError at the first block."""
     cfg = ScanConfig(n_psi=n_psi, spacing=spacing)
     edges = np.cumsum([t0] + sizes).tolist()
     blocks = [range(a, b) for a, b in zip(edges, edges[1:])]
     trials = range(edges[0], edges[-1])
-    truths = {t: pool[t % len(pool)] for t in trials}
+    truths = [pool[t % len(pool)] for t in trials]
     rows = [
         (phases if phases.ndim == 1 else phases[i], q[i])
-        for phases, _, q in sample_scan_blocks(truths, cfg, seed, blocks)
+        for phases, _, q in sample_scan_blocks([truths], cfg, seed, blocks)
         for i in range(len(q))
     ]
     assert len(rows) == len(trials)
-    for trial, (phases, q) in zip(trials, rows):
-        want = sample_homodyne_scan(truths[trial], cfg, seed=seed, trial=trial)
+    for trial, truth, (phases, q) in zip(trials, truths, rows):
+        want = sample_homodyne_scan(truth, cfg, seed=seed, trial=trial)
         assert phases.tobytes() == want.phases.tobytes()
         assert q.tobytes() == want.samples.tobytes()
 
-    # a list is indexed from trial 0, so the same split is moved to start there
-    from_zero = [range(b.start - t0, b.stop - t0) for b in blocks]
-    per_trial = sample_scan_blocks([shared] * len(trials), cfg, seed, from_zero)
-    for (p1, _, q1), (p2, _, q2) in zip(per_trial, sample_scan_blocks(shared, cfg, seed, from_zero)):
-        assert p1.tobytes() == p2.tobytes() and q1.tobytes() == q2.tobytes()
+    shared_alone = _scan_bytes(sample_scan_blocks([shared], cfg, seed, blocks))
+    per_trial = _scan_bytes(sample_scan_blocks([[shared] * len(trials)], cfg, seed, blocks))
+    assert per_trial == shared_alone
+    both = _scan_bytes(sample_scan_blocks([shared, truths], cfg, seed, blocks))
+    assert both[0::2] == shared_alone
+    assert both[1::2] == _scan_bytes(sample_scan_blocks([truths], cfg, seed, blocks))
+
+    for wrong in (truths[:-1], truths + [shared]):
+        with pytest.raises(ValueError, match=f"{len(trials)} trials drawn, got {len(wrong)}"):
+            next(sample_scan_blocks([wrong], cfg, seed, blocks))
+    with pytest.raises(ValueError, match="S_FLOOR"):
+        next(sample_scan_blocks([truths[:-1] + [StateParams(1e-7, 2.0, 0.3)]], cfg, seed, blocks))
 
 
 # seeds and trial indices far outside int64, on both sides: a stream is keyed
@@ -691,9 +731,9 @@ def test_every_stream_replays_its_fresh_keyed_generator(params, seed, start, ste
     blocks = [range(start + a * step, start + b * step, step) for a, b in zip(edges, edges[1:])]
     trials = range(start, start + edges[-1] * step, step)
     scans = [(phases if phases.ndim == 1 else phases[i], q[i])
-             for phases, _, q in sample_scan_blocks(params, cfg, seed, blocks)
+             for phases, _, q in sample_scan_blocks([params], cfg, seed, blocks)
              for i in range(len(q))]
-    pairs = [qp for block in sample_dhd_blocks(params, mu, seed, blocks) for qp in block]
+    pairs = [qp for block in sample_dhd_blocks([params], mu, seed, blocks) for qp in block]
     assert len(scans) == len(pairs) == len(trials)
     for trial, (phases, q), qp in zip(trials, scans, pairs):
         psi, want = _scan_reference(params, cfg, seed, trial)
@@ -712,8 +752,8 @@ def test_every_stream_replays_its_fresh_keyed_generator(params, seed, start, ste
 def test_an_empty_trial_range_yields_an_empty_block(spacing):
     cfg = ScanConfig(n_psi=8, spacing=spacing)
     truth = StateParams(0.5, 1.5, 0.2)
-    for params in (truth, [truth] * 5):
-        [(phases, harmonics, q)] = sample_scan_blocks(params, cfg, 0, [range(3, 3)])
+    for truths in ([truth], [[]]):
+        [(phases, harmonics, q)] = sample_scan_blocks(truths, cfg, 0, [range(3, 3)])
         assert q.shape == (0, 8)
         if spacing == "random":
             assert phases.shape == (0, 8) and harmonics.shape == (0, 3, 8)
@@ -721,7 +761,7 @@ def test_an_empty_trial_range_yields_an_empty_block(spacing):
             grid = cfg.phase_grid()
             assert np.array_equal(phases, grid)
             assert np.array_equal(harmonics, grid_harmonics(grid))
-    [pairs] = sample_dhd_blocks(truth, 8, 0, [range(3, 3)])
+    [pairs] = sample_dhd_blocks([truth], 8, 0, [range(3, 3)])
     assert pairs.shape == (0, 8, 2)
 
 
@@ -736,18 +776,18 @@ def test_interleaved_samplers_draw_what_they_draw_alone(spacing):
     cfg = ScanConfig(n_psi=20, spacing=spacing)
     truth = StateParams(0.4, 1.8, 0.3)
     blocks = [range(0, 5), range(5, 6), range(6, 6), range(6, 17)]
-    scan_alone = _scan_bytes(sample_scan_blocks(truth, cfg, 3, blocks))
-    other_alone = _scan_bytes(sample_scan_blocks(truth, cfg, 4, blocks))
-    dhd_alone = [z.tobytes() for z in sample_dhd_blocks(truth, 7, 3, blocks)]
+    scan_alone = _scan_bytes(sample_scan_blocks([truth], cfg, 3, blocks))
+    other_alone = _scan_bytes(sample_scan_blocks([truth], cfg, 4, blocks))
+    dhd_alone = [z.tobytes() for z in sample_dhd_blocks([truth], 7, 3, blocks)]
     assert scan_alone != other_alone
 
-    turns = list(zip(sample_scan_blocks(truth, cfg, 3, blocks),
-                     sample_dhd_blocks(truth, 7, 3, blocks)))
+    turns = list(zip(sample_scan_blocks([truth], cfg, 3, blocks),
+                     sample_dhd_blocks([truth], 7, 3, blocks)))
     assert _scan_bytes(scan for scan, _ in turns) == scan_alone
     assert [z.tobytes() for _, z in turns] == dhd_alone
 
-    turns = list(zip(sample_scan_blocks(truth, cfg, 3, blocks),
-                     sample_scan_blocks(truth, cfg, 4, blocks)))
+    turns = list(zip(sample_scan_blocks([truth], cfg, 3, blocks),
+                     sample_scan_blocks([truth], cfg, 4, blocks)))
     assert _scan_bytes(a for a, _ in turns) == scan_alone
     assert _scan_bytes(b for _, b in turns) == other_alone
 
